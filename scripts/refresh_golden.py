@@ -1,26 +1,29 @@
 #!/usr/bin/env python3
 """Regenerate the golden report tree used by the byte-for-byte tests.
 
-Run this only after auditing a fresh pipeline run (triage-miner verify must
-pass on the sample first); the tests then pin the result.
+Runs the pipeline on the bundled sample once, checks that run's own tables
+against the brute-force oracles (as ``triage-miner verify`` does), and only
+then writes that same result, so the golden files are exactly the tables
+that were verified. Usage: python scripts/refresh_golden.py
 """
 
 import sys
 from pathlib import Path
 
 from triage_miner.config import PipelineConfig
-from triage_miner.pipeline import run_pipeline, run_verify
+from triage_miner.pipeline import execute, run_verify, write_outputs
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SAMPLE = REPO_ROOT / "data" / "sample_bugs.csv"
 GOLDEN = REPO_ROOT / "tests" / "golden" / "sample_report"
 
 if __name__ == "__main__":
-    ok, lines = run_verify(PipelineConfig(input_path=str(SAMPLE), output_dir=str(GOLDEN)))
+    result = execute(PipelineConfig(input_path=str(SAMPLE), output_dir=str(GOLDEN)))
+    ok, lines = run_verify(result)
     for line in lines:
         print(line)
     if not ok:
         print("refusing to refresh golden files: oracle verification failed", file=sys.stderr)
         sys.exit(3)
-    run_pipeline(PipelineConfig(input_path=str(SAMPLE), output_dir=str(GOLDEN)))
+    write_outputs(result)
     print(f"golden report refreshed at {GOLDEN}")

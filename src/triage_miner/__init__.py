@@ -1,105 +1,6 @@
 """Bug-assignee rule mining: encode bug-report exports, cluster them, mine
 class association rules per cluster, and split essential from redundant
-rules."""
-
-from .cluster import ClusterModel, feature_vector, kmeans_fit, split_by_cluster
-from .config import PipelineConfig, validate_config
-from .errors import (
-    AuditError,
-    ConfigError,
-    ConsistencyError,
-    DuplicateIdError,
-    DuplicateRuleError,
-    InfeasibleKError,
-    InputError,
-    ParameterError,
-    RowError,
-    SchemaError,
-    TriageMinerError,
-    UnknownCategoryError,
-)
-from .ingest import (
-    Attribute,
-    BugRecord,
-    Codebook,
-    RawBugRow,
-    build_codebooks_and_encode,
-    encode_priority,
-    encode_severity,
-    parse_csv,
-)
-from .mine import (
-    FrequentItemsetTable,
-    Item,
-    Itemset,
-    Transaction,
-    apriori,
-    support_count,
-    to_transactions,
-)
-from .pipeline import PipelineResult, execute, run_pipeline, run_verify
-from .report import (
-    ClusterReport,
-    build_cluster_report,
-    length_histogram,
-    render_rule,
-)
-from .rules import (
-    Rule,
-    RulePartition,
-    eliminate_redundant,
-    generate_class_rules,
-    top_assignees,
-)
+rules. The public API lives in the submodules (``triage_miner.pipeline``,
+``triage_miner.cli`` and so on)."""
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "Attribute",
-    "AuditError",
-    "BugRecord",
-    "ClusterModel",
-    "ClusterReport",
-    "Codebook",
-    "ConfigError",
-    "ConsistencyError",
-    "DuplicateIdError",
-    "DuplicateRuleError",
-    "FrequentItemsetTable",
-    "InfeasibleKError",
-    "InputError",
-    "Item",
-    "Itemset",
-    "ParameterError",
-    "PipelineConfig",
-    "PipelineResult",
-    "RawBugRow",
-    "RowError",
-    "Rule",
-    "RulePartition",
-    "SchemaError",
-    "Transaction",
-    "TriageMinerError",
-    "UnknownCategoryError",
-    "apriori",
-    "build_cluster_report",
-    "build_codebooks_and_encode",
-    "eliminate_redundant",
-    "encode_priority",
-    "encode_severity",
-    "execute",
-    "feature_vector",
-    "generate_class_rules",
-    "kmeans_fit",
-    "length_histogram",
-    "parse_csv",
-    "render_rule",
-    "run_pipeline",
-    "run_verify",
-    "split_by_cluster",
-    "support_count",
-    "to_transactions",
-    "top_assignees",
-    "validate_config",
-    "__version__",
-]

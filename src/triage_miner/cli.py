@@ -1,8 +1,8 @@
 """Command-line interface.
 
-Subcommands: ``run`` (full pipeline), ``verify`` (diff the fast paths
-against brute-force oracles), ``synthesize`` (deterministic synthetic
-datasets). Exit codes: 0 success, 1 bad parameters/config, 2 input/I-O
+Subcommands: ``run`` (full pipeline), ``verify`` (run the pipeline and
+diff its tables against brute-force oracles), ``synthesize`` (deterministic
+synthetic datasets). Exit codes: 0 success, 1 bad parameters/config, 2 input/I-O
 error, 3 internal invariant failure. Set TRIAGE_MINER_LOG to control log
 verbosity.
 """
@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .config import validate_config
 from .errors import InputError, TriageMinerError
-from .pipeline import run_pipeline, run_verify
+from .pipeline import execute, run_pipeline, run_verify
 from .synth import synthesize_rows, write_csv
 
 
@@ -44,7 +44,6 @@ def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument("--seed", type=int, help="clustering seed (default 0)")
     parser.add_argument("--max-iterations", type=int, help="k-means iteration cap (default 100)")
-    parser.add_argument("--parallelism", type=int, help="cluster-mining workers (default = k)")
 
 
 def _config_from_args(args: argparse.Namespace):
@@ -63,7 +62,6 @@ def _config_from_args(args: argparse.Namespace):
         "top_n": args.top_assignees,
         "seed": args.seed,
         "max_iterations": args.max_iterations,
-        "parallelism": args.parallelism,
     }
     return validate_config(raw, overrides)
 
@@ -82,9 +80,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
+    result = execute(_config_from_args(args))
     ok, lines = run_verify(
-        config, max_transactions=args.max_transactions, max_rules=args.max_rules
+        result, max_transactions=args.max_transactions, max_rules=args.max_rules
     )
     for line in lines:
         print(line)

@@ -27,10 +27,6 @@ class PipelineConfig:
     top_n: int = 5
     seed: int = 0
     max_iterations: int = 100
-    parallelism: int | None = None  # None -> one worker per cluster
-
-    def effective_parallelism(self) -> int:
-        return self.parallelism if self.parallelism is not None else self.k
 
     def analysis_parameters(self) -> dict[str, object]:
         """The knobs that determine the output, excluding file locations."""
@@ -115,13 +111,6 @@ def validate_config(raw_text: str, overrides: Mapping[str, object] | None = None
         violations.append(f"seed must be an integer in [0, 2^64), got {seed!r}")
         seed = 0
 
-    parallelism = data.get("parallelism")
-    if parallelism is not None and (
-        not isinstance(parallelism, int) or isinstance(parallelism, bool) or parallelism < 1
-    ):
-        violations.append(f"parallelism must be a positive integer, got {parallelism!r}")
-        parallelism = None
-
     if violations:
         raise ConfigError(violations)
     return PipelineConfig(
@@ -134,5 +123,4 @@ def validate_config(raw_text: str, overrides: Mapping[str, object] | None = None
         top_n=top_n,
         seed=seed,
         max_iterations=max_iterations,
-        parallelism=parallelism,
     )

@@ -143,13 +143,15 @@ def parse_csv(source: IO[bytes], column_map: Mapping[str, str]) -> list[RawBugRo
     """Read a UTF-8 CSV with a header row into RawBugRows, in file order.
 
     ``column_map`` maps each logical field (see LOGICAL_FIELDS) to the header
-    name that carries it. Blank attribute cells become "Unspecified".
+    name that carries it; each mapped header must appear exactly once. A
+    leading UTF-8 byte-order mark is skipped. Blank attribute cells become
+    "Unspecified".
     """
     missing_fields = [f for f in LOGICAL_FIELDS if f not in column_map]
     if missing_fields:
         raise SchemaError(f"column_map lacks logical fields: {', '.join(missing_fields)}")
 
-    text = io.TextIOWrapper(source, encoding="utf-8")
+    text = io.TextIOWrapper(source, encoding="utf-8-sig")
     try:
         reader = csv.reader(text)
         try:
@@ -162,10 +164,15 @@ def parse_csv(source: IO[bytes], column_map: Mapping[str, str]) -> list[RawBugRo
         positions = {}
         for field in LOGICAL_FIELDS:
             column = column_map[field]
-            try:
-                positions[field] = header.index(column)
-            except ValueError:
-                raise SchemaError(f"missing column {column!r} (mapped from {field!r})") from None
+            occurrences = header.count(column)
+            if occurrences == 0:
+                raise SchemaError(f"missing column {column!r} (mapped from {field!r})")
+            if occurrences > 1:
+                raise SchemaError(
+                    f"column {column!r} (mapped from {field!r}) appears {occurrences} times"
+                    " in the header"
+                )
+            positions[field] = header.index(column)
 
         rows: list[RawBugRow] = []
         seen_ids: set[str] = set()

@@ -45,15 +45,8 @@ class Itemset:
         other_items = set(other.items)
         return all(item in other_items for item in self.items)
 
-    def union(self, other: "Itemset") -> "Itemset":
-        return Itemset(self.items + other.items)
-
     def without(self, item: Item) -> "Itemset":
         return Itemset(i for i in self.items if i != item)
-
-    def has_attribute_conflict(self) -> bool:
-        attributes = [item.attribute for item in self.items]
-        return len(set(attributes)) != len(attributes)
 
     def __str__(self) -> str:
         body = ", ".join(f"{i.attribute.display}:{i.code}" for i in self.items)
@@ -123,32 +116,15 @@ def to_transactions(records: Sequence[BugRecord]) -> list[Transaction]:
     ]
 
 
-def support_count(candidate: Itemset, transactions: Sequence[Transaction]) -> int:
-    """Number of transactions whose itemset contains the candidate.
-
-    The empty candidate is contained in every transaction; a candidate with
-    two items of the same attribute is contained in none.
-    """
-    return sum(1 for t in transactions if candidate.issubset(t.itemset))
-
-
-def apriori(
-    transactions: Sequence[Transaction],
-    min_support_count: int,
-    max_size: int = 5,
-    prune_attribute_conflicts: bool = True,
-) -> FrequentItemsetTable:
-    """Level-wise mining of all frequent itemsets of size 1..max_size.
+def apriori(transactions: Sequence[Transaction], min_support_count: int) -> FrequentItemsetTable:
+    """Level-wise mining of all frequent itemsets of size 1..5.
 
     Candidates of size k are joined from frequent (k-1)-itemsets sharing
-    their first k-2 items, then dropped if any (k-1)-subset is infrequent or
-    (optionally) if two items share an attribute. The conflict pruning is an
-    optimization only: conflicted candidates always count to 0.
+    their first k-2 items, then dropped if two items share an attribute
+    (such a candidate always counts 0) or if any (k-1)-subset is infrequent.
     """
     if min_support_count < 1:
         raise ParameterError("min_support_count must be >= 1")
-    if not 1 <= max_size <= 5:
-        raise ParameterError("max_size must be in 1..5")
 
     tidsets: dict[Item, set[int]] = {}
     for tid, transaction in enumerate(transactions):
@@ -165,7 +141,7 @@ def apriori(
     for key, tids in level.items():
         table[Itemset(key)] = len(tids)
 
-    for size in range(2, max_size + 1):
+    for size in range(2, len(Attribute) + 1):
         if len(level) < 2:
             break
         next_level: dict[tuple[Item, ...], set[int]] = {}
@@ -179,7 +155,7 @@ def apriori(
             for a, b in combinations(range(start, end), 2):
                 # joined itemsets differ only in their last item, so that is
                 # the only place a same-attribute conflict can appear
-                if prune_attribute_conflicts and keys[a][-1].attribute == keys[b][-1].attribute:
+                if keys[a][-1].attribute == keys[b][-1].attribute:
                     continue
                 candidate = keys[a] + (keys[b][-1],)
                 if any(

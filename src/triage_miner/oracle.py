@@ -17,16 +17,14 @@ from .rules import Rule
 
 
 def enumerate_frequent_itemsets(
-    transactions: Sequence[Transaction],
-    min_support_count: int,
-    max_size: int = 5,
+    transactions: Sequence[Transaction], min_support_count: int
 ) -> dict[Itemset, int]:
     """Exact frequent-itemset counts by tallying every subset of every
     transaction (any itemset with positive support shows up this way)."""
     counts: Counter[Itemset] = Counter()
     for transaction in transactions:
         items = transaction.itemset.items
-        for size in range(1, min(max_size, len(items)) + 1):
+        for size in range(1, len(items) + 1):
             for combo in combinations(items, size):
                 counts[Itemset(combo)] += 1
     return {

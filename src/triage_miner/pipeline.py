@@ -1,10 +1,11 @@
 """End-to-end pipeline: ingest -> encode -> cluster -> per-cluster mining ->
-reports, plus the brute-force verification mode.
+reports, plus the brute-force verification of a run's own tables.
 
 Outputs are staged in a temporary directory and renamed into place, so a
-failed run never leaves partial results. Every run re-checks its own
-invariants (partition sums, witness validity, cluster-model consistency)
-before anything is written; a violation aborts with an audit error.
+failed run never leaves partial results, and only a previous report is
+ever replaced. Every run re-checks its own invariants (partition sums,
+witness validity, cluster-model consistency) before anything is written; a
+violation aborts with an audit error.
 """
 
 from __future__ import annotations
@@ -15,17 +16,15 @@ import logging
 import os
 import shutil
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
 from .cluster import ClusterModel, feature_vector, kmeans_fit, model_to_json, split_by_cluster
 from .config import PipelineConfig
-from .errors import AuditError, InputError
+from .errors import AuditError, InputError, ParameterError
 from .ingest import (
     Attribute,
     BugRecord,
@@ -131,13 +130,10 @@ def execute(config: PipelineConfig) -> PipelineResult:
         "k-means: k=%d, %d iterations, inertia %.4f", model.k, model.iterations_run, model.inertia
     )
     parts = split_by_cluster(records, model)
-    with ThreadPoolExecutor(max_workers=config.effective_parallelism()) as pool:
-        outcomes = list(
-            pool.map(
-                lambda pair: _mine_cluster(pair[0], pair[1], config, codebooks),
-                enumerate(parts),
-            )
-        )
+    outcomes = [
+        _mine_cluster(index, cluster_records, config, codebooks)
+        for index, cluster_records in enumerate(parts)
+    ]
     result = PipelineResult(
         config=config,
         input_sha256=input_sha256,
@@ -201,25 +197,27 @@ def audit_result(result: PipelineResult) -> list[str]:
             if any(item.attribute == Attribute.ASSIGNEE for item in rule.antecedent):
                 problems.append(f"{label}: assignee item in an antecedent: {rule}")
         for rule, witness in partition.redundant:
-            if witness.key not in essential_keys:
-                problems.append(f"{label}: witness is not essential: {witness}")
-            if witness.consequent != rule.consequent:
-                problems.append(f"{label}: witness consequent differs: {witness}")
-            if not (
-                len(witness.antecedent) < len(rule.antecedent)
-                and witness.antecedent.issubset(rule.antecedent)
-            ):
-                problems.append(f"{label}: witness antecedent is not a strict subset: {witness}")
-            if Fraction(witness.support_count, witness.antecedent_count) < Fraction(
-                rule.support_count, rule.antecedent_count
-            ):
-                problems.append(f"{label}: witness confidence below the redundant rule: {witness}")
+            if not witness_is_valid(rule, witness, essential_keys):
+                problems.append(f"{label}: invalid witness {witness} for {rule}")
     return problems
 
 
 def write_outputs(result: PipelineResult, dump_itemsets: bool = False) -> Path:
-    """Write the full output tree atomically; returns the output directory."""
+    """Write the full output tree atomically; returns the output directory.
+
+    An existing output path is replaced only if it holds a previous report
+    (config_used.json plus report/). The old report is renamed aside, the
+    new one renamed in, and only then is the old one deleted, so a complete
+    report exists at every moment.
+    """
     final_dir = Path(result.config.output_dir)
+    if final_dir.exists() and not (
+        (final_dir / "config_used.json").is_file() and (final_dir / "report").is_dir()
+    ):
+        raise ParameterError(
+            f"output {str(final_dir)!r} exists and is not a triage-miner report;"
+            " refusing to replace it"
+        )
     final_dir.parent.mkdir(parents=True, exist_ok=True)
     staging = Path(
         tempfile.mkdtemp(prefix=final_dir.name + ".staging-", dir=final_dir.parent)
@@ -240,11 +238,7 @@ def write_outputs(result: PipelineResult, dump_itemsets: bool = False) -> Path:
         for outcome in result.outcomes:
             write_cluster_text(report_dir / f"cluster_{outcome.index}.txt", outcome.report)
         write_figure_csvs(report_dir / "figures", result.reports)
-        write_rules_csv(
-            report_dir / "rules.csv",
-            [outcome.partition for outcome in result.outcomes],
-            result.codebooks,
-        )
+        write_rules_csv(report_dir / "rules.csv", result.reports)
         if dump_itemsets:
             itemsets_dir = report_dir / "itemsets"
             itemsets_dir.mkdir()
@@ -252,8 +246,12 @@ def write_outputs(result: PipelineResult, dump_itemsets: bool = False) -> Path:
                 write_json(itemsets_dir / f"cluster_{outcome.index}.json", outcome.table.to_json())
 
         if final_dir.exists():
-            shutil.rmtree(final_dir)
-        os.replace(staging, final_dir)
+            aside = Path(tempfile.mkdtemp(prefix=final_dir.name + ".old-", dir=final_dir.parent))
+            os.replace(final_dir, aside / final_dir.name)
+            os.replace(staging, final_dir)
+            shutil.rmtree(aside)
+        else:
+            os.replace(staging, final_dir)
     except BaseException:
         shutil.rmtree(staging, ignore_errors=True)
         raise
@@ -269,29 +267,25 @@ def run_pipeline(config: PipelineConfig, dump_itemsets: bool = False) -> Pipelin
 
 
 def run_verify(
-    config: PipelineConfig,
+    result: PipelineResult,
     max_transactions: int = 2000,
     max_rules: int = 5000,
 ) -> tuple[bool, list[str]]:
-    """Diff the fast mining paths against the brute-force oracles, cluster by
-    cluster. Clusters above the size caps are skipped (reported as such)."""
-    _, codebooks, records = _load_and_encode(config)
-    points = [feature_vector(record) for record in records]
-    model = kmeans_fit(points, config.k, config.seed, config.max_iterations)
-    parts = split_by_cluster(records, model)
-
+    """Diff a run's own frequent-itemset tables and rule partitions against
+    the brute-force oracles, cluster by cluster. Clusters above the size caps
+    are skipped (reported as such)."""
     ok = True
     lines: list[str] = []
-    for index, cluster_records in enumerate(parts):
-        transactions = to_transactions(cluster_records)
+    for outcome in result.outcomes:
+        index, table, partition = outcome.index, outcome.table, outcome.partition
+        transactions = to_transactions(outcome.records)
         if len(transactions) > max_transactions:
             lines.append(
                 f"cluster {index}: skipped itemset check"
                 f" ({len(transactions)} transactions > cap {max_transactions})"
             )
             continue
-        table = apriori(transactions, config.min_support_count)
-        reference = enumerate_frequent_itemsets(transactions, config.min_support_count)
+        reference = enumerate_frequent_itemsets(transactions, result.config.min_support_count)
         if dict(table.support) != reference:
             ok = False
             missing = set(reference) - set(table.support)
@@ -306,15 +300,13 @@ def run_verify(
             continue
         lines.append(f"cluster {index}: itemsets OK ({len(table)} frequent itemsets)")
 
-        top_codes = top_assignees(cluster_records, config.top_n)
-        rules = generate_class_rules(table, config.min_confidence, top_codes)
+        rules = partition.all_rules()
         if len(rules) > max_rules:
             lines.append(
                 f"cluster {index}: skipped redundancy check"
                 f" ({len(rules)} rules > cap {max_rules})"
             )
             continue
-        partition = eliminate_redundant(rules)
         naive_keys = essential_rules_naive(rules)
         fast_keys = {rule.key for rule in partition.essential}
         if fast_keys != naive_keys:

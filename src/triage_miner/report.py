@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .ingest import Attribute, BugRecord, Codebook
 from .mine import Itemset
@@ -59,13 +59,29 @@ def render_antecedent(antecedent: Itemset, codebooks: Mapping[Attribute, Codeboo
     return " ∧ ".join(parts)
 
 
-def render_rule(rule: Rule, codebooks: Mapping[Attribute, Codebook]) -> str:
-    """One rule in the fixed grammar; injective for distinct rules."""
+class RenderedRule(NamedTuple):
+    """One rule's strings, rendered once and shared by the cluster text and
+    rules.csv."""
+
+    text: str  # the whole rule in the fixed grammar
+    antecedent: str
+    assignee: str
+    support_count: int
+    confidence: str  # repr of the float confidence, as rules.csv prints it
+
+
+def render_rule(rule: Rule, codebooks: Mapping[Attribute, Codebook]) -> RenderedRule:
+    """One rule in the fixed grammar (``text`` is injective for distinct
+    rules), with the pieces rules.csv prints."""
+    antecedent = render_antecedent(rule.antecedent, codebooks)
     assignee = codebooks[Attribute.ASSIGNEE].decode(rule.consequent.code)
     percent = format_confidence_percent(rule.support_count, rule.antecedent_count)
-    return (
-        f"{render_antecedent(rule.antecedent, codebooks)}"
-        f" ⇒ Assignee {{{assignee}}} @ ({rule.support_count},{percent}%)"
+    return RenderedRule(
+        text=f"{antecedent} ⇒ Assignee {{{assignee}}} @ ({rule.support_count},{percent}%)",
+        antecedent=antecedent,
+        assignee=assignee,
+        support_count=rule.support_count,
+        confidence=repr(rule.confidence),
     )
 
 
@@ -87,13 +103,8 @@ class ClusterReport:
     essential_count: int
     redundant_count: int
     length_histogram: dict[int, int]
-    essential_rendered: tuple[str, ...]
-    redundant_rendered: tuple[tuple[str, str], ...]  # (rule, witness)
-
-    @property
-    def rules(self) -> tuple[str, ...]:
-        """All rendered rules, essential first."""
-        return self.essential_rendered + tuple(rule for rule, _ in self.redundant_rendered)
+    essential_rendered: tuple[RenderedRule, ...]
+    redundant_rendered: tuple[tuple[RenderedRule, str], ...]  # (rule, witness text)
 
     @property
     def rule_count(self) -> int:
@@ -107,8 +118,14 @@ def build_cluster_report(
     codebooks: Mapping[Attribute, Codebook],
     top_assignee_codes: Sequence[int],
 ) -> ClusterReport:
-    """Assemble one cluster's report; rule sections keep generation order."""
+    """Assemble one cluster's report; rule sections keep generation order.
+    Each rule is rendered once; a witness, always one of the cluster's
+    essential rules, reuses that rule's text."""
     assignee_book = codebooks[Attribute.ASSIGNEE]
+    essential = tuple(render_rule(rule, codebooks) for rule in partition.essential)
+    essential_text = {
+        rule.key: rendered.text for rule, rendered in zip(partition.essential, essential)
+    }
     return ClusterReport(
         cluster_index=cluster_index,
         size=len(records),
@@ -116,10 +133,10 @@ def build_cluster_report(
         essential_count=len(partition.essential),
         redundant_count=len(partition.redundant),
         length_histogram=length_histogram(partition.all_rules()),
-        essential_rendered=tuple(render_rule(r, codebooks) for r in partition.essential),
+        essential_rendered=essential,
         redundant_rendered=tuple(
-            (render_rule(r, codebooks), render_rule(w, codebooks))
-            for r, w in partition.redundant
+            (render_rule(rule, codebooks), essential_text[witness.key])
+            for rule, witness in partition.redundant
         ),
     )
 
@@ -172,14 +189,15 @@ def write_cluster_text(path: Path, report: ClusterReport) -> None:
     ]
     if report.essential_rendered:
         lines += [
-            f"  {i}. {rendered}" for i, rendered in enumerate(report.essential_rendered, start=1)
+            f"  {i}. {rendered.text}"
+            for i, rendered in enumerate(report.essential_rendered, start=1)
         ]
     else:
         lines.append("  (none)")
     lines += ["", "Redundant rules"]
     if report.redundant_rendered:
         for i, (rendered, witness) in enumerate(report.redundant_rendered, start=1):
-            lines.append(f"  {i}. {rendered}")
+            lines.append(f"  {i}. {rendered.text}")
             lines.append(f"     subsumed by: {witness}")
     else:
         lines.append("  (none)")
@@ -206,40 +224,27 @@ def write_figure_csvs(figures_dir: Path, reports: Sequence[ClusterReport]) -> No
                 writer.writerow([report.cluster_index, length, count])
 
 
-def write_rules_csv(
-    path: Path,
-    partitions: Sequence[RulePartition],
-    codebooks: Mapping[Attribute, Codebook],
-) -> None:
+def write_rules_csv(path: Path, reports: Sequence[ClusterReport]) -> None:
     """One row per rule across all clusters, essential rows first per cluster."""
-    assignee_book = codebooks[Attribute.ASSIGNEE]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(
             ["cluster", "antecedent", "consequent", "support_count", "confidence", "status", "witness"]
         )
-        for cluster_index, partition in enumerate(partitions):
-            for rule in partition.essential:
+        for report in reports:
+            rows = [(rendered, "essential", "") for rendered in report.essential_rendered]
+            rows += [
+                (rendered, "redundant", witness) for rendered, witness in report.redundant_rendered
+            ]
+            for rendered, status, witness in rows:
                 writer.writerow(
                     [
-                        cluster_index,
-                        render_antecedent(rule.antecedent, codebooks),
-                        assignee_book.decode(rule.consequent.code),
-                        rule.support_count,
-                        repr(rule.confidence),
-                        "essential",
-                        "",
-                    ]
-                )
-            for rule, witness in partition.redundant:
-                writer.writerow(
-                    [
-                        cluster_index,
-                        render_antecedent(rule.antecedent, codebooks),
-                        assignee_book.decode(rule.consequent.code),
-                        rule.support_count,
-                        repr(rule.confidence),
-                        "redundant",
-                        render_rule(witness, codebooks),
+                        report.cluster_index,
+                        rendered.antecedent,
+                        rendered.assignee,
+                        rendered.support_count,
+                        rendered.confidence,
+                        status,
+                        witness,
                     ]
                 )

@@ -237,7 +237,7 @@ def test_criterion_6_rendering_matches_pinned_strings():
         ),
     ]
     for rule, expected in cases:
-        assert render_rule(rule, books) == expected
+        assert render_rule(rule, books).text == expected
     _pass("all three pinned rule strings rendered character for character")
 
 

@@ -102,6 +102,38 @@ class TestRunCommand:
         before = tree_bytes(out)
         assert cli.main(["run", "--input", str(sample_csv), "--output", str(out)]) == 0
         assert tree_bytes(out) == before
+        assert [path.name for path in tmp_path.iterdir()] == ["twice"]
+
+    def test_refuses_to_replace_a_directory_that_is_not_a_report(
+        self, sample_csv, tmp_path, capsys
+    ):
+        out = tmp_path / "mine"
+        out.mkdir()
+        (out / "notes.txt").write_text("keep me\n")
+        code = cli.main(["run", "--input", str(sample_csv), "--output", str(out)])
+        assert code == 1
+        assert "not a triage-miner report" in capsys.readouterr().err
+        assert tree_bytes(out) == {"notes.txt": b"keep me\n"}
+        assert [path.name for path in tmp_path.iterdir()] == ["mine"]
+
+    def test_refuses_to_replace_a_file(self, sample_csv, tmp_path):
+        out = tmp_path / "report.txt"
+        out.write_text("keep me\n")
+        assert cli.main(["run", "--input", str(sample_csv), "--output", str(out)]) == 1
+        assert out.read_text() == "keep me\n"
+
+    def test_utf8_bom_gives_the_golden_report(self, sample_csv, tmp_path, golden_report_dir):
+        bom_csv = tmp_path / "bom.csv"
+        bom_csv.write_bytes(b"\xef\xbb\xbf" + sample_csv.read_bytes())
+        out = tmp_path / "from_bom"
+        assert cli.main(["run", "--input", str(bom_csv), "--output", str(out)]) == 0
+        fresh, golden = tree_bytes(out), tree_bytes(golden_report_dir)
+        fresh_config = json.loads(fresh.pop("config_used.json"))
+        golden_config = json.loads(golden.pop("config_used.json"))
+        assert fresh == golden
+        fresh_config.pop("input_sha256")
+        golden_config.pop("input_sha256")
+        assert fresh_config == golden_config
 
     def test_dump_itemsets_flag(self, sample_csv, tmp_path):
         out = tmp_path / "with_itemsets"
@@ -167,16 +199,12 @@ class TestRunCommand:
             "top_n", "seed", "max_iterations", "input_sha256",
         }
 
-    def test_parallelism_does_not_change_output(self, sample_csv, tmp_path):
-        serial = tmp_path / "serial"
-        parallel = tmp_path / "parallel"
-        assert cli.main(
-            ["run", "--input", str(sample_csv), "--output", str(serial), "--parallelism", "1"]
-        ) == 0
-        assert cli.main(
-            ["run", "--input", str(sample_csv), "--output", str(parallel), "--parallelism", "8"]
-        ) == 0
-        assert tree_bytes(serial) == tree_bytes(parallel)
+    def test_config_naming_parallelism_exits_1(self, sample_csv, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"input_path": str(sample_csv), "parallelism": 5}))
+        code = cli.main(["run", "--config", str(config_path), "--output", str(tmp_path / "x")])
+        assert code == 1
+        assert "unknown config key: parallelism" in capsys.readouterr().err
 
     def test_figure_csvs_are_consistent_with_summary(self, sample_csv, tmp_path):
         out = tmp_path / "figures"

@@ -72,6 +72,16 @@ class TestParseCsv:
         with pytest.raises(RowError, match="line 2"):
             parse_csv(_csv("id,sev,pri,comp,os,who\n,normal,P3,General,Linux,a\n"), COLUMN_MAP)
 
+    def test_duplicate_mapped_header_names_the_column(self):
+        payload = "id,sev,pri,comp,os,who,comp\n42,normal,P3,General,Linux,alice,Sync\n"
+        with pytest.raises(SchemaError, match="'comp'.*2 times"):
+            parse_csv(_csv(payload), COLUMN_MAP)
+
+    def test_duplicate_unmapped_header_is_allowed(self):
+        payload = "id,sev,pri,comp,os,who,note,note\n42,normal,P3,General,Linux,alice,x,y\n"
+        rows = parse_csv(_csv(payload), COLUMN_MAP)
+        assert rows == [RawBugRow("42", "normal", "P3", "General", "Linux", "alice")]
+
     def test_incomplete_column_map_is_a_schema_error(self):
         with pytest.raises(SchemaError, match="assignee"):
             parse_csv(_csv("id\n1\n"), {"bug_id": "id"})

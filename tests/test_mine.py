@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from conftest import make_transaction, random_transactions, transaction_lists
 from triage_miner.errors import ParameterError
 from triage_miner.ingest import Attribute, BugRecord
-from triage_miner.mine import Item, Itemset, apriori, support_count, to_transactions
+from triage_miner.mine import Item, Itemset, apriori, to_transactions
 from triage_miner.oracle import enumerate_frequent_itemsets
 
 
@@ -25,15 +25,10 @@ class TestItemset:
 
     def test_subset_and_union(self):
         small = Itemset([Item(Attribute.SEVERITY, 1)])
-        big = small.union(Itemset([Item(Attribute.PRIORITY, 2)]))
+        big = Itemset(small.items + (Item(Attribute.PRIORITY, 2),))
         assert small.issubset(big)
         assert not big.issubset(small)
         assert Itemset().issubset(small)
-
-    def test_attribute_conflict_detection(self):
-        clash = Itemset([Item(Attribute.SEVERITY, 1), Item(Attribute.SEVERITY, 2)])
-        assert clash.has_attribute_conflict()
-        assert not Itemset([Item(Attribute.SEVERITY, 1)]).has_attribute_conflict()
 
 
 class TestToTransactions:
@@ -59,26 +54,6 @@ class TestToTransactions:
         assert len(transactions) == 25
         assert {t.bug_id for t in transactions} == {r.bug_id for r in records}
         assert all(len(t.itemset) == 5 for t in transactions)
-
-
-class TestSupportCount:
-    def test_empty_candidate_counts_everything(self):
-        transactions = [make_transaction(i, 1, 1, 1, 1, 1) for i in range(47)]
-        assert support_count(Itemset(), transactions) == 47
-
-    def test_hand_counted_pair(self):
-        transactions = [
-            make_transaction(0, 4, 3, 1, 1, 1),
-            make_transaction(1, 4, 2, 1, 1, 1),
-            make_transaction(2, 4, 3, 2, 2, 2),
-        ]
-        candidate = Itemset([Item(Attribute.SEVERITY, 4), Item(Attribute.PRIORITY, 3)])
-        assert support_count(candidate, transactions) == 2
-
-    def test_conflicting_candidate_has_zero_support(self):
-        transactions = [make_transaction(i, 1, 1, 1, 1, 1) for i in range(5)]
-        clash = Itemset([Item(Attribute.SEVERITY, 1), Item(Attribute.SEVERITY, 2)])
-        assert support_count(clash, transactions) == 0
 
 
 def classic_baskets() -> list:
@@ -122,16 +97,9 @@ class TestApriori:
         table = apriori(transactions, min_support_count=4)
         assert len(table) == 0
 
-    def test_max_size_caps_itemset_length(self):
-        transactions = [make_transaction(i, 1, 1, 1, 1, 1) for i in range(3)]
-        table = apriori(transactions, min_support_count=1, max_size=2)
-        assert max(len(s) for s in table.itemsets()) == 2
-
     def test_parameter_validation(self):
         with pytest.raises(ParameterError):
             apriori([], min_support_count=0)
-        with pytest.raises(ParameterError):
-            apriori([], min_support_count=1, max_size=6)
 
     def test_to_json_is_sorted_and_complete(self):
         table = apriori(classic_baskets(), min_support_count=2)
@@ -148,14 +116,6 @@ class TestApriori:
         fast = apriori(transactions, min_support)
         slow = enumerate_frequent_itemsets(transactions, min_support)
         assert dict(fast.support) == slow
-
-    def test_attribute_pruning_never_changes_the_result(self):
-        for seed in range(6):
-            rnd = random.Random(500 + seed)
-            transactions = random_transactions(rnd, max_transactions=40, max_codes=4)
-            pruned = apriori(transactions, 2, prune_attribute_conflicts=True)
-            unpruned = apriori(transactions, 2, prune_attribute_conflicts=False)
-            assert dict(pruned.support) == dict(unpruned.support)
 
 
 @given(transaction_lists(), st.integers(1, 4))

@@ -78,7 +78,7 @@ class TestRenderRule:
             ],
             1, 9, 17,
         )
-        assert render_rule(rule, books) == (
+        assert render_rule(rule, books).text == (
             "Severity {Normal} ∧ Priority {P3} ∧ Os {Linux} ∧ Component{Build Config}"
             " ⇒ Assignee {Jon Granrose} @ (9,52.94%)"
         )
@@ -88,7 +88,7 @@ class TestRenderRule:
         rule = _rule(
             [Item(Attribute.OPERATING_SYSTEM, 1), Item(Attribute.COMPONENT, 1)], 1, 3, 4
         )
-        assert render_rule(rule, books) == (
+        assert render_rule(rule, books).text == (
             "Os {All} ∧ Component{User Interface} ⇒ Assignee {Ben Goodger} @ (3,75%)"
         )
 
@@ -97,14 +97,14 @@ class TestRenderRule:
         rule = _rule(
             [Item(Attribute.COMPONENT, 1), Item(Attribute.SEVERITY, 6)], 1, 3, 13
         )
-        assert render_rule(rule, books) == (
+        assert render_rule(rule, books).text == (
             "Severity {Trivial} ∧ Component{General} ⇒ Assignee {x} @ (3,23.08%)"
         )
 
     def test_absent_attributes_are_omitted(self):
         books = _codebooks_for(["General"], ["All"], ["x"])
         rule = _rule([Item(Attribute.PRIORITY, 2)], 1, 3, 6)
-        assert render_rule(rule, books) == "Priority {P2} ⇒ Assignee {x} @ (3,50%)"
+        assert render_rule(rule, books).text == "Priority {P2} ⇒ Assignee {x} @ (3,50%)"
 
     def test_undecodable_code_raises(self):
         books = _codebooks_for(["General"], ["All"], ["x"])
@@ -121,7 +121,7 @@ class TestRenderRule:
     @settings(max_examples=40, deadline=None)
     def test_injective_on_distinct_rules(self, rules):
         books = simple_codebooks()
-        rendered = [render_rule(rule, books) for rule in rules]
+        rendered = [render_rule(rule, books).text for rule in rules]
         assert len(set(rendered)) == len(rules)
 
 
@@ -170,7 +170,8 @@ class TestBuildClusterReport:
         assert report.size == 9
         assert (report.essential_count, report.redundant_count) == (0, 0)
         assert report.length_histogram == {1: 0, 2: 0, 3: 0, 4: 0}
-        assert report.rules == ()
+        assert report.essential_rendered == ()
+        assert report.redundant_rendered == ()
         assert report.top_assignees == ("Dev 1",)
 
     def test_counts_and_histogram_are_consistent(self):
@@ -186,7 +187,7 @@ class TestBuildClusterReport:
         report = build_cluster_report(0, self._records(10), partition, books, [1, 2])
         assert report.essential_count + report.redundant_count == 5
         assert sum(report.length_histogram.values()) == 5
-        assert len(report.rules) == 5
+        assert len(report.essential_rendered) + len(report.redundant_rendered) == 5
         assert report.essential_rendered == tuple(
             render_rule(r, books) for r in partition.essential
         )
