@@ -72,7 +72,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     total_rules = sum(outcome.partition.rule_count for outcome in result.outcomes)
     essential = sum(len(outcome.partition.essential) for outcome in result.outcomes)
     print(
-        f"{len(result.records)} records -> {config.k} clusters ->"
+        f"{len(result.bug_ids)} records -> {config.k} clusters ->"
         f" {total_rules} rules ({essential} essential,"
         f" {total_rules - essential} redundant); report in {config.output_dir}"
     )

@@ -14,7 +14,6 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConsistencyError, InfeasibleKError, ParameterError
-from .ingest import BugRecord
 
 
 @dataclass(frozen=True)
@@ -41,14 +40,10 @@ class ClusterModel:
         return sizes
 
 
-def feature_vector(record: BugRecord) -> tuple[float, float, float, float]:
-    """The 4 clustering features: severity, priority, component, os codes."""
-    return (
-        float(record.severity_code),
-        float(record.priority_code),
-        float(record.component_code),
-        float(record.os_code),
-    )
+def feature_matrix(codes: np.ndarray) -> np.ndarray:
+    """The 4 clustering features of each ``(n, 5)`` code row, as floats:
+    severity, priority, component and os codes."""
+    return codes[:, :4].astype(float)
 
 
 def _nearest(points: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -130,7 +125,8 @@ def kmeans_fit(
     data = np.asarray(points, dtype=float)
     if data.ndim != 2 or len(data) == 0:
         raise ParameterError("points must be a non-empty list of equal-length vectors")
-    distinct = len(np.unique(data, axis=0))
+    ordered = data[np.lexsort(data.T)]
+    distinct = 1 + int((ordered[1:] != ordered[:-1]).any(axis=1).sum())
     if k > distinct:
         raise InfeasibleKError(
             f"k={k} exceeds the {distinct} distinct feature vectors in the input"
@@ -162,21 +158,19 @@ def kmeans_fit(
     )
 
 
-def split_by_cluster(records: Sequence[BugRecord], model: ClusterModel) -> list[list[BugRecord]]:
-    """Partition records into k lists by assigned cluster, input order kept."""
-    if len(model.assignments) != len(records):
+def split_by_cluster(codes: np.ndarray, model: ClusterModel) -> list[np.ndarray]:
+    """The code rows of each of the k clusters, input order kept."""
+    if len(model.assignments) != len(codes):
         raise ConsistencyError(
-            f"model covers {len(model.assignments)} records, got {len(records)}"
+            f"model covers {len(model.assignments)} records, got {len(codes)}"
         )
-    parts: list[list[BugRecord]] = [[] for _ in range(model.k)]
-    for record, cluster in zip(records, model.assignments):
-        parts[cluster].append(record)
-    return parts
+    assignments = np.asarray(model.assignments)
+    return [codes[assignments == cluster] for cluster in range(model.k)]
 
 
-def model_to_json(model: ClusterModel, records: Sequence[BugRecord]) -> dict:
+def model_to_json(model: ClusterModel, bug_ids: Sequence[str]) -> dict:
     """JSON-ready view keyed by bug_id, plus centroids and sizes."""
-    if len(model.assignments) != len(records):
+    if len(model.assignments) != len(bug_ids):
         raise ConsistencyError("model and records disagree on record count")
     return {
         "k": model.k,
@@ -184,8 +178,6 @@ def model_to_json(model: ClusterModel, records: Sequence[BugRecord]) -> dict:
         "iterations_run": model.iterations_run,
         "inertia": model.inertia,
         "centroids": [list(c) for c in model.centroids],
-        "assignments": {
-            record.bug_id: cluster for record, cluster in zip(records, model.assignments)
-        },
+        "assignments": dict(zip(bug_ids, model.assignments)),
         "cluster_sizes": model.cluster_sizes(),
     }

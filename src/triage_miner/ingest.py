@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import IO, Iterable, Mapping
 
+import numpy as np
+
 from .errors import (
     DuplicateIdError,
     ParameterError,
@@ -122,18 +124,6 @@ def encode_priority(label: str) -> int:
     return PRIORITY_CODEBOOK.encode(label)
 
 
-@dataclass(frozen=True)
-class BugRecord:
-    """One fully encoded bug report."""
-
-    bug_id: str
-    severity_code: int
-    priority_code: int
-    component_code: int
-    os_code: int
-    assignee_code: int
-
-
 def _normalize_cell(value: str | None) -> str:
     value = (value or "").strip()
     return UNSPECIFIED if value in BLANK_CELLS else value
@@ -236,8 +226,9 @@ class _LearnedCodebookBuilder:
 
 def build_codebooks_and_encode(
     rows: list[RawBugRow],
-) -> tuple[dict[Attribute, Codebook], list[BugRecord]]:
-    """Encode rows into BugRecords and return all five codebooks.
+) -> tuple[dict[Attribute, Codebook], np.ndarray]:
+    """Encode rows into an ``(n, 5)`` int64 code array, one row per input row
+    and one column per Attribute, and return all five codebooks.
 
     Severity/priority use the fixed scales (unknown labels raise); the other
     three codebooks are learned from the input.
@@ -249,17 +240,19 @@ def build_codebooks_and_encode(
     operating_system = _LearnedCodebookBuilder(Attribute.OPERATING_SYSTEM)
     assignee = _LearnedCodebookBuilder(Attribute.ASSIGNEE)
 
-    records = [
-        BugRecord(
-            bug_id=row.bug_id,
-            severity_code=encode_severity(row.severity),
-            priority_code=encode_priority(row.priority),
-            component_code=component.code_for(row.component),
-            os_code=operating_system.code_for(row.operating_system),
-            assignee_code=assignee.code_for(row.assignee),
-        )
-        for row in rows
-    ]
+    codes = np.array(
+        [
+            (
+                encode_severity(row.severity),
+                encode_priority(row.priority),
+                component.code_for(row.component),
+                operating_system.code_for(row.operating_system),
+                assignee.code_for(row.assignee),
+            )
+            for row in rows
+        ],
+        dtype=np.int64,
+    )
     codebooks = {
         Attribute.SEVERITY: SEVERITY_CODEBOOK,
         Attribute.PRIORITY: PRIORITY_CODEBOOK,
@@ -267,7 +260,7 @@ def build_codebooks_and_encode(
         Attribute.OPERATING_SYSTEM: operating_system.build(),
         Attribute.ASSIGNEE: assignee.build(),
     }
-    return codebooks, records
+    return codebooks, codes
 
 
 def codebooks_to_json(codebooks: Mapping[Attribute, Codebook]) -> dict[str, dict[str, int]]:

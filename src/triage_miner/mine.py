@@ -1,19 +1,25 @@
-"""Apriori frequent-itemset mining over encoded bug reports.
+"""Frequent-itemset mining over encoded bug reports by attribute-subset
+projection counting.
 
-Every transaction carries exactly five items, one per attribute, so the
-itemset lattice has depth at most 5 and any candidate holding two items of
-the same attribute has support 0. Support counting uses per-item
-transaction-id sets intersected level by level; counts are exact.
+Every bug report carries exactly one item per attribute, so a frequent
+itemset is a pair of an attribute subset and one code per attribute in it,
+and the whole itemset lattice is 31 group-by counts over the ``(n, 5)`` code
+array: one per non-empty attribute subset. The groups of ``S ∪ {a}`` are
+keyed by the dense group rank of ``S`` times the number of distinct codes of
+``a`` plus the rank of the row's ``a`` code, so keys stay below ``n²`` for
+any codebook size. Counts are exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from functools import cached_property
+from typing import Iterable, Iterator, Mapping, NamedTuple
+
+import numpy as np
 
 from .errors import ParameterError
-from .ingest import Attribute, BugRecord
+from .ingest import Attribute
 
 
 class Item(NamedTuple):
@@ -38,48 +44,74 @@ class Itemset:
     def __iter__(self) -> Iterator[Item]:
         return iter(self.items)
 
-    def __contains__(self, item: Item) -> bool:
-        return item in self.items
-
     def issubset(self, other: "Itemset") -> bool:
         other_items = set(other.items)
         return all(item in other_items for item in self.items)
-
-    def without(self, item: Item) -> "Itemset":
-        return Itemset(i for i in self.items if i != item)
 
     def __str__(self) -> str:
         body = ", ".join(f"{i.attribute.display}:{i.code}" for i in self.items)
         return "{" + body + "}"
 
 
-@dataclass(frozen=True)
-class Transaction:
-    """One bug report as an itemset of exactly five items, one per attribute."""
+class Projection(NamedTuple):
+    """The frequent groups of one attribute subset: ``values[i]`` holds the
+    codes of group i (one column per attribute of the subset, rows in
+    lexicographic order) and ``counts[i]`` its support count."""
 
-    bug_id: str
-    itemset: Itemset
+    values: np.ndarray
+    counts: np.ndarray
+
+
+Subset = tuple[Attribute, ...]
+
+
+def matching_rows(table_rows: np.ndarray, query_rows: np.ndarray) -> np.ndarray:
+    """For each query row, the index of the equal row of ``table_rows`` (whose
+    rows are distinct), or -1 where there is none."""
+    both = np.concatenate([table_rows, query_rows])
+    is_query = np.arange(len(both)) >= len(table_rows)
+    # a table row sorts first among the rows equal to it
+    order = np.lexsort((is_query, *both.T[::-1]))
+    ordered = both[order]
+    starts = np.ones(len(both), dtype=bool)
+    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    first = order[np.maximum.accumulate(np.where(starts, np.arange(len(both)), 0))]
+    found = np.where(first < len(table_rows), first, -1)
+    result = np.empty(len(query_rows), dtype=np.int64)
+    result[order[is_query[order]] - len(table_rows)] = found[is_query[order]]
+    return result
 
 
 @dataclass(frozen=True)
 class FrequentItemsetTable:
-    """All itemsets meeting the support threshold, with exact counts."""
+    """All itemsets meeting the support threshold, with exact counts, kept as
+    one Projection per attribute subset (attributes in canonical order) that
+    has at least one frequent group."""
 
-    support: Mapping[Itemset, int]
+    projections: Mapping[Subset, Projection]
     min_support_count: int
     transaction_count: int
 
-    def __contains__(self, itemset: Itemset) -> bool:
-        return itemset in self.support
-
-    def __getitem__(self, itemset: Itemset) -> int:
-        return self.support[itemset]
-
     def __len__(self) -> int:
-        return len(self.support)
+        return sum(len(projection.counts) for projection in self.projections.values())
 
-    def itemsets(self) -> Iterable[Itemset]:
-        return self.support.keys()
+    @cached_property
+    def support(self) -> dict[Itemset, int]:
+        """Itemset -> support count, built on first use."""
+        return {
+            Itemset(map(Item, subset, row)): count
+            for subset, (values, counts) in self.projections.items()
+            for row, count in zip(values.tolist(), counts.tolist())
+        }
+
+    def counts_of(self, subset: Subset, rows: np.ndarray) -> np.ndarray:
+        """Support count of the itemset each row of codes spells over
+        ``subset``, or 0 where that itemset is not in the table."""
+        projection = self.projections.get(subset)
+        if projection is None:
+            return np.zeros(len(rows), dtype=np.int64)
+        index = matching_rows(projection.values, rows)
+        return np.where(index >= 0, projection.counts[index], 0)
 
     def to_json(self) -> dict:
         """Debug dump: one entry per itemset, canonical order."""
@@ -97,82 +129,48 @@ class FrequentItemsetTable:
         }
 
 
-def to_transactions(records: Sequence[BugRecord]) -> list[Transaction]:
-    """Lift encoded records into transactions, one per record."""
-    return [
-        Transaction(
-            bug_id=record.bug_id,
-            itemset=Itemset(
-                (
-                    Item(Attribute.SEVERITY, record.severity_code),
-                    Item(Attribute.PRIORITY, record.priority_code),
-                    Item(Attribute.COMPONENT, record.component_code),
-                    Item(Attribute.OPERATING_SYSTEM, record.os_code),
-                    Item(Attribute.ASSIGNEE, record.assignee_code),
-                )
-            ),
-        )
-        for record in records
-    ]
+def mine_frequent_itemsets(codes: np.ndarray, min_support_count: int) -> FrequentItemsetTable:
+    """Count every attribute-subset projection of an ``(n, 5)`` code array
+    (columns in Attribute order) and keep the groups with support at least
+    ``min_support_count``.
 
-
-def apriori(transactions: Sequence[Transaction], min_support_count: int) -> FrequentItemsetTable:
-    """Level-wise mining of all frequent itemsets of size 1..5.
-
-    Candidates of size k are joined from frequent (k-1)-itemsets sharing
-    their first k-2 items, then dropped if two items share an attribute
-    (such a candidate always counts 0) or if any (k-1)-subset is infrequent.
+    Subsets grow by appending a later attribute, level by level; a subset
+    with no frequent group has no frequent superset, so it is not extended.
     """
     if min_support_count < 1:
         raise ParameterError("min_support_count must be >= 1")
+    codes = np.asarray(codes, dtype=np.int64).reshape(-1, len(Attribute))
+    ranks, radix = [], []
+    for attribute in Attribute:
+        distinct, inverse = np.unique(codes[:, attribute], return_inverse=True)
+        ranks.append(inverse.reshape(-1))
+        radix.append(len(distinct))
 
-    tidsets: dict[Item, set[int]] = {}
-    for tid, transaction in enumerate(transactions):
-        for item in transaction.itemset:
-            tidsets.setdefault(item, set()).add(tid)
-
-    table: dict[Itemset, int] = {}
-    # level maps each frequent k-itemset (as a sorted item tuple) to its tidset
-    level: dict[tuple[Item, ...], set[int]] = {
-        (item,): tids
-        for item, tids in sorted(tidsets.items(), key=lambda kv: kv[0])
-        if len(tids) >= min_support_count
-    }
-    for key, tids in level.items():
-        table[Itemset(key)] = len(tids)
-
-    for size in range(2, len(Attribute) + 1):
-        if len(level) < 2:
-            break
-        next_level: dict[tuple[Item, ...], set[int]] = {}
-        keys = sorted(level)
-        start = 0
-        while start < len(keys):
-            prefix = keys[start][:-1]
-            end = start
-            while end < len(keys) and keys[end][:-1] == prefix:
-                end += 1
-            for a, b in combinations(range(start, end), 2):
-                # joined itemsets differ only in their last item, so that is
-                # the only place a same-attribute conflict can appear
-                if keys[a][-1].attribute == keys[b][-1].attribute:
+    projections: dict[Subset, Projection] = {}
+    # each subset of the current level -> the dense group rank of every row
+    level: dict[Subset, np.ndarray] = {(): np.zeros(len(codes), dtype=np.int64)}
+    while level:
+        next_level: dict[Subset, np.ndarray] = {}
+        for prefix, prefix_rank in level.items():
+            for attribute in Attribute:
+                if prefix and attribute <= prefix[-1]:
                     continue
-                candidate = keys[a] + (keys[b][-1],)
-                if any(
-                    candidate[:i] + candidate[i + 1 :] not in level
-                    for i in range(size - 2)  # the two join parents are already known frequent
-                ):
-                    continue
-                tids = level[keys[a]] & level[keys[b]]
-                if len(tids) >= min_support_count:
-                    next_level[candidate] = tids
-            start = end
+                subset = prefix + (attribute,)
+                keys = prefix_rank * radix[attribute] + ranks[attribute]
+                _, first, rank, counts = np.unique(
+                    keys, return_index=True, return_inverse=True, return_counts=True
+                )
+                frequent = counts >= min_support_count
+                if frequent.any():
+                    projections[subset] = Projection(
+                        values=codes[first[frequent]][:, list(subset)],
+                        counts=counts[frequent],
+                    )
+                    next_level[subset] = rank.reshape(-1)
         level = next_level
-        for key, tids in sorted(level.items()):
-            table[Itemset(key)] = len(tids)
 
     return FrequentItemsetTable(
-        support=table,
+        projections=projections,
         min_support_count=min_support_count,
-        transaction_count=len(transactions),
+        transaction_count=len(codes),
     )

@@ -1,9 +1,9 @@
 """Brute-force reference implementations used to cross-check the fast paths.
 
 These deliberately avoid the algorithms they validate: frequent itemsets are
-tallied by enumerating every subset of every transaction, and redundancy is
-decided by a declarative recursion over all rules rather than the level-wise
-sweep. Quadratic or exponential cost is fine at verification scale.
+tallied by enumerating every subset of every report's five items, and
+redundancy is decided by a declarative recursion over all rules rather than
+the level-wise sweep. Quadratic or exponential cost is fine at verification scale.
 """
 
 from __future__ import annotations
@@ -12,18 +12,20 @@ from collections import Counter
 from itertools import combinations
 from typing import Sequence
 
-from .mine import Itemset, Transaction
+from .ingest import Attribute
+from .mine import Item, Itemset
 from .rules import Rule
 
 
 def enumerate_frequent_itemsets(
-    transactions: Sequence[Transaction], min_support_count: int
+    rows: Sequence[Sequence[int]], min_support_count: int
 ) -> dict[Itemset, int]:
-    """Exact frequent-itemset counts by tallying every subset of every
-    transaction (any itemset with positive support shows up this way)."""
+    """Exact frequent-itemset counts by tallying every subset of every row of
+    five codes, one per Attribute (any itemset with positive support shows
+    up this way)."""
     counts: Counter[Itemset] = Counter()
-    for transaction in transactions:
-        items = transaction.itemset.items
+    for row in rows:
+        items = [Item(attribute, code) for attribute, code in zip(Attribute, row)]
         for size in range(1, len(items) + 1):
             for combo in combinations(items, size):
                 counts[Itemset(combo)] += 1

@@ -22,18 +22,17 @@ from typing import Mapping
 
 import numpy as np
 
-from .cluster import ClusterModel, feature_vector, kmeans_fit, model_to_json, split_by_cluster
+from .cluster import ClusterModel, feature_matrix, kmeans_fit, model_to_json, split_by_cluster
 from .config import PipelineConfig
 from .errors import AuditError, InputError, ParameterError
 from .ingest import (
     Attribute,
-    BugRecord,
     Codebook,
     build_codebooks_and_encode,
     codebooks_to_json,
     parse_csv,
 )
-from .mine import FrequentItemsetTable, apriori, to_transactions
+from .mine import FrequentItemsetTable, mine_frequent_itemsets
 from .oracle import enumerate_frequent_itemsets, essential_rules_naive, witness_is_valid
 from .report import (
     ClusterReport,
@@ -51,10 +50,10 @@ logger = logging.getLogger("triage_miner")
 
 @dataclass
 class ClusterOutcome:
-    """Everything mined from one cluster."""
+    """Everything mined from one cluster; ``rows`` are its (n, 5) code rows."""
 
     index: int
-    records: list[BugRecord]
+    rows: np.ndarray
     table: FrequentItemsetTable
     top_codes: list[int]
     partition: RulePartition
@@ -66,7 +65,9 @@ class PipelineResult:
     config: PipelineConfig
     input_sha256: str
     codebooks: dict[Attribute, Codebook]
-    records: list[BugRecord]
+    bug_ids: list[str]
+    codes: np.ndarray  # (n, 5), one column per Attribute
+    features: np.ndarray  # the k-means input, derived from codes
     model: ClusterModel
     outcomes: list[ClusterOutcome]
 
@@ -85,26 +86,25 @@ def _load_and_encode(config: PipelineConfig):
     rows = parse_csv(io.BytesIO(payload), config.column_map)
     if not rows:
         raise InputError(f"input {config.input_path!r} contains no data rows")
-    codebooks, records = build_codebooks_and_encode(rows)
-    return input_sha256, codebooks, records
+    codebooks, codes = build_codebooks_and_encode(rows)
+    return input_sha256, codebooks, [row.bug_id for row in rows], codes
 
 
 def _mine_cluster(
     index: int,
-    records: list[BugRecord],
+    rows: np.ndarray,
     config: PipelineConfig,
     codebooks: Mapping[Attribute, Codebook],
 ) -> ClusterOutcome:
-    transactions = to_transactions(records)
-    table = apriori(transactions, config.min_support_count)
-    top_codes = top_assignees(records, config.top_n)
+    table = mine_frequent_itemsets(rows, config.min_support_count)
+    top_codes = top_assignees(rows[:, Attribute.ASSIGNEE], config.top_n)
     rules = generate_class_rules(table, config.min_confidence, top_codes)
     partition = eliminate_redundant(rules)
-    report = build_cluster_report(index, records, partition, codebooks, top_codes)
+    report = build_cluster_report(index, len(rows), partition, codebooks, top_codes)
     logger.info(
         "cluster %d: %d records, %d frequent itemsets, %d rules (%d essential, %d redundant)",
         index,
-        len(records),
+        len(rows),
         len(table),
         partition.rule_count,
         len(partition.essential),
@@ -112,7 +112,7 @@ def _mine_cluster(
     )
     return ClusterOutcome(
         index=index,
-        records=records,
+        rows=rows,
         table=table,
         top_codes=top_codes,
         partition=partition,
@@ -122,23 +122,25 @@ def _mine_cluster(
 
 def execute(config: PipelineConfig) -> PipelineResult:
     """Run every stage in memory; no files are touched."""
-    input_sha256, codebooks, records = _load_and_encode(config)
-    logger.info("encoded %d records from %s", len(records), config.input_path)
-    points = [feature_vector(record) for record in records]
-    model = kmeans_fit(points, config.k, config.seed, config.max_iterations)
+    input_sha256, codebooks, bug_ids, codes = _load_and_encode(config)
+    logger.info("encoded %d records from %s", len(codes), config.input_path)
+    features = feature_matrix(codes)
+    model = kmeans_fit(features, config.k, config.seed, config.max_iterations)
     logger.info(
         "k-means: k=%d, %d iterations, inertia %.4f", model.k, model.iterations_run, model.inertia
     )
-    parts = split_by_cluster(records, model)
+    parts = split_by_cluster(codes, model)
     outcomes = [
-        _mine_cluster(index, cluster_records, config, codebooks)
-        for index, cluster_records in enumerate(parts)
+        _mine_cluster(index, cluster_rows, config, codebooks)
+        for index, cluster_rows in enumerate(parts)
     ]
     result = PipelineResult(
         config=config,
         input_sha256=input_sha256,
         codebooks=codebooks,
-        records=records,
+        bug_ids=bug_ids,
+        codes=codes,
+        features=features,
         model=model,
         outcomes=outcomes,
     )
@@ -151,17 +153,16 @@ def execute(config: PipelineConfig) -> PipelineResult:
 def audit_result(result: PipelineResult) -> list[str]:
     """Re-derive the pipeline's structural invariants from its own output."""
     problems: list[str] = []
-    model, records = result.model, result.records
+    model, points = result.model, result.features
 
     sizes = model.cluster_sizes()
-    if sum(sizes) != len(records):
-        problems.append(f"cluster sizes sum to {sum(sizes)}, expected {len(records)}")
+    if sum(sizes) != len(points):
+        problems.append(f"cluster sizes sum to {sum(sizes)}, expected {len(points)}")
     if any(size == 0 for size in sizes):
         problems.append("model contains an empty cluster")
-    if len(model.assignments) != len(records):
+    if len(model.assignments) != len(points):
         problems.append("assignments do not cover the record list")
 
-    points = np.asarray([feature_vector(record) for record in records], dtype=float)
     centroids = np.asarray(model.centroids, dtype=float)
     distances = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
     nearest = distances.argmin(axis=1)
@@ -173,18 +174,19 @@ def audit_result(result: PipelineResult) -> list[str]:
     if any(later > earlier + 1e-9 for earlier, later in zip(model.inertia_history, model.inertia_history[1:])):
         problems.append("inertia increased between iterations")
 
-    seen_ids = [record.bug_id for outcome in result.outcomes for record in outcome.records]
-    if sorted(seen_ids) != sorted(record.bug_id for record in records):
-        problems.append("cluster record lists are not a permutation of the input")
-
+    if [outcome.index for outcome in result.outcomes] != list(range(model.k)):
+        problems.append("cluster outcomes do not match the model's clusters")
+    assignments = np.asarray(model.assignments)
     for outcome in result.outcomes:
         label = f"cluster {outcome.index}"
         partition, report = outcome.partition, outcome.report
+        if not np.array_equal(outcome.rows, result.codes[assignments == outcome.index]):
+            problems.append(f"{label}: rows are not the input rows assigned to it")
         if report.essential_count + report.redundant_count != partition.rule_count:
             problems.append(f"{label}: essential+redundant != rule count")
         if sum(report.length_histogram.values()) != partition.rule_count:
             problems.append(f"{label}: length histogram does not sum to the rule count")
-        if report.size != len(outcome.records):
+        if report.size != len(outcome.rows):
             problems.append(f"{label}: report size mismatch")
         essential_keys = {rule.key for rule in partition.essential}
         for rule in partition.all_rules():
@@ -227,13 +229,13 @@ def write_outputs(result: PipelineResult, dump_itemsets: bool = False) -> Path:
         config_used["input_sha256"] = result.input_sha256
         write_json(staging / "config_used.json", config_used)
         write_json(staging / "codebooks.json", codebooks_to_json(result.codebooks))
-        write_json(staging / "clusters.json", model_to_json(result.model, result.records))
+        write_json(staging / "clusters.json", model_to_json(result.model, result.bug_ids))
 
         report_dir = staging / "report"
         report_dir.mkdir()
         write_json(
             report_dir / "summary.json",
-            build_summary(len(result.records), result.config.analysis_parameters(), result.reports),
+            build_summary(len(result.bug_ids), result.config.analysis_parameters(), result.reports),
         )
         for outcome in result.outcomes:
             write_cluster_text(report_dir / f"cluster_{outcome.index}.txt", outcome.report)
@@ -278,14 +280,15 @@ def run_verify(
     lines: list[str] = []
     for outcome in result.outcomes:
         index, table, partition = outcome.index, outcome.table, outcome.partition
-        transactions = to_transactions(outcome.records)
-        if len(transactions) > max_transactions:
+        if len(outcome.rows) > max_transactions:
             lines.append(
                 f"cluster {index}: skipped itemset check"
-                f" ({len(transactions)} transactions > cap {max_transactions})"
+                f" ({len(outcome.rows)} transactions > cap {max_transactions})"
             )
             continue
-        reference = enumerate_frequent_itemsets(transactions, result.config.min_support_count)
+        reference = enumerate_frequent_itemsets(
+            outcome.rows.tolist(), result.config.min_support_count
+        )
         if dict(table.support) != reference:
             ok = False
             missing = set(reference) - set(table.support)

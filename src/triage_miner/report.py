@@ -21,7 +21,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
 
-from .ingest import Attribute, BugRecord, Codebook
+from .ingest import Attribute, Codebook
 from .mine import Itemset
 from .rules import Rule, RulePartition
 
@@ -113,7 +113,7 @@ class ClusterReport:
 
 def build_cluster_report(
     cluster_index: int,
-    records: Sequence[BugRecord],
+    size: int,
     partition: RulePartition,
     codebooks: Mapping[Attribute, Codebook],
     top_assignee_codes: Sequence[int],
@@ -128,7 +128,7 @@ def build_cluster_report(
     }
     return ClusterReport(
         cluster_index=cluster_index,
-        size=len(records),
+        size=size,
         top_assignees=tuple(assignee_book.decode(code) for code in top_assignee_codes),
         essential_count=len(partition.essential),
         redundant_count=len(partition.redundant),

@@ -9,14 +9,15 @@ counts, so ties are decided exactly rather than in floating point.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import ConsistencyError, DuplicateRuleError, ParameterError
-from .ingest import Attribute, BugRecord
+from .ingest import Attribute
 from .mine import FrequentItemsetTable, Item, Itemset
 
 
@@ -75,15 +76,14 @@ class RulePartition:
         return list(self.essential) + [rule for rule, _ in self.redundant]
 
 
-def top_assignees(records: Sequence[BugRecord], n: int) -> list[int]:
+def top_assignees(assignee_codes: np.ndarray, n: int) -> list[int]:
     """The n assignee codes with the most bugs, count desc then code asc."""
-    if not records:
+    if len(assignee_codes) == 0:
         raise ParameterError("top_assignees requires at least one record")
     if n < 1:
         raise ParameterError(f"n must be positive, got {n}")
-    counts = Counter(record.assignee_code for record in records)
-    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    return [code for code, _ in ranked[:n]]
+    codes, counts = np.unique(assignee_codes, return_counts=True)
+    return codes[np.argsort(-counts, kind="stable")][:n].tolist()
 
 
 def generate_class_rules(
@@ -94,34 +94,44 @@ def generate_class_rules(
     """All rules A => assignee with A non-empty, A u {assignee} frequent and
     confidence >= min_confidence, for the allowed assignee codes only.
 
-    Support counts come straight from the table; the antecedent's own count
-    must be present too (downward closure), otherwise the table is corrupt.
+    Rules are read off the table's projections: for each attribute subset
+    holding the assignee and at least one other attribute, the groups with an
+    allowed assignee are rule candidates and the subset without the assignee
+    gives their antecedent counts. That antecedent must be in the table too
+    (downward closure), otherwise the table is corrupt. Rule objects are
+    built only for the candidates that pass the confidence threshold.
     """
-    allowed = set(allowed_consequents)
-    if not allowed:
+    allowed = np.array(sorted(set(allowed_consequents)), dtype=np.int64)
+    if not len(allowed):
         raise ParameterError("allowed_consequents must be non-empty")
 
     rules = []
-    for itemset in table.itemsets():
-        if len(itemset) < 2:
+    for subset, (values, counts) in table.projections.items():
+        if len(subset) < 2 or subset[-1] != Attribute.ASSIGNEE:
             continue
-        assignee_items = [i for i in itemset if i.attribute == Attribute.ASSIGNEE]
-        if len(assignee_items) != 1 or assignee_items[0].code not in allowed:
-            continue
-        consequent = assignee_items[0]
-        antecedent = itemset.without(consequent)
-        if antecedent not in table:
+        candidate = np.isin(values[:, -1], allowed)
+        values, support = values[candidate], counts[candidate]
+        antecedent_counts = table.counts_of(subset[:-1], values[:, :-1])
+        if not antecedent_counts.all():
             raise ConsistencyError(
-                f"frequent-itemset table lacks antecedent {antecedent} of {itemset}"
+                "frequent-itemset table lacks the antecedent of some itemset over "
+                + ", ".join(attribute.display for attribute in subset)
             )
-        rule = Rule(
-            antecedent=antecedent,
-            consequent=consequent,
-            support_count=table[itemset],
-            antecedent_count=table[antecedent],
-        )
-        if rule.confidence >= min_confidence:
-            rules.append(rule)
+        # float division of counts below 2**53 is exact-then-rounded, as in Python
+        passing = support / antecedent_counts >= min_confidence
+        rules += [
+            Rule(
+                antecedent=Itemset(map(Item, subset, row[:-1])),
+                consequent=Item(Attribute.ASSIGNEE, row[-1]),
+                support_count=support_count,
+                antecedent_count=antecedent_count,
+            )
+            for row, support_count, antecedent_count in zip(
+                values[passing].tolist(),
+                support[passing].tolist(),
+                antecedent_counts[passing].tolist(),
+            )
+        ]
     rules.sort(key=Rule.sort_key)
     return rules
 

@@ -9,7 +9,7 @@ import hypothesis.strategies as st
 import pytest
 
 from triage_miner.ingest import Attribute, Codebook
-from triage_miner.mine import Item, Itemset, Transaction
+from triage_miner.mine import Item, Itemset
 from triage_miner.rules import Rule
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -34,36 +34,22 @@ def golden_report_dir() -> Path:
     return REPO_ROOT / "tests" / "golden" / "sample_report"
 
 
-def make_transaction(tid: int, sev: int, pri: int, comp: int, os_: int, who: int) -> Transaction:
-    return Transaction(
-        bug_id=f"t{tid}",
-        itemset=Itemset(
-            (
-                Item(Attribute.SEVERITY, sev),
-                Item(Attribute.PRIORITY, pri),
-                Item(Attribute.COMPONENT, comp),
-                Item(Attribute.OPERATING_SYSTEM, os_),
-                Item(Attribute.ASSIGNEE, who),
-            )
-        ),
-    )
-
-
-def random_transactions(
+def random_rows(
     rnd: random.Random, max_transactions: int = 200, max_codes: int = 12
-) -> list[Transaction]:
+) -> list[tuple[int, ...]]:
+    """Code rows (one code per Attribute) with per-attribute cardinalities
+    drawn at random."""
     n = rnd.randint(1, max_transactions)
     cards = [rnd.randint(1, max_codes) for _ in range(5)]
     return [
-        make_transaction(
-            i,
+        (
             rnd.randint(1, cards[0]),
             rnd.randint(1, cards[1]),
             rnd.randint(1, cards[2]),
             rnd.randint(1, cards[3]),
             rnd.randint(1, cards[4]),
         )
-        for i in range(n)
+        for _ in range(n)
     ]
 
 
@@ -85,19 +71,12 @@ def random_rules(rnd: random.Random, max_rules: int = 50, max_count: int = 60) -
 
 
 @st.composite
-def transaction_lists(draw, max_transactions: int = 40, max_codes: int = 5):
+def row_lists(draw, max_transactions: int = 40, max_codes: int = 5):
     cards = [draw(st.integers(1, max_codes)) for _ in range(5)]
     n = draw(st.integers(1, max_transactions))
     return [
-        make_transaction(
-            i,
-            draw(st.integers(1, cards[0])),
-            draw(st.integers(1, cards[1])),
-            draw(st.integers(1, cards[2])),
-            draw(st.integers(1, cards[3])),
-            draw(st.integers(1, cards[4])),
-        )
-        for i in range(n)
+        tuple(draw(st.integers(1, card)) for card in cards)
+        for _ in range(n)
     ]
 
 

@@ -12,15 +12,16 @@ import json
 import random
 import time
 
+import numpy as np
 import pytest
 
-from conftest import random_rules, random_transactions, tree_bytes
+from conftest import random_rows, random_rules, tree_bytes
 from triage_miner import cli
 from triage_miner.cluster import kmeans_fit
 from triage_miner.config import PipelineConfig
 from triage_miner.errors import AuditError
-from triage_miner.ingest import Attribute, BugRecord, Codebook
-from triage_miner.mine import Item, Itemset, apriori, to_transactions
+from triage_miner.ingest import Attribute, Codebook
+from triage_miner.mine import Item, Itemset, mine_frequent_itemsets
 from triage_miner.oracle import (
     enumerate_frequent_itemsets,
     essential_rules_naive,
@@ -35,38 +36,40 @@ def _pass(name: str) -> None:
     print(f"\nACCEPTANCE PASS: {name}")
 
 
-def _random_records(rnd: random.Random, n: int, max_codes: int) -> list[BugRecord]:
-    return [
-        BugRecord(
-            f"b{i}",
-            rnd.randint(1, min(7, max_codes)),
-            rnd.randint(1, min(5, max_codes)),
-            rnd.randint(1, max_codes),
-            rnd.randint(1, max_codes),
-            rnd.randint(1, max_codes),
-        )
-        for i in range(n)
-    ]
+def _random_codes(rnd: random.Random, n: int, max_codes: int) -> np.ndarray:
+    return np.array(
+        [
+            (
+                rnd.randint(1, min(7, max_codes)),
+                rnd.randint(1, min(5, max_codes)),
+                rnd.randint(1, max_codes),
+                rnd.randint(1, max_codes),
+                rnd.randint(1, max_codes),
+            )
+            for _ in range(n)
+        ]
+    )
 
 
 def test_criterion_1_apriori_matches_brute_force_enumeration():
-    """>= 100 randomized datasets; itemsets and counts exactly equal."""
+    """>= 100 randomized datasets; the frequent-itemset miner's itemsets and
+    counts exactly equal brute-force enumeration."""
     rnd = random.Random(20_240_811)
     support_choices = (1, 2, 3, 5)
     start = time.perf_counter()
     datasets = 0
     for i in range(104):
-        transactions = random_transactions(rnd, max_transactions=200, max_codes=12)
+        rows = random_rows(rnd, max_transactions=200, max_codes=12)
         min_support = support_choices[i % len(support_choices)]
-        fast = apriori(transactions, min_support)
-        slow = enumerate_frequent_itemsets(transactions, min_support)
+        fast = mine_frequent_itemsets(np.array(rows), min_support)
+        slow = enumerate_frequent_itemsets(rows, min_support)
         assert dict(fast.support) == slow, f"dataset {i} diverged"
         datasets += 1
     elapsed = time.perf_counter() - start
     assert datasets >= 100
     assert elapsed < 60.0, f"oracle sweep took {elapsed:.1f}s"
     _pass(
-        f"apriori == brute force on {datasets} random datasets ({elapsed:.1f}s, 0 differences)"
+        f"miner == brute force on {datasets} random datasets ({elapsed:.1f}s, 0 differences)"
     )
 
 
@@ -77,10 +80,9 @@ def test_criterion_2_rules_respect_default_thresholds():
     violations = 0
     rules_seen = 0
     for _ in range(60):
-        records = _random_records(rnd, rnd.randint(20, 200), rnd.choice((3, 4, 6, 10)))
-        transactions = to_transactions(records)
-        table = apriori(transactions, min_support_count=3)
-        top = top_assignees(records, 5)
+        codes = _random_codes(rnd, rnd.randint(20, 200), rnd.choice((3, 4, 6, 10)))
+        table = mine_frequent_itemsets(codes, min_support_count=3)
+        top = top_assignees(codes[:, Attribute.ASSIGNEE], 5)
         for rule in generate_class_rules(table, 0.10, top):
             rules_seen += 1
             if rule.support_count < 3 or rule.confidence < 0.10:
@@ -117,7 +119,7 @@ def test_criterion_4_partition_accounting_is_self_audited(sample_csv, tmp_path):
     the histogram both equal the rule count; audit rejects corruption."""
     config = PipelineConfig(input_path=str(sample_csv), output_dir=str(tmp_path / "out"))
     result = execute(config)
-    assert sum(o.report.size for o in result.outcomes) == len(result.records)
+    assert sum(o.report.size for o in result.outcomes) == len(result.bug_ids)
     for outcome in result.outcomes:
         report = outcome.report
         assert report.essential_count + report.redundant_count == outcome.partition.rule_count

@@ -4,8 +4,10 @@ import pytest
 
 from conftest import tree_bytes
 from triage_miner import cli
-from triage_miner.config import validate_config
+from triage_miner.config import PipelineConfig, validate_config
 from triage_miner.errors import AuditError, ConfigError
+from triage_miner.oracle import enumerate_frequent_itemsets
+from triage_miner.pipeline import execute
 
 
 class TestValidateConfig:
@@ -143,6 +145,25 @@ class TestRunCommand:
         assert code == 0
         dumped = list((out / "report" / "itemsets").glob("cluster_*.json"))
         assert len(dumped) == 5
+        # each dump is the brute-force table of that cluster's rows, written
+        # as the report writes JSON: canonical itemset order, exact counts
+        result = execute(PipelineConfig(input_path=str(sample_csv)))
+        for outcome in result.outcomes:
+            reference = enumerate_frequent_itemsets(outcome.rows.tolist(), 3)
+            payload = {
+                "min_support_count": 3,
+                "transaction_count": len(outcome.rows),
+                "itemsets": [
+                    {
+                        "items": [[item.attribute.display, item.code] for item in itemset],
+                        "support_count": reference[itemset],
+                    }
+                    for itemset in sorted(reference, key=lambda itemset: itemset.items)
+                ],
+            }
+            path = out / "report" / "itemsets" / f"cluster_{outcome.index}.json"
+            expected = json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
+            assert path.read_text(encoding="utf-8") == expected
 
     def test_missing_input_exits_2_and_names_the_path(self, tmp_path, capsys):
         out = tmp_path / "never"

@@ -9,17 +9,17 @@ from hypothesis import strategies as st
 
 from triage_miner.cluster import (
     ClusterModel,
-    feature_vector,
+    feature_matrix,
     kmeans_fit,
     model_to_json,
     split_by_cluster,
 )
 from triage_miner.errors import ConsistencyError, InfeasibleKError, ParameterError
-from triage_miner.ingest import BugRecord
 
 
-def _record(i, sev=4, pri=3, comp=1, os_=1, who=1) -> BugRecord:
-    return BugRecord(f"b{i}", sev, pri, comp, os_, who)
+def _row(sev=4, pri=3, comp=1, os_=1, who=1) -> tuple[int, ...]:
+    """One code row, columns in Attribute order."""
+    return (sev, pri, comp, os_, who)
 
 
 def _random_points(rnd: random.Random, n: int, spread: int = 8):
@@ -71,6 +71,13 @@ class TestKmeansFit:
     def test_k_above_distinct_points_is_infeasible(self):
         with pytest.raises(InfeasibleKError):
             kmeans_fit([(1, 1, 1, 1)] * 4, k=2, seed=0)
+
+    def test_distinct_points_are_counted_across_repeats(self):
+        # rows that differ in one column only, repeated out of order
+        points = [(1, 2, 3, 4), (1, 2, 3, 5), (0, 2, 3, 4), (1, 2, 3, 4), (1, 2, 3, 5)] * 3
+        assert sum(kmeans_fit(points, k=3, seed=0).cluster_sizes()) == 15
+        with pytest.raises(InfeasibleKError, match="the 3 distinct"):
+            kmeans_fit(points, k=4, seed=0)
 
     def test_nonpositive_k_rejected(self):
         with pytest.raises(ParameterError):
@@ -137,39 +144,46 @@ class TestSplitByCluster:
         )
 
     def test_direct_partition(self):
-        records = [_record(0), _record(1), _record(2)]
-        parts = split_by_cluster(records, self._model([0, 1, 0], k=2))
-        assert parts == [[records[0], records[2]], [records[1]]]
+        codes = np.array([_row(who=1), _row(who=2), _row(who=3)])
+        parts = split_by_cluster(codes, self._model([0, 1, 0], k=2))
+        assert [part.tolist() for part in parts] == [
+            [codes[0].tolist(), codes[2].tolist()],
+            [codes[1].tolist()],
+        ]
 
     def test_single_cluster_identity(self):
-        records = [_record(i) for i in range(5)]
-        assert split_by_cluster(records, self._model([0] * 5, k=1)) == [records]
+        codes = np.array([_row(who=i) for i in range(5)])
+        [part] = split_by_cluster(codes, self._model([0] * 5, k=1))
+        assert np.array_equal(part, codes)
 
     def test_multiset_union_equals_input(self):
         rnd = random.Random(7)
-        records = [
-            _record(i, rnd.randint(1, 7), rnd.randint(1, 5), rnd.randint(1, 9), rnd.randint(1, 6), 1)
-            for i in range(100)
-        ]
-        model = kmeans_fit([feature_vector(r) for r in records], k=5, seed=2)
-        parts = split_by_cluster(records, model)
+        # the assignee column numbers the rows, so each row is identifiable
+        codes = np.array(
+            [
+                _row(rnd.randint(1, 7), rnd.randint(1, 5), rnd.randint(1, 9), rnd.randint(1, 6), i)
+                for i in range(100)
+            ]
+        )
+        model = kmeans_fit(feature_matrix(codes), k=5, seed=2)
+        parts = split_by_cluster(codes, model)
         assert len(parts) == 5
-        assert Counter(r for part in parts for r in part) == Counter(records)
+        stacked = [tuple(row) for part in parts for row in part.tolist()]
+        assert Counter(stacked) == Counter(tuple(row) for row in codes.tolist())
         # order preserved within each part
-        index = {r.bug_id: i for i, r in enumerate(records)}
         for part in parts:
-            positions = [index[r.bug_id] for r in part]
+            positions = part[:, 4].tolist()
             assert positions == sorted(positions)
 
     def test_length_mismatch_is_a_consistency_error(self):
         with pytest.raises(ConsistencyError):
-            split_by_cluster([_record(0)], self._model([0, 0], k=1))
+            split_by_cluster(np.array([_row()]), self._model([0, 0], k=1))
 
 
 def test_model_to_json_shape():
-    records = [_record(0, comp=1), _record(1, comp=9)]
-    model = kmeans_fit([feature_vector(r) for r in records], k=2, seed=0)
-    payload = model_to_json(model, records)
+    codes = np.array([_row(comp=1), _row(comp=9)])
+    model = kmeans_fit(feature_matrix(codes), k=2, seed=0)
+    payload = model_to_json(model, ["b0", "b1"])
     assert payload["k"] == 2
     assert set(payload["assignments"]) == {"b0", "b1"}
     assert sorted(payload["cluster_sizes"]) == [1, 1]
@@ -177,8 +191,9 @@ def test_model_to_json_shape():
 
 
 def test_feature_vector_excludes_assignee():
-    record = BugRecord("x", 4, 3, 7, 2, 9)
-    assert feature_vector(record) == (4.0, 3.0, 7.0, 2.0)
+    features = feature_matrix(np.array([(4, 3, 7, 2, 9)], dtype=np.int64))
+    assert features.dtype == np.float64
+    assert features.tolist() == [[4.0, 3.0, 7.0, 2.0]]
 
 
 def test_empty_cluster_repair_on_adversarial_data():

@@ -1,6 +1,7 @@
 import io
 
 import hypothesis.strategies as st
+import numpy as np
 import pytest
 from hypothesis import given
 
@@ -142,20 +143,21 @@ class TestBuildCodebooks:
         assert codebooks[Attribute.COMPONENT].forward == {"General": 1, "Sync": 2}
 
     def test_singleton_learned_codebooks(self):
-        codebooks, records = build_codebooks_and_encode([_row()])
+        codebooks, codes = build_codebooks_and_encode([_row()])
         for attribute in (Attribute.COMPONENT, Attribute.OPERATING_SYSTEM, Attribute.ASSIGNEE):
             assert codebooks[attribute].forward == {list(codebooks[attribute].forward)[0]: 1}
-        assert records[0].component_code == records[0].os_code == records[0].assignee_code == 1
+        assert codes.shape == (1, 5) and codes.dtype == np.int64
+        assert codes[0, 2] == codes[0, 3] == codes[0, 4] == 1
 
     def test_assignee_codes_round_trip(self):
         names = ["ann", "bob", "cal", "dee"]
         rows = [_row(str(i), assignee=names[i % 4]) for i in range(10)]
-        codebooks, records = build_codebooks_and_encode(rows)
+        codebooks, codes = build_codebooks_and_encode(rows)
         book = codebooks[Attribute.ASSIGNEE]
         assert sorted(book.reverse) == [1, 2, 3, 4]
         # independent decode pass: every record decodes to its original label
-        for row, record in zip(rows, records):
-            assert book.decode(record.assignee_code) == row.assignee
+        for row, code in zip(rows, codes[:, Attribute.ASSIGNEE].tolist()):
+            assert book.decode(code) == row.assignee
 
     def test_empty_input_rejected(self):
         with pytest.raises(ParameterError):
@@ -167,9 +169,9 @@ class TestBuildCodebooks:
 
     def test_case_insensitive_learned_labels_keep_first_casing(self):
         rows = [_row("1", component="General"), _row("2", component="GENERAL")]
-        codebooks, records = build_codebooks_and_encode(rows)
+        codebooks, codes = build_codebooks_and_encode(rows)
         assert codebooks[Attribute.COMPONENT].forward == {"General": 1}
-        assert records[0].component_code == records[1].component_code == 1
+        assert codes[:, Attribute.COMPONENT].tolist() == [1, 1]
 
     def test_codebooks_json_shape(self):
         codebooks, _ = build_codebooks_and_encode([_row()])
@@ -203,7 +205,8 @@ def test_round_trip_and_contiguous_codes(components, oses, assignees):
         )
         for i in range(n)
     ]
-    codebooks, records = build_codebooks_and_encode(rows)
+    codebooks, codes = build_codebooks_and_encode(rows)
+    assert codes.shape == (n, 5)
     for attribute in (Attribute.COMPONENT, Attribute.OPERATING_SYSTEM, Attribute.ASSIGNEE):
         book = codebooks[attribute]
         # bijection between forward and reverse
@@ -212,10 +215,12 @@ def test_round_trip_and_contiguous_codes(components, oses, assignees):
         # codes are exactly 1..n
         assert sorted(book.reverse) == list(range(1, len(book) + 1))
     # round-trip through every record
-    for row, record in zip(rows, records):
-        assert codebooks[Attribute.COMPONENT].encode(row.component) == record.component_code
-        assert codebooks[Attribute.OPERATING_SYSTEM].encode(row.operating_system) == record.os_code
-        assert codebooks[Attribute.ASSIGNEE].encode(row.assignee) == record.assignee_code
+    for row, (severity, priority, component, os_, assignee) in zip(rows, codes.tolist()):
+        assert encode_severity(row.severity) == severity
+        assert encode_priority(row.priority) == priority
+        assert codebooks[Attribute.COMPONENT].encode(row.component) == component
+        assert codebooks[Attribute.OPERATING_SYSTEM].encode(row.operating_system) == os_
+        assert codebooks[Attribute.ASSIGNEE].encode(row.assignee) == assignee
 
 
 @given(st.integers(0, 2**32))
@@ -232,7 +237,7 @@ def test_parse_and_encode_are_deterministic(seed):
     first = parse_csv(io.BytesIO(payload), COLUMN_MAP)
     second = parse_csv(io.BytesIO(payload), COLUMN_MAP)
     assert first == second
-    books1, recs1 = build_codebooks_and_encode(first)
-    books2, recs2 = build_codebooks_and_encode(second)
-    assert recs1 == recs2
+    books1, codes1 = build_codebooks_and_encode(first)
+    books2, codes2 = build_codebooks_and_encode(second)
+    assert np.array_equal(codes1, codes2)
     assert all(books1[a].forward == books2[a].forward for a in Attribute)

@@ -2,13 +2,14 @@ import random
 from itertools import combinations
 
 import hypothesis.strategies as st
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from conftest import make_transaction, random_transactions, transaction_lists
+from conftest import random_rows, row_lists
 from triage_miner.errors import ParameterError
-from triage_miner.ingest import Attribute, BugRecord
-from triage_miner.mine import Item, Itemset, apriori, to_transactions
+from triage_miner.ingest import Attribute
+from triage_miner.mine import Item, Itemset, matching_rows, mine_frequent_itemsets
 from triage_miner.oracle import enumerate_frequent_itemsets
 
 
@@ -31,47 +32,26 @@ class TestItemset:
         assert Itemset().issubset(small)
 
 
-class TestToTransactions:
-    def test_direct_lift(self):
-        [txn] = to_transactions([BugRecord("x", 4, 3, 7, 2, 9)])
-        assert txn.bug_id == "x"
-        assert txn.itemset == Itemset(
-            [
-                Item(Attribute.SEVERITY, 4),
-                Item(Attribute.PRIORITY, 3),
-                Item(Attribute.COMPONENT, 7),
-                Item(Attribute.OPERATING_SYSTEM, 2),
-                Item(Attribute.ASSIGNEE, 9),
-            ]
-        )
-
-    def test_empty_input(self):
-        assert to_transactions([]) == []
-
-    def test_bijective_by_bug_id(self):
-        records = [BugRecord(f"b{i}", 1, 1, 1, 1, 1) for i in range(25)]
-        transactions = to_transactions(records)
-        assert len(transactions) == 25
-        assert {t.bug_id for t in transactions} == {r.bug_id for r in records}
-        assert all(len(t.itemset) == 5 for t in transactions)
-
-
-def classic_baskets() -> list:
+def classic_baskets() -> np.ndarray:
     """{a,b,c}, {a,b}, {a,c}, {b,c} hosted on Component/OS/Assignee; absent
     letters and the severity/priority slots get one-off filler codes."""
     a, b, c = 1, 1, 1
-    return [
-        make_transaction(0, 1, 1, a, b, c),
-        make_transaction(1, 2, 2, a, b, 2),  # {a,b}
-        make_transaction(2, 3, 3, a, 2, c),  # {a,c}
-        make_transaction(3, 4, 4, 2, b, c),  # {b,c}
-    ]
+    return np.array(
+        [
+            (1, 1, a, b, c),
+            (2, 2, a, b, 2),  # {a,b}
+            (3, 3, a, 2, c),  # {a,c}
+            (4, 4, 2, b, c),  # {b,c}
+        ]
+    )
 
 
 class TestApriori:
+    """The frequent-itemset miner (projection counting; the class keeps the
+    name of the level-wise Apriori miner it replaced)."""
+
     def test_classic_four_basket_example(self):
-        transactions = classic_baskets()
-        table = apriori(transactions, min_support_count=2)
+        table = mine_frequent_itemsets(classic_baskets(), min_support_count=2)
         item_a = Item(Attribute.COMPONENT, 1)
         item_b = Item(Attribute.OPERATING_SYSTEM, 1)
         item_c = Item(Attribute.ASSIGNEE, 1)
@@ -84,25 +64,27 @@ class TestApriori:
             Itemset([item_b, item_c]): 2,
         }
         assert dict(table.support) == expected
-        assert Itemset([item_a, item_b, item_c]) not in table  # support 1
+        assert Itemset([item_a, item_b, item_c]) not in table.support  # support 1
 
     def test_single_transaction_all_subsets(self):
-        transactions = [make_transaction(0, 1, 2, 3, 4, 5)]
-        table = apriori(transactions, min_support_count=1)
+        table = mine_frequent_itemsets(np.array([(1, 2, 3, 4, 5)]), min_support_count=1)
         assert len(table) == 2**5 - 1
         assert all(count == 1 for count in table.support.values())
 
     def test_unattainable_threshold_gives_empty_table(self):
-        transactions = [make_transaction(i, 1, 1, 1, 1, 1) for i in range(3)]
-        table = apriori(transactions, min_support_count=4)
+        table = mine_frequent_itemsets(np.ones((3, 5), dtype=np.int64), min_support_count=4)
         assert len(table) == 0
+
+    def test_empty_code_array_gives_empty_table(self):
+        table = mine_frequent_itemsets(np.empty((0, 5), dtype=np.int64), min_support_count=1)
+        assert len(table) == 0 and table.transaction_count == 0 and table.support == {}
 
     def test_parameter_validation(self):
         with pytest.raises(ParameterError):
-            apriori([], min_support_count=0)
+            mine_frequent_itemsets(np.empty((0, 5), dtype=np.int64), min_support_count=0)
 
     def test_to_json_is_sorted_and_complete(self):
-        table = apriori(classic_baskets(), min_support_count=2)
+        table = mine_frequent_itemsets(classic_baskets(), min_support_count=2)
         payload = table.to_json()
         assert payload["transaction_count"] == 4
         assert payload["min_support_count"] == 2
@@ -112,28 +94,75 @@ class TestApriori:
     @pytest.mark.parametrize("min_support", [1, 2, 3])
     def test_matches_brute_force_on_random_data(self, seed, min_support):
         rnd = random.Random(seed)
-        transactions = random_transactions(rnd, max_transactions=60, max_codes=6)
-        fast = apriori(transactions, min_support)
-        slow = enumerate_frequent_itemsets(transactions, min_support)
+        rows = random_rows(rnd, max_transactions=60, max_codes=6)
+        fast = mine_frequent_itemsets(np.array(rows), min_support)
+        slow = enumerate_frequent_itemsets(rows, min_support)
         assert dict(fast.support) == slow
 
 
-@given(transaction_lists(), st.integers(1, 4))
+@given(row_lists(), st.integers(1, 4))
 @settings(max_examples=60, deadline=None)
-def test_apriori_oracle_equivalence_property(transactions, min_support):
-    fast = apriori(transactions, min_support)
-    assert dict(fast.support) == enumerate_frequent_itemsets(transactions, min_support)
+def test_apriori_oracle_equivalence_property(rows, min_support):
+    fast = mine_frequent_itemsets(np.array(rows), min_support)
+    assert dict(fast.support) == enumerate_frequent_itemsets(rows, min_support)
 
 
-@given(transaction_lists(max_transactions=25, max_codes=4))
+@given(row_lists(max_transactions=25, max_codes=4))
 @settings(max_examples=40, deadline=None)
-def test_downward_closure_and_antimonotonicity(transactions):
-    table = apriori(transactions, min_support_count=2)
-    for itemset in table.itemsets():
-        count = table[itemset]
+def test_downward_closure_and_antimonotonicity(rows):
+    table = mine_frequent_itemsets(np.array(rows), min_support_count=2)
+    for itemset, count in table.support.items():
         assert count >= table.min_support_count
         for size in range(1, len(itemset)):
             for subset in combinations(itemset.items, size):
                 sub = Itemset(subset)
-                assert sub in table
-                assert table[sub] >= count
+                assert sub in table.support
+                assert table.support[sub] >= count
+
+
+def test_codes_whose_radices_overflow_int64_are_counted_exactly():
+    """Component, OS and assignee codes near 2**40: the product of the
+    per-attribute code ranges is far past 2**63, yet every support matches
+    the oracle's."""
+    rnd = random.Random(4)
+    base = 2**40
+    rows = [
+        (
+            rnd.randint(1, 7),
+            rnd.randint(1, 5),
+            base + rnd.randint(0, 3),
+            base - rnd.randint(0, 3),
+            2 * base + rnd.randint(0, 2),
+        )
+        for _ in range(200)
+    ]
+    assert (base + 4) * (base + 1) * (2 * base + 3) > 2**63
+    for min_support in (1, 3):
+        table = mine_frequent_itemsets(np.array(rows, dtype=np.int64), min_support)
+        assert dict(table.support) == enumerate_frequent_itemsets(rows, min_support)
+
+
+def test_table_counts_are_python_ints():
+    table = mine_frequent_itemsets(classic_baskets(), min_support_count=1)
+    assert all(type(count) is int for count in table.support.values())
+    assert all(
+        type(item.code) is int for itemset in table.support for item in itemset
+    )
+
+
+class TestMatchingRows:
+    def test_finds_equal_rows_and_marks_absent_ones(self):
+        table = np.array([(1, 2), (1, 3), (2, 1)])
+        queries = np.array([(2, 1), (1, 1), (1, 3), (2, 1), (3, 3)])
+        assert matching_rows(table, queries).tolist() == [2, -1, 1, 2, -1]
+
+    def test_no_queries(self):
+        assert matching_rows(np.array([(1,)]), np.empty((0, 1), dtype=np.int64)).tolist() == []
+
+    def test_counts_of_gives_zero_for_itemsets_outside_the_table(self):
+        table = mine_frequent_itemsets(classic_baskets(), min_support_count=2)
+        subset = (Attribute.COMPONENT, Attribute.OPERATING_SYSTEM)
+        counts = table.counts_of(subset, np.array([(1, 1), (2, 1), (1, 2)]))
+        assert counts.tolist() == [2, 0, 0]
+        missing = table.counts_of((Attribute.SEVERITY, Attribute.PRIORITY), np.array([(1, 1)]))
+        assert missing.tolist() == [0]

@@ -8,6 +8,7 @@ import pytest
 
 from triage_miner import report
 from triage_miner.config import PipelineConfig
+from triage_miner.mine import Projection
 from triage_miner.oracle import witness_is_valid
 from triage_miner.pipeline import PipelineResult, audit_result, execute, run_verify
 
@@ -54,13 +55,27 @@ class TestAuditWitness:
         assert [p for p in audit_result(doctored) if "invalid witness" in p]
 
 
+class TestAuditRows:
+    def test_rows_that_are_not_the_assigned_rows_are_reported(self, sample_result):
+        rows = sample_result.outcomes[0].rows
+        doctored = _with_outcome(sample_result, 0, rows=rows[::-1])
+        assert audit_result(doctored) == [
+            "cluster 0: rows are not the input rows assigned to it"
+        ]
+
+    def test_a_missing_cluster_is_reported(self, sample_result):
+        doctored = dataclasses.replace(sample_result, outcomes=sample_result.outcomes[:-1])
+        assert "cluster outcomes do not match the model's clusters" in audit_result(doctored)
+
+
 class TestRunVerify:
     def test_checks_the_runs_own_itemset_table(self, sample_result):
         table = sample_result.outcomes[1].table
-        support = dict(table.support)
-        support.pop(next(iter(support)))
+        projections = dict(table.projections)
+        subset, (values, counts) = next(iter(projections.items()))
+        projections[subset] = Projection(values[1:], counts[1:])
         doctored = _with_outcome(
-            sample_result, 1, table=dataclasses.replace(table, support=support)
+            sample_result, 1, table=dataclasses.replace(table, projections=projections)
         )
         ok, lines = run_verify(doctored)
         assert not ok

@@ -157,15 +157,10 @@ class TestLengthHistogram:
 
 
 class TestBuildClusterReport:
-    def _records(self, n):
-        from triage_miner.ingest import BugRecord
-
-        return [BugRecord(f"b{i}", 4, 3, 1, 1, 1) for i in range(n)]
-
     def test_empty_partition(self):
         books = simple_codebooks()
         partition = eliminate_redundant([])
-        report = build_cluster_report(2, self._records(9), partition, books, [1])
+        report = build_cluster_report(2, 9, partition, books, [1])
         assert report.cluster_index == 2
         assert report.size == 9
         assert (report.essential_count, report.redundant_count) == (0, 0)
@@ -184,7 +179,7 @@ class TestBuildClusterReport:
             _rule([Item(Attribute.SEVERITY, 1), Item(Attribute.COMPONENT, 1)], 2, 3, 10),
         ]
         partition = eliminate_redundant(rules)
-        report = build_cluster_report(0, self._records(10), partition, books, [1, 2])
+        report = build_cluster_report(0, 10, partition, books, [1, 2])
         assert report.essential_count + report.redundant_count == 5
         assert sum(report.length_histogram.values()) == 5
         assert len(report.essential_rendered) + len(report.redundant_rendered) == 5

@@ -1,14 +1,25 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from conftest import random_rules, rule_lists
+from conftest import random_rows, random_rules, rule_lists
 from triage_miner.errors import ConsistencyError, DuplicateRuleError, ParameterError
-from triage_miner.ingest import Attribute, BugRecord
-from triage_miner.mine import FrequentItemsetTable, Item, Itemset
-from triage_miner.oracle import essential_rules_naive, witness_is_valid
+from triage_miner.ingest import Attribute
+from triage_miner.mine import (
+    FrequentItemsetTable,
+    Item,
+    Itemset,
+    Projection,
+    mine_frequent_itemsets,
+)
+from triage_miner.oracle import (
+    enumerate_frequent_itemsets,
+    essential_rules_naive,
+    witness_is_valid,
+)
 from triage_miner.rules import (
     Rule,
     eliminate_redundant,
@@ -22,8 +33,20 @@ WHO = Item(Attribute.ASSIGNEE, 9)
 
 
 def _table(support: dict, min_support=3, transactions=47) -> FrequentItemsetTable:
+    """A table holding exactly the given itemset counts."""
+    groups: dict[tuple, list] = {}
+    for itemset, count in support.items():
+        subset = tuple(item.attribute for item in itemset)
+        groups.setdefault(subset, []).append((tuple(item.code for item in itemset), count))
+    projections = {
+        subset: Projection(
+            values=np.array([codes for codes, _ in sorted(entries)], dtype=np.int64),
+            counts=np.array([count for _, count in sorted(entries)], dtype=np.int64),
+        )
+        for subset, entries in groups.items()
+    }
     return FrequentItemsetTable(
-        support=support, min_support_count=min_support, transaction_count=transactions
+        projections=projections, min_support_count=min_support, transaction_count=transactions
     )
 
 
@@ -64,6 +87,39 @@ class TestGenerateClassRules:
         with pytest.raises(ConsistencyError):
             generate_class_rules(table, 0.10, {9})
 
+    def test_missing_antecedent_group_is_a_table_integrity_error(self):
+        sev1 = Item(Attribute.SEVERITY, 1)
+        table = _table({Itemset([sev1]): 9, Itemset([WHO]): 9, Itemset([SEV4, WHO]): 9})
+        with pytest.raises(ConsistencyError):
+            generate_class_rules(table, 0.10, {9})
+
+    def test_counts_are_python_ints(self):
+        table = _table({Itemset([SEV4]): 17, Itemset([WHO]): 9, Itemset([SEV4, WHO]): 9})
+        [rule] = generate_class_rules(table, 0.10, {9})
+        assert type(rule.support_count) is int and type(rule.antecedent_count) is int
+        assert type(rule.consequent.code) is int
+        assert repr(rule.confidence) == repr(9 / 17)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_rules_read_off_the_oracle_table(self, seed):
+        rnd = random.Random(seed)
+        rows = random_rows(rnd, max_transactions=120, max_codes=5)
+        reference = enumerate_frequent_itemsets(rows, 2)
+        allowed = {1, 2, 3}
+        expected = set()
+        for itemset, count in reference.items():
+            [consequent] = [i for i in itemset if i.attribute == Attribute.ASSIGNEE] or [None]
+            if consequent is None or consequent.code not in allowed or len(itemset) < 2:
+                continue
+            antecedent = Itemset(i for i in itemset if i != consequent)
+            if count / reference[antecedent] >= 0.3:
+                expected.add((antecedent.items, consequent, count, reference[antecedent]))
+        table = mine_frequent_itemsets(np.array(rows), 2)
+        rules = generate_class_rules(table, 0.3, allowed)
+        got = {(r.antecedent.items, r.consequent, r.support_count, r.antecedent_count) for r in rules}
+        assert got == expected
+        assert rules == sorted(rules, key=Rule.sort_key)
+
     def test_empty_consequent_set_rejected(self):
         with pytest.raises(ParameterError):
             generate_class_rules(_table({}), 0.10, set())
@@ -91,13 +147,9 @@ class TestGenerateClassRules:
 
 
 class TestTopAssignees:
-    def _records(self, counts: dict[int, int]):
-        records = []
-        for code, count in counts.items():
-            records += [
-                BugRecord(f"b{code}-{i}", 4, 3, 1, 1, code) for i in range(count)
-            ]
-        return records
+    def _records(self, counts: dict[int, int]) -> np.ndarray:
+        """An assignee code column holding each code ``count`` times."""
+        return np.repeat(list(counts), list(counts.values()))
 
     def test_count_then_code_tie_break(self):
         records = self._records({1: 5, 2: 3, 3: 3, 4: 1})
@@ -113,7 +165,7 @@ class TestTopAssignees:
 
     def test_empty_records_rejected(self):
         with pytest.raises(ParameterError):
-            top_assignees([], 5)
+            top_assignees(np.empty(0, dtype=np.int64), 5)
 
 
 class TestEliminateRedundant:
