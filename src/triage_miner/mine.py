@@ -44,10 +44,6 @@ class Itemset:
     def __iter__(self) -> Iterator[Item]:
         return iter(self.items)
 
-    def issubset(self, other: "Itemset") -> bool:
-        other_items = set(other.items)
-        return all(item in other_items for item in self.items)
-
     def __str__(self) -> str:
         body = ", ".join(f"{i.attribute.display}:{i.code}" for i in self.items)
         return "{" + body + "}"

@@ -15,9 +15,7 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
 
@@ -43,7 +41,8 @@ _RENDER_PREFIX = {
 def format_confidence_percent(support_count: int, antecedent_count: int) -> str:
     """Exact half-up percentage with two decimals; integral values print bare
     (52.94, 75, 100)."""
-    hundredths = math.floor(Fraction(support_count * 10000, antecedent_count) + Fraction(1, 2))
+    # floor(10000 * s / a + 1/2), in integers
+    hundredths = (20000 * support_count + antecedent_count) // (2 * antecedent_count)
     whole, cents = divmod(hundredths, 100)
     return str(whole) if cents == 0 else f"{whole}.{cents:02d}"
 

@@ -3,8 +3,11 @@ elimination of redundant rules.
 
 A rule is redundant when some essential rule with the same consequent, a
 strictly smaller antecedent and confidence at least as high already carries
-its meaning. Confidence comparisons between rules cross-multiply support
-counts, so ties are decided exactly rather than in floating point.
+its meaning. Confidences are compared exactly, in integers: the witness probe
+cross-multiplies counts, and rules sort by ``(support_count << shift) //
+antecedent_count`` with ``2**shift >= M**2``, M the largest antecedent count.
+Distinct ratios with denominators up to M differ by at least 1/M**2, so their
+keys differ and order as the ratios do; equal ratios give equal keys.
 """
 
 from __future__ import annotations
@@ -47,17 +50,6 @@ class Rule:
     def key(self) -> tuple:
         """Identity: antecedent plus consequent."""
         return (self.antecedent.items, self.consequent)
-
-    def sort_key(self) -> tuple:
-        """Deterministic ordering: size asc, confidence desc, support desc,
-        canonical antecedent, consequent code."""
-        return (
-            len(self.antecedent),
-            -self.confidence_fraction,
-            -self.support_count,
-            self.antecedent.items,
-            self.consequent.code,
-        )
 
 
 @dataclass(frozen=True)
@@ -132,29 +124,30 @@ def generate_class_rules(
                 antecedent_counts[passing].tolist(),
             )
         ]
-    rules.sort(key=Rule.sort_key)
+    # size asc, confidence desc (the exact integer key of the module
+    # docstring), support desc, canonical antecedent, consequent code
+    shift = 2 * max((rule.antecedent_count for rule in rules), default=0).bit_length()
+    rules.sort(
+        key=lambda rule: (
+            len(rule.antecedent),
+            -((rule.support_count << shift) // rule.antecedent_count),
+            -rule.support_count,
+            rule.antecedent.items,
+            rule.consequent.code,
+        )
+    )
     return rules
 
 
-def _subsumes(witness: Rule, rule: Rule) -> bool:
-    """Same consequent, strictly smaller antecedent, confidence no lower
-    (exact rational comparison)."""
-    return (
-        witness.consequent == rule.consequent
-        and len(witness.antecedent) < len(rule.antecedent)
-        and witness.antecedent.issubset(rule.antecedent)
-        and witness.support_count * rule.antecedent_count
-        >= rule.support_count * witness.antecedent_count
-    )
-
-
 def eliminate_redundant(rules: Sequence[Rule]) -> RulePartition:
-    """Partition rules into essential and redundant sets.
+    """Partition rules into essential and redundant sets, keeping their order.
 
-    Rules are scanned in ascending antecedent-size order, so every witness is
-    already known to be essential when a larger rule is tested against it.
-    The recorded witness is the qualifying essential rule with the smallest
-    antecedent, then the highest confidence, then canonical order.
+    Rules are scanned by ascending antecedent size (a stable sort), so every
+    witness is known to be essential before a larger rule is tested against
+    it. The probe tries the antecedent's subsets smallest size first and stops
+    at the first size with an essential rule of the same consequent and
+    confidence no lower; the witness is that size's most confident such rule,
+    the first in canonical (``combinations``) order among equals.
     """
     seen: set[tuple] = set()
     for rule in rules:
@@ -166,22 +159,31 @@ def eliminate_redundant(rules: Sequence[Rule]) -> RulePartition:
     redundant: list[tuple[Rule, Rule]] = []
     # essential rules indexed by (antecedent items, consequent) for subset probes
     by_key: dict[tuple, Rule] = {}
-    for rule in sorted(rules, key=Rule.sort_key):
-        witnesses = []
-        for size in range(1, len(rule.antecedent)):
-            for subset in combinations(rule.antecedent.items, size):
+    for rule in sorted(rules, key=lambda rule: len(rule.antecedent)):
+        items = rule.antecedent.items
+        support, antecedent_count = rule.support_count, rule.antecedent_count
+        witness = None
+        for size in range(1, len(items)):
+            for subset in combinations(items, size):
                 candidate = by_key.get((subset, rule.consequent))
-                if candidate is not None and _subsumes(candidate, rule):
-                    witnesses.append(candidate)
-        if witnesses:
-            witness = min(
-                witnesses,
-                key=lambda w: (len(w.antecedent), -w.confidence_fraction, w.antecedent.items),
-            )
-            redundant.append((rule, witness))
-        else:
+                # cross-multiplied: at least the rule's confidence, above the best so far
+                if (
+                    candidate is not None
+                    and candidate.support_count * antecedent_count
+                    >= support * candidate.antecedent_count
+                    and (
+                        witness is None
+                        or candidate.support_count * witness.antecedent_count
+                        > witness.support_count * candidate.antecedent_count
+                    )
+                ):
+                    witness = candidate
+            if witness is not None:
+                break
+        if witness is None:
             essential.append(rule)
-            by_key[(rule.antecedent.items, rule.consequent)] = rule
+            by_key[(items, rule.consequent)] = rule
+        else:
+            redundant.append((rule, witness))
 
-    redundant.sort(key=lambda pair: pair[0].sort_key())
     return RulePartition(essential=tuple(essential), redundant=tuple(redundant))

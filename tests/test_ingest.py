@@ -1,18 +1,22 @@
+import csv
 import io
 
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
 from triage_miner.errors import (
     DuplicateIdError,
+    InputError,
     ParameterError,
     RowError,
     SchemaError,
     UnknownCategoryError,
 )
 from triage_miner.ingest import (
+    PRIORITY_LABELS,
+    SEVERITY_LABELS,
     Attribute,
     RawBugRow,
     build_codebooks_and_encode,
@@ -241,3 +245,53 @@ def test_parse_and_encode_are_deterministic(seed):
     books2, codes2 = build_codebooks_and_encode(second)
     assert np.array_equal(codes1, codes2)
     assert all(books1[a].forward == books2[a].forward for a in Attribute)
+
+
+_HEADER = ["id", "sev", "pri", "comp", "os", "who"]
+_cell = st.one_of(
+    st.text(max_size=6),
+    st.sampled_from(["Normal", " major ", "P1", "p5", "--", "", "Unspecified", "x\r\ny"]),
+)
+
+
+def _parse_and_encode(payload: bytes) -> None:
+    """The ingest path of a run: only InputError subclasses may escape, so
+    bad input exits with code 2, never 3."""
+    try:
+        rows = parse_csv(io.BytesIO(payload), COLUMN_MAP)
+        if rows:
+            _, codes = build_codebooks_and_encode(rows)
+            assert codes.shape == (len(rows), 5)
+    except InputError:
+        pass
+
+
+@given(st.binary(max_size=512))
+@settings(max_examples=300, deadline=None)
+def test_arbitrary_bytes_raise_only_input_errors(payload):
+    _parse_and_encode(payload)
+    _parse_and_encode(",".join(_HEADER).encode() + b"\n" + payload)
+
+
+# rows of the header's width with mostly valid scales, so that many inputs
+# reach the encoder, mixed with rows of any width
+_csv_row = st.tuples(
+    _cell,
+    st.one_of(st.sampled_from(SEVERITY_LABELS), _cell),
+    st.one_of(st.sampled_from(PRIORITY_LABELS), _cell),
+    _cell,
+    _cell,
+    _cell,
+).map(list)
+
+
+@given(
+    st.lists(st.one_of(_csv_row, _csv_row, st.lists(_cell, max_size=8)), max_size=12),
+    st.sampled_from(["", "\ufeff"]),
+    st.sampled_from(["\n", "\r\n", "\r"]),
+)
+@settings(max_examples=150, deadline=None)
+def test_arbitrary_rows_raise_only_input_errors(rows, bom, newline):
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator=newline).writerows([_HEADER, *rows])
+    _parse_and_encode((bom + buffer.getvalue()).encode("utf-8", "surrogatepass"))

@@ -1,0 +1,92 @@
+"""Metamorphic tests of the whole pipeline at k=1, where clustering is fixed:
+a known change to the input or the parameters must change the rule tables
+in a known way (Zaki, KDD 2000, on the subsumption properties pinned here)."""
+
+import dataclasses
+import tempfile
+from pathlib import Path
+
+import hypothesis.strategies as st
+from hypothesis import given, settings
+
+from triage_miner.config import PipelineConfig
+from triage_miner.pipeline import ClusterOutcome, execute
+from triage_miner.synth import synthesize_rows, write_csv
+
+SHAPES = dict(
+    rows=st.integers(1, 250),
+    components=st.integers(1, 10),
+    operating_systems=st.integers(1, 5),
+    assignees=st.integers(1, 12),
+    skew=st.sampled_from((0.0, 1.0, 2.0)),
+    data_seed=st.integers(0, 2**16),
+    min_support_count=st.integers(1, 4),
+    top_n=st.integers(1, 6),
+)
+
+
+def _single_cluster(rows, **parameters) -> ClusterOutcome:
+    with tempfile.TemporaryDirectory() as workdir:
+        csv_path = Path(workdir) / "bugs.csv"
+        write_csv(csv_path, rows)
+        result = execute(PipelineConfig(input_path=str(csv_path), k=1, **parameters))
+    [outcome] = result.outcomes
+    return outcome
+
+
+def _table(outcome: ClusterOutcome) -> dict:
+    """Rule key -> (support, antecedent count, witness key or None), in the
+    order the report lists the rules."""
+    partition = outcome.partition
+    table = {
+        rule.key: (rule.support_count, rule.antecedent_count, None)
+        for rule in partition.essential
+    }
+    for rule, witness in partition.redundant:
+        table[rule.key] = (rule.support_count, rule.antecedent_count, witness.key)
+    return table
+
+
+@given(
+    **SHAPES,
+    confidences=st.lists(
+        st.sampled_from((0.0, 0.05, 0.1, 0.25, 0.5, 0.75, 1.0)), min_size=2, max_size=2, unique=True
+    ),
+)
+@settings(max_examples=25, deadline=None)
+def test_raising_min_confidence_only_removes_rules(
+    rows, components, operating_systems, assignees, skew, data_seed, min_support_count, top_n,
+    confidences,
+):
+    low, high = sorted(confidences)
+    data = synthesize_rows(rows, components, operating_systems, assignees, skew, data_seed)
+    shared = dict(min_support_count=min_support_count, top_n=top_n)
+    before = _table(_single_cluster(data, min_confidence=low, **shared))
+    after = _table(_single_cluster(data, min_confidence=high, **shared))
+    # the survivors are exactly the rules at or above the new threshold, each
+    # with its counts, its status and its witness: a witness is never less
+    # confident than the rule it subsumes, so it survives too
+    assert after == {
+        key: entry for key, entry in before.items() if entry[0] / entry[1] >= high
+    }
+    assert list(after) == [key for key in before if key in after]
+
+
+@given(**SHAPES, min_confidence=st.sampled_from((0.05, 0.1, 0.3, 0.6, 1.0)))
+@settings(max_examples=25, deadline=None)
+def test_duplicating_rows_and_doubling_support_doubles_every_count(
+    rows, components, operating_systems, assignees, skew, data_seed, min_support_count, top_n,
+    min_confidence,
+):
+    data = synthesize_rows(rows, components, operating_systems, assignees, skew, data_seed)
+    copies = [dataclasses.replace(row, bug_id=f"{row.bug_id}-copy") for row in data]
+    shared = dict(min_confidence=min_confidence, top_n=top_n)
+    once = _single_cluster(data, min_support_count=min_support_count, **shared)
+    twice = _single_cluster(data + copies, min_support_count=2 * min_support_count, **shared)
+    assert twice.top_codes == once.top_codes
+    doubled = {
+        key: (2 * support, 2 * antecedent_count, witness)
+        for key, (support, antecedent_count, witness) in _table(once).items()
+    }
+    # same rules in the same order, same confidences, same split and witnesses
+    assert list(_table(twice).items()) == list(doubled.items())

@@ -24,13 +24,6 @@ class TestItemset:
         item = Item(Attribute.PRIORITY, 3)
         assert len(Itemset([item, item])) == 1
 
-    def test_subset_and_union(self):
-        small = Itemset([Item(Attribute.SEVERITY, 1)])
-        big = Itemset(small.items + (Item(Attribute.PRIORITY, 2),))
-        assert small.issubset(big)
-        assert not big.issubset(small)
-        assert Itemset().issubset(small)
-
 
 def classic_baskets() -> np.ndarray:
     """{a,b,c}, {a,b}, {a,c}, {b,c} hosted on Component/OS/Assignee; absent

@@ -1,3 +1,7 @@
+import math
+from fractions import Fraction
+
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
@@ -13,6 +17,14 @@ from triage_miner.report import (
     render_rule,
 )
 from triage_miner.rules import Rule, eliminate_redundant
+
+
+def _fraction_percent(support: int, antecedent: int) -> str:
+    """Half-up percentage computed with Fractions, the reference for the
+    integer arithmetic of format_confidence_percent."""
+    hundredths = math.floor(Fraction(support * 10000, antecedent) + Fraction(1, 2))
+    whole, cents = divmod(hundredths, 100)
+    return str(whole) if cents == 0 else f"{whole}.{cents:02d}"
 
 
 def _codebooks_for(component_labels, os_labels, assignee_labels):
@@ -64,6 +76,23 @@ class TestConfidencePercent:
     def test_two_decimals_kept_unless_all_zero(self):
         # 333/500 = 66.60% exactly: only an all-zero fraction is trimmed
         assert format_confidence_percent(333, 500) == "66.60"
+
+    @given(st.integers(1, 2**70), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_fraction_formula(self, antecedent, data):
+        support = data.draw(st.integers(0, antecedent))
+        assert format_confidence_percent(support, antecedent) == _fraction_percent(
+            support, antecedent
+        )
+
+    @given(st.integers(0, 9999), st.integers(1, 2**40))
+    @settings(max_examples=300, deadline=None)
+    def test_half_up_at_every_x_xx5_boundary(self, hundredths, scale):
+        # (2h + 1) / 20000 is exactly h + 1/2 hundredths of a percent
+        support, antecedent = (2 * hundredths + 1) * scale, 20000 * scale
+        expected = _fraction_percent(support, antecedent)
+        assert format_confidence_percent(support, antecedent) == expected
+        assert expected == _fraction_percent(hundredths + 1, 10000)
 
 
 class TestRenderRule:

@@ -59,6 +59,40 @@ def _rule(items, consequent_code, support, antecedent_count) -> Rule:
     )
 
 
+def fraction_order_key(rule: Rule) -> tuple:
+    """The documented rule order with confidence as an exact Fraction: size
+    asc, confidence desc, support desc, canonical antecedent, consequent."""
+    return (
+        len(rule.antecedent),
+        -Fraction(rule.support_count, rule.antecedent_count),
+        -rule.support_count,
+        rule.antecedent.items,
+        rule.consequent.code,
+    )
+
+
+def brute_force_witness(rule: Rule, essential) -> Rule | None:
+    """The argmin of (antecedent size, -confidence, antecedent items) over
+    every essential rule that subsumes ``rule``, compared as Fractions."""
+    valid = [
+        witness
+        for witness in essential
+        if witness.consequent == rule.consequent
+        and set(witness.antecedent.items) < set(rule.antecedent.items)
+        and Fraction(witness.support_count, witness.antecedent_count)
+        >= Fraction(rule.support_count, rule.antecedent_count)
+    ]
+    return min(
+        valid,
+        key=lambda w: (
+            len(w.antecedent),
+            -Fraction(w.support_count, w.antecedent_count),
+            w.antecedent.items,
+        ),
+        default=None,
+    )
+
+
 class TestGenerateClassRules:
     def test_paper_style_single_antecedent(self):
         table = _table({Itemset([SEV4]): 17, Itemset([WHO]): 9, Itemset([SEV4, WHO]): 9})
@@ -118,7 +152,7 @@ class TestGenerateClassRules:
         rules = generate_class_rules(table, 0.3, allowed)
         got = {(r.antecedent.items, r.consequent, r.support_count, r.antecedent_count) for r in rules}
         assert got == expected
-        assert rules == sorted(rules, key=Rule.sort_key)
+        assert rules == sorted(rules, key=fraction_order_key)
 
     def test_empty_consequent_set_rejected(self):
         with pytest.raises(ParameterError):
@@ -144,6 +178,55 @@ class TestGenerateClassRules:
         one_antecedent = [r for r in rules if len(r.antecedent) == 1]
         confidences = [r.confidence_fraction for r in one_antecedent]
         assert confidences == sorted(confidences, reverse=True)
+
+
+class TestExactOrderingAtLargeCounts:
+    """Counts above 2**32 and confidences that float64 cannot separate: the
+    integer ordering key and the witness probe must agree with Fractions."""
+
+    SEV1, SEV2 = Item(Attribute.SEVERITY, 1), Item(Attribute.SEVERITY, 2)
+    PRI1, PRI2 = Item(Attribute.PRIORITY, 1), Item(Attribute.PRIORITY, 2)
+    COMP1, OS1 = Item(Attribute.COMPONENT, 1), Item(Attribute.OPERATING_SYSTEM, 1)
+    # antecedent -> (support, antecedent count). SEV1 and PRI1 both round to
+    # the double 1 - 2**-40, but PRI1's 2**40 / (2**40 + 1) is larger; so is
+    # SEV1+OS1's, which is therefore essential. PRI2 is exactly 1/3, SEV2
+    # 333333333/10**9 just below it, COMP1 1/3 again with a larger support.
+    COUNTS = {
+        (SEV1,): (2**41 - 2, 2**41),
+        (PRI1,): (2**40, 2**40 + 1),
+        (PRI2,): (1, 3),
+        (SEV2,): (333_333_333, 1_000_000_000),
+        (COMP1,): (2**33, 3 * 2**33),
+        (SEV1, PRI1): (2**40 - 1, 2**40 + 1),
+        (SEV2, PRI2): (666_666_666, 2_000_000_000),
+        (SEV1, OS1): (2**40, 2**40 + 1),
+    }
+
+    def _rules(self) -> list[Rule]:
+        support = {}
+        for antecedent, (count, antecedent_count) in self.COUNTS.items():
+            support[Itemset(antecedent)] = antecedent_count
+            support[Itemset(antecedent + (WHO,))] = count
+        return generate_class_rules(_table(support), 0.10, {9})
+
+    def test_order_matches_fraction_keys(self):
+        rules = self._rules()
+        assert rules == sorted(rules, key=fraction_order_key)
+        keys = [rule.antecedent.items for rule in rules]
+        # a float key would tie these and put SEV1's larger support first
+        assert keys.index((self.PRI1,)) < keys.index((self.SEV1,))
+        assert keys.index((self.COMP1,)) < keys.index((self.PRI2,)) < keys.index((self.SEV2,))
+        assert all(r.support_count >= 2**32 for r in rules if r.antecedent.items[0] == self.SEV1)
+
+    def test_witnesses_match_fraction_comparisons(self):
+        rules = self._rules()
+        partition = eliminate_redundant(rules)
+        assert {r.key for r in partition.essential} == essential_rules_naive(rules)
+        witnesses = {rule.antecedent.items: w.antecedent.items for rule, w in partition.redundant}
+        # PRI1 is the more confident witness although SEV1 is probed first
+        assert witnesses == {(self.SEV1, self.PRI1): (self.PRI1,), (self.SEV2, self.PRI2): (self.PRI2,)}
+        for rule, witness in partition.redundant:
+            assert witness == brute_force_witness(rule, partition.essential)
 
 
 class TestTopAssignees:
@@ -246,6 +329,31 @@ class TestEliminateRedundant:
         partition = eliminate_redundant([])
         assert partition.essential == ()
         assert partition.redundant == ()
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_witness_is_the_brute_force_argmin(self, seed):
+        # small counts make equal confidences, so the tie-breaks are exercised
+        rnd = random.Random(seed)
+        rules = random_rules(rnd, max_count=rnd.choice((3, 6, 60)))
+        partition = eliminate_redundant(rules)
+        for rule in partition.essential:
+            assert brute_force_witness(rule, partition.essential) is None
+        for rule, witness in partition.redundant:
+            assert witness == brute_force_witness(rule, partition.essential)
+        # the split and the witnesses do not depend on the input order
+        shuffled = rules[:]
+        rnd.shuffle(shuffled)
+        again = eliminate_redundant(shuffled)
+        assert set(again.essential) == set(partition.essential)
+        assert set(again.redundant) == set(partition.redundant)
+
+    def test_sorted_input_keeps_its_order(self):
+        table = mine_frequent_itemsets(np.array(random_rows(random.Random(5), 200, 4)), 1)
+        rules = generate_class_rules(table, 0.0, range(1, 5))
+        partition = eliminate_redundant(rules)
+        essential = set(partition.essential)
+        assert partition.essential == tuple(r for r in rules if r in essential)
+        assert [rule for rule, _ in partition.redundant] == [r for r in rules if r not in essential]
 
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_naive_oracle(self, seed):
