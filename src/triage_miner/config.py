@@ -85,11 +85,20 @@ def validate_config(raw_text: str, overrides: Mapping[str, object] | None = None
         column_map = default_column_map()
     else:
         column_map = dict(column_map)
+        mapped_from: dict[str, str] = {}
         for name in LOGICAL_FIELDS:
+            header = column_map.get(name)
             if name not in column_map:
                 violations.append(f"column_map missing logical field: {name}")
-            elif not isinstance(column_map[name], str) or not column_map[name]:
+            elif not isinstance(header, str) or not header:
                 violations.append(f"column_map.{name} must be a non-empty header name")
+            elif header in mapped_from:
+                violations.append(
+                    f"column_map.{mapped_from[header]} and column_map.{name}"
+                    f" both name column {header!r}"
+                )
+            else:
+                mapped_from[header] = name
         for name in sorted(set(column_map) - set(LOGICAL_FIELDS)):
             violations.append(f"column_map has unknown logical field: {name}")
 

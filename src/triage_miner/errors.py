@@ -45,12 +45,14 @@ class RowError(InputError):
 
 
 class UnknownCategoryError(InputError):
-    """A label falls outside a fixed codebook (severity/priority scales)."""
+    """A label falls outside a fixed codebook (severity/priority scales); read
+    from a file, the message names the line."""
 
-    def __init__(self, attribute: str, label: str):
+    def __init__(self, attribute: str, label: str, line: int | None = None):
         self.attribute = attribute
         self.label = label
-        super().__init__(f"unknown {attribute} label: {label!r}")
+        where = "" if line is None else f" at line {line}"
+        super().__init__(f"unknown {attribute} label: {label!r}{where}")
 
 
 class ConsistencyError(TriageMinerError):

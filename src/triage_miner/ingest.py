@@ -1,4 +1,5 @@
-"""Parse bug-report CSV exports and encode the five categorical attributes.
+"""Read bug-report CSV exports and encode the five categorical attributes,
+in one pass from the CSV bytes to bug ids, codebooks and a code array.
 
 Severity and priority use fixed integer scales (1..7 and 1..5). Component,
 operating system and assignee get codes 1..n in first-appearance order, so a
@@ -10,6 +11,7 @@ from __future__ import annotations
 import csv
 import enum
 import io
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import IO, Iterable, Mapping
@@ -18,7 +20,6 @@ import numpy as np
 
 from .errors import (
     DuplicateIdError,
-    ParameterError,
     RowError,
     SchemaError,
     UnknownCategoryError,
@@ -58,20 +59,6 @@ PRIORITY_LABELS = ("P1", "P2", "P3", "P4", "P5")
 #: Logical field names accepted in a column map, in record order.
 LOGICAL_FIELDS = ("bug_id", "severity", "priority", "component", "operating_system", "assignee")
 
-ATTRIBUTE_FIELDS = LOGICAL_FIELDS[1:]
-
-
-@dataclass(frozen=True)
-class RawBugRow:
-    """One input row after normalization, labels still unencoded."""
-
-    bug_id: str
-    severity: str
-    priority: str
-    component: str
-    operating_system: str
-    assignee: str
-
 
 @dataclass(frozen=True)
 class Codebook:
@@ -105,37 +92,29 @@ class Codebook:
         return len(self.forward)
 
     @classmethod
-    def fixed(cls, attribute: Attribute, labels: Iterable[str]) -> "Codebook":
+    def from_labels(cls, attribute: Attribute, labels: Iterable[str]) -> "Codebook":
+        """Codes 1..n in the order of ``labels``."""
         forward = {label: i for i, label in enumerate(labels, start=1)}
         return cls(attribute, forward, {c: l for l, c in forward.items()})
 
 
-SEVERITY_CODEBOOK = Codebook.fixed(Attribute.SEVERITY, SEVERITY_LABELS)
-PRIORITY_CODEBOOK = Codebook.fixed(Attribute.PRIORITY, PRIORITY_LABELS)
+SEVERITY_CODEBOOK = Codebook.from_labels(Attribute.SEVERITY, SEVERITY_LABELS)
+PRIORITY_CODEBOOK = Codebook.from_labels(Attribute.PRIORITY, PRIORITY_LABELS)
 
 
-def encode_severity(label: str) -> int:
-    """Map a severity label to its fixed 1..7 code (1 = most severe)."""
-    return SEVERITY_CODEBOOK.encode(label)
-
-
-def encode_priority(label: str) -> int:
-    """Map a priority label P1..P5 to its fixed 1..5 code."""
-    return PRIORITY_CODEBOOK.encode(label)
-
-
-def _normalize_cell(value: str | None) -> str:
-    value = (value or "").strip()
-    return UNSPECIFIED if value in BLANK_CELLS else value
-
-
-def parse_csv(source: IO[bytes], column_map: Mapping[str, str]) -> list[RawBugRow]:
-    """Read a UTF-8 CSV with a header row into RawBugRows, in file order.
+def read_bug_csv(
+    source: IO[bytes], column_map: Mapping[str, str]
+) -> tuple[list[str], dict[Attribute, Codebook], np.ndarray]:
+    """Read a UTF-8 CSV with a header row in one pass: the bug ids in file
+    order, all five codebooks, and an ``(n, 5)`` int64 code array with one
+    row per data row and one column per Attribute.
 
     ``column_map`` maps each logical field (see LOGICAL_FIELDS) to the header
     name that carries it; each mapped header must appear exactly once. A
-    leading UTF-8 byte-order mark is skipped. Blank attribute cells become
-    "Unspecified".
+    leading UTF-8 byte-order mark is skipped. Cells are trimmed, blank and
+    "--" attribute cells become "Unspecified", and labels compare without
+    case. Rows are checked in file order, so the first bad row is the one
+    reported.
     """
     missing_fields = [f for f in LOGICAL_FIELDS if f not in column_map]
     if missing_fields:
@@ -151,7 +130,7 @@ def parse_csv(source: IO[bytes], column_map: Mapping[str, str]) -> list[RawBugRo
         if header is None:
             raise SchemaError("input CSV has no header row")
 
-        positions = {}
+        positions = []
         for field in LOGICAL_FIELDS:
             column = column_map[field]
             occurrences = header.count(column)
@@ -162,105 +141,69 @@ def parse_csv(source: IO[bytes], column_map: Mapping[str, str]) -> list[RawBugRo
                     f"column {column!r} (mapped from {field!r}) appears {occurrences} times"
                     " in the header"
                 )
-            positions[field] = header.index(column)
+            positions.append(header.index(column))
+        id_position = positions[0]
+        pick_attributes = operator.itemgetter(*positions[1:])
 
-        rows: list[RawBugRow] = []
+        # per attribute: folded label -> code; the learned attributes also
+        # keep their labels in code order, each in its first-seen casing
+        folded = [SEVERITY_CODEBOOK._folded, PRIORITY_CODEBOOK._folded, {}, {}, {}]
+        learned: dict[Attribute, list[str]] = {
+            Attribute.COMPONENT: [],
+            Attribute.OPERATING_SYSTEM: [],
+            Attribute.ASSIGNEE: [],
+        }
+        # per attribute: raw cell -> code, so a repeated cell skips normalising
+        cell_codes: list[dict[str, int]] = [{} for _ in Attribute]
+
+        def code_of(attribute: Attribute, cell: str) -> int:
+            label = cell.strip()
+            if label in BLANK_CELLS:
+                label = UNSPECIFIED
+            key = label.casefold()
+            code = folded[attribute].get(key)
+            if code is None:
+                labels = learned.get(attribute)
+                if labels is None:
+                    raise UnknownCategoryError(attribute.display, label, reader.line_num)
+                labels.append(label)
+                code = folded[attribute][key] = len(labels)
+            cell_codes[attribute][cell] = code
+            return code
+
+        bug_ids: list[str] = []
         seen_ids: set[str] = set()
+        flat_codes: list[int] = []
         width = len(header)
-        while True:
-            try:
-                cells = next(reader, None)
-            except (csv.Error, UnicodeDecodeError) as exc:
-                raise RowError(f"unreadable row at line {reader.line_num}: {exc}") from exc
-            if cells is None:
-                break
-            if not cells:
-                continue  # fully blank line
-            if len(cells) != width:
-                raise RowError(
-                    f"row at line {reader.line_num} has {len(cells)} cells, header has {width}"
-                )
-            bug_id = cells[positions["bug_id"]].strip()
-            if not bug_id:
-                raise RowError(f"row at line {reader.line_num} has an empty bug_id")
-            if bug_id in seen_ids:
-                raise DuplicateIdError(f"duplicate bug_id: {bug_id!r}")
-            seen_ids.add(bug_id)
-            rows.append(
-                RawBugRow(
-                    bug_id=bug_id,
-                    severity=_normalize_cell(cells[positions["severity"]]),
-                    priority=_normalize_cell(cells[positions["priority"]]),
-                    component=_normalize_cell(cells[positions["component"]]),
-                    operating_system=_normalize_cell(cells[positions["operating_system"]]),
-                    assignee=_normalize_cell(cells[positions["assignee"]]),
-                )
-            )
-        return rows
+        try:
+            for cells in reader:
+                if not cells:
+                    continue  # fully blank line
+                if len(cells) != width:
+                    raise RowError(
+                        f"row at line {reader.line_num} has {len(cells)} cells, header has {width}"
+                    )
+                bug_id = cells[id_position].strip()
+                if not bug_id:
+                    raise RowError(f"row at line {reader.line_num} has an empty bug_id")
+                if bug_id in seen_ids:
+                    raise DuplicateIdError(f"duplicate bug_id: {bug_id!r}")
+                seen_ids.add(bug_id)
+                bug_ids.append(bug_id)
+                row = pick_attributes(cells)
+                codes = [*map(dict.get, cell_codes, row)]
+                if None in codes:
+                    codes = [*map(code_of, Attribute, row)]
+                flat_codes += codes
+        except (csv.Error, UnicodeDecodeError) as exc:
+            raise RowError(f"unreadable row at line {reader.line_num}: {exc}") from exc
     finally:
         text.detach()  # leave ownership of the byte stream with the caller
 
-
-class _LearnedCodebookBuilder:
-    """Assigns codes 1..n in first-appearance order, case-insensitively."""
-
-    def __init__(self, attribute: Attribute):
-        self.attribute = attribute
-        self._forward: dict[str, int] = {}
-        self._folded: dict[str, int] = {}
-
-    def code_for(self, label: str) -> int:
-        label = label.strip()
-        key = label.casefold()
-        code = self._folded.get(key)
-        if code is None:
-            code = len(self._forward) + 1
-            self._forward[label] = code
-            self._folded[key] = code
-        return code
-
-    def build(self) -> Codebook:
-        reverse = {code: label for label, code in self._forward.items()}
-        return Codebook(self.attribute, dict(self._forward), reverse)
-
-
-def build_codebooks_and_encode(
-    rows: list[RawBugRow],
-) -> tuple[dict[Attribute, Codebook], np.ndarray]:
-    """Encode rows into an ``(n, 5)`` int64 code array, one row per input row
-    and one column per Attribute, and return all five codebooks.
-
-    Severity/priority use the fixed scales (unknown labels raise); the other
-    three codebooks are learned from the input.
-    """
-    if not rows:
-        raise ParameterError("cannot encode an empty row list")
-
-    component = _LearnedCodebookBuilder(Attribute.COMPONENT)
-    operating_system = _LearnedCodebookBuilder(Attribute.OPERATING_SYSTEM)
-    assignee = _LearnedCodebookBuilder(Attribute.ASSIGNEE)
-
-    codes = np.array(
-        [
-            (
-                encode_severity(row.severity),
-                encode_priority(row.priority),
-                component.code_for(row.component),
-                operating_system.code_for(row.operating_system),
-                assignee.code_for(row.assignee),
-            )
-            for row in rows
-        ],
-        dtype=np.int64,
-    )
-    codebooks = {
-        Attribute.SEVERITY: SEVERITY_CODEBOOK,
-        Attribute.PRIORITY: PRIORITY_CODEBOOK,
-        Attribute.COMPONENT: component.build(),
-        Attribute.OPERATING_SYSTEM: operating_system.build(),
-        Attribute.ASSIGNEE: assignee.build(),
-    }
-    return codebooks, codes
+    codebooks = {Attribute.SEVERITY: SEVERITY_CODEBOOK, Attribute.PRIORITY: PRIORITY_CODEBOOK}
+    for attribute, labels in learned.items():
+        codebooks[attribute] = Codebook.from_labels(attribute, labels)
+    return bug_ids, codebooks, np.array(flat_codes, dtype=np.int64).reshape(-1, len(Attribute))
 
 
 def codebooks_to_json(codebooks: Mapping[Attribute, Codebook]) -> dict[str, dict[str, int]]:

@@ -25,13 +25,7 @@ import numpy as np
 from .cluster import ClusterModel, feature_matrix, kmeans_fit, model_to_json, split_by_cluster
 from .config import PipelineConfig
 from .errors import AuditError, InputError, ParameterError
-from .ingest import (
-    Attribute,
-    Codebook,
-    build_codebooks_and_encode,
-    codebooks_to_json,
-    parse_csv,
-)
+from .ingest import Attribute, Codebook, codebooks_to_json, read_bug_csv
 from .mine import FrequentItemsetTable, mine_frequent_itemsets
 from .oracle import enumerate_frequent_itemsets, essential_rules_naive, witness_is_valid
 from .report import (
@@ -83,11 +77,10 @@ def _load_and_encode(config: PipelineConfig):
     except OSError as exc:
         raise InputError(f"cannot read input {config.input_path!r}: {exc}") from exc
     input_sha256 = hashlib.sha256(payload).hexdigest()
-    rows = parse_csv(io.BytesIO(payload), config.column_map)
-    if not rows:
+    bug_ids, codebooks, codes = read_bug_csv(io.BytesIO(payload), config.column_map)
+    if not bug_ids:
         raise InputError(f"input {config.input_path!r} contains no data rows")
-    codebooks, codes = build_codebooks_and_encode(rows)
-    return input_sha256, codebooks, [row.bug_id for row in rows], codes
+    return input_sha256, codebooks, bug_ids, codes
 
 
 def _mine_cluster(

@@ -13,7 +13,7 @@ import random
 from pathlib import Path
 
 from .errors import ParameterError
-from .ingest import LOGICAL_FIELDS, PRIORITY_LABELS, SEVERITY_LABELS, RawBugRow
+from .ingest import LOGICAL_FIELDS, PRIORITY_LABELS, SEVERITY_LABELS
 
 # Marginal weights loosely shaped like a public tracker: most bugs are
 # normal severity / default priority.
@@ -84,8 +84,9 @@ def synthesize_rows(
     assignees: int = 15,
     skew: float = 1.0,
     seed: int = 0,
-) -> list[RawBugRow]:
-    """Generate ``rows`` raw bug rows with skewed, correlated attributes.
+) -> list[tuple[str, ...]]:
+    """Generate ``rows`` bug rows with skewed, correlated attributes, each a
+    tuple of cells in LOGICAL_FIELDS order.
 
     Each component has a primary owner who takes ~65% of its bugs and a
     (component, os)-specific secondary owner for another ~15%; the rest go
@@ -125,32 +126,22 @@ def synthesize_rows(
         else:
             assignee_idx = rng.choices(range(assignees), weights=assignee_weights)[0]
         out.append(
-            RawBugRow(
-                bug_id=f"BUG-{i + 1:06d}",
-                severity=severity,
-                priority=priority,
-                component=component_names[component_idx],
-                operating_system=os_names[os_idx],
-                assignee=assignee_names[assignee_idx],
+            (
+                f"BUG-{i + 1:06d}",
+                severity,
+                priority,
+                component_names[component_idx],
+                os_names[os_idx],
+                assignee_names[assignee_idx],
             )
         )
     return out
 
 
-def write_csv(path: Path, rows: list[RawBugRow]) -> None:
+def write_csv(path: Path, rows: list[tuple[str, ...]]) -> None:
     """Write rows with the logical field names as the header."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(LOGICAL_FIELDS)
-        for row in rows:
-            writer.writerow(
-                [
-                    row.bug_id,
-                    row.severity,
-                    row.priority,
-                    row.component,
-                    row.operating_system,
-                    row.assignee,
-                ]
-            )
+        writer.writerows(rows)

@@ -1,13 +1,15 @@
+import hashlib
 import json
 
 import pytest
 
 from conftest import tree_bytes
 from triage_miner import cli
-from triage_miner.config import PipelineConfig, validate_config
+from triage_miner.config import PipelineConfig, default_column_map, validate_config
 from triage_miner.errors import AuditError, ConfigError
 from triage_miner.oracle import enumerate_frequent_itemsets
 from triage_miner.pipeline import execute
+from triage_miner.synth import synthesize_rows, write_csv
 
 
 class TestValidateConfig:
@@ -50,6 +52,12 @@ class TestValidateConfig:
     def test_column_map_must_cover_all_fields(self):
         raw = json.dumps({"input_path": "a.csv", "column_map": {"bug_id": "id"}})
         with pytest.raises(ConfigError, match="severity"):
+            validate_config(raw)
+
+    def test_two_fields_mapped_to_one_column_name_both(self):
+        column_map = dict(default_column_map(), operating_system="component")
+        raw = json.dumps({"input_path": "a.csv", "column_map": column_map})
+        with pytest.raises(ConfigError, match="component and column_map.operating_system"):
             validate_config(raw)
 
     def test_invalid_json_is_a_config_error(self):
@@ -179,6 +187,30 @@ class TestRunCommand:
         )
         assert code == 1
 
+    def test_one_column_mapped_twice_exits_1(self, sample_csv, tmp_path, capsys):
+        column_map = dict(default_column_map(), operating_system="component")
+        config_path = tmp_path / "config.json"
+        config_path.write_text(
+            json.dumps({"input_path": str(sample_csv), "column_map": column_map})
+        )
+        out = tmp_path / "x"
+        assert cli.main(["run", "--config", str(config_path), "--output", str(out)]) == 1
+        assert "column_map.component and column_map.operating_system" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_first_bad_row_in_file_order_exits_2_and_names_its_line(self, tmp_path, capsys):
+        # line 2 has an unknown severity, line 3 repeats line 2's bug id
+        bad = tmp_path / "bad.csv"
+        bad.write_text(
+            "bug_id,severity,priority,component,operating_system,assignee\n"
+            "7,S1,P3,General,Linux,a\n"
+            "7,normal,P3,General,Linux,b\n"
+        )
+        out = tmp_path / "x"
+        assert cli.main(["run", "--input", str(bad), "--output", str(out)]) == 2
+        assert "unknown Severity label: 'S1' at line 2" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_infeasible_k_exits_nonzero_and_leaves_no_output(self, sample_csv, tmp_path, capsys):
         out = tmp_path / "partial"
         code = cli.main(
@@ -279,6 +311,15 @@ class TestSynthesizeCommand:
         assert cli.main(["run", "--input", str(csv_path), "--output", str(out)]) == 0
         summary = json.loads((out / "report" / "summary.json").read_text())
         assert summary["records"] == 300
+
+    def test_rule_dense_5k_input_is_pinned(self, tmp_path):
+        # the benchmark's rule-dense-5k input: the generator and the writer
+        # must keep producing these bytes
+        path = tmp_path / "dense.csv"
+        write_csv(path, synthesize_rows(5000, 40, 8, 60, 1.0, 11))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "ac67f8bf695fbe0320ee4fae754fe92af441f387d51a92a0e2bf7773f787c7f1"
+        )
 
     def test_bad_row_count_exits_1(self, tmp_path):
         code = cli.main(["synthesize", "--output", str(tmp_path / "x.csv"), "--rows", "0"])

@@ -1,30 +1,31 @@
 import csv
 import io
+import itertools
 
 import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from triage_miner.config import PipelineConfig
 from triage_miner.errors import (
     DuplicateIdError,
     InputError,
-    ParameterError,
     RowError,
     SchemaError,
     UnknownCategoryError,
 )
 from triage_miner.ingest import (
+    LOGICAL_FIELDS,
+    PRIORITY_CODEBOOK,
     PRIORITY_LABELS,
+    SEVERITY_CODEBOOK,
     SEVERITY_LABELS,
     Attribute,
-    RawBugRow,
-    build_codebooks_and_encode,
     codebooks_to_json,
-    encode_priority,
-    encode_severity,
-    parse_csv,
+    read_bug_csv,
 )
+from triage_miner.pipeline import execute
 
 COLUMN_MAP = {
     "bug_id": "id",
@@ -34,101 +35,146 @@ COLUMN_MAP = {
     "operating_system": "os",
     "assignee": "who",
 }
+_HEADER = ["id", "sev", "pri", "comp", "os", "who"]
+LEARNED = (Attribute.COMPONENT, Attribute.OPERATING_SYSTEM, Attribute.ASSIGNEE)
 
 
 def _csv(text: str) -> io.BytesIO:
     return io.BytesIO(text.encode("utf-8"))
 
 
+def _read(text: str):
+    return read_bug_csv(_csv(text), COLUMN_MAP)
+
+
 def _row(bug_id="1", severity="Normal", priority="P3", component="General",
-         operating_system="Linux", assignee="alice") -> RawBugRow:
-    return RawBugRow(bug_id, severity, priority, component, operating_system, assignee)
+         operating_system="Linux", assignee="alice") -> tuple[str, ...]:
+    return (bug_id, severity, priority, component, operating_system, assignee)
+
+
+def _read_rows(rows):
+    """Write rows (in _HEADER order) as a CSV and read them back."""
+    buffer = io.StringIO()
+    csv.writer(buffer).writerows([_HEADER, *rows])
+    return _read(buffer.getvalue())
 
 
 class TestParseCsv:
     def test_direct_field_mapping(self):
-        rows = parse_csv(_csv("id,sev,pri,comp,os,who\n42,normal,P3,General,Linux,alice\n"), COLUMN_MAP)
-        assert rows == [RawBugRow("42", "normal", "P3", "General", "Linux", "alice")]
+        payload = "id,sev,pri,comp,os,who\n42,normal,P3,General,Linux,alice\n"
+        bug_ids, codebooks, codes = _read(payload)
+        assert bug_ids == ["42"]
+        assert codes.tolist() == [[4, 3, 1, 1, 1]]
+        assert codebooks[Attribute.COMPONENT].forward == {"General": 1}
+        assert codebooks[Attribute.OPERATING_SYSTEM].forward == {"Linux": 1}
+        assert codebooks[Attribute.ASSIGNEE].forward == {"alice": 1}
 
     def test_missing_mapped_column_names_it(self):
         bad_map = dict(COLUMN_MAP, severity="severity")
+        payload = "id,sev,pri,comp,os,who\n42,normal,P3,General,Linux,alice\n"
         with pytest.raises(SchemaError, match="severity"):
-            parse_csv(_csv("id,sev,pri,comp,os,who\n42,normal,P3,General,Linux,alice\n"), bad_map)
+            read_bug_csv(_csv(payload), bad_map)
 
     def test_blank_cell_becomes_unspecified(self):
-        rows = parse_csv(_csv("id,sev,pri,comp,os,who\n42,normal,P3,General,,alice\n"), COLUMN_MAP)
-        assert rows[0].operating_system == "Unspecified"
+        _, codebooks, _ = _read("id,sev,pri,comp,os,who\n42,normal,P3,General,,alice\n")
+        assert codebooks[Attribute.OPERATING_SYSTEM].forward == {"Unspecified": 1}
 
     def test_double_dash_cell_becomes_unspecified(self):
-        rows = parse_csv(_csv("id,sev,pri,comp,os,who\n42,normal,--,General,Linux,alice\n"), COLUMN_MAP)
-        assert rows[0].priority == "Unspecified"
+        _, codebooks, _ = _read("id,sev,pri,comp,os,who\n42,normal,P3,--,Linux,alice\n")
+        assert codebooks[Attribute.COMPONENT].forward == {"Unspecified": 1}
+        # on a fixed scale "Unspecified" is no level, so the row is rejected
+        with pytest.raises(UnknownCategoryError, match="'Unspecified' at line 2"):
+            _read("id,sev,pri,comp,os,who\n42,normal,--,General,Linux,alice\n")
 
     def test_duplicate_bug_id_names_the_id(self):
         payload = "id,sev,pri,comp,os,who\n7,normal,P3,General,Linux,a\n7,major,P2,Sync,All,b\n"
         with pytest.raises(DuplicateIdError, match="7"):
-            parse_csv(_csv(payload), COLUMN_MAP)
+            _read(payload)
 
     def test_short_row_reports_line_number(self):
         payload = "id,sev,pri,comp,os,who\n1,normal,P3,General,Linux,a\n2,normal,P3\n"
         with pytest.raises(RowError, match="line 3"):
-            parse_csv(_csv(payload), COLUMN_MAP)
+            _read(payload)
 
     def test_empty_bug_id_is_a_row_error(self):
         with pytest.raises(RowError, match="line 2"):
-            parse_csv(_csv("id,sev,pri,comp,os,who\n,normal,P3,General,Linux,a\n"), COLUMN_MAP)
+            _read("id,sev,pri,comp,os,who\n,normal,P3,General,Linux,a\n")
+
+    def test_first_bad_row_in_file_order_is_reported(self):
+        unknown_then_duplicate = (
+            "id,sev,pri,comp,os,who\n7,S1,P3,General,Linux,a\n7,normal,P3,General,Linux,b\n"
+        )
+        with pytest.raises(UnknownCategoryError, match="'S1' at line 2"):
+            _read(unknown_then_duplicate)
+        duplicate_then_unknown = (
+            "id,sev,pri,comp,os,who\n7,normal,P3,General,Linux,a\n7,S1,P3,General,Linux,b\n"
+        )
+        with pytest.raises(DuplicateIdError, match="7"):
+            _read(duplicate_then_unknown)
+
+    def test_unknown_priority_names_its_line(self):
+        payload = (
+            "id,sev,pri,comp,os,who\n1,normal,P3,General,Linux,a\n2,normal,P9,General,Linux,a\n"
+        )
+        with pytest.raises(UnknownCategoryError, match="'P9' at line 3") as err:
+            _read(payload)
+        assert err.value.exit_code == 2
 
     def test_duplicate_mapped_header_names_the_column(self):
         payload = "id,sev,pri,comp,os,who,comp\n42,normal,P3,General,Linux,alice,Sync\n"
         with pytest.raises(SchemaError, match="'comp'.*2 times"):
-            parse_csv(_csv(payload), COLUMN_MAP)
+            _read(payload)
 
     def test_duplicate_unmapped_header_is_allowed(self):
         payload = "id,sev,pri,comp,os,who,note,note\n42,normal,P3,General,Linux,alice,x,y\n"
-        rows = parse_csv(_csv(payload), COLUMN_MAP)
-        assert rows == [RawBugRow("42", "normal", "P3", "General", "Linux", "alice")]
+        bug_ids, codebooks, codes = _read(payload)
+        assert bug_ids == ["42"]
+        assert codes.tolist() == [[4, 3, 1, 1, 1]]
+        assert codebooks[Attribute.COMPONENT].forward == {"General": 1}
 
     def test_incomplete_column_map_is_a_schema_error(self):
         with pytest.raises(SchemaError, match="assignee"):
-            parse_csv(_csv("id\n1\n"), {"bug_id": "id"})
+            read_bug_csv(_csv("id\n1\n"), {"bug_id": "id"})
 
     def test_rows_keep_file_order(self):
         payload = "id,sev,pri,comp,os,who\n" + "".join(
-            f"b{i},normal,P3,General,Linux,a\n" for i in range(20)
+            f"b{i},normal,P3,C{i % 3},Linux,a\n" for i in range(20)
         )
-        rows = parse_csv(_csv(payload), COLUMN_MAP)
-        assert [r.bug_id for r in rows] == [f"b{i}" for i in range(20)]
+        bug_ids, _, codes = _read(payload)
+        assert bug_ids == [f"b{i}" for i in range(20)]
+        assert codes[:, Attribute.COMPONENT].tolist() == [i % 3 + 1 for i in range(20)]
 
     def test_does_not_close_the_source_stream(self):
         stream = _csv("id,sev,pri,comp,os,who\n1,normal,P3,General,Linux,a\n")
-        parse_csv(stream, COLUMN_MAP)
+        read_bug_csv(stream, COLUMN_MAP)
         assert not stream.closed
 
 
 class TestFixedScales:
     def test_blocker_is_level_one(self):
-        assert encode_severity("blocker") == 1
+        assert SEVERITY_CODEBOOK.encode("blocker") == 1
 
     def test_enhancement_is_level_seven(self):
-        assert encode_severity("enhancement") == 7
+        assert SEVERITY_CODEBOOK.encode("enhancement") == 7
 
     def test_severity_lookup_ignores_case(self):
-        assert encode_severity("Normal") == 4
-        assert encode_severity("  CRITICAL  ") == 2
+        assert SEVERITY_CODEBOOK.encode("Normal") == 4
+        assert SEVERITY_CODEBOOK.encode("  CRITICAL  ") == 2
 
     def test_priority_endpoints(self):
-        assert encode_priority("P1") == 1
-        assert encode_priority("P5") == 5
+        assert PRIORITY_CODEBOOK.encode("P1") == 1
+        assert PRIORITY_CODEBOOK.encode("P5") == 5
 
     def test_priority_lookup_ignores_case(self):
-        assert encode_priority("p3") == 3
+        assert PRIORITY_CODEBOOK.encode("p3") == 3
 
     def test_unknown_severity_carries_the_label(self):
         with pytest.raises(UnknownCategoryError, match="S1"):
-            encode_severity("S1")
+            SEVERITY_CODEBOOK.encode("S1")
 
     def test_unknown_priority_rejected(self):
         with pytest.raises(UnknownCategoryError):
-            encode_priority("P6")
+            PRIORITY_CODEBOOK.encode("P6")
 
     @pytest.mark.parametrize(
         "label,code",
@@ -136,19 +182,19 @@ class TestFixedScales:
          ("minor", 5), ("trivial", 6), ("enhancement", 7)],
     )
     def test_full_severity_scale(self, label, code):
-        assert encode_severity(label) == code
+        assert SEVERITY_CODEBOOK.encode(label) == code
 
 
 class TestBuildCodebooks:
     def test_first_appearance_order(self):
         rows = [_row("1", component="General"), _row("2", component="Sync"),
                 _row("3", component="General")]
-        codebooks, _ = build_codebooks_and_encode(rows)
+        _, codebooks, _ = _read_rows(rows)
         assert codebooks[Attribute.COMPONENT].forward == {"General": 1, "Sync": 2}
 
     def test_singleton_learned_codebooks(self):
-        codebooks, codes = build_codebooks_and_encode([_row()])
-        for attribute in (Attribute.COMPONENT, Attribute.OPERATING_SYSTEM, Attribute.ASSIGNEE):
+        _, codebooks, codes = _read_rows([_row()])
+        for attribute in LEARNED:
             assert codebooks[attribute].forward == {list(codebooks[attribute].forward)[0]: 1}
         assert codes.shape == (1, 5) and codes.dtype == np.int64
         assert codes[0, 2] == codes[0, 3] == codes[0, 4] == 1
@@ -156,29 +202,34 @@ class TestBuildCodebooks:
     def test_assignee_codes_round_trip(self):
         names = ["ann", "bob", "cal", "dee"]
         rows = [_row(str(i), assignee=names[i % 4]) for i in range(10)]
-        codebooks, codes = build_codebooks_and_encode(rows)
+        _, codebooks, codes = _read_rows(rows)
         book = codebooks[Attribute.ASSIGNEE]
         assert sorted(book.reverse) == [1, 2, 3, 4]
         # independent decode pass: every record decodes to its original label
         for row, code in zip(rows, codes[:, Attribute.ASSIGNEE].tolist()):
-            assert book.decode(code) == row.assignee
+            assert book.decode(code) == row[5]
 
-    def test_empty_input_rejected(self):
-        with pytest.raises(ParameterError):
-            build_codebooks_and_encode([])
+    def test_empty_input_rejected(self, tmp_path):
+        # a header alone reads as zero rows, and a run rejects it as bad input
+        bug_ids, _, codes = _read_rows([])
+        assert bug_ids == [] and codes.shape == (0, 5)
+        path = tmp_path / "empty.csv"
+        path.write_text(",".join(LOGICAL_FIELDS) + "\n")
+        with pytest.raises(InputError, match="no data rows"):
+            execute(PipelineConfig(input_path=str(path)))
 
     def test_unknown_severity_propagates(self):
-        with pytest.raises(UnknownCategoryError):
-            build_codebooks_and_encode([_row(severity="catastrophic")])
+        with pytest.raises(UnknownCategoryError, match="'catastrophic' at line 2"):
+            _read_rows([_row(severity="catastrophic")])
 
     def test_case_insensitive_learned_labels_keep_first_casing(self):
         rows = [_row("1", component="General"), _row("2", component="GENERAL")]
-        codebooks, codes = build_codebooks_and_encode(rows)
+        _, codebooks, codes = _read_rows(rows)
         assert codebooks[Attribute.COMPONENT].forward == {"General": 1}
         assert codes[:, Attribute.COMPONENT].tolist() == [1, 1]
 
     def test_codebooks_json_shape(self):
-        codebooks, _ = build_codebooks_and_encode([_row()])
+        _, codebooks, _ = _read_rows([_row()])
         payload = codebooks_to_json(codebooks)
         assert payload["Severity"]["Blocker"] == 1
         assert payload["Priority"]["P5"] == 5
@@ -209,9 +260,9 @@ def test_round_trip_and_contiguous_codes(components, oses, assignees):
         )
         for i in range(n)
     ]
-    codebooks, codes = build_codebooks_and_encode(rows)
+    _, codebooks, codes = _read_rows(rows)
     assert codes.shape == (n, 5)
-    for attribute in (Attribute.COMPONENT, Attribute.OPERATING_SYSTEM, Attribute.ASSIGNEE):
+    for attribute in LEARNED:
         book = codebooks[attribute]
         # bijection between forward and reverse
         assert {book.decode(code) for code in book.reverse} == set(book.forward)
@@ -219,12 +270,14 @@ def test_round_trip_and_contiguous_codes(components, oses, assignees):
         # codes are exactly 1..n
         assert sorted(book.reverse) == list(range(1, len(book) + 1))
     # round-trip through every record
-    for row, (severity, priority, component, os_, assignee) in zip(rows, codes.tolist()):
-        assert encode_severity(row.severity) == severity
-        assert encode_priority(row.priority) == priority
-        assert codebooks[Attribute.COMPONENT].encode(row.component) == component
-        assert codebooks[Attribute.OPERATING_SYSTEM].encode(row.operating_system) == os_
-        assert codebooks[Attribute.ASSIGNEE].encode(row.assignee) == assignee
+    for (_, severity_label, priority_label, component_label, os_label, assignee_label), (
+        severity, priority, component, os_, assignee
+    ) in zip(rows, codes.tolist()):
+        assert SEVERITY_CODEBOOK.encode(severity_label) == severity
+        assert PRIORITY_CODEBOOK.encode(priority_label) == priority
+        assert codebooks[Attribute.COMPONENT].encode(component_label) == component
+        assert codebooks[Attribute.OPERATING_SYSTEM].encode(os_label) == os_
+        assert codebooks[Attribute.ASSIGNEE].encode(assignee_label) == assignee
 
 
 @given(st.integers(0, 2**32))
@@ -238,30 +291,102 @@ def test_parse_and_encode_are_deterministic(seed):
             f"b{i},normal,P{rnd.randint(1, 5)},C{rnd.randint(0, 5)},O{rnd.randint(0, 3)},A{rnd.randint(0, 6)}"
         )
     payload = ("\n".join(lines) + "\n").encode()
-    first = parse_csv(io.BytesIO(payload), COLUMN_MAP)
-    second = parse_csv(io.BytesIO(payload), COLUMN_MAP)
-    assert first == second
-    books1, codes1 = build_codebooks_and_encode(first)
-    books2, codes2 = build_codebooks_and_encode(second)
+    ids1, books1, codes1 = read_bug_csv(io.BytesIO(payload), COLUMN_MAP)
+    ids2, books2, codes2 = read_bug_csv(io.BytesIO(payload), COLUMN_MAP)
+    assert ids1 == ids2
     assert np.array_equal(codes1, codes2)
     assert all(books1[a].forward == books2[a].forward for a in Attribute)
 
 
-_HEADER = ["id", "sev", "pri", "comp", "os", "who"]
+def _reference_read(payload: bytes, column_map):
+    """The reader's result on valid input, computed the slow way: csv.reader,
+    then normalise each cell, then first-appearance dicts searched by
+    casefolded comparison. Returns bug ids, per-attribute forward maps and
+    the code rows."""
+    lines = payload.decode("utf-8-sig").splitlines()
+    header, *rows = [row for row in csv.reader(lines) if row]
+    positions = [header.index(column_map[field]) for field in LOGICAL_FIELDS]
+    forwards = [
+        dict(zip(SEVERITY_LABELS, itertools.count(1))),
+        dict(zip(PRIORITY_LABELS, itertools.count(1))),
+        {},
+        {},
+        {},
+    ]
+    code_rows = []
+    for row in rows:
+        code_row = []
+        for forward, position in zip(forwards, positions[1:]):
+            label = row[position].strip()
+            if label in ("", "--"):
+                label = "Unspecified"
+            known = [code for seen, code in forward.items() if seen.casefold() == label.casefold()]
+            if not known:
+                forward[label] = len(forward) + 1
+                known = [forward[label]]
+            code_row.append(known[0])
+        code_rows.append(code_row)
+    return [row[positions[0]].strip() for row in rows], forwards, code_rows
+
+
+_padding = st.sampled_from(["", " ", "  ", "\t"])
+_casing = st.sampled_from([str, str.upper, str.lower, str.swapcase])
+
+
+def _cells(labels):
+    return st.tuples(_padding, _casing, st.sampled_from(labels), _padding).map(
+        lambda parts: parts[0] + parts[1](parts[2]) + parts[3]
+    )
+
+
+@given(
+    rows=st.lists(
+        st.tuples(
+            _cells(SEVERITY_LABELS),
+            _cells(PRIORITY_LABELS),
+            _cells(["General", "Build Config", "Sync", "Straße", "", "--", "Unspecified"]),
+            _cells(["Linux", "macOS", "All", "", "--"]),
+            _cells(["Ada Riley", "ben okafor", "Çelik", "--", ""]),
+            _cells(["note", "", "x"]),
+        ),
+        min_size=1,
+        max_size=25,
+    ),
+    column_order=st.permutations(range(7)),
+    bom=st.sampled_from(["", "\ufeff"]),
+    newline=st.sampled_from(["\n", "\r\n", "\r"]),
+)
+@settings(max_examples=150, deadline=None)
+def test_reader_matches_reference(rows, column_order, bom, newline):
+    # column 0 is the bug id (padded, so its trimming shows), column 6 is unmapped
+    columns = [*_HEADER, "note"]
+    table = [[f" b{i} ", *row] for i, row in enumerate(rows)]
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator=newline).writerows(
+        [[line[j] for j in column_order] for line in [columns, *table]]
+    )
+    payload = (bom + buffer.getvalue()).encode("utf-8")
+
+    bug_ids, codebooks, codes = read_bug_csv(io.BytesIO(payload), COLUMN_MAP)
+    expected_ids, expected_forwards, expected_codes = _reference_read(payload, COLUMN_MAP)
+    assert bug_ids == expected_ids
+    assert codes.dtype == np.int64 and codes.tolist() == expected_codes
+    for attribute, forward in zip(Attribute, expected_forwards):
+        assert list(codebooks[attribute].forward.items()) == list(forward.items())
+
+
 _cell = st.one_of(
     st.text(max_size=6),
     st.sampled_from(["Normal", " major ", "P1", "p5", "--", "", "Unspecified", "x\r\ny"]),
 )
 
 
-def _parse_and_encode(payload: bytes) -> None:
+def _read_or_input_error(payload: bytes) -> None:
     """The ingest path of a run: only InputError subclasses may escape, so
     bad input exits with code 2, never 3."""
     try:
-        rows = parse_csv(io.BytesIO(payload), COLUMN_MAP)
-        if rows:
-            _, codes = build_codebooks_and_encode(rows)
-            assert codes.shape == (len(rows), 5)
+        bug_ids, _, codes = read_bug_csv(io.BytesIO(payload), COLUMN_MAP)
+        assert codes.shape == (len(bug_ids), 5)
     except InputError:
         pass
 
@@ -269,12 +394,12 @@ def _parse_and_encode(payload: bytes) -> None:
 @given(st.binary(max_size=512))
 @settings(max_examples=300, deadline=None)
 def test_arbitrary_bytes_raise_only_input_errors(payload):
-    _parse_and_encode(payload)
-    _parse_and_encode(",".join(_HEADER).encode() + b"\n" + payload)
+    _read_or_input_error(payload)
+    _read_or_input_error(",".join(_HEADER).encode() + b"\n" + payload)
 
 
 # rows of the header's width with mostly valid scales, so that many inputs
-# reach the encoder, mixed with rows of any width
+# reach the encoding, mixed with rows of any width
 _csv_row = st.tuples(
     _cell,
     st.one_of(st.sampled_from(SEVERITY_LABELS), _cell),
@@ -294,4 +419,4 @@ _csv_row = st.tuples(
 def test_arbitrary_rows_raise_only_input_errors(rows, bom, newline):
     buffer = io.StringIO()
     csv.writer(buffer, lineterminator=newline).writerows([_HEADER, *rows])
-    _parse_and_encode((bom + buffer.getvalue()).encode("utf-8", "surrogatepass"))
+    _read_or_input_error((bom + buffer.getvalue()).encode("utf-8", "surrogatepass"))

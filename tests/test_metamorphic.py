@@ -2,15 +2,18 @@
 a known change to the input or the parameters must change the rule tables
 in a known way (Zaki, KDD 2000, on the subsumption properties pinned here)."""
 
-import dataclasses
+import random
+import re
 import tempfile
 from pathlib import Path
 
 import hypothesis.strategies as st
+import numpy as np
 from hypothesis import given, settings
 
 from triage_miner.config import PipelineConfig
-from triage_miner.pipeline import ClusterOutcome, execute
+from triage_miner.ingest import Attribute
+from triage_miner.pipeline import ClusterOutcome, PipelineResult, execute
 from triage_miner.synth import synthesize_rows, write_csv
 
 SHAPES = dict(
@@ -25,12 +28,15 @@ SHAPES = dict(
 )
 
 
-def _single_cluster(rows, **parameters) -> ClusterOutcome:
+def _run(rows, **parameters) -> PipelineResult:
     with tempfile.TemporaryDirectory() as workdir:
         csv_path = Path(workdir) / "bugs.csv"
         write_csv(csv_path, rows)
-        result = execute(PipelineConfig(input_path=str(csv_path), k=1, **parameters))
-    [outcome] = result.outcomes
+        return execute(PipelineConfig(input_path=str(csv_path), k=1, **parameters))
+
+
+def _single_cluster(rows, **parameters) -> ClusterOutcome:
+    [outcome] = _run(rows, **parameters).outcomes
     return outcome
 
 
@@ -79,7 +85,7 @@ def test_duplicating_rows_and_doubling_support_doubles_every_count(
     min_confidence,
 ):
     data = synthesize_rows(rows, components, operating_systems, assignees, skew, data_seed)
-    copies = [dataclasses.replace(row, bug_id=f"{row.bug_id}-copy") for row in data]
+    copies = [(f"{bug_id}-copy", *cells) for bug_id, *cells in data]
     shared = dict(min_confidence=min_confidence, top_n=top_n)
     once = _single_cluster(data, min_support_count=min_support_count, **shared)
     twice = _single_cluster(data + copies, min_support_count=2 * min_support_count, **shared)
@@ -90,3 +96,80 @@ def test_duplicating_rows_and_doubling_support_doubles_every_count(
     }
     # same rules in the same order, same confidences, same split and witnesses
     assert list(_table(twice).items()) == list(doubled.items())
+
+
+
+# synthesized row column -> relabelled attribute
+_RELABELLED_COLUMNS = {3: Attribute.COMPONENT, 4: Attribute.OPERATING_SYSTEM, 5: Attribute.ASSIGNEE}
+# a relabelled attribute's label in a rendered rule, after its prefix
+_RENDERED_LABEL = re.compile(r"(Component|Os |Assignee )\{([^{}]*)\}")
+_PREFIXES = {"Component": Attribute.COMPONENT, "Os ": Attribute.OPERATING_SYSTEM,
+             "Assignee ": Attribute.ASSIGNEE}
+
+
+@given(
+    **SHAPES,
+    min_confidence=st.sampled_from((0.05, 0.1, 0.3, 0.6, 1.0)),
+    shuffle_seed=st.integers(0, 2**16),
+)
+@settings(max_examples=25, deadline=None)
+def test_relabelling_categories_changes_only_rendered_labels(
+    rows, components, operating_systems, assignees, skew, data_seed, min_support_count, top_n,
+    min_confidence, shuffle_seed,
+):
+    data = synthesize_rows(rows, components, operating_systems, assignees, skew, data_seed)
+    # a bijection per attribute: the labels trade places among themselves, so
+    # their sorted order changes, and some of them change case
+    shuffle = random.Random(shuffle_seed)
+    mappings = {}
+    for column, attribute in _RELABELLED_COLUMNS.items():
+        labels = sorted({row[column] for row in data})
+        targets = shuffle.sample(labels, len(labels))
+        mappings[attribute] = {
+            label: target.upper() if shuffle.random() < 0.5 else target
+            for label, target in zip(labels, targets)
+        }
+    relabelled_data = [
+        tuple(
+            mappings[_RELABELLED_COLUMNS[column]][cell] if column in _RELABELLED_COLUMNS else cell
+            for column, cell in enumerate(row)
+        )
+        for row in data
+    ]
+    parameters = dict(
+        min_support_count=min_support_count, min_confidence=min_confidence, top_n=top_n
+    )
+    original = _run(data, **parameters)
+    relabelled = _run(relabelled_data, **parameters)
+
+    # applied row by row, a bijection keeps first-appearance order, so every
+    # code, count, rule, status and witness is unchanged, in the same order
+    assert np.array_equal(relabelled.codes, original.codes)
+    [before], [after] = original.outcomes, relabelled.outcomes
+    assert after.top_codes == before.top_codes
+    assert list(_table(after).items()) == list(_table(before).items())
+    for attribute, mapping in mappings.items():
+        assert relabelled.codebooks[attribute].forward == {
+            mapping[label]: code for label, code in original.codebooks[attribute].forward.items()
+        }
+
+    # the rendered report differs from the original exactly by the mapping
+    def relabel(text: str) -> str:
+        return _RENDERED_LABEL.sub(
+            lambda match: f"{match[1]}{{{mappings[_PREFIXES[match[1]]][match[2]]}}}", text
+        )
+
+    report, expected = after.report, before.report
+    assert report.top_assignees == tuple(
+        mappings[Attribute.ASSIGNEE][label] for label in expected.top_assignees
+    )
+    assert (report.essential_count, report.redundant_count, report.length_histogram) == (
+        expected.essential_count, expected.redundant_count, expected.length_histogram
+    )
+    assert [rendered.text for rendered in report.essential_rendered] == [
+        relabel(rendered.text) for rendered in expected.essential_rendered
+    ]
+    assert [(rendered.text, witness) for rendered, witness in report.redundant_rendered] == [
+        (relabel(rendered.text), relabel(witness))
+        for rendered, witness in expected.redundant_rendered
+    ]
