@@ -4,6 +4,10 @@ Lloyd iterations with k-means++ initialization, driven by a deterministic
 generator so identical inputs and seed give bit-identical assignments.
 Distances are squared Euclidean on the raw integer codes; the assignee code
 is excluded from the features because it is the prediction target.
+
+Lloyd steps run on the distinct feature vectors, gathered back to the points.
+This is exact: equal points get equal labels, and count-weighted sums of
+integer coordinates are exact below 2**53, so centroids equal per-point means.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConsistencyError, InfeasibleKError, ParameterError
+from .mine import distinct_rows
 
 
 @dataclass(frozen=True)
@@ -34,10 +39,7 @@ class ClusterModel:
     inertia_history: tuple[float, ...]
 
     def cluster_sizes(self) -> list[int]:
-        sizes = [0] * self.k
-        for cluster in self.assignments:
-            sizes[cluster] += 1
-        return sizes
+        return np.bincount(self.assignments, minlength=self.k).tolist()
 
 
 def feature_matrix(codes: np.ndarray) -> np.ndarray:
@@ -116,7 +118,7 @@ def kmeans_fit(
 
     Stops when assignments are unchanged between iterations or after
     max_iterations. Requires k <= number of distinct points so no cluster
-    can stay empty.
+    can stay empty. The k-means++ draws are made over all points.
     """
     if k <= 0:
         raise ParameterError(f"k must be positive, got {k}")
@@ -125,32 +127,37 @@ def kmeans_fit(
     data = np.asarray(points, dtype=float)
     if data.ndim != 2 or len(data) == 0:
         raise ParameterError("points must be a non-empty list of equal-length vectors")
-    ordered = data[np.lexsort(data.T)]
-    distinct = 1 + int((ordered[1:] != ordered[:-1]).any(axis=1).sum())
-    if k > distinct:
+    vectors, rank, counts = distinct_rows(data)
+    if k > len(vectors):
         raise InfeasibleKError(
-            f"k={k} exceeds the {distinct} distinct feature vectors in the input"
+            f"k={k} exceeds the {len(vectors)} distinct feature vectors in the input"
         )
 
-    rng = np.random.default_rng(seed)
-    centroids = _kmeanspp_init(data, k, rng)
-    centroids, assignments, dists = _assign_with_repair(data, centroids, k)
+    def assign(centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(centroids, labels of the distinct vectors, per-point distances),
+        through the per-point repair when a cluster would be empty."""
+        labels, dists = _nearest(vectors, centroids)
+        if np.bincount(labels, minlength=k).all():
+            return centroids, labels, dists[rank]
+        centroids, assignments, dists = _assign_with_repair(data, centroids, k)
+        labels[rank] = assignments  # equal points get equal labels
+        return centroids, labels, dists
+
+    centroids, labels, dists = assign(_kmeanspp_init(data, k, np.random.default_rng(seed)))
     history = [float(dists.sum())]
-    iterations_run = 0
-    for iteration in range(1, max_iterations + 1):
-        centroids = np.stack([data[assignments == j].mean(axis=0) for j in range(k)])
-        centroids, new_assignments, dists = _assign_with_repair(data, centroids, k)
+    for iterations_run in range(1, max_iterations + 1):
+        previous = labels
+        sums = [np.bincount(labels, weights=counts * column, minlength=k) for column in vectors.T]
+        centroids = np.column_stack(sums) / np.bincount(labels, counts, minlength=k)[:, None]
+        centroids, labels, dists = assign(centroids)
         history.append(float(dists.sum()))
-        iterations_run = iteration
-        converged = bool(np.array_equal(new_assignments, assignments))
-        assignments = new_assignments
-        if converged:
+        if np.array_equal(labels, previous):
             break
 
     return ClusterModel(
         k=k,
-        centroids=tuple(tuple(float(x) for x in c) for c in centroids),
-        assignments=tuple(int(a) for a in assignments),
+        centroids=tuple(map(tuple, centroids.tolist())),
+        assignments=tuple(labels[rank].tolist()),
         inertia=history[-1],
         seed=seed,
         iterations_run=iterations_run,

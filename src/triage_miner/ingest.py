@@ -120,7 +120,7 @@ def read_bug_csv(
     if missing_fields:
         raise SchemaError(f"column_map lacks logical fields: {', '.join(missing_fields)}")
 
-    text = io.TextIOWrapper(source, encoding="utf-8-sig")
+    text = io.TextIOWrapper(source, encoding="utf-8-sig", newline="")
     try:
         reader = csv.reader(text)
         try:

@@ -7,7 +7,8 @@ and the whole itemset lattice is 31 group-by counts over the ``(n, 5)`` code
 array: one per non-empty attribute subset. The groups of ``S ∪ {a}`` are
 keyed by the dense group rank of ``S`` times the number of distinct codes of
 ``a`` plus the rank of the row's ``a`` code, so keys stay below ``n²`` for
-any codebook size. Counts are exact.
+any codebook size. Keys are tallied by ``np.bincount`` unless their space is
+large, and a group's codes are read off its key. Counts are exact.
 """
 
 from __future__ import annotations
@@ -52,30 +53,42 @@ class Itemset:
 class Projection(NamedTuple):
     """The frequent groups of one attribute subset: ``values[i]`` holds the
     codes of group i (one column per attribute of the subset, rows in
-    lexicographic order) and ``counts[i]`` its support count."""
+    lexicographic order), ``counts[i]`` its support count and
+    ``parent_counts[i]`` that of its codes without the last attribute."""
 
     values: np.ndarray
     counts: np.ndarray
+    parent_counts: np.ndarray
 
 
 Subset = tuple[Attribute, ...]
 
+_TALLY_KEYS_PER_ROW = 4  # key spaces up to this many keys per row are tallied
 
-def matching_rows(table_rows: np.ndarray, query_rows: np.ndarray) -> np.ndarray:
-    """For each query row, the index of the equal row of ``table_rows`` (whose
-    rows are distinct), or -1 where there is none."""
-    both = np.concatenate([table_rows, query_rows])
-    is_query = np.arange(len(both)) >= len(table_rows)
-    # a table row sorts first among the rows equal to it
-    order = np.lexsort((is_query, *both.T[::-1]))
-    ordered = both[order]
-    starts = np.ones(len(both), dtype=bool)
-    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    first = order[np.maximum.accumulate(np.where(starts, np.arange(len(both)), 0))]
-    found = np.where(first < len(table_rows), first, -1)
-    result = np.empty(len(query_rows), dtype=np.int64)
-    result[order[is_query[order]] - len(table_rows)] = found[is_query[order]]
-    return result
+
+def group_keys(keys: np.ndarray, key_space: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct values of non-negative ``keys`` below ``key_space``
+    ascending, their counts and each key's dense rank, as ``np.unique`` gives
+    them, but counted by ``np.bincount`` when the key space is small."""
+    if key_space > _TALLY_KEYS_PER_ROW * len(keys):
+        distinct, rank, counts = np.unique(keys, return_inverse=True, return_counts=True)
+        return distinct, counts, rank
+    tally = np.bincount(keys, minlength=key_space)
+    present = tally > 0
+    return np.flatnonzero(present), tally[present], (np.cumsum(present) - 1)[keys]
+
+
+def distinct_rows(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct rows of a 2-D array, each point's index among them and
+    each one's count, ranked column by column on integer keys below n²
+    (rank so far × the column's distinct values + the value's rank)."""
+    rank, counts = np.zeros(len(points), dtype=np.int64), np.array([len(points)])
+    for column in points.T:
+        values, value_rank = np.unique(column, return_inverse=True)
+        _, counts, rank = group_keys(rank * len(values) + value_rank, len(counts) * len(values))
+    vectors = np.empty((len(counts), points.shape[1]))
+    vectors[rank] = points
+    return vectors, rank, counts
 
 
 @dataclass(frozen=True)
@@ -96,18 +109,9 @@ class FrequentItemsetTable:
         """Itemset -> support count, built on first use."""
         return {
             Itemset(map(Item, subset, row)): count
-            for subset, (values, counts) in self.projections.items()
+            for subset, (values, counts, _) in self.projections.items()
             for row, count in zip(values.tolist(), counts.tolist())
         }
-
-    def counts_of(self, subset: Subset, rows: np.ndarray) -> np.ndarray:
-        """Support count of the itemset each row of codes spells over
-        ``subset``, or 0 where that itemset is not in the table."""
-        projection = self.projections.get(subset)
-        if projection is None:
-            return np.zeros(len(rows), dtype=np.int64)
-        index = matching_rows(projection.values, rows)
-        return np.where(index >= 0, projection.counts[index], 0)
 
     def to_json(self) -> dict:
         """Debug dump: one entry per itemset, canonical order."""
@@ -126,9 +130,9 @@ class FrequentItemsetTable:
 
 
 def mine_frequent_itemsets(codes: np.ndarray, min_support_count: int) -> FrequentItemsetTable:
-    """Count every attribute-subset projection of an ``(n, 5)`` code array
-    (columns in Attribute order) and keep the groups with support at least
-    ``min_support_count``.
+    """Count every attribute-subset projection of an ``(n, 5)`` array of
+    non-negative codes (columns in Attribute order) and keep the groups with
+    support at least ``min_support_count``.
 
     Subsets grow by appending a later attribute, level by level; a subset
     with no frequent group has no frequent superset, so it is not extended.
@@ -136,33 +140,32 @@ def mine_frequent_itemsets(codes: np.ndarray, min_support_count: int) -> Frequen
     if min_support_count < 1:
         raise ParameterError("min_support_count must be >= 1")
     codes = np.asarray(codes, dtype=np.int64).reshape(-1, len(Attribute))
-    ranks, radix = [], []
-    for attribute in Attribute:
-        distinct, inverse = np.unique(codes[:, attribute], return_inverse=True)
-        ranks.append(inverse.reshape(-1))
-        radix.append(len(distinct))
+    # each attribute's distinct codes, and the rank of every row's code
+    codes_of, _, ranks = zip(*(group_keys(column, column.max(initial=0) + 1) for column in codes.T))
 
     projections: dict[Subset, Projection] = {}
-    # each subset of the current level -> the dense group rank of every row
-    level: dict[Subset, np.ndarray] = {(): np.zeros(len(codes), dtype=np.int64)}
+    # each subset of the current level -> the group rank of every row, and
+    # the codes and count of every group
+    level = {(): (np.zeros_like(codes[:, 0]), np.empty((1, 0), np.int64), np.array([len(codes)]))}
     while level:
-        next_level: dict[Subset, np.ndarray] = {}
-        for prefix, prefix_rank in level.items():
+        next_level: dict[Subset, tuple[np.ndarray, ...]] = {}
+        for prefix, (prefix_rank, prefix_values, prefix_counts) in level.items():
             for attribute in Attribute:
                 if prefix and attribute <= prefix[-1]:
                     continue
                 subset = prefix + (attribute,)
-                keys = prefix_rank * radix[attribute] + ranks[attribute]
-                _, first, rank, counts = np.unique(
-                    keys, return_index=True, return_inverse=True, return_counts=True
+                radix = len(codes_of[attribute])
+                keys, counts, rank = group_keys(
+                    prefix_rank * radix + ranks[attribute], len(prefix_counts) * radix
                 )
                 frequent = counts >= min_support_count
                 if frequent.any():
+                    parent, digit = np.divmod(keys, radix)
+                    values = np.column_stack([prefix_values[parent], codes_of[attribute][digit]])
                     projections[subset] = Projection(
-                        values=codes[first[frequent]][:, list(subset)],
-                        counts=counts[frequent],
+                        values[frequent], counts[frequent], prefix_counts[parent[frequent]]
                     )
-                    next_level[subset] = rank.reshape(-1)
+                    next_level[subset] = (rank, values, counts)
         level = next_level
 
     return FrequentItemsetTable(

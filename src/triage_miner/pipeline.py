@@ -26,7 +26,7 @@ from .cluster import ClusterModel, feature_matrix, kmeans_fit, model_to_json, sp
 from .config import PipelineConfig
 from .errors import AuditError, InputError, ParameterError
 from .ingest import Attribute, Codebook, codebooks_to_json, read_bug_csv
-from .mine import FrequentItemsetTable, mine_frequent_itemsets
+from .mine import FrequentItemsetTable, distinct_rows, mine_frequent_itemsets
 from .oracle import enumerate_frequent_itemsets, essential_rules_naive, witness_is_valid
 from .report import (
     ClusterReport,
@@ -156,12 +156,14 @@ def audit_result(result: PipelineResult) -> list[str]:
     if len(model.assignments) != len(points):
         problems.append("assignments do not cover the record list")
 
-    centroids = np.asarray(model.centroids, dtype=float)
-    distances = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-    nearest = distances.argmin(axis=1)
-    if not np.array_equal(nearest, np.asarray(model.assignments)):
+    vectors, rank, _ = distinct_rows(points)
+    if not np.array_equal(vectors[rank], points):
+        problems.append("distinct feature vectors do not reproduce the records")
+    distances = ((vectors[:, None, :] - np.array(model.centroids)) ** 2).sum(axis=2)
+    assignments = np.asarray(model.assignments)
+    if not np.array_equal(distances.argmin(axis=1)[rank], assignments):
         problems.append("some record is not assigned to its nearest centroid")
-    recomputed = float(distances[np.arange(len(points)), model.assignments].sum())
+    recomputed = float(distances[rank, assignments].sum())
     if abs(model.inertia - recomputed) > 1e-9 * max(1.0, abs(recomputed)):
         problems.append(f"inertia {model.inertia} != recomputed {recomputed}")
     if any(later > earlier + 1e-9 for earlier, later in zip(model.inertia_history, model.inertia_history[1:])):
@@ -169,7 +171,6 @@ def audit_result(result: PipelineResult) -> list[str]:
 
     if [outcome.index for outcome in result.outcomes] != list(range(model.k)):
         problems.append("cluster outcomes do not match the model's clusters")
-    assignments = np.asarray(model.assignments)
     for outcome in result.outcomes:
         label = f"cluster {outcome.index}"
         partition, report = outcome.partition, outcome.report

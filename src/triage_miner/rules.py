@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConsistencyError, DuplicateRuleError, ParameterError
+from .errors import DuplicateRuleError, ParameterError
 from .ingest import Attribute
 from .mine import FrequentItemsetTable, Item, Itemset
 
@@ -86,31 +86,22 @@ def generate_class_rules(
     """All rules A => assignee with A non-empty, A u {assignee} frequent and
     confidence >= min_confidence, for the allowed assignee codes only.
 
-    Rules are read off the table's projections: for each attribute subset
-    holding the assignee and at least one other attribute, the groups with an
-    allowed assignee are rule candidates and the subset without the assignee
-    gives their antecedent counts. That antecedent must be in the table too
-    (downward closure), otherwise the table is corrupt. Rule objects are
-    built only for the candidates that pass the confidence threshold.
+    Rules are read off the table's projections: in each subset holding the
+    assignee (its last attribute) and another attribute, a group with an
+    allowed assignee is a candidate whose parent count is its antecedent
+    count. Rule objects are built only for candidates that pass the threshold.
     """
     allowed = np.array(sorted(set(allowed_consequents)), dtype=np.int64)
     if not len(allowed):
         raise ParameterError("allowed_consequents must be non-empty")
 
     rules = []
-    for subset, (values, counts) in table.projections.items():
+    for subset, projection in table.projections.items():
         if len(subset) < 2 or subset[-1] != Attribute.ASSIGNEE:
             continue
-        candidate = np.isin(values[:, -1], allowed)
-        values, support = values[candidate], counts[candidate]
-        antecedent_counts = table.counts_of(subset[:-1], values[:, :-1])
-        if not antecedent_counts.all():
-            raise ConsistencyError(
-                "frequent-itemset table lacks the antecedent of some itemset over "
-                + ", ".join(attribute.display for attribute in subset)
-            )
+        values, support, antecedent_counts = projection
         # float division of counts below 2**53 is exact-then-rounded, as in Python
-        passing = support / antecedent_counts >= min_confidence
+        passing = np.isin(values[:, -1], allowed) & (support / antecedent_counts >= min_confidence)
         rules += [
             Rule(
                 antecedent=Itemset(map(Item, subset, row[:-1])),
@@ -119,9 +110,7 @@ def generate_class_rules(
                 antecedent_count=antecedent_count,
             )
             for row, support_count, antecedent_count in zip(
-                values[passing].tolist(),
-                support[passing].tolist(),
-                antecedent_counts[passing].tolist(),
+                *(column[passing].tolist() for column in projection)
             )
         ]
     # size asc, confidence desc (the exact integer key of the module

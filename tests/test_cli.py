@@ -321,6 +321,46 @@ class TestSynthesizeCommand:
             "ac67f8bf695fbe0320ee4fae754fe92af441f387d51a92a0e2bf7773f787c7f1"
         )
 
+    def test_benchmark_shape_20k_report_is_pinned(self, tmp_path):
+        # the sha256 of every file of the report for a 20k benchmark-shape
+        # input: the fast counting and k-means paths must write these bytes
+        path, out = tmp_path / "bulk.csv", tmp_path / "out"
+        write_csv(path, synthesize_rows(20000, 40, 8, 60, 1.0, 11))
+        assert cli.main(["run", "--input", str(path), "--output", str(out)]) == 0
+        manifest = {
+            file.relative_to(out).as_posix(): hashlib.sha256(file.read_bytes()).hexdigest()
+            for file in sorted(out.rglob("*"))
+            if file.is_file()
+        }
+        assert manifest == {
+            "clusters.json":
+                "b6eec67676fa030634e17c3664218db53a387404d4b51382f9c853030b1ba89c",
+            "codebooks.json":
+                "db276c492cf56d38a94a4831bb819dffa9b76cbb3e6a9a0518dadd2fcc2af92f",
+            "config_used.json":
+                "885dce124d780fe3a26a2f891cda02614bc90e84a063b8e942285a8fa615cc08",
+            "report/cluster_0.txt":
+                "a4f58ff162f8fec6afc73b31816d91f2d42d825629021ba5b2ff54b9e820e0f6",
+            "report/cluster_1.txt":
+                "c5e5ae5d5ebc6dbb0b056b57c6500a1107821630d665f0795d4eb9acee27c16c",
+            "report/cluster_2.txt":
+                "1dace28f45b55c578dcf71d10bd73d99629a55a0a2e1ed1571ff7dc26b46968d",
+            "report/cluster_3.txt":
+                "963bf929142f604ecffd0cddd24442ef1f476b8ad53f56853bedbf1c5ec965d6",
+            "report/cluster_4.txt":
+                "3db289a31ef27ae1cd977950f9c23e0bd051371a5998237e5f4c1642981588f5",
+            "report/figures/cluster_sizes.csv":
+                "b954e4e98c04dd309d48524855d07d1b5b6c8d31e86aa19bc6c0006b8e55663f",
+            "report/figures/essential_redundant.csv":
+                "925c52bb171ddb23297ef1d8c070397f4698a48b8ac825dcd207e717539407cb",
+            "report/figures/rule_lengths.csv":
+                "dc2a17ff2dd7aebd4a737994f7522cbbe3f394880f2a0b868ba18f6422487021",
+            "report/rules.csv":
+                "f4285747b2e36eb168510cfb40b0cefe1184bc80ea9aec38501d2f8b5f3cf983",
+            "report/summary.json":
+                "48fcd0be8689aed981a7aa64e2cab991842cfba979d87756934a945332377d3a",
+        }
+
     def test_bad_row_count_exits_1(self, tmp_path):
         code = cli.main(["synthesize", "--output", str(tmp_path / "x.csv"), "--rows", "0"])
         assert code == 1

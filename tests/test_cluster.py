@@ -7,8 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from triage_miner import cluster
 from triage_miner.cluster import (
     ClusterModel,
+    _assign_with_repair,
+    _kmeanspp_init,
     feature_matrix,
     kmeans_fit,
     model_to_json,
@@ -203,3 +206,85 @@ def test_empty_cluster_repair_on_adversarial_data():
         model = kmeans_fit(points, k=3, seed=seed)
         assert all(size > 0 for size in model.cluster_sizes())
         assert sum(model.cluster_sizes()) == len(points)
+
+
+def per_point_kmeans_fit(points, k: int, seed: int, max_iterations: int = 100) -> ClusterModel:
+    """Lloyd's algorithm over every point, as kmeans_fit ran before it moved
+    its steps to the distinct feature vectors: the reference it must equal."""
+    data = np.asarray(points, dtype=float)
+    distinct = len(np.unique(data, axis=0))
+    if k > distinct:
+        raise InfeasibleKError(f"k={k} exceeds the {distinct} distinct feature vectors")
+    rng = np.random.default_rng(seed)
+    centroids = _kmeanspp_init(data, k, rng)
+    centroids, assignments, dists = _assign_with_repair(data, centroids, k)
+    history = [float(dists.sum())]
+    iterations_run = 0
+    for iteration in range(1, max_iterations + 1):
+        centroids = np.stack([data[assignments == j].mean(axis=0) for j in range(k)])
+        centroids, new_assignments, dists = _assign_with_repair(data, centroids, k)
+        history.append(float(dists.sum()))
+        iterations_run = iteration
+        converged = bool(np.array_equal(new_assignments, assignments))
+        assignments = new_assignments
+        if converged:
+            break
+    return ClusterModel(
+        k=k,
+        centroids=tuple(tuple(float(x) for x in c) for c in centroids),
+        assignments=tuple(int(a) for a in assignments),
+        inertia=history[-1],
+        seed=seed,
+        iterations_run=iterations_run,
+        inertia_history=tuple(history),
+    )
+
+
+@st.composite
+def duplicated_points(draw):
+    """Integer points drawn from a pool of at most 8 vectors, and a feasible k."""
+    dim = draw(st.integers(1, 4))
+    pool = draw(
+        st.lists(st.tuples(*[st.integers(0, 12)] * dim), min_size=1, max_size=8, unique=True)
+    )
+    points = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=60))
+    return points, draw(st.integers(1, len(set(points))))
+
+
+@given(duplicated_points(), st.integers(0, 2**32), st.integers(1, 6))
+@settings(max_examples=200, deadline=None)
+def test_distinct_vector_steps_equal_the_per_point_fit(case, seed, max_iterations):
+    points, k = case
+    try:
+        expected = per_point_kmeans_fit(points, k, seed, max_iterations)
+    except ConsistencyError:
+        with pytest.raises(ConsistencyError):
+            kmeans_fit(points, k, seed, max_iterations)
+        return
+    assert kmeans_fit(points, k, seed, max_iterations) == expected
+
+
+def test_a_step_that_empties_a_cluster_runs_the_repair(monkeypatch):
+    # found by search: the first Lloyd update leaves one of the 3 clusters empty
+    points = [
+        (11, 12), (0, 8), (0, 8), (7, 3), (7, 11), (0, 7),
+        (0, 8), (7, 3), (7, 11), (0, 7), (11, 12),
+    ]
+    repairs = []
+
+    def spy(points, centroids, k):
+        repairs.append(centroids.copy())
+        return _assign_with_repair(points, centroids, k)
+
+    monkeypatch.setattr(cluster, "_assign_with_repair", spy)
+    model = kmeans_fit(points, k=3, seed=11)
+    assert len(repairs) == 1
+    assert model == per_point_kmeans_fit(points, k=3, seed=11)
+    assert all(size > 0 for size in model.cluster_sizes())
+
+
+def test_cluster_sizes_are_python_ints():
+    model = kmeans_fit([(1, 1, 1, 1)] * 3 + [(9, 9, 9, 9)], k=2, seed=0)
+    assert sorted(model.cluster_sizes()) == [1, 3]
+    assert all(type(size) is int for size in model.cluster_sizes())
+    assert all(type(label) is int for label in model.assignments)

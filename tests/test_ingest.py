@@ -144,6 +144,17 @@ class TestParseCsv:
         assert bug_ids == [f"b{i}" for i in range(20)]
         assert codes[:, Attribute.COMPONENT].tolist() == [i % 3 + 1 for i in range(20)]
 
+    def test_quoted_line_breaks_are_kept_as_written(self):
+        # a "\r\n" inside a quoted cell must not be turned into "\n"
+        payload = (
+            'id,sev,pri,comp,os,who\r\n'
+            '1,normal,P3,"Build\r\nConfig",Linux,a\r\n'
+            '2,normal,P3,"Build\nConfig",Linux,a\r\n'
+        )
+        _, codebooks, codes = _read(payload)
+        assert codes[:, Attribute.COMPONENT].tolist() == [1, 2]
+        assert list(codebooks[Attribute.COMPONENT].forward) == ["Build\r\nConfig", "Build\nConfig"]
+
     def test_does_not_close_the_source_stream(self):
         stream = _csv("id,sev,pri,comp,os,who\n1,normal,P3,General,Linux,a\n")
         read_bug_csv(stream, COLUMN_MAP)
@@ -303,8 +314,8 @@ def _reference_read(payload: bytes, column_map):
     then normalise each cell, then first-appearance dicts searched by
     casefolded comparison. Returns bug ids, per-attribute forward maps and
     the code rows."""
-    lines = payload.decode("utf-8-sig").splitlines()
-    header, *rows = [row for row in csv.reader(lines) if row]
+    text = io.StringIO(payload.decode("utf-8-sig"), newline="")
+    header, *rows = [row for row in csv.reader(text) if row]
     positions = [header.index(column_map[field]) for field in LOGICAL_FIELDS]
     forwards = [
         dict(zip(SEVERITY_LABELS, itertools.count(1))),
@@ -344,7 +355,12 @@ def _cells(labels):
         st.tuples(
             _cells(SEVERITY_LABELS),
             _cells(PRIORITY_LABELS),
-            _cells(["General", "Build Config", "Sync", "Straße", "", "--", "Unspecified"]),
+            _cells(
+                [
+                    "General", "Build Config", "Sync", "Straße", "", "--", "Unspecified",
+                    "Build\r\nConfig", "Build\nConfig", "Build\rConfig",
+                ]
+            ),
             _cells(["Linux", "macOS", "All", "", "--"]),
             _cells(["Ada Riley", "ben okafor", "Çelik", "--", ""]),
             _cells(["note", "", "x"]),
@@ -361,11 +377,13 @@ def test_reader_matches_reference(rows, column_order, bom, newline):
     # column 0 is the bug id (padded, so its trimming shows), column 6 is unmapped
     columns = [*_HEADER, "note"]
     table = [[f" b{i} ", *row] for i, row in enumerate(rows)]
-    buffer = io.StringIO()
-    csv.writer(buffer, lineterminator=newline).writerows(
-        [[line[j] for j in column_order] for line in [columns, *table]]
-    )
-    payload = (bom + buffer.getvalue()).encode("utf-8")
+    lines = []
+    for line in [columns, *table]:
+        buffer = io.StringIO()
+        # written with "\r\n", so every cell holding "\r" or "\n" is quoted
+        csv.writer(buffer, lineterminator="\r\n").writerow([line[j] for j in column_order])
+        lines.append(buffer.getvalue()[:-2] + newline)
+    payload = (bom + "".join(lines)).encode("utf-8")
 
     bug_ids, codebooks, codes = read_bug_csv(io.BytesIO(payload), COLUMN_MAP)
     expected_ids, expected_forwards, expected_codes = _reference_read(payload, COLUMN_MAP)

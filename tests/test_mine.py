@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import random_rows, row_lists
+from triage_miner import mine
 from triage_miner.errors import ParameterError
 from triage_miner.ingest import Attribute
-from triage_miner.mine import Item, Itemset, matching_rows, mine_frequent_itemsets
+from triage_miner.mine import Item, Itemset, mine_frequent_itemsets
 from triage_miner.oracle import enumerate_frequent_itemsets
 
 
@@ -143,19 +144,77 @@ def test_table_counts_are_python_ints():
     )
 
 
-class TestMatchingRows:
-    def test_finds_equal_rows_and_marks_absent_ones(self):
-        table = np.array([(1, 2), (1, 3), (2, 1)])
-        queries = np.array([(2, 1), (1, 1), (1, 3), (2, 1), (3, 3)])
-        assert matching_rows(table, queries).tolist() == [2, -1, 1, 2, -1]
+def sorted_projections(codes: np.ndarray, min_support: int) -> dict:
+    """Every subset's frequent groups as (values, counts, parent counts),
+    from a row sort of its code columns."""
+    expected = {}
+    for size in range(1, len(Attribute) + 1):
+        for subset in combinations(Attribute, size):
+            values, counts = np.unique(codes[:, list(subset)], axis=0, return_counts=True)
+            frequent = counts >= min_support
+            if not frequent.any():
+                continue
+            parents, parent_counts = np.unique(
+                codes[:, list(subset[:-1])], axis=0, return_counts=True
+            )
+            parent_count = dict(zip(map(tuple, parents.tolist()), parent_counts.tolist()))
+            expected[subset] = (
+                values[frequent].tolist(),
+                counts[frequent].tolist(),
+                [parent_count[tuple(row[:-1])] for row in values[frequent].tolist()],
+            )
+    return expected
 
-    def test_no_queries(self):
-        assert matching_rows(np.array([(1,)]), np.empty((0, 1), dtype=np.int64)).tolist() == []
 
-    def test_counts_of_gives_zero_for_itemsets_outside_the_table(self):
-        table = mine_frequent_itemsets(classic_baskets(), min_support_count=2)
-        subset = (Attribute.COMPONENT, Attribute.OPERATING_SYSTEM)
-        counts = table.counts_of(subset, np.array([(1, 1), (2, 1), (1, 2)]))
-        assert counts.tolist() == [2, 0, 0]
-        missing = table.counts_of((Attribute.SEVERITY, Attribute.PRIORITY), np.array([(1, 1)]))
-        assert missing.tolist() == [0]
+@st.composite
+def code_arrays(draw) -> np.ndarray:
+    """Code arrays whose subsets land on both sides of the tally threshold:
+    few or many codes per attribute, some of them offset near 2**40."""
+    n = draw(st.integers(1, 60))
+    cards = draw(st.lists(st.integers(1, 40), min_size=5, max_size=5))
+    offsets = draw(st.lists(st.sampled_from([0, 2**40]), min_size=5, max_size=5))
+    return np.array(
+        [
+            [offset + draw(st.integers(1, card)) for card, offset in zip(cards, offsets)]
+            for _ in range(n)
+        ],
+        dtype=np.int64,
+    )
+
+
+@given(code_arrays(), st.integers(1, 3))
+@settings(max_examples=80, deadline=None)
+def test_projections_match_a_sorting_reference(codes, min_support):
+    table = mine_frequent_itemsets(codes, min_support)
+    got = {
+        subset: (values.tolist(), counts.tolist(), parent_counts.tolist())
+        for subset, (values, counts, parent_counts) in table.projections.items()
+    }
+    assert got == sorted_projections(codes, min_support)
+
+
+@pytest.mark.parametrize(
+    "codes, sorted_somewhere",
+    [
+        # 3 codes per attribute: at most 3**5 keys, within 4 per row
+        (np.array([[1 + (i >> shift) % 3 for shift in range(5)] for i in range(200)]), False),
+        # 10 distinct codes per attribute in 10 rows: pairs have 100 keys
+        (np.array([[i + 1] * 5 for i in range(10)]), True),
+        # codes near 2**40: the single attributes' key spaces are sorted
+        (np.array([[2**40 + i] * 5 for i in range(10)]), True),
+    ],
+)
+def test_key_spaces_fall_on_both_sides_of_the_tally_threshold(
+    codes, sorted_somewhere, monkeypatch
+):
+    sides = []
+    group_keys = mine.group_keys
+
+    def spy(keys, key_space):
+        sides.append(key_space > mine._TALLY_KEYS_PER_ROW * len(keys))
+        return group_keys(keys, key_space)
+
+    monkeypatch.setattr(mine, "group_keys", spy)
+    table = mine_frequent_itemsets(codes, 1)
+    assert any(sides) == sorted_somewhere and not all(sides)
+    assert dict(table.support) == enumerate_frequent_itemsets(codes.tolist(), 1)

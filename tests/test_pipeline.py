@@ -72,8 +72,8 @@ class TestRunVerify:
     def test_checks_the_runs_own_itemset_table(self, sample_result):
         table = sample_result.outcomes[1].table
         projections = dict(table.projections)
-        subset, (values, counts) = next(iter(projections.items()))
-        projections[subset] = Projection(values[1:], counts[1:])
+        subset, projection = next(iter(projections.items()))
+        projections[subset] = Projection(*(column[1:] for column in projection))
         doctored = _with_outcome(
             sample_result, 1, table=dataclasses.replace(table, projections=projections)
         )

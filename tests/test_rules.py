@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import random_rows, random_rules, rule_lists
-from triage_miner.errors import ConsistencyError, DuplicateRuleError, ParameterError
+from triage_miner.errors import DuplicateRuleError, ParameterError
 from triage_miner.ingest import Attribute
 from triage_miner.mine import (
     FrequentItemsetTable,
@@ -37,12 +37,12 @@ def _table(support: dict, min_support=3, transactions=47) -> FrequentItemsetTabl
     groups: dict[tuple, list] = {}
     for itemset, count in support.items():
         subset = tuple(item.attribute for item in itemset)
-        groups.setdefault(subset, []).append((tuple(item.code for item in itemset), count))
-    projections = {
-        subset: Projection(
-            values=np.array([codes for codes, _ in sorted(entries)], dtype=np.int64),
-            counts=np.array([count for _, count in sorted(entries)], dtype=np.int64),
+        parent_count = support[Itemset(itemset.items[:-1])] if len(itemset) > 1 else transactions
+        groups.setdefault(subset, []).append(
+            (tuple(item.code for item in itemset), count, parent_count)
         )
+    projections = {
+        subset: Projection(*(np.array(column, dtype=np.int64) for column in zip(*sorted(entries))))
         for subset, entries in groups.items()
     }
     return FrequentItemsetTable(
@@ -115,17 +115,6 @@ class TestGenerateClassRules:
     def test_disallowed_consequents_are_skipped(self):
         table = _table({Itemset([SEV4]): 5, Itemset([WHO]): 4, Itemset([SEV4, WHO]): 4})
         assert generate_class_rules(table, 0.10, {1}) == []
-
-    def test_missing_antecedent_is_a_table_integrity_error(self):
-        table = _table({Itemset([WHO]): 9, Itemset([SEV4, WHO]): 9})
-        with pytest.raises(ConsistencyError):
-            generate_class_rules(table, 0.10, {9})
-
-    def test_missing_antecedent_group_is_a_table_integrity_error(self):
-        sev1 = Item(Attribute.SEVERITY, 1)
-        table = _table({Itemset([sev1]): 9, Itemset([WHO]): 9, Itemset([SEV4, WHO]): 9})
-        with pytest.raises(ConsistencyError):
-            generate_class_rules(table, 0.10, {9})
 
     def test_counts_are_python_ints(self):
         table = _table({Itemset([SEV4]): 17, Itemset([WHO]): 9, Itemset([SEV4, WHO]): 9})
