@@ -17,7 +17,7 @@ import traceback
 from pathlib import Path
 
 from .config import validate_config
-from .errors import InputError, TriageMinerError
+from .errors import InputError, ParameterError, TriageMinerError
 from .pipeline import execute, run_pipeline, run_verify
 from .synth import synthesize_rows, write_csv
 
@@ -80,6 +80,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    caps = {"--max-transactions": args.max_transactions, "--max-rules": args.max_rules}
+    for flag, cap in caps.items():
+        if cap < 0:
+            raise ParameterError(f"{flag} must be >= 0, got {cap}")
     result = execute(_config_from_args(args))
     ok, lines = run_verify(
         result, max_transactions=args.max_transactions, max_rules=args.max_rules

@@ -13,6 +13,7 @@ integer coordinates are exact below 2**53, so centroids equal per-point means.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -38,8 +39,13 @@ class ClusterModel:
     iterations_run: int
     inertia_history: tuple[float, ...]
 
+    @cached_property
+    def labels(self) -> np.ndarray:
+        """``assignments`` as an int array, converted once."""
+        return np.array(self.assignments, dtype=np.int64)
+
     def cluster_sizes(self) -> list[int]:
-        return np.bincount(self.assignments, minlength=self.k).tolist()
+        return np.bincount(self.labels, minlength=self.k).tolist()
 
 
 def feature_matrix(codes: np.ndarray) -> np.ndarray:
@@ -171,8 +177,7 @@ def split_by_cluster(codes: np.ndarray, model: ClusterModel) -> list[np.ndarray]
         raise ConsistencyError(
             f"model covers {len(model.assignments)} records, got {len(codes)}"
         )
-    assignments = np.asarray(model.assignments)
-    return [codes[assignments == cluster] for cluster in range(model.k)]
+    return [codes[model.labels == cluster] for cluster in range(model.k)]
 
 
 def model_to_json(model: ClusterModel, bug_ids: Sequence[str]) -> dict:

@@ -45,10 +45,6 @@ class Itemset:
     def __iter__(self) -> Iterator[Item]:
         return iter(self.items)
 
-    def __str__(self) -> str:
-        body = ", ".join(f"{i.attribute.display}:{i.code}" for i in self.items)
-        return "{" + body + "}"
-
 
 class Projection(NamedTuple):
     """The frequent groups of one attribute subset: ``values[i]`` holds the

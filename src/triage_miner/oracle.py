@@ -4,17 +4,58 @@ These deliberately avoid the algorithms they validate: frequent itemsets are
 tallied by enumerating every subset of every report's five items, and
 redundancy is decided by a declarative recursion over all rules rather than
 the level-wise sweep. Quadratic or exponential cost is fine at verification scale.
+Both work on Rule objects, built from a run's rule table only for them.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
 from .ingest import Attribute
 from .mine import Item, Itemset
-from .rules import Rule
+from .rules import RuleTable
+
+
+@dataclass(frozen=True)
+class Rule:
+    """antecedent => consequent with exact support/antecedent counts.
+
+    ``support_count`` counts transactions holding antecedent plus consequent;
+    ``antecedent_count`` counts those holding the antecedent alone, so
+    confidence is the exact ratio of the two.
+    """
+
+    antecedent: Itemset
+    consequent: Item
+    support_count: int
+    antecedent_count: int
+
+    @property
+    def confidence_fraction(self) -> Fraction:
+        return Fraction(self.support_count, self.antecedent_count)
+
+    @property
+    def key(self) -> tuple:
+        """Identity: antecedent plus consequent."""
+        return (self.antecedent.items, self.consequent)
+
+
+def rule_objects(table: RuleTable) -> list[Rule]:
+    """The Rule object of every row of a rule table, in row order."""
+    columns = (table.codes, table.consequent, table.support, table.antecedent_count)
+    return [
+        Rule(
+            Itemset(Item(Attribute(a), code) for a, code in enumerate(codes) if code >= 0),
+            Item(Attribute.ASSIGNEE, consequent),
+            support,
+            antecedent_count,
+        )
+        for codes, consequent, support, antecedent_count in zip(*(c.tolist() for c in columns))
+    ]
 
 
 def enumerate_frequent_itemsets(

@@ -27,7 +27,12 @@ from .config import PipelineConfig
 from .errors import AuditError, InputError, ParameterError
 from .ingest import Attribute, Codebook, codebooks_to_json, read_bug_csv
 from .mine import FrequentItemsetTable, distinct_rows, mine_frequent_itemsets
-from .oracle import enumerate_frequent_itemsets, essential_rules_naive, witness_is_valid
+from .oracle import (
+    enumerate_frequent_itemsets,
+    essential_rules_naive,
+    rule_objects,
+    witness_is_valid,
+)
 from .report import (
     ClusterReport,
     build_cluster_report,
@@ -37,7 +42,13 @@ from .report import (
     write_json,
     write_rules_csv,
 )
-from .rules import RulePartition, eliminate_redundant, generate_class_rules, top_assignees
+from .rules import (
+    RulePartition,
+    eliminate_redundant,
+    exact_counts,
+    generate_class_rules,
+    top_assignees,
+)
 
 logger = logging.getLogger("triage_miner")
 
@@ -160,7 +171,7 @@ def audit_result(result: PipelineResult) -> list[str]:
     if not np.array_equal(vectors[rank], points):
         problems.append("distinct feature vectors do not reproduce the records")
     distances = ((vectors[:, None, :] - np.array(model.centroids)) ** 2).sum(axis=2)
-    assignments = np.asarray(model.assignments)
+    assignments = model.labels
     if not np.array_equal(distances.argmin(axis=1)[rank], assignments):
         problems.append("some record is not assigned to its nearest centroid")
     recomputed = float(distances[rank, assignments].sum())
@@ -182,20 +193,37 @@ def audit_result(result: PipelineResult) -> list[str]:
             problems.append(f"{label}: length histogram does not sum to the rule count")
         if report.size != len(outcome.rows):
             problems.append(f"{label}: report size mismatch")
-        essential_keys = {rule.key for rule in partition.essential}
-        for rule in partition.all_rules():
-            if rule.support_count < result.config.min_support_count:
-                problems.append(f"{label}: rule below min support: {rule}")
-            if rule.confidence < result.config.min_confidence:
-                problems.append(f"{label}: rule below min confidence: {rule}")
-            if not 1 <= len(rule.antecedent) <= 4:
-                problems.append(f"{label}: antecedent size out of range: {rule}")
-            if any(item.attribute == Attribute.ASSIGNEE for item in rule.antecedent):
-                problems.append(f"{label}: assignee item in an antecedent: {rule}")
-        for rule, witness in partition.redundant:
-            if not witness_is_valid(rule, witness, essential_keys):
-                problems.append(f"{label}: invalid witness {witness} for {rule}")
+        problems += [f"{label}: {problem}" for problem in _audit_rules(partition, result.config)]
     return problems
+
+
+def _audit_rules(partition: RulePartition, config: PipelineConfig) -> list[str]:
+    """Every rule's thresholds and antecedent, and every witness from first
+    principles: essential, same consequent, strict-subset antecedent,
+    confidence no lower (exact)."""
+    rules, witness, rows = partition.rules, partition.witness, partition.redundant
+    of = np.minimum(witness[rows], len(rules) - 1)  # an out-of-range witness fails below
+    support, antecedent_count = exact_counts(rules.support, rules.antecedent_count, 2**31)
+    valid = (
+        (witness[rows] < len(rules))
+        & (witness[of] < 0)
+        & (rules.consequent[of] == rules.consequent[rows])
+        & (rules.size[of] < rules.size[rows])
+        & (~rules.present[of] | (rules.codes[of] == rules.codes[rows])).all(axis=1)
+        & (support[of] * antecedent_count[rows] >= support[rows] * antecedent_count[of])
+    )
+    checks = {
+        "rules below min support": rules.support < config.min_support_count,
+        "rules below min confidence": (rules.support / rules.antecedent_count)
+        < config.min_confidence,
+        "rules with an empty antecedent": rules.size == 0,
+        "invalid witness": np.isin(np.arange(len(rules)), rows[~valid]),
+    }
+    return [
+        f"{name} ({np.count_nonzero(bad)} rules, first row {np.argmax(bad)})"
+        for name, bad in checks.items()
+        if bad.any()
+    ]
 
 
 def write_outputs(result: PipelineResult, dump_itemsets: bool = False) -> Path:
@@ -297,15 +325,15 @@ def run_verify(
             continue
         lines.append(f"cluster {index}: itemsets OK ({len(table)} frequent itemsets)")
 
-        rules = partition.all_rules()
-        if len(rules) > max_rules:
+        if partition.rule_count > max_rules:
             lines.append(
                 f"cluster {index}: skipped redundancy check"
-                f" ({len(rules)} rules > cap {max_rules})"
+                f" ({partition.rule_count} rules > cap {max_rules})"
             )
             continue
+        rules = rule_objects(partition.rules)
         naive_keys = essential_rules_naive(rules)
-        fast_keys = {rule.key for rule in partition.essential}
+        fast_keys = {rules[row].key for row in partition.essential}
         if fast_keys != naive_keys:
             ok = False
             lines.append(
@@ -314,8 +342,8 @@ def run_verify(
             )
             continue
         bad_witnesses = [
-            rule for rule, witness in partition.redundant
-            if not witness_is_valid(rule, witness, naive_keys)
+            row for row in partition.redundant
+            if not witness_is_valid(rules[row], rules[partition.witness[row]], naive_keys)
         ]
         if bad_witnesses:
             ok = False
@@ -323,6 +351,6 @@ def run_verify(
         else:
             lines.append(
                 f"cluster {index}: redundancy OK ({len(rules)} rules,"
-                f" {len(partition.essential)} essential)"
+                f" {len(fast_keys)} essential)"
             )
     return ok, lines

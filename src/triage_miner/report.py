@@ -9,6 +9,10 @@ Rule strings follow the house grammar exactly, e.g.
 Attributes print in the fixed order Severity, Priority, Os, Component;
 "Component" binds tightly to its brace. Confidence percentages are rounded
 half-up to two decimals and printed without a fractional part when integral.
+
+A cluster's rules are rendered as columns: each (attribute, code) fragment
+and each assignee label is built once, percentages are computed in integer
+arrays, and a witness's text is looked up by its row.
 """
 
 from __future__ import annotations
@@ -16,12 +20,14 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
 
+import numpy as np
+
 from .ingest import Attribute, Codebook
-from .mine import Itemset
-from .rules import Rule, RulePartition
+from .rules import RulePartition, RuleTable, exact_counts
 
 RENDER_ORDER = (
     Attribute.SEVERITY,
@@ -37,59 +43,75 @@ _RENDER_PREFIX = {
     Attribute.COMPONENT: "Component",
 }
 
+_AND = " ∧ "
 
-def format_confidence_percent(support_count: int, antecedent_count: int) -> str:
-    """Exact half-up percentage with two decimals; integral values print bare
-    (52.94, 75, 100)."""
+
+def confidence_percents(support: np.ndarray, antecedent_count: np.ndarray) -> list[str]:
+    """Exact half-up percentages with two decimals; integral values print
+    bare (52.94, 75, 100)."""
+    support, antecedent_count = exact_counts(support, antecedent_count, 2**48)
     # floor(10000 * s / a + 1/2), in integers
-    hundredths = (20000 * support_count + antecedent_count) // (2 * antecedent_count)
-    whole, cents = divmod(hundredths, 100)
-    return str(whole) if cents == 0 else f"{whole}.{cents:02d}"
+    hundredths = (20000 * support + antecedent_count) // (2 * antecedent_count)
+    return [
+        str(whole) if cents == 0 else f"{whole}.{cents:02d}"
+        for whole, cents in zip((hundredths // 100).tolist(), (hundredths % 100).tolist())
+    ]
 
 
-def render_antecedent(antecedent: Itemset, codebooks: Mapping[Attribute, Codebook]) -> str:
-    parts = []
-    by_attribute = {item.attribute: item for item in antecedent}
+def _labels(codes: np.ndarray, codebook: Codebook, template: str) -> np.ndarray:
+    """``template`` filled with the label of each code, decoding each
+    distinct code once."""
+    distinct, inverse = np.unique(codes, return_inverse=True)
+    labels = [template.format(codebook.decode(code)) for code in distinct.tolist()]
+    return np.array(labels, dtype=object)[inverse]
+
+
+def render_antecedents(rules: RuleTable, codebooks: Mapping[Attribute, Codebook]) -> list[str]:
+    """Each rule's antecedent in the fixed grammar, e.g. "Priority {P1} ∧ Os {All}"."""
+    text = np.full(len(rules), "", dtype=object)
     for attribute in RENDER_ORDER:
-        item = by_attribute.get(attribute)
-        if item is not None:
-            label = codebooks[attribute].decode(item.code)
-            parts.append(f"{_RENDER_PREFIX[attribute]}{{{label}}}")
-    return " ∧ ".join(parts)
+        present = rules.present[:, attribute]
+        template = _AND + _RENDER_PREFIX[attribute] + "{{{}}}"
+        text[present] += _labels(rules.codes[present, attribute], codebooks[attribute], template)
+    return [fragments[len(_AND) :] for fragments in text.tolist()]
 
 
-class RenderedRule(NamedTuple):
-    """One rule's strings, rendered once and shared by the cluster text and
-    rules.csv."""
+class RenderedRules(NamedTuple):
+    """One cluster's rules as string columns, essential rules first, each
+    part in generation order; shared by the cluster text and rules.csv."""
 
-    text: str  # the whole rule in the fixed grammar
-    antecedent: str
-    assignee: str
-    support_count: int
-    confidence: str  # repr of the float confidence, as rules.csv prints it
-
-
-def render_rule(rule: Rule, codebooks: Mapping[Attribute, Codebook]) -> RenderedRule:
-    """One rule in the fixed grammar (``text`` is injective for distinct
-    rules), with the pieces rules.csv prints."""
-    antecedent = render_antecedent(rule.antecedent, codebooks)
-    assignee = codebooks[Attribute.ASSIGNEE].decode(rule.consequent.code)
-    percent = format_confidence_percent(rule.support_count, rule.antecedent_count)
-    return RenderedRule(
-        text=f"{antecedent} ⇒ Assignee {{{assignee}}} @ ({rule.support_count},{percent}%)",
-        antecedent=antecedent,
-        assignee=assignee,
-        support_count=rule.support_count,
-        confidence=repr(rule.confidence),
-    )
+    text: list[str]  # the whole rule in the fixed grammar
+    antecedent: list[str]
+    assignee: list[str]
+    support: list[int]
+    confidence: list[str]  # repr of the float confidence, as rules.csv prints it
+    witness: list[str]  # the witness's text, "" for an essential rule
 
 
-def length_histogram(rules: Sequence[Rule]) -> dict[int, int]:
+def render_partition(
+    partition: RulePartition, codebooks: Mapping[Attribute, Codebook]
+) -> RenderedRules:
+    """Every rule of a partition in the fixed grammar (``text`` is injective
+    for distinct rules), with the pieces rules.csv prints."""
+    rules = partition.rules
+    support, antecedent_count = rules.support.tolist(), rules.antecedent_count.tolist()
+    antecedent = render_antecedents(rules, codebooks)
+    assignee = _labels(rules.consequent, codebooks[Attribute.ASSIGNEE], "{}").tolist()
+    percent = confidence_percents(rules.support, rules.antecedent_count)
+    text = [
+        f"{lhs} ⇒ Assignee {{{rhs}}} @ ({count},{share}%)"
+        for lhs, rhs, count, share in zip(antecedent, assignee, support, percent)
+    ]
+    confidence = [repr(count / total) for count, total in zip(support, antecedent_count)]
+    witness = ["" if row < 0 else text[row] for row in partition.witness.tolist()]
+    order = np.concatenate([partition.essential, partition.redundant]).tolist()
+    columns = (text, antecedent, assignee, support, confidence, witness)
+    return RenderedRules(*([column[row] for row in order] for column in columns))
+
+
+def length_histogram(rules: RuleTable) -> dict[int, int]:
     """Rule count per antecedent length; lengths 1..4 always present."""
-    histogram = {length: 0 for length in range(1, 5)}
-    for rule in rules:
-        histogram[len(rule.antecedent)] += 1
-    return histogram
+    return dict(zip(range(1, 5), np.bincount(rules.size, minlength=5)[1:5].tolist()))
 
 
 @dataclass(frozen=True)
@@ -102,8 +124,7 @@ class ClusterReport:
     essential_count: int
     redundant_count: int
     length_histogram: dict[int, int]
-    essential_rendered: tuple[RenderedRule, ...]
-    redundant_rendered: tuple[tuple[RenderedRule, str], ...]  # (rule, witness text)
+    rendered: RenderedRules
 
     @property
     def rule_count(self) -> int:
@@ -117,26 +138,16 @@ def build_cluster_report(
     codebooks: Mapping[Attribute, Codebook],
     top_assignee_codes: Sequence[int],
 ) -> ClusterReport:
-    """Assemble one cluster's report; rule sections keep generation order.
-    Each rule is rendered once; a witness, always one of the cluster's
-    essential rules, reuses that rule's text."""
+    """Assemble one cluster's report; rule sections keep generation order."""
     assignee_book = codebooks[Attribute.ASSIGNEE]
-    essential = tuple(render_rule(rule, codebooks) for rule in partition.essential)
-    essential_text = {
-        rule.key: rendered.text for rule, rendered in zip(partition.essential, essential)
-    }
     return ClusterReport(
         cluster_index=cluster_index,
         size=size,
         top_assignees=tuple(assignee_book.decode(code) for code in top_assignee_codes),
         essential_count=len(partition.essential),
         redundant_count=len(partition.redundant),
-        length_histogram=length_histogram(partition.all_rules()),
-        essential_rendered=essential,
-        redundant_rendered=tuple(
-            (render_rule(rule, codebooks), essential_text[witness.key])
-            for rule, witness in partition.redundant
-        ),
+        length_histogram=length_histogram(partition.rules),
+        rendered=render_partition(partition, codebooks),
     )
 
 
@@ -186,17 +197,16 @@ def write_cluster_text(path: Path, report: ClusterReport) -> None:
         "",
         "Essential rules",
     ]
-    if report.essential_rendered:
-        lines += [
-            f"  {i}. {rendered.text}"
-            for i, rendered in enumerate(report.essential_rendered, start=1)
-        ]
+    rendered, essential = report.rendered, report.essential_count
+    if essential:
+        lines += [f"  {i}. {text}" for i, text in enumerate(rendered.text[:essential], start=1)]
     else:
         lines.append("  (none)")
     lines += ["", "Redundant rules"]
-    if report.redundant_rendered:
-        for i, (rendered, witness) in enumerate(report.redundant_rendered, start=1):
-            lines.append(f"  {i}. {rendered.text}")
+    if report.redundant_count:
+        redundant = zip(rendered.text[essential:], rendered.witness[essential:])
+        for i, (text, witness) in enumerate(redundant, start=1):
+            lines.append(f"  {i}. {text}")
             lines.append(f"     subsumed by: {witness}")
     else:
         lines.append("  (none)")
@@ -231,19 +241,16 @@ def write_rules_csv(path: Path, reports: Sequence[ClusterReport]) -> None:
             ["cluster", "antecedent", "consequent", "support_count", "confidence", "status", "witness"]
         )
         for report in reports:
-            rows = [(rendered, "essential", "") for rendered in report.essential_rendered]
-            rows += [
-                (rendered, "redundant", witness) for rendered, witness in report.redundant_rendered
-            ]
-            for rendered, status, witness in rows:
-                writer.writerow(
-                    [
-                        report.cluster_index,
-                        rendered.antecedent,
-                        rendered.assignee,
-                        rendered.support_count,
-                        rendered.confidence,
-                        status,
-                        witness,
-                    ]
+            rendered = report.rendered
+            status = ["essential"] * report.essential_count + ["redundant"] * report.redundant_count
+            writer.writerows(
+                zip(
+                    repeat(report.cluster_index),
+                    rendered.antecedent,
+                    rendered.assignee,
+                    rendered.support,
+                    rendered.confidence,
+                    status,
+                    rendered.witness,
                 )
+            )

@@ -1,5 +1,6 @@
-"""Class association rules: assignee consequents, confidence thresholds, and
-elimination of redundant rules.
+"""Class association rules as one columnar table per cluster: assignee
+consequents, confidence thresholds, ordering and elimination of redundant
+rules, with no per-rule objects.
 
 A rule is redundant when some essential rule with the same consequent, a
 strictly smaller antecedent and confidence at least as high already carries
@@ -7,65 +8,83 @@ its meaning. Confidences are compared exactly, in integers: the witness probe
 cross-multiplies counts, and rules sort by ``(support_count << shift) //
 antecedent_count`` with ``2**shift >= M**2``, M the largest antecedent count.
 Distinct ratios with denominators up to M differ by at least 1/M**2, so their
-keys differ and order as the ratios do; equal ratios give equal keys.
+keys differ and order as the ratios do; equal ratios give equal keys. Both
+run in int64 while they cannot overflow (the key while M < 2**21, products
+while M < 2**31) and on Python ints above.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from .errors import DuplicateRuleError, ParameterError
 from .ingest import Attribute
-from .mine import FrequentItemsetTable, Item, Itemset
+from .mine import FrequentItemsetTable, group_keys
+
+ANTECEDENT_ATTRIBUTES = tuple(Attribute)[:-1]  # the assignee is the consequent
 
 
-@dataclass(frozen=True)
-class Rule:
-    """antecedent => consequent with exact support/antecedent counts.
+@dataclass(frozen=True, eq=False)
+class RuleTable:
+    """Rules ``antecedent => assignee``, one row each: ``codes[i, a]`` is the
+    code of Attribute ``a`` in rule i's antecedent, or -1 where it lacks
+    ``a``. ``support`` counts the records holding antecedent and consequent,
+    ``antecedent_count`` those holding the antecedent, so confidence is the
+    exact ratio of the two."""
 
-    ``support_count`` counts transactions holding antecedent plus consequent;
-    ``antecedent_count`` counts those holding the antecedent alone, so
-    confidence is the exact ratio of the two.
-    """
+    codes: np.ndarray  # (m, 4), one column per antecedent attribute
+    consequent: np.ndarray  # assignee codes
+    support: np.ndarray
+    antecedent_count: np.ndarray
 
-    antecedent: Itemset
-    consequent: Item
-    support_count: int
-    antecedent_count: int
+    def __len__(self) -> int:
+        return len(self.support)
 
-    @property
-    def confidence(self) -> float:
-        return self.support_count / self.antecedent_count
+    @cached_property
+    def present(self) -> np.ndarray:
+        return self.codes >= 0
 
-    @property
-    def confidence_fraction(self) -> Fraction:
-        return Fraction(self.support_count, self.antecedent_count)
-
-    @property
-    def key(self) -> tuple:
-        """Identity: antecedent plus consequent."""
-        return (self.antecedent.items, self.consequent)
+    @cached_property
+    def size(self) -> np.ndarray:
+        return self.present.sum(axis=1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RulePartition:
-    """Disjoint split of a rule set into essential rules and redundant rules,
-    each redundant rule paired with the essential witness that subsumes it."""
+    """A rule table split into essential and redundant rules: ``witness[i]``
+    is the row of the essential rule that subsumes rule i, or -1 when rule i
+    is essential."""
 
-    essential: tuple[Rule, ...]
-    redundant: tuple[tuple[Rule, Rule], ...]
+    rules: RuleTable
+    witness: np.ndarray
+
+    @property
+    def essential(self) -> np.ndarray:
+        return np.flatnonzero(self.witness < 0)
+
+    @property
+    def redundant(self) -> np.ndarray:
+        return np.flatnonzero(self.witness >= 0)
 
     @property
     def rule_count(self) -> int:
-        return len(self.essential) + len(self.redundant)
+        return len(self.rules)
 
-    def all_rules(self) -> list[Rule]:
-        return list(self.essential) + [rule for rule, _ in self.redundant]
+
+def exact_counts(
+    support: np.ndarray, antecedent_count: np.ndarray, limit: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The two count columns as they are while every count is below
+    ``limit``, else as arrays of Python ints, so that the caller's shifts and
+    products of counts below ``limit`` fit int64 and all others are exact."""
+    if max(support.max(initial=0), antecedent_count.max(initial=0)) < limit:
+        return support, antecedent_count
+    return support.astype(object), antecedent_count.astype(object)
 
 
 def top_assignees(assignee_codes: np.ndarray, n: int) -> list[int]:
@@ -82,97 +101,117 @@ def generate_class_rules(
     table: FrequentItemsetTable,
     min_confidence: float,
     allowed_consequents: Iterable[int],
-) -> list[Rule]:
+) -> RuleTable:
     """All rules A => assignee with A non-empty, A u {assignee} frequent and
     confidence >= min_confidence, for the allowed assignee codes only.
 
-    Rules are read off the table's projections: in each subset holding the
+    Rows are read off the table's projections: in each subset holding the
     assignee (its last attribute) and another attribute, a group with an
     allowed assignee is a candidate whose parent count is its antecedent
-    count. Rule objects are built only for candidates that pass the threshold.
+    count. Rows are ordered by antecedent size asc, confidence desc (the
+    exact integer key of the module docstring), support desc, canonical
+    antecedent items, then consequent code.
     """
     allowed = np.array(sorted(set(allowed_consequents)), dtype=np.int64)
     if not len(allowed):
         raise ParameterError("allowed_consequents must be non-empty")
 
-    rules = []
-    for subset, projection in table.projections.items():
+    # an empty part first, so that a table without rules still concatenates
+    parts = [(np.empty((0, len(ANTECEDENT_ATTRIBUTES)), np.int64), *[np.empty(0, np.int64)] * 3)]
+    for subset, (values, support, antecedent_count) in table.projections.items():
         if len(subset) < 2 or subset[-1] != Attribute.ASSIGNEE:
             continue
-        values, support, antecedent_counts = projection
         # float division of counts below 2**53 is exact-then-rounded, as in Python
-        passing = np.isin(values[:, -1], allowed) & (support / antecedent_counts >= min_confidence)
-        rules += [
-            Rule(
-                antecedent=Itemset(map(Item, subset, row[:-1])),
-                consequent=Item(Attribute.ASSIGNEE, row[-1]),
-                support_count=support_count,
-                antecedent_count=antecedent_count,
-            )
-            for row, support_count, antecedent_count in zip(
-                *(column[passing].tolist() for column in projection)
-            )
-        ]
-    # size asc, confidence desc (the exact integer key of the module
-    # docstring), support desc, canonical antecedent, consequent code
-    shift = 2 * max((rule.antecedent_count for rule in rules), default=0).bit_length()
-    rules.sort(
-        key=lambda rule: (
-            len(rule.antecedent),
-            -((rule.support_count << shift) // rule.antecedent_count),
-            -rule.support_count,
-            rule.antecedent.items,
-            rule.consequent.code,
-        )
+        passing = np.isin(values[:, -1], allowed) & (support / antecedent_count >= min_confidence)
+        codes = np.full((np.count_nonzero(passing), len(ANTECEDENT_ATTRIBUTES)), -1)
+        codes[:, list(subset[:-1])] = values[passing, :-1]
+        parts.append((codes, values[passing, -1], support[passing], antecedent_count[passing]))
+    rules = RuleTable(*(np.concatenate(column) for column in zip(*parts)))
+
+    support, antecedent_count = exact_counts(rules.support, rules.antecedent_count, 2**21)
+    shift = 2 * int(antecedent_count.max(initial=0)).bit_length()
+    confidence = (support << shift) // antecedent_count
+    if confidence.dtype == object:  # Python ints: sort by their dense rank
+        confidence = np.unique(confidence, return_inverse=True)[1]
+    # within one size, an absent attribute sorts after every code of it, as
+    # the canonical item sequences compare
+    items = np.where(rules.present, rules.codes, np.iinfo(np.int64).max)
+    order = np.lexsort(
+        (rules.consequent, *items.T[::-1], -rules.support, -confidence, rules.size)
     )
-    return rules
+    return RuleTable(
+        rules.codes[order],
+        rules.consequent[order],
+        rules.support[order],
+        rules.antecedent_count[order],
+    )
 
 
-def eliminate_redundant(rules: Sequence[Rule]) -> RulePartition:
-    """Partition rules into essential and redundant sets, keeping their order.
+def eliminate_redundant(rules: RuleTable) -> RulePartition:
+    """Split a rule table into essential and redundant rules, keeping its row
+    order in both.
 
-    Rules are scanned by ascending antecedent size (a stable sort), so every
+    Rules are decided level by level over the antecedent size, so every
     witness is known to be essential before a larger rule is tested against
-    it. The probe tries the antecedent's subsets smallest size first and stops
-    at the first size with an essential rule of the same consequent and
-    confidence no lower; the witness is that size's most confident such rule,
-    the first in canonical (``combinations``) order among equals.
+    it. For the rules over one attribute subset S, each proper subset T of S
+    (smallest size first, ``combinations`` order within a size) looks up the
+    essential rule over the same T codes and consequent for all of them at
+    once. A rule's witness is the most confident such rule of the first size
+    that has one with confidence no lower, the first in that order among
+    equals.
     """
-    seen: set[tuple] = set()
-    for rule in rules:
-        if rule.key in seen:
-            raise DuplicateRuleError(f"duplicate rule: {rule.antecedent} => {rule.consequent}")
-        seen.add(rule.key)
+    # every column's codes (the consequent last) as dense ranks, so the rows
+    # of any projection rank on keys below n² for any codebook size
+    ranked = [np.unique(c, return_inverse=True) for c in (*rules.codes.T, rules.consequent)]
+    radices, code_ranks = [len(distinct) for distinct, _ in ranked], [r for _, r in ranked]
 
-    essential: list[Rule] = []
-    redundant: list[tuple[Rule, Rule]] = []
-    # essential rules indexed by (antecedent items, consequent) for subset probes
-    by_key: dict[tuple, Rule] = {}
-    for rule in sorted(rules, key=lambda rule: len(rule.antecedent)):
-        items = rule.antecedent.items
-        support, antecedent_count = rule.support_count, rule.antecedent_count
-        witness = None
-        for size in range(1, len(items)):
-            for subset in combinations(items, size):
-                candidate = by_key.get((subset, rule.consequent))
-                # cross-multiplied: at least the rule's confidence, above the best so far
-                if (
-                    candidate is not None
-                    and candidate.support_count * antecedent_count
-                    >= support * candidate.antecedent_count
-                    and (
-                        witness is None
-                        or candidate.support_count * witness.antecedent_count
-                        > witness.support_count * candidate.antecedent_count
-                    )
-                ):
-                    witness = candidate
-            if witness is not None:
-                break
-        if witness is None:
-            essential.append(rule)
-            by_key[(items, rule.consequent)] = rule
-        else:
-            redundant.append((rule, witness))
+    def projection_ranks(rows: np.ndarray, attributes: tuple[int, ...]) -> tuple[np.ndarray, int]:
+        """Each row's rank among the distinct (codes on attributes, consequent)."""
+        rank, groups = np.zeros(len(rows), dtype=np.int64), 1
+        for column in (*attributes, -1):
+            radix = radices[column]
+            _, counts, rank = group_keys(rank * radix + code_ranks[column][rows], groups * radix)
+            groups = len(counts)
+        return rank, groups
 
-    return RulePartition(essential=tuple(essential), redundant=tuple(redundant))
+    everything = np.arange(len(rules))
+    rank, groups = projection_ranks(everything, tuple(range(len(ANTECEDENT_ATTRIBUTES))))
+    if groups < len(rules):
+        _, first = np.unique(rank, return_index=True)
+        raise DuplicateRuleError(f"duplicate rule at row {np.setdiff1d(everything, first)[0]}")
+
+    support, antecedent_count = exact_counts(rules.support, rules.antecedent_count, 2**31)
+
+    def compare(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Cross-multiplied: positive, zero or negative as confidence(a) is
+        above, equal to or below confidence(b)."""
+        return support[a] * antecedent_count[b] - support[b] * antecedent_count[a]
+
+    witness = np.full(len(rules), -1)
+    subset_of = rules.present @ (1 << np.arange(len(ANTECEDENT_ATTRIBUTES)))
+    essential: dict[tuple[int, ...], np.ndarray] = {}  # attribute subset -> essential rows
+    for mask in sorted(np.unique(subset_of).tolist(), key=int.bit_count):
+        attributes = tuple(a for a in range(len(ANTECEDENT_ATTRIBUTES)) if mask >> a & 1)
+        rows = np.flatnonzero(subset_of == mask)
+        for size in range(1, len(attributes)):
+            best = np.full(len(rows), -1)
+            for subset in combinations(attributes, size):
+                candidates = essential.get(subset)
+                if candidates is None:
+                    continue  # no rule has this antecedent subset
+                rank, groups = projection_ranks(np.concatenate([candidates, rows]), subset)
+                row_of = np.full(groups, -1)
+                row_of[rank[: len(candidates)]] = candidates
+                found = row_of[rank[len(candidates) :]]
+                probed = found >= 0
+                rule, candidate, current = rows[probed], found[probed], best[probed]
+                # at least the rule's confidence, and above the best so far
+                better = (compare(candidate, rule) >= 0) & (
+                    (current < 0) | (compare(candidate, current) > 0)
+                )
+                best[probed] = np.where(better, candidate, current)
+            subsumed = best >= 0
+            witness[rows[subsumed]] = best[subsumed]
+            rows = rows[~subsumed]
+        essential[attributes] = rows
+    return RulePartition(rules=rules, witness=witness)

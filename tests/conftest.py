@@ -3,14 +3,18 @@
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from pathlib import Path
 
 import hypothesis.strategies as st
+import numpy as np
 import pytest
 
 from triage_miner.ingest import Attribute, Codebook
 from triage_miner.mine import Item, Itemset
-from triage_miner.rules import Rule
+from triage_miner.oracle import Rule, rule_objects
+from triage_miner.report import render_partition
+from triage_miner.rules import RulePartition, RuleTable, eliminate_redundant
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -97,6 +101,61 @@ def rule_lists(draw, max_rules: int = 30, max_count: int = 40):
         support = draw(st.integers(1, antecedent_count))
         by_key[key] = Rule(antecedent, consequent, support, antecedent_count)
     return list(by_key.values())
+
+
+def rule_table(rules) -> RuleTable:
+    """The rule table holding ``rules`` (Rule objects) as rows, in order."""
+    codes = np.full((len(rules), len(NON_ASSIGNEE_ATTRIBUTES)), -1, dtype=np.int64)
+    for row, rule in enumerate(rules):
+        for item in rule.antecedent:
+            codes[row, item.attribute] = item.code
+    return RuleTable(
+        codes,
+        *(
+            np.array(column, dtype=np.int64).reshape(-1)
+            for column in (
+                [rule.consequent.code for rule in rules],
+                [rule.support_count for rule in rules],
+                [rule.antecedent_count for rule in rules],
+            )
+        ),
+    )
+
+
+@dataclass(frozen=True)
+class RuleSplit:
+    """A rule partition as objects: the essential rules, and each redundant
+    rule paired with the essential witness that subsumes it."""
+
+    essential: tuple[Rule, ...]
+    redundant: tuple[tuple[Rule, Rule], ...]
+
+    @property
+    def rule_count(self) -> int:
+        return len(self.essential) + len(self.redundant)
+
+    def all_rules(self) -> list[Rule]:
+        return list(self.essential) + [rule for rule, _ in self.redundant]
+
+
+def rule_split(partition: RulePartition) -> RuleSplit:
+    """A partition's rules as objects, each part in row order."""
+    rules, witness = rule_objects(partition.rules), partition.witness.tolist()
+    return RuleSplit(
+        essential=tuple(rules[row] for row in partition.essential.tolist()),
+        redundant=tuple((rules[row], rules[witness[row]]) for row in partition.redundant.tolist()),
+    )
+
+
+def split_rules(rules) -> RuleSplit:
+    """eliminate_redundant on the table of ``rules``, viewed as objects."""
+    return rule_split(eliminate_redundant(rule_table(rules)))
+
+
+def render_text(rule: Rule, codebooks) -> str:
+    """The text of one rule, rendered as a one-row table."""
+    [text] = render_partition(eliminate_redundant(rule_table([rule])), codebooks).text
+    return text
 
 
 def simple_codebooks(max_code: int = 6) -> dict[Attribute, Codebook]:

@@ -15,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import random_rows, random_rules, tree_bytes
+from conftest import random_rows, random_rules, render_text, split_rules, tree_bytes
 from triage_miner import cli
 from triage_miner.cluster import kmeans_fit
 from triage_miner.config import PipelineConfig
@@ -23,13 +23,14 @@ from triage_miner.errors import AuditError
 from triage_miner.ingest import Attribute, Codebook
 from triage_miner.mine import Item, Itemset, mine_frequent_itemsets
 from triage_miner.oracle import (
+    Rule,
     enumerate_frequent_itemsets,
     essential_rules_naive,
+    rule_objects,
     witness_is_valid,
 )
 from triage_miner.pipeline import audit_result, execute
-from triage_miner.report import render_rule
-from triage_miner.rules import Rule, eliminate_redundant, generate_class_rules, top_assignees
+from triage_miner.rules import generate_class_rules, top_assignees
 
 
 def _pass(name: str) -> None:
@@ -83,9 +84,9 @@ def test_criterion_2_rules_respect_default_thresholds():
         codes = _random_codes(rnd, rnd.randint(20, 200), rnd.choice((3, 4, 6, 10)))
         table = mine_frequent_itemsets(codes, min_support_count=3)
         top = top_assignees(codes[:, Attribute.ASSIGNEE], 5)
-        for rule in generate_class_rules(table, 0.10, top):
+        for rule in rule_objects(generate_class_rules(table, 0.10, top)):
             rules_seen += 1
-            if rule.support_count < 3 or rule.confidence < 0.10:
+            if rule.support_count < 3 or rule.support_count / rule.antecedent_count < 0.10:
                 violations += 1
             if not 1 <= len(rule.antecedent) <= 4:
                 violations += 1
@@ -103,7 +104,7 @@ def test_criterion_3_redundancy_matches_naive_fixpoint():
     checked = 0
     for _ in range(120):
         rules = random_rules(rnd, max_rules=50)
-        partition = eliminate_redundant(rules)
+        partition = split_rules(rules)
         naive = essential_rules_naive(rules)
         assert {rule.key for rule in partition.essential} == naive
         for rule, witness in partition.redundant:
@@ -239,7 +240,7 @@ def test_criterion_6_rendering_matches_pinned_strings():
         ),
     ]
     for rule, expected in cases:
-        assert render_rule(rule, books).text == expected
+        assert render_text(rule, books) == expected
     _pass("all three pinned rule strings rendered character for character")
 
 

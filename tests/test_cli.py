@@ -12,6 +12,18 @@ from triage_miner.pipeline import execute
 from triage_miner.synth import synthesize_rows, write_csv
 
 
+def _report_manifest(tmp_path, rows, *flags) -> dict[str, str]:
+    """Relative path -> sha256 of every file ``run`` writes for ``rows``."""
+    path, out = tmp_path / "input.csv", tmp_path / "out"
+    write_csv(path, rows)
+    assert cli.main(["run", "--input", str(path), "--output", str(out), *flags]) == 0
+    return {
+        file.relative_to(out).as_posix(): hashlib.sha256(file.read_bytes()).hexdigest()
+        for file in sorted(out.rglob("*"))
+        if file.is_file()
+    }
+
+
 class TestValidateConfig:
     def test_empty_config_plus_input_gives_defaults(self):
         config = validate_config("", {"input_path": "bugs.csv"})
@@ -288,6 +300,18 @@ class TestVerifyCommand:
         assert code == 0
         assert "skipped itemset check" in out
 
+    @pytest.mark.parametrize("flag,cap", [("--max-transactions", "-5"), ("--max-rules", "-1")])
+    def test_negative_cap_exits_1_before_the_pipeline(
+        self, sample_csv, capsys, monkeypatch, flag, cap
+    ):
+        # a negative cap would skip every cluster and still print "passed"
+        monkeypatch.setattr(cli, "execute", lambda config: pytest.fail("the pipeline ran"))
+        code = cli.main(["verify", "--input", str(sample_csv), flag, cap])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert f"{flag} must be >= 0, got {cap}" in captured.err
+        assert "verification passed" not in captured.out
+
 
 class TestSynthesizeCommand:
     def test_same_seed_same_bytes(self, tmp_path):
@@ -324,14 +348,7 @@ class TestSynthesizeCommand:
     def test_benchmark_shape_20k_report_is_pinned(self, tmp_path):
         # the sha256 of every file of the report for a 20k benchmark-shape
         # input: the fast counting and k-means paths must write these bytes
-        path, out = tmp_path / "bulk.csv", tmp_path / "out"
-        write_csv(path, synthesize_rows(20000, 40, 8, 60, 1.0, 11))
-        assert cli.main(["run", "--input", str(path), "--output", str(out)]) == 0
-        manifest = {
-            file.relative_to(out).as_posix(): hashlib.sha256(file.read_bytes()).hexdigest()
-            for file in sorted(out.rglob("*"))
-            if file.is_file()
-        }
+        manifest = _report_manifest(tmp_path, synthesize_rows(20000, 40, 8, 60, 1.0, 11))
         assert manifest == {
             "clusters.json":
                 "b6eec67676fa030634e17c3664218db53a387404d4b51382f9c853030b1ba89c",
@@ -359,6 +376,44 @@ class TestSynthesizeCommand:
                 "f4285747b2e36eb168510cfb40b0cefe1184bc80ea9aec38501d2f8b5f3cf983",
             "report/summary.json":
                 "48fcd0be8689aed981a7aa64e2cab991842cfba979d87756934a945332377d3a",
+        }
+
+    def test_rule_dense_5k_report_is_pinned(self, tmp_path):
+        # the benchmark's rule-dense-5k run (22,093 rules, 7,884 redundant):
+        # the rule table's ordering, elimination and rendering must write
+        # these bytes
+        manifest = _report_manifest(
+            tmp_path,
+            synthesize_rows(5000, 40, 8, 60, 1.0, 11),
+            "--min-support", "1", "--min-confidence", "0.01", "--top-assignees", "60",
+        )
+        assert manifest == {
+            "clusters.json":
+                "f3620167beaca124a33f06beee3f2706257df700dd6dcc566ea2f403a77a0404",
+            "codebooks.json":
+                "db276c492cf56d38a94a4831bb819dffa9b76cbb3e6a9a0518dadd2fcc2af92f",
+            "config_used.json":
+                "0c1b6bac00efd885de99aa15daa836cc3cafcc4a8e921bfc71f2ab8e4b1f2371",
+            "report/cluster_0.txt":
+                "cac1c46c75f66b1aba4debc1c5020c71b90a24f22e8d3166199b451682a4d5df",
+            "report/cluster_1.txt":
+                "b6b0fa929c9a24486b62c3dd1ee2d1e09cc15253283e19da9fa265c4d90f93c7",
+            "report/cluster_2.txt":
+                "01cf0d404df3678c70f66aa879ed4602c30f789fdf208af890a357cedf76ee47",
+            "report/cluster_3.txt":
+                "6bb8bbc9ef3d7a4104e347be3b2fecce1b8c7f94dc12a7ae9817409607ed01d4",
+            "report/cluster_4.txt":
+                "d672aa8696809d169c8856073c1873e6ed869099b207651d6cbd438a390eb48e",
+            "report/figures/cluster_sizes.csv":
+                "f9799ae8658d57cc270bcde712f1e37217231fd5b36ce6e14349458295d723f7",
+            "report/figures/essential_redundant.csv":
+                "07fde2adbc186a0f242e12ffaf84d542963aba6abeee824257dafdb585ff794b",
+            "report/figures/rule_lengths.csv":
+                "00495e66a0420e1ecc05ee8e2b4aaad71f3a4c12d6901c2d46c706bbd668c188",
+            "report/rules.csv":
+                "a016f7ba4a34e473bdcaa194da6c688f5236762bf290d08986e8b33db9512d6e",
+            "report/summary.json":
+                "e783cf5ddce9738003dc5c16c54fe10702f95164bda4b7e98b33f4e8d7c66d28",
         }
 
     def test_bad_row_count_exits_1(self, tmp_path):

@@ -9,6 +9,7 @@ from pathlib import Path
 import hypothesis.strategies as st
 from hypothesis import given, reject, settings
 
+from conftest import rule_split
 from triage_miner.config import PipelineConfig
 from triage_miner.errors import InfeasibleKError
 from triage_miner.ingest import Attribute
@@ -85,9 +86,10 @@ def test_execute_matches_the_oracles_on_synthetic_data(
         ranked = sorted(tally, key=lambda code: (-tally[code], code))[:top_n]
         assert outcome.top_codes == ranked
 
-        rules = outcome.partition.all_rules()
+        split = rule_split(outcome.partition)
+        rules = split.all_rules()
         assert {
             (rule.antecedent.items, rule.consequent, rule.support_count, rule.antecedent_count)
             for rule in rules
         } == _reference_rules(reference, set(ranked), min_confidence)
-        assert {rule.key for rule in outcome.partition.essential} == essential_rules_naive(rules)
+        assert {rule.key for rule in split.essential} == essential_rules_naive(rules)

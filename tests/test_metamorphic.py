@@ -11,6 +11,7 @@ import hypothesis.strategies as st
 import numpy as np
 from hypothesis import given, settings
 
+from conftest import rule_split
 from triage_miner.config import PipelineConfig
 from triage_miner.ingest import Attribute
 from triage_miner.pipeline import ClusterOutcome, PipelineResult, execute
@@ -43,7 +44,7 @@ def _single_cluster(rows, **parameters) -> ClusterOutcome:
 def _table(outcome: ClusterOutcome) -> dict:
     """Rule key -> (support, antecedent count, witness key or None), in the
     order the report lists the rules."""
-    partition = outcome.partition
+    partition = rule_split(outcome.partition)
     table = {
         rule.key: (rule.support_count, rule.antecedent_count, None)
         for rule in partition.essential
@@ -166,10 +167,5 @@ def test_relabelling_categories_changes_only_rendered_labels(
     assert (report.essential_count, report.redundant_count, report.length_histogram) == (
         expected.essential_count, expected.redundant_count, expected.length_histogram
     )
-    assert [rendered.text for rendered in report.essential_rendered] == [
-        relabel(rendered.text) for rendered in expected.essential_rendered
-    ]
-    assert [(rendered.text, witness) for rendered, witness in report.redundant_rendered] == [
-        (relabel(rendered.text), relabel(witness))
-        for rendered, witness in expected.redundant_rendered
-    ]
+    assert report.rendered.text == [relabel(text) for text in expected.rendered.text]
+    assert report.rendered.witness == [relabel(text) for text in expected.rendered.witness]

@@ -1,16 +1,28 @@
 """The pipeline's self-checks on the bundled sample: the audit's witness
-check, `run_verify` diffing the run's own tables, and rendering each rule
-once."""
+check, `run_verify` diffing the run's own tables, rendering each rule once,
+and rule objects built only for verification."""
 
 import dataclasses
 
+import numpy as np
 import pytest
+
+from conftest import rule_table
 
 from triage_miner import report
 from triage_miner.config import PipelineConfig
-from triage_miner.mine import Projection
-from triage_miner.oracle import witness_is_valid
-from triage_miner.pipeline import PipelineResult, audit_result, execute, run_verify
+from triage_miner.ingest import Attribute
+from triage_miner.mine import Item, Itemset, Projection
+from triage_miner.oracle import Rule, rule_objects, witness_is_valid
+from triage_miner.pipeline import (
+    PipelineResult,
+    _audit_rules,
+    audit_result,
+    execute,
+    run_pipeline,
+    run_verify,
+)
+from triage_miner.rules import RulePartition
 
 
 @pytest.fixture(scope="module")
@@ -25,34 +37,87 @@ def _with_outcome(result: PipelineResult, index: int, **changes) -> PipelineResu
     return dataclasses.replace(result, outcomes=outcomes)
 
 
-def _with_partition(result: PipelineResult, index: int, **changes) -> PipelineResult:
-    partition = dataclasses.replace(result.outcomes[index].partition, **changes)
-    return _with_outcome(result, index, partition=partition)
+def _with_witness(result: PipelineResult, index: int, row: int, witness: int) -> PipelineResult:
+    """A copy of ``result`` in which rule ``row`` of cluster ``index`` has
+    ``witness`` as its witness row (-1: essential)."""
+    partition = result.outcomes[index].partition
+    witnesses = partition.witness.copy()
+    witnesses[row] = witness
+    return _with_outcome(
+        result, index, partition=dataclasses.replace(partition, witness=witnesses)
+    )
 
 
 class TestAuditWitness:
     def test_non_essential_witness_is_reported(self, sample_result):
         partition = sample_result.outcomes[0].partition
-        (rule, _), (other, _) = partition.redundant[:2]
-        doctored = _with_partition(
-            sample_result, 0, redundant=((rule, other),) + partition.redundant[1:]
-        )
+        row, other = partition.redundant[:2]
+        doctored = _with_witness(sample_result, 0, row, other)
         problems = audit_result(doctored)
         assert len(problems) == 1
         assert problems[0].startswith("cluster 0: invalid witness")
 
     def test_essential_witness_that_does_not_subsume_is_reported(self, sample_result):
         partition = sample_result.outcomes[0].partition
-        essential_keys = {rule.key for rule in partition.essential}
-        rule, _ = partition.redundant[0]
+        rules = rule_objects(partition.rules)
+        essential_keys = {rules[row].key for row in partition.essential}
+        row = partition.redundant[0]
         stranger = next(
             candidate for candidate in partition.essential
-            if not witness_is_valid(rule, candidate, essential_keys)
+            if not witness_is_valid(rules[row], rules[candidate], essential_keys)
         )
-        doctored = _with_partition(
-            sample_result, 0, redundant=((rule, stranger),) + partition.redundant[1:]
-        )
+        doctored = _with_witness(sample_result, 0, row, stranger)
         assert [p for p in audit_result(doctored) if "invalid witness" in p]
+
+
+class TestAuditRuleTable:
+    """Each property of a rule or its witness, broken alone, is reported."""
+
+    SEV4, SEV5 = Item(Attribute.SEVERITY, 4), Item(Attribute.SEVERITY, 5)
+    PRI3, OS1 = Item(Attribute.PRIORITY, 3), Item(Attribute.OPERATING_SYSTEM, 1)
+    CONFIG = PipelineConfig(input_path="bugs.csv", min_support_count=2, min_confidence=0.3)
+
+    def _problems(self, witness_of_row_1=0, essential_row_0=True, extra=()) -> list[str]:
+        rules = [
+            Rule(Itemset([self.SEV4]), Item(Attribute.ASSIGNEE, 9), 6, 10),  # the witness
+            Rule(Itemset([self.SEV4, self.PRI3]), Item(Attribute.ASSIGNEE, 9), 5, 10),
+            Rule(Itemset([self.SEV4]), Item(Attribute.ASSIGNEE, 1), 6, 10),  # other assignee
+            Rule(Itemset([self.SEV5]), Item(Attribute.ASSIGNEE, 9), 6, 10),  # other code
+            Rule(Itemset([self.PRI3]), Item(Attribute.ASSIGNEE, 9), 4, 10),  # less confident
+            Rule(Itemset([self.SEV4, self.OS1]), Item(Attribute.ASSIGNEE, 9), 7, 10),  # same size
+            *extra,
+        ]
+        witness = np.full(len(rules), -1)
+        witness[1] = witness_of_row_1
+        if not essential_row_0:
+            witness[0] = 5  # itself invalid: not smaller
+        return _audit_rules(RulePartition(rule_table(rules), witness), self.CONFIG)
+
+    def test_a_valid_table_passes(self):
+        assert self._problems() == []
+
+    @pytest.mark.parametrize("witness", [2, 3, 4, 5, 7])
+    def test_each_broken_witness_property_is_reported(self, witness):
+        assert self._problems(witness) == ["invalid witness (1 rules, first row 1)"]
+
+    def test_an_out_of_range_witness_is_reported(self):
+        rules = [
+            Rule(Itemset([self.SEV4, self.PRI3]), Item(Attribute.ASSIGNEE, 9), 5, 10),
+            Rule(Itemset([self.SEV4]), Item(Attribute.ASSIGNEE, 9), 6, 10),
+        ]
+        partition = RulePartition(rule_table(rules), np.array([2, -1]))
+        assert _audit_rules(partition, self.CONFIG) == ["invalid witness (1 rules, first row 0)"]
+
+    def test_a_redundant_witness_is_reported(self):
+        assert self._problems(essential_row_0=False) == ["invalid witness (2 rules, first row 0)"]
+
+    def test_thresholds_are_rechecked(self):
+        low_support = Rule(Itemset([self.OS1]), Item(Attribute.ASSIGNEE, 9), 1, 2)
+        low_confidence = Rule(Itemset([self.OS1]), Item(Attribute.ASSIGNEE, 1), 2, 10)
+        assert self._problems(extra=[low_support, low_confidence]) == [
+            "rules below min support (1 rules, first row 6)",
+            "rules below min confidence (1 rules, first row 7)",
+        ]
 
 
 class TestAuditRows:
@@ -83,10 +148,7 @@ class TestRunVerify:
 
     def test_checks_the_runs_own_partition(self, sample_result):
         partition = sample_result.outcomes[2].partition
-        (rule, _), *rest = partition.redundant
-        doctored = _with_partition(
-            sample_result, 2, essential=partition.essential + (rule,), redundant=tuple(rest)
-        )
+        doctored = _with_witness(sample_result, 2, partition.redundant[0], -1)
         ok, lines = run_verify(doctored)
         assert not ok
         assert any(line.startswith("cluster 2: REDUNDANCY MISMATCH") for line in lines)
@@ -94,13 +156,29 @@ class TestRunVerify:
 
 def test_each_rule_is_rendered_once(sample_csv, monkeypatch):
     calls = []
-    render_rule = report.render_rule
+    render_partition = report.render_partition
 
-    def counting(rule, codebooks):
-        calls.append(rule.key)
-        return render_rule(rule, codebooks)
+    def counting(partition, codebooks):
+        calls.append(partition)
+        return render_partition(partition, codebooks)
 
-    monkeypatch.setattr(report, "render_rule", counting)
+    monkeypatch.setattr(report, "render_partition", counting)
     result = execute(PipelineConfig(input_path=str(sample_csv)))
-    rule_keys = [rule.key for o in result.outcomes for rule in o.partition.all_rules()]
-    assert sorted(calls) == sorted(rule_keys)
+    assert [id(call) for call in calls] == [id(outcome.partition) for outcome in result.outcomes]
+    for outcome in result.outcomes:
+        assert len(outcome.report.rendered.text) == outcome.partition.rule_count
+
+
+def test_run_builds_no_rule_objects(sample_csv, tmp_path, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("object built")
+
+    monkeypatch.setattr(Rule, "__init__", forbidden)
+    monkeypatch.setattr(Itemset, "__init__", forbidden)
+    monkeypatch.setattr(Item, "__new__", forbidden)
+    config = PipelineConfig(input_path=str(sample_csv), output_dir=str(tmp_path / "out"))
+    result = run_pipeline(config)
+    assert sum(outcome.partition.rule_count for outcome in result.outcomes) == 385
+    # the oracles work on objects, so verify builds them
+    with pytest.raises(AssertionError, match="object built"):
+        run_verify(result)

@@ -2,21 +2,23 @@ import math
 from fractions import Fraction
 
 import hypothesis.strategies as st
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from conftest import rule_lists, simple_codebooks
+from conftest import render_text, rule_lists, rule_table, simple_codebooks, split_rules
 from triage_miner.errors import UnknownCategoryError
 from triage_miner.ingest import Attribute, Codebook
 from triage_miner.mine import Item, Itemset
+from triage_miner.oracle import Rule
 from triage_miner.report import (
     build_cluster_report,
-    format_confidence_percent,
+    confidence_percents,
     length_histogram,
-    render_antecedent,
-    render_rule,
+    render_antecedents,
+    render_partition,
 )
-from triage_miner.rules import Rule, eliminate_redundant
+from triage_miner.rules import eliminate_redundant
 
 
 def _fraction_percent(support: int, antecedent: int) -> str:
@@ -45,6 +47,12 @@ def _codebooks_for(component_labels, os_labels, assignee_labels):
 
 def _rule(items, consequent_code, support, antecedent_count) -> Rule:
     return Rule(Itemset(items), Item(Attribute.ASSIGNEE, consequent_code), support, antecedent_count)
+
+
+def format_confidence_percent(support: int, antecedent_count: int) -> str:
+    """confidence_percents of one pair (arrays of Python ints above int64)."""
+    [percent] = confidence_percents(np.array([support]), np.array([antecedent_count]))
+    return percent
 
 
 class TestConfidencePercent:
@@ -107,7 +115,7 @@ class TestRenderRule:
             ],
             1, 9, 17,
         )
-        assert render_rule(rule, books).text == (
+        assert render_text(rule, books) == (
             "Severity {Normal} ∧ Priority {P3} ∧ Os {Linux} ∧ Component{Build Config}"
             " ⇒ Assignee {Jon Granrose} @ (9,52.94%)"
         )
@@ -117,7 +125,7 @@ class TestRenderRule:
         rule = _rule(
             [Item(Attribute.OPERATING_SYSTEM, 1), Item(Attribute.COMPONENT, 1)], 1, 3, 4
         )
-        assert render_rule(rule, books).text == (
+        assert render_text(rule, books) == (
             "Os {All} ∧ Component{User Interface} ⇒ Assignee {Ben Goodger} @ (3,75%)"
         )
 
@@ -126,37 +134,37 @@ class TestRenderRule:
         rule = _rule(
             [Item(Attribute.COMPONENT, 1), Item(Attribute.SEVERITY, 6)], 1, 3, 13
         )
-        assert render_rule(rule, books).text == (
+        assert render_text(rule, books) == (
             "Severity {Trivial} ∧ Component{General} ⇒ Assignee {x} @ (3,23.08%)"
         )
 
     def test_absent_attributes_are_omitted(self):
         books = _codebooks_for(["General"], ["All"], ["x"])
         rule = _rule([Item(Attribute.PRIORITY, 2)], 1, 3, 6)
-        assert render_rule(rule, books).text == "Priority {P2} ⇒ Assignee {x} @ (3,50%)"
+        assert render_text(rule, books) == "Priority {P2} ⇒ Assignee {x} @ (3,50%)"
 
     def test_undecodable_code_raises(self):
         books = _codebooks_for(["General"], ["All"], ["x"])
         rule = _rule([Item(Attribute.COMPONENT, 99)], 1, 3, 6)
         with pytest.raises(UnknownCategoryError):
-            render_rule(rule, books)
+            render_text(rule, books)
 
     def test_render_antecedent_fragment(self):
         books = _codebooks_for(["General"], ["All"], ["x"])
-        antecedent = Itemset([Item(Attribute.OPERATING_SYSTEM, 1), Item(Attribute.PRIORITY, 1)])
-        assert render_antecedent(antecedent, books) == "Priority {P1} ∧ Os {All}"
+        rule = _rule([Item(Attribute.OPERATING_SYSTEM, 1), Item(Attribute.PRIORITY, 1)], 1, 1, 2)
+        assert render_antecedents(rule_table([rule]), books) == ["Priority {P1} ∧ Os {All}"]
 
     @given(rule_lists(max_rules=25))
     @settings(max_examples=40, deadline=None)
     def test_injective_on_distinct_rules(self, rules):
         books = simple_codebooks()
-        rendered = [render_rule(rule, books).text for rule in rules]
+        rendered = render_partition(eliminate_redundant(rule_table(rules)), books).text
         assert len(set(rendered)) == len(rules)
 
 
 class TestLengthHistogram:
     def test_empty(self):
-        assert length_histogram([]) == {1: 0, 2: 0, 3: 0, 4: 0}
+        assert length_histogram(rule_table([])) == {1: 0, 2: 0, 3: 0, 4: 0}
 
     def test_single_four_antecedent_rule(self):
         rule = _rule(
@@ -168,7 +176,7 @@ class TestLengthHistogram:
             ],
             1, 1, 1,
         )
-        assert length_histogram([rule]) == {1: 0, 2: 0, 3: 0, 4: 1}
+        assert length_histogram(rule_table([rule])) == {1: 0, 2: 0, 3: 0, 4: 1}
 
     def test_mixed_sizes_tally(self):
         attrs = (
@@ -182,20 +190,20 @@ class TestLengthHistogram:
 
         rules = [of_size(1, 1), of_size(2, 1), of_size(2, 2), of_size(2, 3),
                  of_size(3, 1), of_size(4, 1), of_size(4, 2)]
-        assert length_histogram(rules) == {1: 1, 2: 3, 3: 1, 4: 2}
+        assert length_histogram(rule_table(rules)) == {1: 1, 2: 3, 3: 1, 4: 2}
 
 
 class TestBuildClusterReport:
     def test_empty_partition(self):
         books = simple_codebooks()
-        partition = eliminate_redundant([])
+        partition = eliminate_redundant(rule_table([]))
         report = build_cluster_report(2, 9, partition, books, [1])
         assert report.cluster_index == 2
         assert report.size == 9
         assert (report.essential_count, report.redundant_count) == (0, 0)
         assert report.length_histogram == {1: 0, 2: 0, 3: 0, 4: 0}
-        assert report.essential_rendered == ()
-        assert report.redundant_rendered == ()
+        assert report.rendered.text == []
+        assert report.rendered.witness == []
         assert report.top_assignees == ("Dev 1",)
 
     def test_counts_and_histogram_are_consistent(self):
@@ -207,11 +215,11 @@ class TestBuildClusterReport:
             _rule([Item(Attribute.SEVERITY, 1), Item(Attribute.PRIORITY, 1)], 1, 7, 10),
             _rule([Item(Attribute.SEVERITY, 1), Item(Attribute.COMPONENT, 1)], 2, 3, 10),
         ]
-        partition = eliminate_redundant(rules)
+        partition = eliminate_redundant(rule_table(rules))
         report = build_cluster_report(0, 10, partition, books, [1, 2])
         assert report.essential_count + report.redundant_count == 5
         assert sum(report.length_histogram.values()) == 5
-        assert len(report.essential_rendered) + len(report.redundant_rendered) == 5
-        assert report.essential_rendered == tuple(
-            render_rule(r, books) for r in partition.essential
-        )
+        assert len(report.rendered.text) == len(report.rendered.witness) == 5
+        assert report.rendered.text[: report.essential_count] == [
+            render_text(r, books) for r in split_rules(rules).essential
+        ]

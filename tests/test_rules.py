@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from conftest import random_rows, random_rules, rule_lists
+from conftest import random_rows, random_rules, rule_lists, rule_table, split_rules
+from triage_miner import rules as rules_module
 from triage_miner.errors import DuplicateRuleError, ParameterError
 from triage_miner.ingest import Attribute
 from triage_miner.mine import (
@@ -16,16 +17,13 @@ from triage_miner.mine import (
     mine_frequent_itemsets,
 )
 from triage_miner.oracle import (
+    Rule,
     enumerate_frequent_itemsets,
     essential_rules_naive,
+    rule_objects,
     witness_is_valid,
 )
-from triage_miner.rules import (
-    Rule,
-    eliminate_redundant,
-    generate_class_rules,
-    top_assignees,
-)
+from triage_miner.rules import eliminate_redundant, generate_class_rules, top_assignees
 
 SEV4 = Item(Attribute.SEVERITY, 4)
 PRI3 = Item(Attribute.PRIORITY, 3)
@@ -57,6 +55,11 @@ def _rule(items, consequent_code, support, antecedent_count) -> Rule:
         support_count=support,
         antecedent_count=antecedent_count,
     )
+
+
+def _generate(table: FrequentItemsetTable, min_confidence: float, allowed) -> list[Rule]:
+    """generate_class_rules' table as Rule objects, in row order."""
+    return rule_objects(generate_class_rules(table, min_confidence, allowed))
 
 
 def fraction_order_key(rule: Rule) -> tuple:
@@ -96,32 +99,32 @@ def brute_force_witness(rule: Rule, essential) -> Rule | None:
 class TestGenerateClassRules:
     def test_paper_style_single_antecedent(self):
         table = _table({Itemset([SEV4]): 17, Itemset([WHO]): 9, Itemset([SEV4, WHO]): 9})
-        [rule] = generate_class_rules(table, 0.10, {9})
+        [rule] = _generate(table, 0.10, {9})
         assert rule.antecedent == Itemset([SEV4])
         assert rule.consequent == WHO
         assert rule.support_count == 9
         assert rule.antecedent_count == 17
-        assert rule.confidence == pytest.approx(9 / 17, abs=1e-12)
+        assert rule.support_count / rule.antecedent_count == pytest.approx(9 / 17, abs=1e-12)
 
     def test_perfect_implication_passes_confidence_one(self):
         table = _table({Itemset([SEV4]): 5, Itemset([WHO]): 5, Itemset([SEV4, WHO]): 5})
-        [rule] = generate_class_rules(table, 1.0, {9})
-        assert rule.confidence == 1.0
+        [rule] = _generate(table, 1.0, {9})
+        assert rule.support_count / rule.antecedent_count == 1.0
 
     def test_imperfect_implication_suppressed_at_confidence_one(self):
         table = _table({Itemset([SEV4]): 5, Itemset([WHO]): 4, Itemset([SEV4, WHO]): 4})
-        assert generate_class_rules(table, 1.0, {9}) == []
+        assert _generate(table, 1.0, {9}) == []
 
     def test_disallowed_consequents_are_skipped(self):
         table = _table({Itemset([SEV4]): 5, Itemset([WHO]): 4, Itemset([SEV4, WHO]): 4})
-        assert generate_class_rules(table, 0.10, {1}) == []
+        assert _generate(table, 0.10, {1}) == []
 
     def test_counts_are_python_ints(self):
         table = _table({Itemset([SEV4]): 17, Itemset([WHO]): 9, Itemset([SEV4, WHO]): 9})
-        [rule] = generate_class_rules(table, 0.10, {9})
+        [rule] = _generate(table, 0.10, {9})
         assert type(rule.support_count) is int and type(rule.antecedent_count) is int
         assert type(rule.consequent.code) is int
-        assert repr(rule.confidence) == repr(9 / 17)
+        assert repr(rule.support_count / rule.antecedent_count) == repr(9 / 17)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_rules_read_off_the_oracle_table(self, seed):
@@ -138,7 +141,7 @@ class TestGenerateClassRules:
             if count / reference[antecedent] >= 0.3:
                 expected.add((antecedent.items, consequent, count, reference[antecedent]))
         table = mine_frequent_itemsets(np.array(rows), 2)
-        rules = generate_class_rules(table, 0.3, allowed)
+        rules = _generate(table, 0.3, allowed)
         got = {(r.antecedent.items, r.consequent, r.support_count, r.antecedent_count) for r in rules}
         assert got == expected
         assert rules == sorted(rules, key=fraction_order_key)
@@ -161,7 +164,7 @@ class TestGenerateClassRules:
                 Itemset([SEV4, PRI3, WHO]): 8,  # conf 1.0, size 2
             }
         )
-        rules = generate_class_rules(table, 0.10, {9, 2})
+        rules = _generate(table, 0.10, {9, 2})
         sizes = [len(r.antecedent) for r in rules]
         assert sizes == sorted(sizes)
         one_antecedent = [r for r in rules if len(r.antecedent) == 1]
@@ -196,7 +199,7 @@ class TestExactOrderingAtLargeCounts:
         for antecedent, (count, antecedent_count) in self.COUNTS.items():
             support[Itemset(antecedent)] = antecedent_count
             support[Itemset(antecedent + (WHO,))] = count
-        return generate_class_rules(_table(support), 0.10, {9})
+        return _generate(_table(support), 0.10, {9})
 
     def test_order_matches_fraction_keys(self):
         rules = self._rules()
@@ -209,11 +212,77 @@ class TestExactOrderingAtLargeCounts:
 
     def test_witnesses_match_fraction_comparisons(self):
         rules = self._rules()
-        partition = eliminate_redundant(rules)
+        partition = split_rules(rules)
         assert {r.key for r in partition.essential} == essential_rules_naive(rules)
         witnesses = {rule.antecedent.items: w.antecedent.items for rule, w in partition.redundant}
         # PRI1 is the more confident witness although SEV1 is probed first
         assert witnesses == {(self.SEV1, self.PRI1): (self.PRI1,), (self.SEV2, self.PRI2): (self.PRI2,)}
+        for rule, witness in partition.redundant:
+            assert witness == brute_force_witness(rule, partition.essential)
+
+
+class TestInt64Bounds:
+    """Each side of the int64 bounds on M, the largest antecedent count: the
+    order key runs in int64 below 2**21 and on Python ints from there, the
+    witness products below 2**31 and on Python ints from there. Either way
+    the order and the witnesses must be the Fraction ones."""
+
+    SEV1, PRI1 = Item(Attribute.SEVERITY, 1), Item(Attribute.PRIORITY, 1)
+    COMP1, OS1 = Item(Attribute.COMPONENT, 1), Item(Attribute.OPERATING_SYSTEM, 1)
+
+    def _rules(self, m: int) -> list[Rule]:
+        # one-item confidences (M-1)/M > (M-2)/(M-1) > (M-3)/(M-2) > 1/3, the
+        # first three about 1/M**2 apart; the two-item rules are witnessed
+        counts = {
+            (self.SEV1,): (m - 2, m - 1),
+            (self.PRI1,): (m - 1, m),
+            (self.OS1,): (m - 3, m - 2),
+            (self.COMP1,): (1, 3),
+            (self.SEV1, self.COMP1): (2, 6),
+            (self.SEV1, self.PRI1): (m - 4, m),
+            (self.PRI1, self.OS1): (m - 3, m - 1),
+        }
+        support = {}
+        for antecedent, (count, antecedent_count) in counts.items():
+            support[Itemset(antecedent)] = antecedent_count
+            support[Itemset(antecedent + (WHO,))] = count
+        return _generate(_table(support), 0.10, {9})
+
+    @pytest.fixture
+    def count_dtypes(self, monkeypatch) -> list:
+        """The (limit, dtype) of every exact_counts result."""
+        seen, exact_counts = [], rules_module.exact_counts
+
+        def spy(support, antecedent_count, limit):
+            result = exact_counts(support, antecedent_count, limit)
+            seen.append((limit, result[0].dtype))
+            return result
+
+        monkeypatch.setattr(rules_module, "exact_counts", spy)
+        return seen
+
+    @pytest.mark.parametrize("m,int64", [(2**21 - 1, True), (2**21, False)])
+    def test_order_key_on_each_side(self, m, int64, count_dtypes):
+        rules = self._rules(m)
+        assert count_dtypes == [(2**21, np.dtype(np.int64) if int64 else np.dtype(object))]
+        assert rules == sorted(rules, key=fraction_order_key)
+        keys = [rule.antecedent.items for rule in rules]
+        assert keys[:4] == [(self.PRI1,), (self.SEV1,), (self.OS1,), (self.COMP1,)]
+
+    @pytest.mark.parametrize("m,int64", [(2**31 - 1, True), (2**31, False)])
+    def test_witness_products_on_each_side(self, m, int64, count_dtypes):
+        rules = self._rules(m)
+        eliminate_redundant(rule_table(rules))
+        assert count_dtypes[-1] == (2**31, np.dtype(np.int64) if int64 else np.dtype(object))
+        partition = split_rules(rules)
+        assert {r.key for r in partition.essential} == essential_rules_naive(rules)
+        witnesses = {rule.antecedent.items: w.antecedent.items for rule, w in partition.redundant}
+        # PRI1 is the most confident one-item witness of both two-item rules
+        assert witnesses == {
+            (self.SEV1, self.PRI1): (self.PRI1,),
+            (self.PRI1, self.OS1): (self.PRI1,),
+            (self.SEV1, self.COMP1): (self.SEV1,),
+        }
         for rule, witness in partition.redundant:
             assert witness == brute_force_witness(rule, partition.essential)
 
@@ -244,27 +313,27 @@ class TestEliminateRedundant:
     def test_lower_confidence_extension_is_redundant(self):
         short = _rule([SEV4], 9, 3, 5)            # conf 0.60
         long = _rule([SEV4, PRI3], 9, 2, 4)       # conf 0.50
-        partition = eliminate_redundant([short, long])
+        partition = split_rules([short, long])
         assert partition.essential == (short,)
         assert partition.redundant == ((long, short),)
 
     def test_confidence_raising_extension_stays_essential(self):
         short = _rule([SEV4], 9, 2, 4)            # conf 0.50
         long = _rule([SEV4, PRI3], 9, 4, 5)       # conf 0.80
-        partition = eliminate_redundant([short, long])
+        partition = split_rules([short, long])
         assert set(partition.essential) == {short, long}
         assert partition.redundant == ()
 
     def test_single_rule_is_essential(self):
         rule = _rule([SEV4], 9, 3, 5)
-        partition = eliminate_redundant([rule])
+        partition = split_rules([rule])
         assert partition.essential == (rule,)
         assert partition.redundant == ()
 
     def test_equal_confidence_subsumes(self):
         short = _rule([SEV4], 9, 1, 2)            # conf 0.5
         long = _rule([SEV4, PRI3], 9, 2, 4)       # conf 0.5 exactly
-        partition = eliminate_redundant([short, long])
+        partition = split_rules([short, long])
         assert partition.essential == (short,)
         assert partition.redundant == ((long, short),)
 
@@ -272,16 +341,16 @@ class TestEliminateRedundant:
         # 1/3 vs 333333333/1000000000: floats cannot tell these apart reliably
         short = _rule([SEV4], 9, 1, 3)
         long = _rule([SEV4, PRI3], 9, 333_333_333, 1_000_000_000)
-        partition = eliminate_redundant([short, long])
+        partition = split_rules([short, long])
         assert partition.essential == (short,)
         [(rule, witness)] = partition.redundant
-        assert witness is short
+        assert witness == short
         assert Fraction(1, 3) > Fraction(333_333_333, 1_000_000_000)
 
     def test_different_consequent_never_subsumes(self):
         short = _rule([SEV4], 1, 5, 5)
         long = _rule([SEV4, PRI3], 9, 1, 5)
-        partition = eliminate_redundant([short, long])
+        partition = split_rules([short, long])
         assert set(partition.essential) == {short, long}
 
     def test_witness_choice_prefers_smallest_then_most_confident(self):
@@ -290,10 +359,10 @@ class TestEliminateRedundant:
         b = _rule([PRI3], 9, 8, 10)               # conf 0.8
         mid = _rule([SEV4, PRI3], 9, 6, 10)       # conf 0.6, subsumed by both
         big = _rule([SEV4, PRI3, os1], 9, 5, 10)  # conf 0.5
-        partition = eliminate_redundant([a, b, mid, big])
+        partition = split_rules([a, b, mid, big])
         by_rule = dict(partition.redundant)
-        assert by_rule[mid] is b      # highest-confidence 1-antecedent witness
-        assert by_rule[big] is b      # still the minimal, most confident one
+        assert by_rule[mid] == b      # highest-confidence 1-antecedent witness
+        assert by_rule[big] == b      # still the minimal, most confident one
 
     def test_redundant_rule_cannot_be_a_witness(self):
         # chain: a (1 item, conf .9) subsumes ab (conf .8); abc (conf .85)
@@ -302,20 +371,20 @@ class TestEliminateRedundant:
         a = _rule([SEV4], 9, 9, 10)                # 0.9
         ab = _rule([SEV4, PRI3], 9, 8, 10)         # 0.8
         abc = _rule([SEV4, PRI3, os1], 9, 85, 100) # 0.85
-        partition = eliminate_redundant([a, ab, abc])
+        partition = split_rules([a, ab, abc])
         assert partition.essential == (a,)
         witnesses = {rule: witness for rule, witness in partition.redundant}
-        assert witnesses[ab] is a
-        assert witnesses[abc] is a
+        assert witnesses[ab] == a
+        assert witnesses[abc] == a
 
     def test_duplicate_rules_rejected(self):
         rule = _rule([SEV4], 9, 3, 5)
         clone = _rule([SEV4], 9, 4, 6)
         with pytest.raises(DuplicateRuleError):
-            eliminate_redundant([rule, clone])
+            eliminate_redundant(rule_table([rule, clone]))
 
     def test_empty_input_gives_empty_partition(self):
-        partition = eliminate_redundant([])
+        partition = split_rules([])
         assert partition.essential == ()
         assert partition.redundant == ()
 
@@ -324,7 +393,7 @@ class TestEliminateRedundant:
         # small counts make equal confidences, so the tie-breaks are exercised
         rnd = random.Random(seed)
         rules = random_rules(rnd, max_count=rnd.choice((3, 6, 60)))
-        partition = eliminate_redundant(rules)
+        partition = split_rules(rules)
         for rule in partition.essential:
             assert brute_force_witness(rule, partition.essential) is None
         for rule, witness in partition.redundant:
@@ -332,14 +401,14 @@ class TestEliminateRedundant:
         # the split and the witnesses do not depend on the input order
         shuffled = rules[:]
         rnd.shuffle(shuffled)
-        again = eliminate_redundant(shuffled)
+        again = split_rules(shuffled)
         assert set(again.essential) == set(partition.essential)
         assert set(again.redundant) == set(partition.redundant)
 
     def test_sorted_input_keeps_its_order(self):
         table = mine_frequent_itemsets(np.array(random_rows(random.Random(5), 200, 4)), 1)
-        rules = generate_class_rules(table, 0.0, range(1, 5))
-        partition = eliminate_redundant(rules)
+        rules = _generate(table, 0.0, range(1, 5))
+        partition = split_rules(rules)
         essential = set(partition.essential)
         assert partition.essential == tuple(r for r in rules if r in essential)
         assert [rule for rule, _ in partition.redundant] == [r for r in rules if r not in essential]
@@ -347,7 +416,7 @@ class TestEliminateRedundant:
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_naive_oracle(self, seed):
         rules = random_rules(random.Random(seed))
-        partition = eliminate_redundant(rules)
+        partition = split_rules(rules)
         naive = essential_rules_naive(rules)
         assert {r.key for r in partition.essential} == naive
         for rule, witness in partition.redundant:
@@ -357,7 +426,7 @@ class TestEliminateRedundant:
 @given(rule_lists())
 @settings(max_examples=80, deadline=None)
 def test_partition_is_a_disjoint_cover(rules):
-    partition = eliminate_redundant(rules)
+    partition = split_rules(rules)
     assert partition.rule_count == len(rules)
     covered = sorted(r.key for r in partition.all_rules())
     assert covered == sorted(r.key for r in rules)
@@ -373,7 +442,7 @@ def test_partition_is_a_disjoint_cover(rules):
 @given(rule_lists())
 @settings(max_examples=80, deadline=None)
 def test_essential_set_matches_naive_fixpoint(rules):
-    partition = eliminate_redundant(rules)
+    partition = split_rules(rules)
     assert {r.key for r in partition.essential} == essential_rules_naive(rules)
 
 
@@ -384,8 +453,8 @@ def test_adding_a_rule_never_demotes_smaller_essentials(rules):
         return
     added = rules[-1]
     base = rules[:-1]
-    before = {r.key for r in eliminate_redundant(base).essential}
-    after = {r.key for r in eliminate_redundant(rules).essential}
+    before = {r.key for r in split_rules(base).essential}
+    after = {r.key for r in split_rules(rules).essential}
     for rule in base:
         if len(rule.antecedent) <= len(added.antecedent):
             assert (rule.key in before) == (rule.key in after)
