@@ -178,18 +178,3 @@ def split_by_cluster(codes: np.ndarray, model: ClusterModel) -> list[np.ndarray]
             f"model covers {len(model.assignments)} records, got {len(codes)}"
         )
     return [codes[model.labels == cluster] for cluster in range(model.k)]
-
-
-def model_to_json(model: ClusterModel, bug_ids: Sequence[str]) -> dict:
-    """JSON-ready view keyed by bug_id, plus centroids and sizes."""
-    if len(model.assignments) != len(bug_ids):
-        raise ConsistencyError("model and records disagree on record count")
-    return {
-        "k": model.k,
-        "seed": model.seed,
-        "iterations_run": model.iterations_run,
-        "inertia": model.inertia,
-        "centroids": [list(c) for c in model.centroids],
-        "assignments": dict(zip(bug_ids, model.assignments)),
-        "cluster_sizes": model.cluster_sizes(),
-    }

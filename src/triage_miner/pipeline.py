@@ -22,7 +22,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .cluster import ClusterModel, feature_matrix, kmeans_fit, model_to_json, split_by_cluster
+from .cluster import ClusterModel, feature_matrix, kmeans_fit, split_by_cluster
 from .config import PipelineConfig
 from .errors import AuditError, InputError, ParameterError
 from .ingest import Attribute, Codebook, codebooks_to_json, read_bug_csv
@@ -38,6 +38,7 @@ from .report import (
     build_cluster_report,
     build_summary,
     write_cluster_text,
+    write_clusters_json,
     write_figure_csvs,
     write_json,
     write_rules_csv,
@@ -114,14 +115,7 @@ def _mine_cluster(
         len(partition.essential),
         len(partition.redundant),
     )
-    return ClusterOutcome(
-        index=index,
-        rows=rows,
-        table=table,
-        top_codes=top_codes,
-        partition=partition,
-        report=report,
-    )
+    return ClusterOutcome(index, rows, table, top_codes, partition, report)
 
 
 def execute(config: PipelineConfig) -> PipelineResult:
@@ -139,14 +133,7 @@ def execute(config: PipelineConfig) -> PipelineResult:
         for index, cluster_rows in enumerate(parts)
     ]
     result = PipelineResult(
-        config=config,
-        input_sha256=input_sha256,
-        codebooks=codebooks,
-        bug_ids=bug_ids,
-        codes=codes,
-        features=features,
-        model=model,
-        outcomes=outcomes,
+        config, input_sha256, codebooks, bug_ids, codes, features, model, outcomes
     )
     violations = audit_result(result)
     if violations:
@@ -251,7 +238,7 @@ def write_outputs(result: PipelineResult, dump_itemsets: bool = False) -> Path:
         config_used["input_sha256"] = result.input_sha256
         write_json(staging / "config_used.json", config_used)
         write_json(staging / "codebooks.json", codebooks_to_json(result.codebooks))
-        write_json(staging / "clusters.json", model_to_json(result.model, result.bug_ids))
+        write_clusters_json(staging / "clusters.json", result.model, result.bug_ids)
 
         report_dir = staging / "report"
         report_dir.mkdir()

@@ -10,38 +10,34 @@ Attributes print in the fixed order Severity, Priority, Os, Component;
 "Component" binds tightly to its brace. Confidence percentages are rounded
 half-up to two decimals and printed without a fractional part when integral.
 
-A cluster's rules are rendered as columns: each (attribute, code) fragment
-and each assignee label is built once, percentages are computed in integer
-arrays, and a witness's text is looked up by its row.
+A cluster's rules are rendered as string columns: the strings of each label
+and of each (support, antecedent count) pair are built once, and a witness's
+text is looked up by its row. rules.csv quotes a field holding a comma, a
+double quote, CR or LF, doubling its quotes (RFC 4180).
 """
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
-from itertools import repeat
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
+from .cluster import ClusterModel
+from .errors import ConsistencyError
 from .ingest import Attribute, Codebook
 from .rules import RulePartition, RuleTable, exact_counts
 
-RENDER_ORDER = (
-    Attribute.SEVERITY,
-    Attribute.PRIORITY,
-    Attribute.OPERATING_SYSTEM,
-    Attribute.COMPONENT,
-)
-
-_RENDER_PREFIX = {
+_RENDER_PREFIX = {  # in print order
     Attribute.SEVERITY: "Severity ",
     Attribute.PRIORITY: "Priority ",
     Attribute.OPERATING_SYSTEM: "Os ",
     Attribute.COMPONENT: "Component",
 }
+RENDER_ORDER = tuple(_RENDER_PREFIX)
 
 _AND = " ∧ "
 
@@ -58,22 +54,21 @@ def confidence_percents(support: np.ndarray, antecedent_count: np.ndarray) -> li
     ]
 
 
-def _labels(codes: np.ndarray, codebook: Codebook, template: str) -> np.ndarray:
-    """``template`` filled with the label of each code, decoding each
-    distinct code once."""
+def _labels(codes: np.ndarray, codebook: Codebook, template: str) -> tuple[np.ndarray, np.ndarray]:
+    """``template`` filled with the label of each code, and whether rules.csv
+    must quote that label; each distinct code is decoded once."""
     distinct, inverse = np.unique(codes, return_inverse=True)
-    labels = [template.format(codebook.decode(code)) for code in distinct.tolist()]
-    return np.array(labels, dtype=object)[inverse]
+    labels = [codebook.decode(code) for code in distinct.tolist()]
+    text = np.array([template.format(label) for label in labels], dtype=object)
+    quote = np.array([any(c in label for c in ',"\r\n') for label in labels], dtype=bool)
+    return text[inverse], quote[inverse]
 
 
-def render_antecedents(rules: RuleTable, codebooks: Mapping[Attribute, Codebook]) -> list[str]:
-    """Each rule's antecedent in the fixed grammar, e.g. "Priority {P1} ∧ Os {All}"."""
-    text = np.full(len(rules), "", dtype=object)
-    for attribute in RENDER_ORDER:
-        present = rules.present[:, attribute]
-        template = _AND + _RENDER_PREFIX[attribute] + "{{{}}}"
-        text[present] += _labels(rules.codes[present, attribute], codebooks[attribute], template)
-    return [fragments[len(_AND) :] for fragments in text.tolist()]
+def _csv_fields(fields: np.ndarray, quote: np.ndarray) -> np.ndarray:
+    """RFC 4180 fields: those flagged in ``quote`` in double quotes, each quote doubled."""
+    fields = fields.copy()
+    fields[quote] = ['"' + field.replace('"', '""') + '"' for field in fields[quote].tolist()]
+    return fields
 
 
 class RenderedRules(NamedTuple):
@@ -86,27 +81,48 @@ class RenderedRules(NamedTuple):
     support: list[int]
     confidence: list[str]  # repr of the float confidence, as rules.csv prints it
     witness: list[str]  # the witness's text, "" for an essential rule
+    antecedent_csv: list[str]  # as rules.csv prints it: the same string unless quoted
+    assignee_csv: list[str]
 
 
 def render_partition(
     partition: RulePartition, codebooks: Mapping[Attribute, Codebook]
 ) -> RenderedRules:
     """Every rule of a partition in the fixed grammar (``text`` is injective
-    for distinct rules), with the pieces rules.csv prints."""
+    for distinct rules), with the pieces rules.csv prints. The strings of a
+    label or of a (support, antecedent count) pair are built once."""
     rules = partition.rules
-    support, antecedent_count = rules.support.tolist(), rules.antecedent_count.tolist()
-    antecedent = render_antecedents(rules, codebooks)
-    assignee = _labels(rules.consequent, codebooks[Attribute.ASSIGNEE], "{}").tolist()
-    percent = confidence_percents(rules.support, rules.antecedent_count)
-    text = [
-        f"{lhs} ⇒ Assignee {{{rhs}}} @ ({count},{share}%)"
-        for lhs, rhs, count, share in zip(antecedent, assignee, support, percent)
-    ]
-    confidence = [repr(count / total) for count, total in zip(support, antecedent_count)]
-    witness = ["" if row < 0 else text[row] for row in partition.witness.tolist()]
-    order = np.concatenate([partition.essential, partition.redundant]).tolist()
-    columns = (text, antecedent, assignee, support, confidence, witness)
-    return RenderedRules(*([column[row] for row in order] for column in columns))
+    antecedent = np.full(len(rules), "", dtype=object)
+    quote = np.zeros(len(rules), dtype=bool)
+    for attribute in RENDER_ORDER:
+        rows = rules.present[:, attribute]
+        template = _AND + _RENDER_PREFIX[attribute] + "{{{}}}"
+        fragment, special = _labels(rules.codes[rows, attribute], codebooks[attribute], template)
+        antecedent[rows] += fragment
+        quote[rows] |= special
+    antecedent = np.array([text[len(_AND) :] for text in antecedent.tolist()], dtype=object)
+    assignee, assignee_quote = _labels(rules.consequent, codebooks[Attribute.ASSIGNEE], "{}")
+    arrow, _ = _labels(rules.consequent, codebooks[Attribute.ASSIGNEE], " ⇒ Assignee {{{}}}")
+
+    support, antecedent_count = exact_counts(rules.support, rules.antecedent_count, 2**31)
+    shift = int(support.max(initial=0)).bit_length()
+    pairs, pair = np.unique((antecedent_count << shift) | support, return_inverse=True)
+    pair_support, pair_count = pairs & ((1 << shift) - 1), pairs >> shift
+    percent = confidence_percents(pair_support, pair_count)
+    pair_support, pair_count = pair_support.tolist(), pair_count.tolist()
+    confidence = np.array([repr(s / a) for s, a in zip(pair_support, pair_count)], dtype=object)
+    share = np.array([f" @ ({s},{p}%)" for s, p in zip(pair_support, percent)], dtype=object)
+
+    text = antecedent + arrow + share[pair]
+    essential, redundant = partition.essential, partition.redundant
+    order = np.concatenate([essential, redundant])
+    columns = (text, antecedent, assignee, rules.support, confidence[pair])
+    fields = (_csv_fields(antecedent, quote), _csv_fields(assignee, assignee_quote))
+    return RenderedRules(
+        *(column[order].tolist() for column in columns),
+        [""] * len(essential) + text[partition.witness[redundant]].tolist(),
+        *(field[order].tolist() for field in fields),
+    )
 
 
 def length_histogram(rules: RuleTable) -> dict[int, int]:
@@ -139,11 +155,10 @@ def build_cluster_report(
     top_assignee_codes: Sequence[int],
 ) -> ClusterReport:
     """Assemble one cluster's report; rule sections keep generation order."""
-    assignee_book = codebooks[Attribute.ASSIGNEE]
     return ClusterReport(
         cluster_index=cluster_index,
         size=size,
-        top_assignees=tuple(assignee_book.decode(code) for code in top_assignee_codes),
+        top_assignees=tuple(map(codebooks[Attribute.ASSIGNEE].decode, top_assignee_codes)),
         essential_count=len(partition.essential),
         redundant_count=len(partition.redundant),
         length_histogram=length_histogram(partition.rules),
@@ -172,16 +187,39 @@ def build_summary(
         "records": record_count,
         "parameters": dict(parameters),
         "clusters": clusters,
-        "totals": {
-            "rules": sum(r.rule_count for r in reports),
-            "essential": sum(r.essential_count for r in reports),
-            "redundant": sum(r.redundant_count for r in reports),
-        },
+        "totals": {k: sum(c[k] for c in clusters) for k in ("rules", "essential", "redundant")},
     }
 
 
 def write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, ensure_ascii=False) + "\n", encoding="utf-8")
+
+
+def write_clusters_json(path: Path, model: ClusterModel, bug_ids: Sequence[str]) -> None:
+    """The model's diagnostics and each bug_id's cluster, as ``write_json``
+    prints them; the assignments are joined from each id's encoding and a
+    ": <cluster>" suffix, since ``indent`` makes ``json`` encode in Python."""
+    if len(model.assignments) != len(bug_ids):
+        raise ConsistencyError("model and records disagree on record count")
+    payload = {
+        "k": model.k,
+        "seed": model.seed,
+        "iterations_run": model.iterations_run,
+        "inertia": model.inertia,
+        "centroids": [list(c) for c in model.centroids],
+        "assignments": {},
+        "cluster_sizes": model.cluster_sizes(),
+    }
+    text = json.dumps(payload, indent=2, ensure_ascii=False)
+    if bug_ids:
+        suffixes = np.array([f": {cluster},\n    " for cluster in range(model.k)], dtype=object)
+        entries = [""] * (2 * len(bug_ids))
+        entries[::2] = map(encode_basestring, bug_ids)
+        entries[1::2] = suffixes[model.labels].tolist()
+        entries[-1] = f": {model.assignments[-1]}"
+        block = '"assignments": {\n    ' + "".join(entries) + "\n  }"
+        text = text.replace('"assignments": {}', block)
+    path.write_text(text + "\n", encoding="utf-8")
 
 
 def write_cluster_text(path: Path, report: ClusterReport) -> None:
@@ -198,59 +236,49 @@ def write_cluster_text(path: Path, report: ClusterReport) -> None:
         "Essential rules",
     ]
     rendered, essential = report.rendered, report.essential_count
-    if essential:
-        lines += [f"  {i}. {text}" for i, text in enumerate(rendered.text[:essential], start=1)]
-    else:
-        lines.append("  (none)")
+    essential_text = rendered.text[:essential]
+    lines += [f"  {i}. {text}" for i, text in enumerate(essential_text, start=1)] or ["  (none)"]
     lines += ["", "Redundant rules"]
-    if report.redundant_count:
-        redundant = zip(rendered.text[essential:], rendered.witness[essential:])
-        for i, (text, witness) in enumerate(redundant, start=1):
-            lines.append(f"  {i}. {text}")
-            lines.append(f"     subsumed by: {witness}")
-    else:
-        lines.append("  (none)")
+    redundant = zip(rendered.text[essential:], rendered.witness[essential:])
+    lines += [
+        f"  {i}. {text}\n     subsumed by: {witness}"
+        for i, (text, witness) in enumerate(redundant, start=1)
+    ] or ["  (none)"]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def write_figure_csvs(figures_dir: Path, reports: Sequence[ClusterReport]) -> None:
+    """The figure tables; every field is an integer, so none is quoted."""
     figures_dir.mkdir(parents=True, exist_ok=True)
-    with open(figures_dir / "cluster_sizes.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["cluster", "size"])
-        for report in reports:
-            writer.writerow([report.cluster_index, report.size])
-    with open(figures_dir / "essential_redundant.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["cluster", "essential", "redundant"])
-        for report in reports:
-            writer.writerow([report.cluster_index, report.essential_count, report.redundant_count])
-    with open(figures_dir / "rule_lengths.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["cluster", "antecedent_length", "rule_count"])
-        for report in reports:
-            for length, count in sorted(report.length_histogram.items()):
-                writer.writerow([report.cluster_index, length, count])
+    tables = {
+        "cluster_sizes.csv": ["cluster,size"]
+        + [f"{r.cluster_index},{r.size}" for r in reports],
+        "essential_redundant.csv": ["cluster,essential,redundant"]
+        + [f"{r.cluster_index},{r.essential_count},{r.redundant_count}" for r in reports],
+        "rule_lengths.csv": ["cluster,antecedent_length,rule_count"]
+        + [
+            f"{r.cluster_index},{length},{count}"
+            for r in reports
+            for length, count in sorted(r.length_histogram.items())
+        ],
+    }
+    for name, lines in tables.items():
+        (figures_dir / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def write_rules_csv(path: Path, reports: Sequence[ClusterReport]) -> None:
-    """One row per rule across all clusters, essential rows first per cluster."""
+    """One row per rule across all clusters, essential rows first per
+    cluster, joined and written a cluster at a time. A witness holds the
+    comma of "(n,p%)", so it is always quoted."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["cluster", "antecedent", "consequent", "support_count", "confidence", "status", "witness"]
-        )
+        fh.write("cluster,antecedent,consequent,support_count,confidence,status,witness\n")
         for report in reports:
-            rendered = report.rendered
-            status = ["essential"] * report.essential_count + ["redundant"] * report.redundant_count
-            writer.writerows(
-                zip(
-                    repeat(report.cluster_index),
-                    rendered.antecedent,
-                    rendered.assignee,
-                    rendered.support,
-                    rendered.confidence,
-                    status,
-                    rendered.witness,
-                )
-            )
+            rendered, essential = report.rendered, report.essential_count
+            status = [",essential,"] * essential + [
+                ',redundant,"' + witness.replace('"', '""') + '"'
+                for witness in rendered.witness[essential:]
+            ]
+            columns = (rendered.antecedent_csv, rendered.assignee_csv, rendered.support)
+            rows = zip(*columns, rendered.confidence, status)
+            start = f"{report.cluster_index},"
+            fh.write("".join([f"{start}{a},{b},{n},{c}{t}\n" for a, b, n, c, t in rows]))

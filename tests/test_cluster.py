@@ -14,7 +14,6 @@ from triage_miner.cluster import (
     _kmeanspp_init,
     feature_matrix,
     kmeans_fit,
-    model_to_json,
     split_by_cluster,
 )
 from triage_miner.errors import ConsistencyError, InfeasibleKError, ParameterError
@@ -181,16 +180,6 @@ class TestSplitByCluster:
     def test_length_mismatch_is_a_consistency_error(self):
         with pytest.raises(ConsistencyError):
             split_by_cluster(np.array([_row()]), self._model([0, 0], k=1))
-
-
-def test_model_to_json_shape():
-    codes = np.array([_row(comp=1), _row(comp=9)])
-    model = kmeans_fit(feature_matrix(codes), k=2, seed=0)
-    payload = model_to_json(model, ["b0", "b1"])
-    assert payload["k"] == 2
-    assert set(payload["assignments"]) == {"b0", "b1"}
-    assert sorted(payload["cluster_sizes"]) == [1, 1]
-    assert len(payload["centroids"]) == 2
 
 
 def test_feature_vector_excludes_assignee():

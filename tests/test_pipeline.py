@@ -2,7 +2,9 @@
 check, `run_verify` diffing the run's own tables, rendering each rule once,
 and rule objects built only for verification."""
 
+import csv
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -182,3 +184,18 @@ def test_run_builds_no_rule_objects(sample_csv, tmp_path, monkeypatch):
     # the oracles work on objects, so verify builds them
     with pytest.raises(AssertionError, match="object built"):
         run_verify(result)
+
+
+def test_rules_csv_reads_back_with_a_carriage_return_in_a_label(sample_csv, tmp_path):
+    """A quoted cell keeps its bare \\r, so rules.csv must quote that label."""
+    source = tmp_path / "bugs.csv"
+    text = sample_csv.read_text(encoding="utf-8").replace(",Build Config,", ',"Build\rConfig",')
+    source.write_text(text, encoding="utf-8", newline="")
+    run_pipeline(PipelineConfig(input_path=str(source), output_dir=str(tmp_path / "out")))
+    report_dir = tmp_path / "out" / "report"
+    with open(report_dir / "rules.csv", newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    summary = json.loads((report_dir / "summary.json").read_text(encoding="utf-8"))
+    assert {len(row) for row in [header, *rows]} == {7}
+    assert len(rows) == summary["totals"]["rules"]
+    assert any("Component{Build\rConfig}" in row[1] for row in rows)

@@ -1,5 +1,10 @@
+import csv
+import json
 import math
+import tempfile
 from fractions import Fraction
+from itertools import repeat
+from pathlib import Path
 
 import hypothesis.strategies as st
 import numpy as np
@@ -7,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import render_text, rule_lists, rule_table, simple_codebooks, split_rules
-from triage_miner.errors import UnknownCategoryError
+from triage_miner.cluster import ClusterModel
+from triage_miner.errors import ConsistencyError, UnknownCategoryError
 from triage_miner.ingest import Attribute, Codebook
 from triage_miner.mine import Item, Itemset
 from triage_miner.oracle import Rule
@@ -15,8 +21,9 @@ from triage_miner.report import (
     build_cluster_report,
     confidence_percents,
     length_histogram,
-    render_antecedents,
     render_partition,
+    write_clusters_json,
+    write_rules_csv,
 )
 from triage_miner.rules import eliminate_redundant
 
@@ -152,7 +159,8 @@ class TestRenderRule:
     def test_render_antecedent_fragment(self):
         books = _codebooks_for(["General"], ["All"], ["x"])
         rule = _rule([Item(Attribute.OPERATING_SYSTEM, 1), Item(Attribute.PRIORITY, 1)], 1, 1, 2)
-        assert render_antecedents(rule_table([rule]), books) == ["Priority {P1} ∧ Os {All}"]
+        partition = eliminate_redundant(rule_table([rule]))
+        assert render_partition(partition, books).antecedent == ["Priority {P1} ∧ Os {All}"]
 
     @given(rule_lists(max_rules=25))
     @settings(max_examples=40, deadline=None)
@@ -160,6 +168,26 @@ class TestRenderRule:
         books = simple_codebooks()
         rendered = render_partition(eliminate_redundant(rule_table(rules)), books).text
         assert len(set(rendered)) == len(rules)
+
+
+class TestPairStrings:
+    """Percentages and confidences are built once per distinct (support,
+    antecedent count) pair, keyed in int64 below 2**31 and on Python ints
+    from there; every rule must still get its own pair's strings."""
+
+    @pytest.mark.parametrize("m", [2**31 - 1, 2**31, 2**62])
+    def test_each_rule_gets_its_pairs_strings(self, m):
+        pairs = [(m - 2, m - 1), (m - 2, m), (m - 1, m), (1, m), (1, 3), (m - 2, m - 1)]
+        rules = [
+            _rule([Item(Attribute.COMPONENT, code)], 1, support, antecedent)
+            for code, (support, antecedent) in enumerate(pairs, start=1)
+        ]
+        rendered = render_partition(eliminate_redundant(rule_table(rules)), simple_codebooks())
+        assert rendered.support == [support for support, _ in pairs]
+        assert rendered.confidence == [repr(s / a) for s, a in pairs]
+        assert [text.split(" @ ")[1] for text in rendered.text] == [
+            f"({s},{_fraction_percent(s, a)}%)" for s, a in pairs
+        ]
 
 
 class TestLengthHistogram:
@@ -223,3 +251,150 @@ class TestBuildClusterReport:
         assert report.rendered.text[: report.essential_count] == [
             render_text(r, books) for r in split_rules(rules).essential
         ]
+
+
+_HEADER = "cluster,antecedent,consequent,support_count,confidence,status,witness".split(",")
+
+# labels holding every character that needs CSV quoting, the rule grammar's
+# own symbols and non-ASCII text
+_labels_text = st.text(
+    st.sampled_from([",", '"', "\r", "\n", "∧", "⇒", "{", "}", "@", " ", "é", "漢", "a"]),
+    min_size=1,
+    max_size=6,
+)
+
+
+@st.composite
+def label_codebooks(draw):
+    """simple_codebooks with the learned labels of codes 1..3 drawn from
+    ``_labels_text``."""
+    books = simple_codebooks()
+    for attribute in (Attribute.COMPONENT, Attribute.OPERATING_SYSTEM, Attribute.ASSIGNEE):
+        labels = draw(st.lists(_labels_text, min_size=3, max_size=3, unique=True))
+        forward = {label: code for code, label in enumerate(labels, start=1)}
+        books[attribute] = Codebook(attribute, forward, {c: l for l, c in forward.items()})
+    return books
+
+
+def _reports(clusters, books):
+    return [
+        build_cluster_report(index, 10, eliminate_redundant(rule_table(rules)), books, [1])
+        for index, rules in enumerate(clusters)
+    ]
+
+
+def _csv_writer_rules_csv(path: Path, reports) -> None:
+    """rules.csv as csv.writer writes it, as it was written before the
+    rendered rows; before Python 3.13 it leaves a bare \\r unquoted."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(_HEADER)
+        for report in reports:
+            rendered = report.rendered
+            status = ["essential"] * report.essential_count + ["redundant"] * report.redundant_count
+            writer.writerows(
+                zip(
+                    repeat(report.cluster_index),
+                    rendered.antecedent,
+                    rendered.assignee,
+                    rendered.support,
+                    rendered.confidence,
+                    status,
+                    rendered.witness,
+                )
+            )
+
+
+def _rendered_rows(reports) -> list[list[str]]:
+    rows = [_HEADER]
+    for report in reports:
+        rendered, essential = report.rendered, report.essential_count
+        for row, columns in enumerate(zip(*rendered[1:6])):
+            antecedent, assignee, support, confidence, witness = columns
+            status = "essential" if row < essential else "redundant"
+            fields = [antecedent, assignee, str(support), confidence, status, witness]
+            rows.append([str(report.cluster_index), *fields])
+    return rows
+
+
+class TestRulesCsv:
+    @given(st.lists(rule_lists(max_rules=12), min_size=1, max_size=3), label_codebooks())
+    @settings(max_examples=80, deadline=None)
+    def test_reads_back_to_the_rendered_columns(self, clusters, books):
+        reports = _reports(clusters, books)
+        with tempfile.TemporaryDirectory() as scratch:
+            path, reference = Path(scratch) / "rules.csv", Path(scratch) / "reference.csv"
+            write_rules_csv(path, reports)
+            with open(path, newline="", encoding="utf-8") as fh:
+                rows = list(csv.reader(fh))
+            assert rows == _rendered_rows(reports)
+            assert {len(row) for row in rows} == {7}
+            if not any("\r" in label for book in books.values() for label in book.forward):
+                _csv_writer_rules_csv(reference, reports)
+                assert path.read_bytes() == reference.read_bytes()
+
+    def test_a_label_holding_a_carriage_return_is_quoted(self):
+        books = _codebooks_for(["Build\rConfig"], ["All"], ["Frank Moreau"])
+        rule = _rule([Item(Attribute.COMPONENT, 1)], 1, 3, 4)
+        reports = _reports([[rule]], books)
+        with tempfile.TemporaryDirectory() as scratch:
+            path = Path(scratch) / "rules.csv"
+            write_rules_csv(path, reports)
+            assert path.read_bytes().decode("utf-8").split("\n")[1] == (
+                '0,"Component{Build\rConfig}",Frank Moreau,3,0.75,essential,'
+            )
+            with open(path, newline="", encoding="utf-8") as fh:
+                assert list(csv.reader(fh)) == _rendered_rows(reports)
+
+
+def _model_to_json(model: ClusterModel, bug_ids) -> dict:
+    """clusters.json's payload as a dict, keyed by bug_id."""
+    return {
+        "k": model.k,
+        "seed": model.seed,
+        "iterations_run": model.iterations_run,
+        "inertia": model.inertia,
+        "centroids": [list(c) for c in model.centroids],
+        "assignments": dict(zip(bug_ids, model.assignments)),
+        "cluster_sizes": model.cluster_sizes(),
+    }
+
+
+# bug ids holding what JSON escapes or passes through: quotes, backslashes,
+# control characters, non-ASCII text and the line/paragraph separators
+_bug_ids = st.text(
+    st.one_of(
+        st.sampled_from(['"', "\\", "\x00", "\x1f", "\n", "\r", "\t", "\u2028", "\u2029", "😀"]),
+        st.characters(exclude_categories=("Cs",)),
+    ),
+    min_size=1,
+    max_size=8,
+)
+_coordinates = st.floats(allow_nan=False, allow_infinity=False)
+_centroids = st.lists(_coordinates, min_size=4, max_size=4)
+
+
+class TestClustersJson:
+    @given(st.data(), st.integers(1, 4), st.lists(_bug_ids, min_size=1, max_size=20, unique=True))
+    @settings(max_examples=80, deadline=None)
+    def test_bytes_match_the_indented_encoder(self, data, k, bug_ids):
+        n = len(bug_ids)
+        model = ClusterModel(
+            k=k,
+            centroids=tuple(tuple(data.draw(_centroids)) for _ in range(k)),
+            assignments=tuple(data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))),
+            inertia=data.draw(_coordinates),
+            seed=data.draw(st.integers(0, 2**32)),
+            iterations_run=data.draw(st.integers(0, 300)),
+            inertia_history=(0.0,),
+        )
+        expected = json.dumps(_model_to_json(model, bug_ids), indent=2, ensure_ascii=False) + "\n"
+        with tempfile.TemporaryDirectory() as scratch:
+            path = Path(scratch) / "clusters.json"
+            write_clusters_json(path, model, bug_ids)
+            assert path.read_bytes() == expected.encode("utf-8")
+
+    def test_a_record_count_mismatch_is_a_consistency_error(self, tmp_path):
+        model = ClusterModel(1, ((0.0,) * 4,), (0, 0), 0.0, 0, 1, (0.0,))
+        with pytest.raises(ConsistencyError):
+            write_clusters_json(tmp_path / "clusters.json", model, ["b0"])
