@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .config import validate_config
 from .errors import InputError, ParameterError, TriageMinerError
-from .pipeline import execute, run_pipeline, run_verify
+from .pipeline import MAX_VERIFY_RULES, MAX_VERIFY_TRANSACTIONS, execute, run_pipeline, run_verify
 from .synth import synthesize_rows, write_csv
 
 
@@ -137,13 +137,13 @@ def build_parser() -> argparse.ArgumentParser:
     verify_parser.add_argument(
         "--max-transactions",
         type=int,
-        default=2000,
+        default=MAX_VERIFY_TRANSACTIONS,
         help="skip the itemset oracle for clusters above this size",
     )
     verify_parser.add_argument(
         "--max-rules",
         type=int,
-        default=5000,
+        default=MAX_VERIFY_RULES,
         help="skip the redundancy oracle for rule sets above this size",
     )
     verify_parser.set_defaults(handler=_cmd_verify)

@@ -75,14 +75,14 @@ def group_keys(keys: np.ndarray, key_space: int) -> tuple[np.ndarray, np.ndarray
 
 
 def distinct_rows(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The distinct rows of a 2-D array, each point's index among them and
-    each one's count, ranked column by column on integer keys below n²
-    (rank so far × the column's distinct values + the value's rank)."""
+    """The distinct rows of a 2-D array in its dtype, each point's index among
+    them and each one's count, ranked column by column on integer keys below
+    n² (rank so far × the column's distinct values + the value's rank)."""
     rank, counts = np.zeros(len(points), dtype=np.int64), np.array([len(points)])
     for column in points.T:
         values, value_rank = np.unique(column, return_inverse=True)
         _, counts, rank = group_keys(rank * len(values) + value_rank, len(counts) * len(values))
-    vectors = np.empty((len(counts), points.shape[1]))
+    vectors = np.empty((len(counts), points.shape[1]), dtype=points.dtype)
     vectors[rank] = points
     return vectors, rank, counts
 

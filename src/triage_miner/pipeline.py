@@ -43,15 +43,12 @@ from .report import (
     write_json,
     write_rules_csv,
 )
-from .rules import (
-    RulePartition,
-    eliminate_redundant,
-    exact_counts,
-    generate_class_rules,
-    top_assignees,
-)
+from .rules import RulePartition, eliminate_redundant, generate_class_rules, top_assignees
 
 logger = logging.getLogger("triage_miner")
+
+MAX_VERIFY_TRANSACTIONS = 2000  # verify's default caps, and its CLI flags' defaults
+MAX_VERIFY_RULES = 5000
 
 
 @dataclass
@@ -187,10 +184,10 @@ def audit_result(result: PipelineResult) -> list[str]:
 def _audit_rules(partition: RulePartition, config: PipelineConfig) -> list[str]:
     """Every rule's thresholds and antecedent, and every witness from first
     principles: essential, same consequent, strict-subset antecedent,
-    confidence no lower (exact)."""
+    confidence no lower (cross-multiplied in Python ints)."""
     rules, witness, rows = partition.rules, partition.witness, partition.redundant
     of = np.minimum(witness[rows], len(rules) - 1)  # an out-of-range witness fails below
-    support, antecedent_count = exact_counts(rules.support, rules.antecedent_count, 2**31)
+    support, antecedent_count = rules.support.astype(object), rules.antecedent_count
     valid = (
         (witness[rows] < len(rules))
         & (witness[of] < 0)
@@ -279,8 +276,8 @@ def run_pipeline(config: PipelineConfig, dump_itemsets: bool = False) -> Pipelin
 
 def run_verify(
     result: PipelineResult,
-    max_transactions: int = 2000,
-    max_rules: int = 5000,
+    max_transactions: int = MAX_VERIFY_TRANSACTIONS,
+    max_rules: int = MAX_VERIFY_RULES,
 ) -> tuple[bool, list[str]]:
     """Diff a run's own frequent-itemset tables and rule partitions against
     the brute-force oracles, cluster by cluster. Clusters above the size caps

@@ -13,7 +13,9 @@ half-up to two decimals and printed without a fractional part when integral.
 A cluster's rules are rendered as string columns: the strings of each label
 and of each (support, antecedent count) pair are built once, and a witness's
 text is looked up by its row. rules.csv quotes a field holding a comma, a
-double quote, CR or LF, doubling its quotes (RFC 4180).
+double quote, CR or LF, doubling its quotes (RFC 4180); cluster_<i>.txt
+shows a CR or LF inside a label as ``\\r`` or ``\\n``, so that every rule
+keeps one line.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import numpy as np
 from .cluster import ClusterModel
 from .errors import ConsistencyError
 from .ingest import Attribute, Codebook
-from .rules import RulePartition, RuleTable, exact_counts
+from .rules import RulePartition, RuleTable
 
 _RENDER_PREFIX = {  # in print order
     Attribute.SEVERITY: "Severity ",
@@ -42,16 +44,12 @@ RENDER_ORDER = tuple(_RENDER_PREFIX)
 _AND = " ∧ "
 
 
-def confidence_percents(support: np.ndarray, antecedent_count: np.ndarray) -> list[str]:
-    """Exact half-up percentages with two decimals; integral values print
-    bare (52.94, 75, 100)."""
-    support, antecedent_count = exact_counts(support, antecedent_count, 2**48)
-    # floor(10000 * s / a + 1/2), in integers
-    hundredths = (20000 * support + antecedent_count) // (2 * antecedent_count)
-    return [
-        str(whole) if cents == 0 else f"{whole}.{cents:02d}"
-        for whole, cents in zip((hundredths // 100).tolist(), (hundredths % 100).tolist())
-    ]
+def confidence_percents(support: Sequence[int], antecedent_count: Sequence[int]) -> list[str]:
+    """Exact half-up percentages with two decimals, from Python ints;
+    integral values print bare (52.94, 75, 100)."""
+    # floor(10000 * s / a + 1/2)
+    hundredths = [(20000 * s + a) // (2 * a) for s, a in zip(support, antecedent_count)]
+    return [f"{h // 100}" if h % 100 == 0 else f"{h // 100}.{h % 100:02d}" for h in hundredths]
 
 
 def _labels(codes: np.ndarray, codebook: Codebook, template: str) -> tuple[np.ndarray, np.ndarray]:
@@ -62,6 +60,9 @@ def _labels(codes: np.ndarray, codebook: Codebook, template: str) -> tuple[np.nd
     text = np.array([template.format(label) for label in labels], dtype=object)
     quote = np.array([any(c in label for c in ',"\r\n') for label in labels], dtype=bool)
     return text[inverse], quote[inverse]
+
+
+_SHOWN = str.maketrans({"\r": "\\r", "\n": "\\n"})  # CR and LF as visible escapes
 
 
 def _csv_fields(fields: np.ndarray, quote: np.ndarray) -> np.ndarray:
@@ -83,6 +84,7 @@ class RenderedRules(NamedTuple):
     witness: list[str]  # the witness's text, "" for an essential rule
     antecedent_csv: list[str]  # as rules.csv prints it: the same string unless quoted
     assignee_csv: list[str]
+    line_breaks: bool  # some label of the codebooks holds CR or LF
 
 
 def render_partition(
@@ -103,13 +105,12 @@ def render_partition(
     antecedent = np.array([text[len(_AND) :] for text in antecedent.tolist()], dtype=object)
     assignee, assignee_quote = _labels(rules.consequent, codebooks[Attribute.ASSIGNEE], "{}")
     arrow, _ = _labels(rules.consequent, codebooks[Attribute.ASSIGNEE], " ⇒ Assignee {{{}}}")
+    labels = (label for codebook in codebooks.values() for label in codebook.forward)
+    line_breaks = any("\r" in label or "\n" in label for label in labels)
 
-    support, antecedent_count = exact_counts(rules.support, rules.antecedent_count, 2**31)
-    shift = int(support.max(initial=0)).bit_length()
-    pairs, pair = np.unique((antecedent_count << shift) | support, return_inverse=True)
-    pair_support, pair_count = pairs & ((1 << shift) - 1), pairs >> shift
+    pairs, pair = rules.pairs
+    pair_support, pair_count = pairs.T.tolist()
     percent = confidence_percents(pair_support, pair_count)
-    pair_support, pair_count = pair_support.tolist(), pair_count.tolist()
     confidence = np.array([repr(s / a) for s, a in zip(pair_support, pair_count)], dtype=object)
     share = np.array([f" @ ({s},{p}%)" for s, p in zip(pair_support, percent)], dtype=object)
 
@@ -122,6 +123,7 @@ def render_partition(
         *(column[order].tolist() for column in columns),
         [""] * len(essential) + text[partition.witness[redundant]].tolist(),
         *(field[order].tolist() for field in fields),
+        line_breaks,
     )
 
 
@@ -223,11 +225,12 @@ def write_clusters_json(path: Path, model: ClusterModel, bug_ids: Sequence[str])
 
 
 def write_cluster_text(path: Path, report: ClusterReport) -> None:
+    top = ", ".join(report.top_assignees).translate(_SHOWN) if report.top_assignees else "(none)"
     lines = [
         f"Cluster {report.cluster_index}",
         "=" * len(f"Cluster {report.cluster_index}"),
         f"Records: {report.size}",
-        f"Top assignees: {', '.join(report.top_assignees) if report.top_assignees else '(none)'}",
+        f"Top assignees: {top}",
         f"Rules: {report.rule_count} (essential {report.essential_count},"
         f" redundant {report.redundant_count})",
         "Antecedent length histogram: "
@@ -236,13 +239,14 @@ def write_cluster_text(path: Path, report: ClusterReport) -> None:
         "Essential rules",
     ]
     rendered, essential = report.rendered, report.essential_count
-    essential_text = rendered.text[:essential]
-    lines += [f"  {i}. {text}" for i, text in enumerate(essential_text, start=1)] or ["  (none)"]
+    text, witness = rendered.text, rendered.witness
+    if rendered.line_breaks:  # keep one rule per line
+        text, witness = [t.translate(_SHOWN) for t in text], [w.translate(_SHOWN) for w in witness]
+    lines += [f"  {i}. {t}" for i, t in enumerate(text[:essential], start=1)] or ["  (none)"]
     lines += ["", "Redundant rules"]
-    redundant = zip(rendered.text[essential:], rendered.witness[essential:])
+    redundant = zip(text[essential:], witness[essential:])
     lines += [
-        f"  {i}. {text}\n     subsumed by: {witness}"
-        for i, (text, witness) in enumerate(redundant, start=1)
+        f"  {i}. {t}\n     subsumed by: {w}" for i, (t, w) in enumerate(redundant, start=1)
     ] or ["  (none)"]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 

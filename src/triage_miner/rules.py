@@ -4,13 +4,13 @@ rules, with no per-rule objects.
 
 A rule is redundant when some essential rule with the same consequent, a
 strictly smaller antecedent and confidence at least as high already carries
-its meaning. Confidences are compared exactly, in integers: the witness probe
-cross-multiplies counts, and rules sort by ``(support_count << shift) //
-antecedent_count`` with ``2**shift >= M**2``, M the largest antecedent count.
-Distinct ratios with denominators up to M differ by at least 1/M**2, so their
-keys differ and order as the ratios do; equal ratios give equal keys. Both
-run in int64 while they cannot overflow (the key while M < 2**21, products
-while M < 2**31) and on Python ints above.
+its meaning. Confidences are compared exactly and in one place: each rule
+table keys its distinct (support, antecedent count) pairs by ``(support <<
+shift) // antecedent_count`` in Python ints, with ``2**shift >= M**2`` for M
+the largest antecedent count. Distinct ratios with denominators up to M
+differ by at least 1/M**2, so their keys differ and order as the ratios do,
+and equal ratios get equal keys. Rules sort and are compared on the dense
+rank of their pair's key, for counts of any size.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DuplicateRuleError, ParameterError
 from .ingest import Attribute
-from .mine import FrequentItemsetTable, group_keys
+from .mine import FrequentItemsetTable, distinct_rows, group_keys
 
 ANTECEDENT_ATTRIBUTES = tuple(Attribute)[:-1]  # the assignee is the consequent
 
@@ -53,6 +53,32 @@ class RuleTable:
     def size(self) -> np.ndarray:
         return self.present.sum(axis=1)
 
+    @cached_property
+    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct (support, antecedent count) pairs, one row each, and
+        each rule's row among them."""
+        return distinct_rows(np.column_stack([self.support, self.antecedent_count]))[:2]
+
+    @cached_property
+    def confidence_rank(self) -> np.ndarray:
+        """Each rule's dense confidence rank, from the exact key of the module
+        docstring: equal ratios share a rank, a higher ratio has a higher one."""
+        pairs, pair = self.pairs
+        support, antecedent_count = pairs.T.tolist()
+        shift = 2 * max(antecedent_count, default=0).bit_length()
+        keys = [(s << shift) // a for s, a in zip(support, antecedent_count)]
+        rank_of = {key: rank for rank, key in enumerate(sorted(set(keys)))}
+        return np.array([rank_of[key] for key in keys], dtype=np.int64)[pair]
+
+    def take(self, rows: np.ndarray) -> RuleTable:
+        """The rules at ``rows``, in that order, keeping this table's pairs and
+        ranks (a cached_property's value lives in the instance dict)."""
+        columns = (self.codes, self.consequent, self.support, self.antecedent_count)
+        taken = RuleTable(*(column[rows] for column in columns))
+        (pairs, pair), rank = self.pairs, self.confidence_rank
+        vars(taken).update(pairs=(pairs, pair[rows]), confidence_rank=rank[rows])
+        return taken
+
 
 @dataclass(frozen=True, eq=False)
 class RulePartition:
@@ -74,17 +100,6 @@ class RulePartition:
     @property
     def rule_count(self) -> int:
         return len(self.rules)
-
-
-def exact_counts(
-    support: np.ndarray, antecedent_count: np.ndarray, limit: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The two count columns as they are while every count is below
-    ``limit``, else as arrays of Python ints, so that the caller's shifts and
-    products of counts below ``limit`` fit int64 and all others are exact."""
-    if max(support.max(initial=0), antecedent_count.max(initial=0)) < limit:
-        return support, antecedent_count
-    return support.astype(object), antecedent_count.astype(object)
 
 
 def top_assignees(assignee_codes: np.ndarray, n: int) -> list[int]:
@@ -109,8 +124,8 @@ def generate_class_rules(
     assignee (its last attribute) and another attribute, a group with an
     allowed assignee is a candidate whose parent count is its antecedent
     count. Rows are ordered by antecedent size asc, confidence desc (the
-    exact integer key of the module docstring), support desc, canonical
-    antecedent items, then consequent code.
+    table's confidence rank), support desc, canonical antecedent items, then
+    consequent code.
     """
     allowed = np.array(sorted(set(allowed_consequents)), dtype=np.int64)
     if not len(allowed):
@@ -127,24 +142,13 @@ def generate_class_rules(
         codes[:, list(subset[:-1])] = values[passing, :-1]
         parts.append((codes, values[passing, -1], support[passing], antecedent_count[passing]))
     rules = RuleTable(*(np.concatenate(column) for column in zip(*parts)))
-
-    support, antecedent_count = exact_counts(rules.support, rules.antecedent_count, 2**21)
-    shift = 2 * int(antecedent_count.max(initial=0)).bit_length()
-    confidence = (support << shift) // antecedent_count
-    if confidence.dtype == object:  # Python ints: sort by their dense rank
-        confidence = np.unique(confidence, return_inverse=True)[1]
     # within one size, an absent attribute sorts after every code of it, as
     # the canonical item sequences compare
     items = np.where(rules.present, rules.codes, np.iinfo(np.int64).max)
     order = np.lexsort(
-        (rules.consequent, *items.T[::-1], -rules.support, -confidence, rules.size)
+        (rules.consequent, *items.T[::-1], -rules.support, -rules.confidence_rank, rules.size)
     )
-    return RuleTable(
-        rules.codes[order],
-        rules.consequent[order],
-        rules.support[order],
-        rules.antecedent_count[order],
-    )
+    return rules.take(order)
 
 
 def eliminate_redundant(rules: RuleTable) -> RulePartition:
@@ -180,13 +184,7 @@ def eliminate_redundant(rules: RuleTable) -> RulePartition:
         _, first = np.unique(rank, return_index=True)
         raise DuplicateRuleError(f"duplicate rule at row {np.setdiff1d(everything, first)[0]}")
 
-    support, antecedent_count = exact_counts(rules.support, rules.antecedent_count, 2**31)
-
-    def compare(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Cross-multiplied: positive, zero or negative as confidence(a) is
-        above, equal to or below confidence(b)."""
-        return support[a] * antecedent_count[b] - support[b] * antecedent_count[a]
-
+    confidence = rules.confidence_rank
     witness = np.full(len(rules), -1)
     subset_of = rules.present @ (1 << np.arange(len(ANTECEDENT_ATTRIBUTES)))
     essential: dict[tuple[int, ...], np.ndarray] = {}  # attribute subset -> essential rows
@@ -206,8 +204,8 @@ def eliminate_redundant(rules: RuleTable) -> RulePartition:
                 probed = found >= 0
                 rule, candidate, current = rows[probed], found[probed], best[probed]
                 # at least the rule's confidence, and above the best so far
-                better = (compare(candidate, rule) >= 0) & (
-                    (current < 0) | (compare(candidate, current) > 0)
+                better = (confidence[candidate] >= confidence[rule]) & (
+                    (current < 0) | (confidence[candidate] > confidence[current])
                 )
                 best[probed] = np.where(better, candidate, current)
             subsumed = best >= 0

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 
 import pytest
@@ -8,7 +9,7 @@ from triage_miner import cli
 from triage_miner.config import PipelineConfig, default_column_map, validate_config
 from triage_miner.errors import AuditError, ConfigError
 from triage_miner.oracle import enumerate_frequent_itemsets
-from triage_miner.pipeline import execute
+from triage_miner.pipeline import execute, run_verify
 from triage_miner.synth import synthesize_rows, write_csv
 
 
@@ -299,6 +300,12 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert code == 0
         assert "skipped itemset check" in out
+
+    def test_cap_defaults_are_run_verifys(self):
+        args = cli.build_parser().parse_args(["verify", "--input", "bugs.csv"])
+        defaults = inspect.signature(run_verify).parameters
+        assert args.max_transactions == defaults["max_transactions"].default
+        assert args.max_rules == defaults["max_rules"].default
 
     @pytest.mark.parametrize("flag,cap", [("--max-transactions", "-5"), ("--max-rules", "-1")])
     def test_negative_cap_exits_1_before_the_pipeline(

@@ -5,6 +5,7 @@ and rule objects built only for verification."""
 import csv
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -199,3 +200,30 @@ def test_rules_csv_reads_back_with_a_carriage_return_in_a_label(sample_csv, tmp_
     assert {len(row) for row in [header, *rows]} == {7}
     assert len(rows) == summary["totals"]["rules"]
     assert any("Component{Build\rConfig}" in row[1] for row in rows)
+
+
+@pytest.mark.parametrize("label", ["Build\rConfig", "Build\nConfig"])
+def test_cluster_text_shows_a_line_break_in_a_label_and_keeps_each_rule_on_one_line(
+    sample_csv, tmp_path, label
+):
+    """The text report prints a label's CR or LF as \\r or \\n, so every
+    rule of the sample, and every witness, is one line of cluster_<i>.txt."""
+    source = tmp_path / "bugs.csv"
+    text = sample_csv.read_text(encoding="utf-8").replace(",Build Config,", f',"{label}",')
+    source.write_text(text, encoding="utf-8", newline="")
+    result = run_pipeline(PipelineConfig(input_path=str(source), output_dir=str(tmp_path / "out")))
+    shown = label.replace("\r", "\\r").replace("\n", "\\n")
+    prefix = "     subsumed by: "
+    labelled = 0
+    for outcome in result.outcomes:
+        path = tmp_path / "out" / "report" / f"cluster_{outcome.index}.txt"
+        with open(path, encoding="utf-8", newline="") as fh:
+            lines = fh.read().split("\n")
+        assert not any("\r" in line for line in lines)
+        rules = [line.split(". ", 1)[1] for line in lines if re.match(r"  \d+\. ", line)]
+        witnesses = [line[len(prefix) :] for line in lines if line.startswith(prefix)]
+        rendered = outcome.report.rendered
+        assert rules == [rule.replace(label, shown) for rule in rendered.text]
+        assert witnesses == [w.replace(label, shown) for w in rendered.witness if w]
+        labelled += sum(f"Component{{{shown}}}" in rule for rule in rules)
+    assert labelled > 0

@@ -57,8 +57,8 @@ def _rule(items, consequent_code, support, antecedent_count) -> Rule:
 
 
 def format_confidence_percent(support: int, antecedent_count: int) -> str:
-    """confidence_percents of one pair (arrays of Python ints above int64)."""
-    [percent] = confidence_percents(np.array([support]), np.array([antecedent_count]))
+    """confidence_percents of one pair."""
+    [percent] = confidence_percents([support], [antecedent_count])
     return percent
 
 
@@ -172,8 +172,8 @@ class TestRenderRule:
 
 class TestPairStrings:
     """Percentages and confidences are built once per distinct (support,
-    antecedent count) pair, keyed in int64 below 2**31 and on Python ints
-    from there; every rule must still get its own pair's strings."""
+    antecedent count) pair of the rule table, in Python ints for counts of any
+    size; every rule must still get its own pair's strings."""
 
     @pytest.mark.parametrize("m", [2**31 - 1, 2**31, 2**62])
     def test_each_rule_gets_its_pairs_strings(self, m):

@@ -1,12 +1,12 @@
 import random
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
 from conftest import random_rows, random_rules, rule_lists, rule_table, split_rules
-from triage_miner import rules as rules_module
 from triage_miner.errors import DuplicateRuleError, ParameterError
 from triage_miner.ingest import Attribute
 from triage_miner.mine import (
@@ -23,7 +23,12 @@ from triage_miner.oracle import (
     rule_objects,
     witness_is_valid,
 )
-from triage_miner.rules import eliminate_redundant, generate_class_rules, top_assignees
+from triage_miner.rules import (
+    RuleTable,
+    eliminate_redundant,
+    generate_class_rules,
+    top_assignees,
+)
 
 SEV4 = Item(Attribute.SEVERITY, 4)
 PRI3 = Item(Attribute.PRIORITY, 3)
@@ -221,14 +226,14 @@ class TestExactOrderingAtLargeCounts:
             assert witness == brute_force_witness(rule, partition.essential)
 
 
-class TestInt64Bounds:
-    """Each side of the int64 bounds on M, the largest antecedent count: the
-    order key runs in int64 below 2**21 and on Python ints from there, the
-    witness products below 2**31 and on Python ints from there. Either way
-    the order and the witnesses must be the Fraction ones."""
+class TestCountsOfAnySize:
+    """M, the largest antecedent count, on each side of 2**21 and 2**31, where
+    a shifted key and products of counts leave int64, and near 2**62: the
+    order and the witnesses must be the Fraction ones."""
 
     SEV1, PRI1 = Item(Attribute.SEVERITY, 1), Item(Attribute.PRIORITY, 1)
     COMP1, OS1 = Item(Attribute.COMPONENT, 1), Item(Attribute.OPERATING_SYSTEM, 1)
+    SIZES = [2**21 - 1, 2**21, 2**31 - 1, 2**31, 2**62]
 
     def _rules(self, m: int) -> list[Rule]:
         # one-item confidences (M-1)/M > (M-2)/(M-1) > (M-3)/(M-2) > 1/3, the
@@ -248,32 +253,16 @@ class TestInt64Bounds:
             support[Itemset(antecedent + (WHO,))] = count
         return _generate(_table(support), 0.10, {9})
 
-    @pytest.fixture
-    def count_dtypes(self, monkeypatch) -> list:
-        """The (limit, dtype) of every exact_counts result."""
-        seen, exact_counts = [], rules_module.exact_counts
-
-        def spy(support, antecedent_count, limit):
-            result = exact_counts(support, antecedent_count, limit)
-            seen.append((limit, result[0].dtype))
-            return result
-
-        monkeypatch.setattr(rules_module, "exact_counts", spy)
-        return seen
-
-    @pytest.mark.parametrize("m,int64", [(2**21 - 1, True), (2**21, False)])
-    def test_order_key_on_each_side(self, m, int64, count_dtypes):
+    @pytest.mark.parametrize("m", SIZES)
+    def test_order_matches_fractions(self, m):
         rules = self._rules(m)
-        assert count_dtypes == [(2**21, np.dtype(np.int64) if int64 else np.dtype(object))]
         assert rules == sorted(rules, key=fraction_order_key)
         keys = [rule.antecedent.items for rule in rules]
         assert keys[:4] == [(self.PRI1,), (self.SEV1,), (self.OS1,), (self.COMP1,)]
 
-    @pytest.mark.parametrize("m,int64", [(2**31 - 1, True), (2**31, False)])
-    def test_witness_products_on_each_side(self, m, int64, count_dtypes):
+    @pytest.mark.parametrize("m", SIZES)
+    def test_witnesses_match_fractions(self, m):
         rules = self._rules(m)
-        eliminate_redundant(rule_table(rules))
-        assert count_dtypes[-1] == (2**31, np.dtype(np.int64) if int64 else np.dtype(object))
         partition = split_rules(rules)
         assert {r.key for r in partition.essential} == essential_rules_naive(rules)
         witnesses = {rule.antecedent.items: w.antecedent.items for rule, w in partition.redundant}
@@ -285,6 +274,40 @@ class TestInt64Bounds:
         }
         for rule, witness in partition.redundant:
             assert witness == brute_force_witness(rule, partition.essential)
+
+
+_LARGEST_COUNT = 2**62
+
+
+@st.composite
+def count_pairs(draw) -> list[tuple[int, int]]:
+    """(support, antecedent count) pairs with counts up to 2**62: some drawn
+    freely, some multiples of others (equal ratios, the same or different
+    counts), and some (M-1-i)/(M-i) with M near 2**62, about 1/M**2 apart."""
+    counts = st.one_of(st.integers(1, 50), st.integers(1, _LARGEST_COUNT))
+    pairs = draw(
+        st.lists(counts.flatmap(lambda a: st.tuples(st.integers(0, a), st.just(a))), min_size=1)
+    )
+    for support, antecedent_count in draw(st.lists(st.sampled_from(pairs), max_size=6)):
+        k = draw(st.integers(1, _LARGEST_COUNT // antecedent_count))
+        pairs.append((support * k, antecedent_count * k))
+    top = draw(st.integers(_LARGEST_COUNT - 1000, _LARGEST_COUNT))
+    pairs += [(top - 1 - i, top - i) for i in draw(st.lists(st.integers(0, 5), max_size=4))]
+    return draw(st.permutations(pairs))
+
+
+@given(count_pairs())
+@settings(max_examples=200, deadline=None)
+def test_confidence_rank_is_the_dense_rank_of_the_fractions(pairs):
+    support, antecedent_count = (np.array(column, dtype=np.int64) for column in zip(*pairs))
+    codes, consequent = np.full((len(pairs), 4), -1), np.full(len(pairs), 9)
+    rules = RuleTable(codes, consequent, support, antecedent_count)
+    distinct, pair = rules.pairs
+    assert distinct[pair].tolist() == [list(p) for p in pairs]
+    assert len(distinct) == len(set(pairs))
+    ratios = [Fraction(s, a) for s, a in pairs]
+    dense = {ratio: rank for rank, ratio in enumerate(sorted(set(ratios)))}
+    assert rules.confidence_rank.tolist() == [dense[ratio] for ratio in ratios]
 
 
 class TestTopAssignees:
