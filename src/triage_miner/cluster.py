@@ -13,7 +13,6 @@ integer coordinates are exact below 2**53, so centroids equal per-point means.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -22,30 +21,25 @@ from .errors import ConsistencyError, InfeasibleKError, ParameterError
 from .mine import distinct_rows
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClusterModel:
     """Fitted partition: centroids, per-record assignments and diagnostics.
 
-    ``assignments[i]`` is the cluster of the i-th input point;
+    ``assignments[i]`` is the cluster of the i-th input point (an int array);
     ``inertia_history`` holds the objective after each Lloyd iteration
     (entry 0 is the post-initialization value).
     """
 
     k: int
     centroids: tuple[tuple[float, ...], ...]
-    assignments: tuple[int, ...]
+    assignments: np.ndarray
     inertia: float
     seed: int
     iterations_run: int
     inertia_history: tuple[float, ...]
 
-    @cached_property
-    def labels(self) -> np.ndarray:
-        """``assignments`` as an int array, converted once."""
-        return np.array(self.assignments, dtype=np.int64)
-
     def cluster_sizes(self) -> list[int]:
-        return np.bincount(self.labels, minlength=self.k).tolist()
+        return np.bincount(self.assignments, minlength=self.k).tolist()
 
 
 def feature_matrix(codes: np.ndarray) -> np.ndarray:
@@ -163,7 +157,7 @@ def kmeans_fit(
     return ClusterModel(
         k=k,
         centroids=tuple(map(tuple, centroids.tolist())),
-        assignments=tuple(labels[rank].tolist()),
+        assignments=labels[rank],
         inertia=history[-1],
         seed=seed,
         iterations_run=iterations_run,
@@ -177,4 +171,4 @@ def split_by_cluster(codes: np.ndarray, model: ClusterModel) -> list[np.ndarray]
         raise ConsistencyError(
             f"model covers {len(model.assignments)} records, got {len(codes)}"
         )
-    return [codes[model.labels == cluster] for cluster in range(model.k)]
+    return [codes[model.assignments == cluster] for cluster in range(model.k)]

@@ -3,9 +3,15 @@ reports, plus the brute-force verification of a run's own tables.
 
 Outputs are staged in a temporary directory and renamed into place, so a
 failed run never leaves partial results, and only a previous report is
-ever replaced. Every run re-checks its own invariants (partition sums,
-witness validity, cluster-model consistency) before anything is written; a
-violation aborts with an audit error.
+ever replaced. Every run re-checks its own output before anything is
+written, and a violation aborts with an audit error. The cluster model:
+sizes cover the records with no empty cluster, each record sits at its
+nearest centroid, the inertia recomputes and never rose between
+iterations. Each of the k clusters: its rows are the records assigned to
+it, every rule meets the thresholds with a non-empty antecedent, and every
+redundant rule's witness is an essential rule with the same assignee, a
+strictly smaller antecedent and a confidence no lower. The reports' counts
+are derived from the rows and rule partitions, not stored apart from them.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from .cluster import ClusterModel, feature_matrix, kmeans_fit, split_by_cluster
 from .config import PipelineConfig
 from .errors import AuditError, InputError, ParameterError
 from .ingest import Attribute, Codebook, codebooks_to_json, read_bug_csv
-from .mine import FrequentItemsetTable, distinct_rows, mine_frequent_itemsets
+from .mine import distinct_rows, mine_frequent_itemsets
 from .oracle import (
     enumerate_frequent_itemsets,
     essential_rules_naive,
@@ -34,9 +40,9 @@ from .oracle import (
     witness_is_valid,
 )
 from .report import (
-    ClusterReport,
-    build_cluster_report,
+    ClusterOutcome,
     build_summary,
+    render_partition,
     write_cluster_text,
     write_clusters_json,
     write_figure_csvs,
@@ -52,18 +58,6 @@ MAX_VERIFY_RULES = 5000
 
 
 @dataclass
-class ClusterOutcome:
-    """Everything mined from one cluster; ``rows`` are its (n, 5) code rows."""
-
-    index: int
-    rows: np.ndarray
-    table: FrequentItemsetTable
-    top_codes: list[int]
-    partition: RulePartition
-    report: ClusterReport
-
-
-@dataclass
 class PipelineResult:
     config: PipelineConfig
     input_sha256: str
@@ -72,11 +66,7 @@ class PipelineResult:
     codes: np.ndarray  # (n, 5), one column per Attribute
     features: np.ndarray  # the k-means input, derived from codes
     model: ClusterModel
-    outcomes: list[ClusterOutcome]
-
-    @property
-    def reports(self) -> list[ClusterReport]:
-        return [outcome.report for outcome in self.outcomes]
+    outcomes: list[ClusterOutcome]  # cluster i's at position i
 
 
 def _load_and_encode(config: PipelineConfig):
@@ -102,7 +92,6 @@ def _mine_cluster(
     top_codes = top_assignees(rows[:, Attribute.ASSIGNEE], config.top_n)
     rules = generate_class_rules(table, config.min_confidence, top_codes)
     partition = eliminate_redundant(rules)
-    report = build_cluster_report(index, len(rows), partition, codebooks, top_codes)
     logger.info(
         "cluster %d: %d records, %d frequent itemsets, %d rules (%d essential, %d redundant)",
         index,
@@ -112,7 +101,9 @@ def _mine_cluster(
         len(partition.essential),
         len(partition.redundant),
     )
-    return ClusterOutcome(index, rows, table, top_codes, partition, report)
+    top_labels = [codebooks[Attribute.ASSIGNEE].decode(code) for code in top_codes]
+    rendered = render_partition(partition, codebooks)
+    return ClusterOutcome(rows, table, top_codes, top_labels, partition, rendered)
 
 
 def execute(config: PipelineConfig) -> PipelineResult:
@@ -155,7 +146,7 @@ def audit_result(result: PipelineResult) -> list[str]:
     if not np.array_equal(vectors[rank], points):
         problems.append("distinct feature vectors do not reproduce the records")
     distances = ((vectors[:, None, :] - np.array(model.centroids)) ** 2).sum(axis=2)
-    assignments = model.labels
+    assignments = model.assignments
     if not np.array_equal(distances.argmin(axis=1)[rank], assignments):
         problems.append("some record is not assigned to its nearest centroid")
     recomputed = float(distances[rank, assignments].sum())
@@ -164,20 +155,13 @@ def audit_result(result: PipelineResult) -> list[str]:
     if any(later > earlier + 1e-9 for earlier, later in zip(model.inertia_history, model.inertia_history[1:])):
         problems.append("inertia increased between iterations")
 
-    if [outcome.index for outcome in result.outcomes] != list(range(model.k)):
+    if len(result.outcomes) != model.k:
         problems.append("cluster outcomes do not match the model's clusters")
-    for outcome in result.outcomes:
-        label = f"cluster {outcome.index}"
-        partition, report = outcome.partition, outcome.report
-        if not np.array_equal(outcome.rows, result.codes[assignments == outcome.index]):
+    for index, outcome in enumerate(result.outcomes):
+        label = f"cluster {index}"
+        if not np.array_equal(outcome.rows, result.codes[assignments == index]):
             problems.append(f"{label}: rows are not the input rows assigned to it")
-        if report.essential_count + report.redundant_count != partition.rule_count:
-            problems.append(f"{label}: essential+redundant != rule count")
-        if sum(report.length_histogram.values()) != partition.rule_count:
-            problems.append(f"{label}: length histogram does not sum to the rule count")
-        if report.size != len(outcome.rows):
-            problems.append(f"{label}: report size mismatch")
-        problems += [f"{label}: {problem}" for problem in _audit_rules(partition, result.config)]
+        problems += [f"{label}: {p}" for p in _audit_rules(outcome.partition, result.config)]
     return problems
 
 
@@ -239,19 +223,18 @@ def write_outputs(result: PipelineResult, dump_itemsets: bool = False) -> Path:
 
         report_dir = staging / "report"
         report_dir.mkdir()
-        write_json(
-            report_dir / "summary.json",
-            build_summary(len(result.bug_ids), result.config.analysis_parameters(), result.reports),
-        )
-        for outcome in result.outcomes:
-            write_cluster_text(report_dir / f"cluster_{outcome.index}.txt", outcome.report)
-        write_figure_csvs(report_dir / "figures", result.reports)
-        write_rules_csv(report_dir / "rules.csv", result.reports)
+        parameters = result.config.analysis_parameters()
+        summary = build_summary(len(result.bug_ids), parameters, result.outcomes)
+        write_json(report_dir / "summary.json", summary)
+        for index, outcome in enumerate(result.outcomes):
+            write_cluster_text(report_dir / f"cluster_{index}.txt", index, outcome)
+        write_figure_csvs(report_dir / "figures", summary)
+        write_rules_csv(report_dir / "rules.csv", result.outcomes)
         if dump_itemsets:
             itemsets_dir = report_dir / "itemsets"
             itemsets_dir.mkdir()
-            for outcome in result.outcomes:
-                write_json(itemsets_dir / f"cluster_{outcome.index}.json", outcome.table.to_json())
+            for index, outcome in enumerate(result.outcomes):
+                write_json(itemsets_dir / f"cluster_{index}.json", outcome.table.to_json())
 
         if final_dir.exists():
             aside = Path(tempfile.mkdtemp(prefix=final_dir.name + ".old-", dir=final_dir.parent))
@@ -284,8 +267,8 @@ def run_verify(
     are skipped (reported as such)."""
     ok = True
     lines: list[str] = []
-    for outcome in result.outcomes:
-        index, table, partition = outcome.index, outcome.table, outcome.partition
+    for index, outcome in enumerate(result.outcomes):
+        table, partition = outcome.table, outcome.partition
         if len(outcome.rows) > max_transactions:
             lines.append(
                 f"cluster {index}: skipped itemset check"

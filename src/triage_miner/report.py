@@ -13,9 +13,10 @@ half-up to two decimals and printed without a fractional part when integral.
 A cluster's rules are rendered as string columns: the strings of each label
 and of each (support, antecedent count) pair are built once, and a witness's
 text is looked up by its row. rules.csv quotes a field holding a comma, a
-double quote, CR or LF, doubling its quotes (RFC 4180); cluster_<i>.txt
-shows a CR or LF inside a label as ``\\r`` or ``\\n``, so that every rule
-keeps one line.
+double quote, CR or LF, doubling its quotes (RFC 4180). When some label
+holds CR or LF, cluster_<i>.txt shows them as ``\\r`` and ``\\n`` and a
+backslash as ``\\\\``, so that every rule keeps one line and each escape
+reads one way.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ import numpy as np
 from .cluster import ClusterModel
 from .errors import ConsistencyError
 from .ingest import Attribute, Codebook
+from .mine import FrequentItemsetTable
 from .rules import RulePartition, RuleTable
 
 _RENDER_PREFIX = {  # in print order
@@ -62,7 +64,8 @@ def _labels(codes: np.ndarray, codebook: Codebook, template: str) -> tuple[np.nd
     return text[inverse], quote[inverse]
 
 
-_SHOWN = str.maketrans({"\r": "\\r", "\n": "\\n"})  # CR and LF as visible escapes
+# CR and LF as visible escapes, and a backslash doubled so each escape reads one way
+_SHOWN = str.maketrans({"\\": "\\\\", "\r": "\\r", "\n": "\\n"})
 
 
 def _csv_fields(fields: np.ndarray, quote: np.ndarray) -> np.ndarray:
@@ -132,58 +135,39 @@ def length_histogram(rules: RuleTable) -> dict[int, int]:
     return dict(zip(range(1, 5), np.bincount(rules.size, minlength=5)[1:5].tolist()))
 
 
-@dataclass(frozen=True)
-class ClusterReport:
-    """Presentation bundle for one cluster."""
+@dataclass
+class ClusterOutcome:
+    """Everything mined from one cluster, with its rules rendered once; ``rows``
+    are its (n, 5) code rows. A cluster's index is its position in the run's
+    list, and every count a report prints is derived from ``rows`` and
+    ``partition``."""
 
-    cluster_index: int
-    size: int
-    top_assignees: tuple[str, ...]
-    essential_count: int
-    redundant_count: int
-    length_histogram: dict[int, int]
+    rows: np.ndarray
+    table: FrequentItemsetTable
+    top_codes: list[int]
+    top_assignees: list[str]
+    partition: RulePartition
     rendered: RenderedRules
-
-    @property
-    def rule_count(self) -> int:
-        return self.essential_count + self.redundant_count
-
-
-def build_cluster_report(
-    cluster_index: int,
-    size: int,
-    partition: RulePartition,
-    codebooks: Mapping[Attribute, Codebook],
-    top_assignee_codes: Sequence[int],
-) -> ClusterReport:
-    """Assemble one cluster's report; rule sections keep generation order."""
-    return ClusterReport(
-        cluster_index=cluster_index,
-        size=size,
-        top_assignees=tuple(map(codebooks[Attribute.ASSIGNEE].decode, top_assignee_codes)),
-        essential_count=len(partition.essential),
-        redundant_count=len(partition.redundant),
-        length_histogram=length_histogram(partition.rules),
-        rendered=render_partition(partition, codebooks),
-    )
 
 
 def build_summary(
     record_count: int,
     parameters: Mapping[str, object],
-    reports: Sequence[ClusterReport],
+    outcomes: Sequence[ClusterOutcome],
 ) -> dict:
     clusters = [
         {
-            "cluster": report.cluster_index,
-            "size": report.size,
-            "top_assignees": list(report.top_assignees),
-            "rules": report.rule_count,
-            "essential": report.essential_count,
-            "redundant": report.redundant_count,
-            "length_histogram": {str(k): v for k, v in sorted(report.length_histogram.items())},
+            "cluster": index,
+            "size": len(outcome.rows),
+            "top_assignees": list(outcome.top_assignees),
+            "rules": outcome.partition.rule_count,
+            "essential": len(outcome.partition.essential),
+            "redundant": len(outcome.partition.redundant),
+            "length_histogram": {
+                str(k): v for k, v in length_histogram(outcome.partition.rules).items()
+            },
         }
-        for report in reports
+        for index, outcome in enumerate(outcomes)
     ]
     return {
         "records": record_count,
@@ -217,31 +201,32 @@ def write_clusters_json(path: Path, model: ClusterModel, bug_ids: Sequence[str])
         suffixes = np.array([f": {cluster},\n    " for cluster in range(model.k)], dtype=object)
         entries = [""] * (2 * len(bug_ids))
         entries[::2] = map(encode_basestring, bug_ids)
-        entries[1::2] = suffixes[model.labels].tolist()
+        entries[1::2] = suffixes[model.assignments].tolist()
         entries[-1] = f": {model.assignments[-1]}"
         block = '"assignments": {\n    ' + "".join(entries) + "\n  }"
         text = text.replace('"assignments": {}', block)
     path.write_text(text + "\n", encoding="utf-8")
 
 
-def write_cluster_text(path: Path, report: ClusterReport) -> None:
-    top = ", ".join(report.top_assignees).translate(_SHOWN) if report.top_assignees else "(none)"
+def write_cluster_text(path: Path, index: int, outcome: ClusterOutcome) -> None:
+    rendered, essential = outcome.rendered, len(outcome.partition.essential)
+    top = ", ".join(outcome.top_assignees) if outcome.top_assignees else "(none)"
+    text, witness = rendered.text, rendered.witness
+    if rendered.line_breaks:  # keep one rule per line, each escape read one way
+        top = top.translate(_SHOWN)
+        text, witness = [t.translate(_SHOWN) for t in text], [w.translate(_SHOWN) for w in witness]
+    histogram = length_histogram(outcome.partition.rules)
     lines = [
-        f"Cluster {report.cluster_index}",
-        "=" * len(f"Cluster {report.cluster_index}"),
-        f"Records: {report.size}",
+        f"Cluster {index}",
+        "=" * len(f"Cluster {index}"),
+        f"Records: {len(outcome.rows)}",
         f"Top assignees: {top}",
-        f"Rules: {report.rule_count} (essential {report.essential_count},"
-        f" redundant {report.redundant_count})",
-        "Antecedent length histogram: "
-        + " ".join(f"{k}={v}" for k, v in sorted(report.length_histogram.items())),
+        f"Rules: {outcome.partition.rule_count} (essential {essential},"
+        f" redundant {len(outcome.partition.redundant)})",
+        "Antecedent length histogram: " + " ".join(f"{k}={v}" for k, v in histogram.items()),
         "",
         "Essential rules",
     ]
-    rendered, essential = report.rendered, report.essential_count
-    text, witness = rendered.text, rendered.witness
-    if rendered.line_breaks:  # keep one rule per line
-        text, witness = [t.translate(_SHOWN) for t in text], [w.translate(_SHOWN) for w in witness]
     lines += [f"  {i}. {t}" for i, t in enumerate(text[:essential], start=1)] or ["  (none)"]
     lines += ["", "Redundant rules"]
     redundant = zip(text[essential:], witness[essential:])
@@ -251,38 +236,38 @@ def write_cluster_text(path: Path, report: ClusterReport) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def write_figure_csvs(figures_dir: Path, reports: Sequence[ClusterReport]) -> None:
-    """The figure tables; every field is an integer, so none is quoted."""
+def write_figure_csvs(figures_dir: Path, summary: Mapping) -> None:
+    """The figure tables, from ``build_summary``'s clusters; every field is an
+    integer, so none is quoted."""
     figures_dir.mkdir(parents=True, exist_ok=True)
+    clusters = summary["clusters"]
     tables = {
-        "cluster_sizes.csv": ["cluster,size"]
-        + [f"{r.cluster_index},{r.size}" for r in reports],
+        "cluster_sizes.csv": ["cluster,size"] + [f"{c['cluster']},{c['size']}" for c in clusters],
         "essential_redundant.csv": ["cluster,essential,redundant"]
-        + [f"{r.cluster_index},{r.essential_count},{r.redundant_count}" for r in reports],
+        + [f"{c['cluster']},{c['essential']},{c['redundant']}" for c in clusters],
         "rule_lengths.csv": ["cluster,antecedent_length,rule_count"]
         + [
-            f"{r.cluster_index},{length},{count}"
-            for r in reports
-            for length, count in sorted(r.length_histogram.items())
+            f"{c['cluster']},{length},{count}"
+            for c in clusters
+            for length, count in c["length_histogram"].items()
         ],
     }
     for name, lines in tables.items():
         (figures_dir / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def write_rules_csv(path: Path, reports: Sequence[ClusterReport]) -> None:
+def write_rules_csv(path: Path, outcomes: Sequence[ClusterOutcome]) -> None:
     """One row per rule across all clusters, essential rows first per
     cluster, joined and written a cluster at a time. A witness holds the
     comma of "(n,p%)", so it is always quoted."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("cluster,antecedent,consequent,support_count,confidence,status,witness\n")
-        for report in reports:
-            rendered, essential = report.rendered, report.essential_count
+        for index, outcome in enumerate(outcomes):
+            rendered, essential = outcome.rendered, len(outcome.partition.essential)
             status = [",essential,"] * essential + [
                 ',redundant,"' + witness.replace('"', '""') + '"'
                 for witness in rendered.witness[essential:]
             ]
             columns = (rendered.antecedent_csv, rendered.assignee_csv, rendered.support)
             rows = zip(*columns, rendered.confidence, status)
-            start = f"{report.cluster_index},"
-            fh.write("".join([f"{start}{a},{b},{n},{c}{t}\n" for a, b, n, c, t in rows]))
+            fh.write("".join([f"{index},{a},{b},{n},{c}{t}\n" for a, b, n, c, t in rows]))

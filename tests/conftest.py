@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 from triage_miner.ingest import Attribute, Codebook
-from triage_miner.mine import Item, Itemset
+from triage_miner.mine import FrequentItemsetTable, Item, Itemset
 from triage_miner.oracle import Rule, rule_objects
-from triage_miner.report import render_partition
+from triage_miner.report import ClusterOutcome, render_partition
 from triage_miner.rules import RulePartition, RuleTable, eliminate_redundant
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -156,6 +156,20 @@ def render_text(rule: Rule, codebooks) -> str:
     """The text of one rule, rendered as a one-row table."""
     [text] = render_partition(eliminate_redundant(rule_table([rule])), codebooks).text
     return text
+
+
+def cluster_outcome(rules, codebooks, size: int = 10, top_codes=(1,)) -> ClusterOutcome:
+    """The record of a cluster of ``size`` rows whose rules are ``rules``, as
+    the report writers read it; its rows and itemset table are placeholders."""
+    partition = eliminate_redundant(rule_table(rules))
+    return ClusterOutcome(
+        rows=np.zeros((size, 5), dtype=np.int64),
+        table=FrequentItemsetTable({}, 1, size),
+        top_codes=list(top_codes),
+        top_assignees=[codebooks[Attribute.ASSIGNEE].decode(code) for code in top_codes],
+        partition=partition,
+        rendered=render_partition(partition, codebooks),
+    )
 
 
 def simple_codebooks(max_code: int = 6) -> dict[Attribute, Codebook]:

@@ -30,6 +30,7 @@ from triage_miner.oracle import (
     witness_is_valid,
 )
 from triage_miner.pipeline import audit_result, execute
+from triage_miner.report import build_summary
 from triage_miner.rules import generate_class_rules, top_assignees
 
 
@@ -120,23 +121,24 @@ def test_criterion_4_partition_accounting_is_self_audited(sample_csv, tmp_path):
     the histogram both equal the rule count; audit rejects corruption."""
     config = PipelineConfig(input_path=str(sample_csv), output_dir=str(tmp_path / "out"))
     result = execute(config)
-    assert sum(o.report.size for o in result.outcomes) == len(result.bug_ids)
-    for outcome in result.outcomes:
-        report = outcome.report
-        assert report.essential_count + report.redundant_count == outcome.partition.rule_count
-        assert sum(report.length_histogram.values()) == outcome.partition.rule_count
+    clusters = build_summary(len(result.bug_ids), {}, result.outcomes)["clusters"]
+    assert sum(cluster["size"] for cluster in clusters) == len(result.bug_ids)
+    for cluster, outcome in zip(clusters, result.outcomes):
+        assert cluster["essential"] + cluster["redundant"] == outcome.partition.rule_count
+        assert sum(cluster["length_histogram"].values()) == outcome.partition.rule_count
     assert audit_result(result) == []
 
-    # corrupt one cluster's accounting: the audit must flag it, and the
-    # resulting error carries the internal-invariant exit code
-    doctored = dataclasses.replace(result)
-    bad_report = dataclasses.replace(
-        doctored.outcomes[0].report,
-        essential_count=doctored.outcomes[0].report.essential_count + 1,
-    )
-    doctored.outcomes[0] = dataclasses.replace(doctored.outcomes[0], report=bad_report)
-    problems = audit_result(doctored)
-    assert problems, "audit failed to notice a corrupted report"
+    # corrupt one cluster's partition, pointing a redundant rule's witness at
+    # another redundant rule: the audit must flag it, and the resulting error
+    # carries the internal-invariant exit code
+    outcome = result.outcomes[0]
+    row, other = outcome.partition.redundant[:2]
+    witness = outcome.partition.witness.copy()
+    witness[row] = other
+    partition = dataclasses.replace(outcome.partition, witness=witness)
+    outcomes = [dataclasses.replace(outcome, partition=partition), *result.outcomes[1:]]
+    problems = audit_result(dataclasses.replace(result, outcomes=outcomes))
+    assert problems == [f"cluster 0: invalid witness (1 rules, first row {row})"]
     assert AuditError(problems).exit_code == 3
     _pass("partition accounting holds and the self-audit flags corruption (exit code 3)")
 
@@ -153,7 +155,7 @@ def test_criterion_5_kmeans_invariants():
         k = rnd.randint(1, 5)
         first = kmeans_fit(points, k=k, seed=trial)
         second = kmeans_fit(points, k=k, seed=trial)
-        assert first.assignments == second.assignments
+        assert np.array_equal(first.assignments, second.assignments)
         assert first.centroids == second.centroids
         history = first.inertia_history
         assert all(b <= a + 1e-9 for a, b in zip(history, history[1:]))

@@ -169,7 +169,7 @@ class TestRunCommand:
         # each dump is the brute-force table of that cluster's rows, written
         # as the report writes JSON: canonical itemset order, exact counts
         result = execute(PipelineConfig(input_path=str(sample_csv)))
-        for outcome in result.outcomes:
+        for index, outcome in enumerate(result.outcomes):
             reference = enumerate_frequent_itemsets(outcome.rows.tolist(), 3)
             payload = {
                 "min_support_count": 3,
@@ -182,7 +182,7 @@ class TestRunCommand:
                     for itemset in sorted(reference, key=lambda itemset: itemset.items)
                 ],
             }
-            path = out / "report" / "itemsets" / f"cluster_{outcome.index}.json"
+            path = out / "report" / "itemsets" / f"cluster_{index}.json"
             expected = json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
             assert path.read_text(encoding="utf-8") == expected
 

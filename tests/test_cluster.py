@@ -1,3 +1,5 @@
+import dataclasses
+import operator
 import random
 from collections import Counter
 from itertools import product
@@ -99,7 +101,7 @@ class TestKmeansFit:
         points = _random_points(rnd, 80)
         a = kmeans_fit(points, k=5, seed=seed)
         b = kmeans_fit(points, k=5, seed=seed)
-        assert a.assignments == b.assignments
+        assert np.array_equal(a.assignments, b.assignments)
         assert a.centroids == b.centroids
         assert a.inertia == b.inertia
 
@@ -138,7 +140,7 @@ class TestSplitByCluster:
         return ClusterModel(
             k=k,
             centroids=tuple((0.0, 0.0, 0.0, 0.0) for _ in range(k)),
-            assignments=tuple(assignments),
+            assignments=np.array(assignments, dtype=np.int64),
             inertia=0.0,
             seed=0,
             iterations_run=1,
@@ -221,12 +223,20 @@ def per_point_kmeans_fit(points, k: int, seed: int, max_iterations: int = 100) -
     return ClusterModel(
         k=k,
         centroids=tuple(tuple(float(x) for x in c) for c in centroids),
-        assignments=tuple(int(a) for a in assignments),
+        assignments=assignments,
         inertia=history[-1],
         seed=seed,
         iterations_run=iterations_run,
         inertia_history=tuple(history),
     )
+
+
+def assert_same_model(model: ClusterModel, expected: ClusterModel) -> None:
+    """Every field equal, the assignments element by element."""
+    for field in dataclasses.fields(ClusterModel):
+        value, reference = getattr(model, field.name), getattr(expected, field.name)
+        same = np.array_equal if field.name == "assignments" else operator.eq
+        assert same(value, reference), field.name
 
 
 @st.composite
@@ -250,7 +260,7 @@ def test_distinct_vector_steps_equal_the_per_point_fit(case, seed, max_iteration
         with pytest.raises(ConsistencyError):
             kmeans_fit(points, k, seed, max_iterations)
         return
-    assert kmeans_fit(points, k, seed, max_iterations) == expected
+    assert_same_model(kmeans_fit(points, k, seed, max_iterations), expected)
 
 
 def test_a_step_that_empties_a_cluster_runs_the_repair(monkeypatch):
@@ -268,7 +278,7 @@ def test_a_step_that_empties_a_cluster_runs_the_repair(monkeypatch):
     monkeypatch.setattr(cluster, "_assign_with_repair", spy)
     model = kmeans_fit(points, k=3, seed=11)
     assert len(repairs) == 1
-    assert model == per_point_kmeans_fit(points, k=3, seed=11)
+    assert_same_model(model, per_point_kmeans_fit(points, k=3, seed=11))
     assert all(size > 0 for size in model.cluster_sizes())
 
 
@@ -276,4 +286,3 @@ def test_cluster_sizes_are_python_ints():
     model = kmeans_fit([(1, 1, 1, 1)] * 3 + [(9, 9, 9, 9)], k=2, seed=0)
     assert sorted(model.cluster_sizes()) == [1, 3]
     assert all(type(size) is int for size in model.cluster_sizes())
-    assert all(type(label) is int for label in model.assignments)

@@ -14,7 +14,8 @@ from hypothesis import given, settings
 from conftest import rule_split
 from triage_miner.config import PipelineConfig
 from triage_miner.ingest import Attribute
-from triage_miner.pipeline import ClusterOutcome, PipelineResult, execute
+from triage_miner.pipeline import PipelineResult, execute
+from triage_miner.report import ClusterOutcome, build_summary
 from triage_miner.synth import synthesize_rows, write_csv
 
 SHAPES = dict(
@@ -160,12 +161,12 @@ def test_relabelling_categories_changes_only_rendered_labels(
             lambda match: f"{match[1]}{{{mappings[_PREFIXES[match[1]]][match[2]]}}}", text
         )
 
-    report, expected = after.report, before.report
-    assert report.top_assignees == tuple(
-        mappings[Attribute.ASSIGNEE][label] for label in expected.top_assignees
+    assert after.top_assignees == [
+        mappings[Attribute.ASSIGNEE][label] for label in before.top_assignees
+    ]
+    [summary], [expected] = (
+        build_summary(len(data), {}, [outcome])["clusters"] for outcome in (after, before)
     )
-    assert (report.essential_count, report.redundant_count, report.length_histogram) == (
-        expected.essential_count, expected.redundant_count, expected.length_histogram
-    )
-    assert report.rendered.text == [relabel(text) for text in expected.rendered.text]
-    assert report.rendered.witness == [relabel(text) for text in expected.rendered.witness]
+    assert summary == {**expected, "top_assignees": after.top_assignees}
+    assert after.rendered.text == [relabel(text) for text in before.rendered.text]
+    assert after.rendered.witness == [relabel(text) for text in before.rendered.witness]

@@ -12,7 +12,7 @@ import pytest
 
 from conftest import rule_table
 
-from triage_miner import report
+from triage_miner import pipeline
 from triage_miner.config import PipelineConfig
 from triage_miner.ingest import Attribute
 from triage_miner.mine import Item, Itemset, Projection
@@ -159,17 +159,17 @@ class TestRunVerify:
 
 def test_each_rule_is_rendered_once(sample_csv, monkeypatch):
     calls = []
-    render_partition = report.render_partition
+    render_partition = pipeline.render_partition
 
     def counting(partition, codebooks):
         calls.append(partition)
         return render_partition(partition, codebooks)
 
-    monkeypatch.setattr(report, "render_partition", counting)
+    monkeypatch.setattr(pipeline, "render_partition", counting)
     result = execute(PipelineConfig(input_path=str(sample_csv)))
     assert [id(call) for call in calls] == [id(outcome.partition) for outcome in result.outcomes]
     for outcome in result.outcomes:
-        assert len(outcome.report.rendered.text) == outcome.partition.rule_count
+        assert len(outcome.rendered.text) == outcome.partition.rule_count
 
 
 def test_run_builds_no_rule_objects(sample_csv, tmp_path, monkeypatch):
@@ -215,15 +215,41 @@ def test_cluster_text_shows_a_line_break_in_a_label_and_keeps_each_rule_on_one_l
     shown = label.replace("\r", "\\r").replace("\n", "\\n")
     prefix = "     subsumed by: "
     labelled = 0
-    for outcome in result.outcomes:
-        path = tmp_path / "out" / "report" / f"cluster_{outcome.index}.txt"
+    for index, outcome in enumerate(result.outcomes):
+        path = tmp_path / "out" / "report" / f"cluster_{index}.txt"
         with open(path, encoding="utf-8", newline="") as fh:
             lines = fh.read().split("\n")
         assert not any("\r" in line for line in lines)
         rules = [line.split(". ", 1)[1] for line in lines if re.match(r"  \d+\. ", line)]
         witnesses = [line[len(prefix) :] for line in lines if line.startswith(prefix)]
-        rendered = outcome.report.rendered
+        rendered = outcome.rendered
         assert rules == [rule.replace(label, shown) for rule in rendered.text]
         assert witnesses == [w.replace(label, shown) for w in rendered.witness if w]
         labelled += sum(f"Component{{{shown}}}" in rule for rule in rules)
     assert labelled > 0
+
+
+def _component_labels(source, out):
+    """The Component labels the text report prints for a run on ``source``."""
+    run_pipeline(PipelineConfig(input_path=str(source), output_dir=str(out)))
+    text = "".join(
+        path.read_text(encoding="utf-8") for path in sorted((out / "report").glob("cluster_*.txt"))
+    )
+    return set(re.findall(r"Component\{[^}]*\}", text))
+
+
+def test_cluster_text_tells_a_backslash_from_a_line_break_escape(sample_csv, tmp_path):
+    """Once some label holds CR, the text report doubles a backslash, so a
+    label holding a literal backslash-r no longer prints like one holding a
+    CR; with no CR or LF label a backslash prints as it is."""
+    text = sample_csv.read_text(encoding="utf-8")
+    cells = iter([",Build\\rConfig,", ',"Build\rConfig",'] * 17)
+    mixed, backslash_only = tmp_path / "mixed.csv", tmp_path / "backslash.csv"
+    mixed.write_text(
+        re.sub(",Build Config,", lambda _: next(cells), text), encoding="utf-8", newline=""
+    )
+    labels = _component_labels(mixed, tmp_path / "mixed")
+    assert {"Component{Build\\\\rConfig}", "Component{Build\\rConfig}"} <= labels
+
+    backslash_only.write_text(text.replace(",Build Config,", ",Build\\rConfig,"), encoding="utf-8")
+    assert "Component{Build\\rConfig}" in _component_labels(backslash_only, tmp_path / "plain")

@@ -11,17 +11,25 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from conftest import render_text, rule_lists, rule_table, simple_codebooks, split_rules
+from conftest import (
+    cluster_outcome,
+    render_text,
+    rule_lists,
+    rule_table,
+    simple_codebooks,
+    split_rules,
+)
 from triage_miner.cluster import ClusterModel
 from triage_miner.errors import ConsistencyError, UnknownCategoryError
 from triage_miner.ingest import Attribute, Codebook
 from triage_miner.mine import Item, Itemset
 from triage_miner.oracle import Rule
 from triage_miner.report import (
-    build_cluster_report,
+    build_summary,
     confidence_percents,
     length_histogram,
     render_partition,
+    write_cluster_text,
     write_clusters_json,
     write_rules_csv,
 )
@@ -221,18 +229,30 @@ class TestLengthHistogram:
         assert length_histogram(rule_table(rules)) == {1: 1, 2: 3, 3: 1, 4: 2}
 
 
-class TestBuildClusterReport:
-    def test_empty_partition(self):
+class TestClusterOutcome:
+    def test_empty_partition(self, tmp_path):
         books = simple_codebooks()
-        partition = eliminate_redundant(rule_table([]))
-        report = build_cluster_report(2, 9, partition, books, [1])
-        assert report.cluster_index == 2
-        assert report.size == 9
-        assert (report.essential_count, report.redundant_count) == (0, 0)
-        assert report.length_histogram == {1: 0, 2: 0, 3: 0, 4: 0}
-        assert report.rendered.text == []
-        assert report.rendered.witness == []
-        assert report.top_assignees == ("Dev 1",)
+        outcomes = [cluster_outcome([], books, size=1)] * 2 + [cluster_outcome([], books, size=9)]
+        summary = build_summary(11, {}, outcomes)
+        assert summary["clusters"][2] == {
+            "cluster": 2,
+            "size": 9,
+            "top_assignees": ["Dev 1"],
+            "rules": 0,
+            "essential": 0,
+            "redundant": 0,
+            "length_histogram": {"1": 0, "2": 0, "3": 0, "4": 0},
+        }
+        assert outcomes[2].rendered.text == outcomes[2].rendered.witness == []
+        write_cluster_text(tmp_path / "cluster_2.txt", 2, outcomes[2])
+        assert (tmp_path / "cluster_2.txt").read_text(encoding="utf-8").split("\n")[:6] == [
+            "Cluster 2",
+            "=========",
+            "Records: 9",
+            "Top assignees: Dev 1",
+            "Rules: 0 (essential 0, redundant 0)",
+            "Antecedent length histogram: 1=0 2=0 3=0 4=0",
+        ]
 
     def test_counts_and_histogram_are_consistent(self):
         books = simple_codebooks()
@@ -243,12 +263,14 @@ class TestBuildClusterReport:
             _rule([Item(Attribute.SEVERITY, 1), Item(Attribute.PRIORITY, 1)], 1, 7, 10),
             _rule([Item(Attribute.SEVERITY, 1), Item(Attribute.COMPONENT, 1)], 2, 3, 10),
         ]
-        partition = eliminate_redundant(rule_table(rules))
-        report = build_cluster_report(0, 10, partition, books, [1, 2])
-        assert report.essential_count + report.redundant_count == 5
-        assert sum(report.length_histogram.values()) == 5
-        assert len(report.rendered.text) == len(report.rendered.witness) == 5
-        assert report.rendered.text[: report.essential_count] == [
+        outcome = cluster_outcome(rules, books, top_codes=[1, 2])
+        [cluster] = build_summary(10, {}, [outcome])["clusters"]
+        assert cluster["essential"] + cluster["redundant"] == cluster["rules"] == 5
+        assert sum(cluster["length_histogram"].values()) == 5
+        assert cluster["top_assignees"] == ["Dev 1", "Dev 2"]
+        rendered = outcome.rendered
+        assert len(rendered.text) == len(rendered.witness) == 5
+        assert rendered.text[: cluster["essential"]] == [
             render_text(r, books) for r in split_rules(rules).essential
         ]
 
@@ -276,25 +298,24 @@ def label_codebooks(draw):
     return books
 
 
-def _reports(clusters, books):
-    return [
-        build_cluster_report(index, 10, eliminate_redundant(rule_table(rules)), books, [1])
-        for index, rules in enumerate(clusters)
-    ]
+def _outcomes(clusters, books):
+    return [cluster_outcome(rules, books) for rules in clusters]
 
 
-def _csv_writer_rules_csv(path: Path, reports) -> None:
+def _csv_writer_rules_csv(path: Path, outcomes) -> None:
     """rules.csv as csv.writer writes it, as it was written before the
     rendered rows; before Python 3.13 it leaves a bare \\r unquoted."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(_HEADER)
-        for report in reports:
-            rendered = report.rendered
-            status = ["essential"] * report.essential_count + ["redundant"] * report.redundant_count
+        for index, outcome in enumerate(outcomes):
+            rendered, partition = outcome.rendered, outcome.partition
+            status = ["essential"] * len(partition.essential) + ["redundant"] * len(
+                partition.redundant
+            )
             writer.writerows(
                 zip(
-                    repeat(report.cluster_index),
+                    repeat(index),
                     rendered.antecedent,
                     rendered.assignee,
                     rendered.support,
@@ -305,15 +326,15 @@ def _csv_writer_rules_csv(path: Path, reports) -> None:
             )
 
 
-def _rendered_rows(reports) -> list[list[str]]:
+def _rendered_rows(outcomes) -> list[list[str]]:
     rows = [_HEADER]
-    for report in reports:
-        rendered, essential = report.rendered, report.essential_count
+    for index, outcome in enumerate(outcomes):
+        rendered, essential = outcome.rendered, len(outcome.partition.essential)
         for row, columns in enumerate(zip(*rendered[1:6])):
             antecedent, assignee, support, confidence, witness = columns
             status = "essential" if row < essential else "redundant"
             fields = [antecedent, assignee, str(support), confidence, status, witness]
-            rows.append([str(report.cluster_index), *fields])
+            rows.append([str(index), *fields])
     return rows
 
 
@@ -321,30 +342,30 @@ class TestRulesCsv:
     @given(st.lists(rule_lists(max_rules=12), min_size=1, max_size=3), label_codebooks())
     @settings(max_examples=80, deadline=None)
     def test_reads_back_to_the_rendered_columns(self, clusters, books):
-        reports = _reports(clusters, books)
+        outcomes = _outcomes(clusters, books)
         with tempfile.TemporaryDirectory() as scratch:
             path, reference = Path(scratch) / "rules.csv", Path(scratch) / "reference.csv"
-            write_rules_csv(path, reports)
+            write_rules_csv(path, outcomes)
             with open(path, newline="", encoding="utf-8") as fh:
                 rows = list(csv.reader(fh))
-            assert rows == _rendered_rows(reports)
+            assert rows == _rendered_rows(outcomes)
             assert {len(row) for row in rows} == {7}
             if not any("\r" in label for book in books.values() for label in book.forward):
-                _csv_writer_rules_csv(reference, reports)
+                _csv_writer_rules_csv(reference, outcomes)
                 assert path.read_bytes() == reference.read_bytes()
 
     def test_a_label_holding_a_carriage_return_is_quoted(self):
         books = _codebooks_for(["Build\rConfig"], ["All"], ["Frank Moreau"])
         rule = _rule([Item(Attribute.COMPONENT, 1)], 1, 3, 4)
-        reports = _reports([[rule]], books)
+        outcomes = _outcomes([[rule]], books)
         with tempfile.TemporaryDirectory() as scratch:
             path = Path(scratch) / "rules.csv"
-            write_rules_csv(path, reports)
+            write_rules_csv(path, outcomes)
             assert path.read_bytes().decode("utf-8").split("\n")[1] == (
                 '0,"Component{Build\rConfig}",Frank Moreau,3,0.75,essential,'
             )
             with open(path, newline="", encoding="utf-8") as fh:
-                assert list(csv.reader(fh)) == _rendered_rows(reports)
+                assert list(csv.reader(fh)) == _rendered_rows(outcomes)
 
 
 def _model_to_json(model: ClusterModel, bug_ids) -> dict:
@@ -355,7 +376,7 @@ def _model_to_json(model: ClusterModel, bug_ids) -> dict:
         "iterations_run": model.iterations_run,
         "inertia": model.inertia,
         "centroids": [list(c) for c in model.centroids],
-        "assignments": dict(zip(bug_ids, model.assignments)),
+        "assignments": dict(zip(bug_ids, model.assignments.tolist())),
         "cluster_sizes": model.cluster_sizes(),
     }
 
@@ -382,7 +403,7 @@ class TestClustersJson:
         model = ClusterModel(
             k=k,
             centroids=tuple(tuple(data.draw(_centroids)) for _ in range(k)),
-            assignments=tuple(data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))),
+            assignments=np.array(data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))),
             inertia=data.draw(_coordinates),
             seed=data.draw(st.integers(0, 2**32)),
             iterations_run=data.draw(st.integers(0, 300)),
@@ -395,6 +416,6 @@ class TestClustersJson:
             assert path.read_bytes() == expected.encode("utf-8")
 
     def test_a_record_count_mismatch_is_a_consistency_error(self, tmp_path):
-        model = ClusterModel(1, ((0.0,) * 4,), (0, 0), 0.0, 0, 1, (0.0,))
+        model = ClusterModel(1, ((0.0,) * 4,), np.zeros(2, dtype=np.int64), 0.0, 0, 1, (0.0,))
         with pytest.raises(ConsistencyError):
             write_clusters_json(tmp_path / "clusters.json", model, ["b0"])
