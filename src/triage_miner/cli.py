@@ -2,9 +2,9 @@
 
 Subcommands: ``run`` (full pipeline), ``verify`` (run the pipeline and
 diff its tables against brute-force oracles), ``synthesize`` (deterministic
-synthetic datasets). Exit codes: 0 success, 1 bad parameters/config, 2 input/I-O
-error, 3 internal invariant failure. Set TRIAGE_MINER_LOG to control log
-verbosity.
+synthetic datasets). Exit codes: 0 success, 1 bad parameters/config, 2
+unreadable input or unwritable output, 3 internal invariant failure. Set
+TRIAGE_MINER_LOG to control log verbosity.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ def _config_from_args(args: argparse.Namespace):
 
 def _cmd_run(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    result = run_pipeline(config, dump_itemsets=args.dump_itemsets)
+    result = run_pipeline(config)
     total_rules = sum(outcome.partition.rule_count for outcome in result.outcomes)
     essential = sum(len(outcome.partition.essential) for outcome in result.outcomes)
     print(
@@ -123,11 +123,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_parser = subparsers.add_parser("run", help="run the full pipeline")
     _add_pipeline_flags(run_parser)
-    run_parser.add_argument(
-        "--dump-itemsets",
-        action="store_true",
-        help="also write per-cluster frequent-itemset tables as JSON",
-    )
     run_parser.set_defaults(handler=_cmd_run)
 
     verify_parser = subparsers.add_parser(

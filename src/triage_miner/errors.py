@@ -1,6 +1,6 @@
 """Error taxonomy. Every error carries the CLI exit code for its failure class:
-1 = bad parameters/config, 2 = unreadable/invalid input data, 3 = internal
-invariant violation.
+1 = bad parameters/config, 2 = unreadable or invalid input, or unwritable
+output, 3 = internal invariant violation.
 """
 
 from __future__ import annotations

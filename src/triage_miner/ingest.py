@@ -76,20 +76,11 @@ class Codebook:
     def _folded(self) -> Mapping[str, int]:
         return {label.casefold(): code for label, code in self.forward.items()}
 
-    def encode(self, label: str) -> int:
-        code = self._folded.get(label.strip().casefold())
-        if code is None:
-            raise UnknownCategoryError(self.attribute.display, label)
-        return code
-
     def decode(self, code: int) -> str:
         label = self.reverse.get(code)
         if label is None:
             raise UnknownCategoryError(self.attribute.display, f"code {code}")
         return label
-
-    def __len__(self) -> int:
-        return len(self.forward)
 
     @classmethod
     def from_labels(cls, attribute: Attribute, labels: Iterable[str]) -> "Codebook":

@@ -13,37 +13,12 @@ large, and a group's codes are read off its key. Counts are exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ParameterError
 from .ingest import Attribute
-
-
-class Item(NamedTuple):
-    """One (attribute, code) pair; sorts in canonical attribute-then-code order."""
-
-    attribute: Attribute
-    code: int
-
-
-@dataclass(frozen=True, init=False)
-class Itemset:
-    """An immutable set of Items with canonical ordering for hashing/equality."""
-
-    items: tuple[Item, ...]
-
-    def __init__(self, items: Iterable[Item] = ()):
-        object.__setattr__(self, "items", tuple(sorted(set(items))))
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-    def __iter__(self) -> Iterator[Item]:
-        return iter(self.items)
 
 
 class Projection(NamedTuple):
@@ -87,48 +62,10 @@ def distinct_rows(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return vectors, rank, counts
 
 
-@dataclass(frozen=True)
-class FrequentItemsetTable:
-    """All itemsets meeting the support threshold, with exact counts, kept as
-    one Projection per attribute subset (attributes in canonical order) that
-    has at least one frequent group."""
-
-    projections: Mapping[Subset, Projection]
-    min_support_count: int
-    transaction_count: int
-
-    def __len__(self) -> int:
-        return sum(len(projection.counts) for projection in self.projections.values())
-
-    @cached_property
-    def support(self) -> dict[Itemset, int]:
-        """Itemset -> support count, built on first use."""
-        return {
-            Itemset(map(Item, subset, row)): count
-            for subset, (values, counts, _) in self.projections.items()
-            for row, count in zip(values.tolist(), counts.tolist())
-        }
-
-    def to_json(self) -> dict:
-        """Debug dump: one entry per itemset, canonical order."""
-        entries = [
-            {
-                "items": [[item.attribute.display, item.code] for item in itemset],
-                "support_count": count,
-            }
-            for itemset, count in sorted(self.support.items(), key=lambda kv: kv[0].items)
-        ]
-        return {
-            "min_support_count": self.min_support_count,
-            "transaction_count": self.transaction_count,
-            "itemsets": entries,
-        }
-
-
-def mine_frequent_itemsets(codes: np.ndarray, min_support_count: int) -> FrequentItemsetTable:
+def mine_frequent_itemsets(codes: np.ndarray, min_support_count: int) -> dict[Subset, Projection]:
     """Count every attribute-subset projection of an ``(n, 5)`` array of
-    non-negative codes (columns in Attribute order) and keep the groups with
-    support at least ``min_support_count``.
+    non-negative codes (columns in Attribute order) and keep, per subset,
+    the groups with support at least ``min_support_count``, if any.
 
     Subsets grow by appending a later attribute, level by level; a subset
     with no frequent group has no frequent superset, so it is not extended.
@@ -164,8 +101,4 @@ def mine_frequent_itemsets(codes: np.ndarray, min_support_count: int) -> Frequen
                     next_level[subset] = (rank, values, counts)
         level = next_level
 
-    return FrequentItemsetTable(
-        projections=projections,
-        min_support_count=min_support_count,
-        transaction_count=len(codes),
-    )
+    return projections

@@ -4,7 +4,7 @@ These deliberately avoid the algorithms they validate: frequent itemsets are
 tallied by enumerating every subset of every report's five items, and
 redundancy is decided by a declarative recursion over all rules rather than
 the level-wise sweep. Quadratic or exponential cost is fine at verification scale.
-Both work on Rule objects, built from a run's rule table only for them.
+Items, Itemsets and Rules live here, built from a run's arrays only for them.
 """
 
 from __future__ import annotations
@@ -13,11 +13,34 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .ingest import Attribute
-from .mine import Item, Itemset
+from .mine import Projection, Subset
 from .rules import RuleTable
+
+
+class Item(NamedTuple):
+    """One (attribute, code) pair; sorts in canonical attribute-then-code order."""
+
+    attribute: Attribute
+    code: int
+
+
+@dataclass(frozen=True, init=False)
+class Itemset:
+    """An immutable set of Items with canonical ordering for hashing/equality."""
+
+    items: tuple[Item, ...]
+
+    def __init__(self, items: Iterable[Item] = ()):
+        object.__setattr__(self, "items", tuple(sorted(set(items))))
+
+    def __len__(self) -> int:
+        return len(self.items)
+
+    def __iter__(self) -> Iterator[Item]:
+        return iter(self.items)
 
 
 @dataclass(frozen=True)
@@ -56,6 +79,15 @@ def rule_objects(table: RuleTable) -> list[Rule]:
         )
         for codes, consequent, support, antecedent_count in zip(*(c.tolist() for c in columns))
     ]
+
+
+def itemset_supports(projections: Mapping[Subset, Projection]) -> dict[Itemset, int]:
+    """Itemset -> support count of every group of a mined projection table."""
+    return {
+        Itemset(map(Item, subset, row)): count
+        for subset, (values, counts, _) in projections.items()
+        for row, count in zip(values.tolist(), counts.tolist())
+    }
 
 
 def enumerate_frequent_itemsets(

@@ -2,13 +2,13 @@
 reports, plus the brute-force verification of a run's own tables.
 
 Outputs are staged in a temporary directory and renamed into place, so a
-failed run never leaves partial results, and only a previous report is
-ever replaced. Every run re-checks its own output before anything is
-written, and a violation aborts with an audit error. The cluster model:
-sizes cover the records with no empty cluster, each record sits at its
-nearest centroid, the inertia recomputes and never rose between
-iterations. Each of the k clusters: its rows are the records assigned to
-it, every rule meets the thresholds with a non-empty antecedent, and every
+failed run never leaves partial results, and only a previous report that
+holds nothing else is ever replaced. Every run re-checks its own output
+before anything is written, and a violation aborts with an audit error. The
+cluster model: sizes cover the records with no empty cluster, each record
+sits at its nearest centroid, the inertia recomputes and never rose between
+iterations. Each of the k clusters: its rows are the records assigned to it,
+every rule meets the thresholds with a non-empty antecedent, and every
 redundant rule's witness is an essential rule with the same assignee, a
 strictly smaller antecedent and a confidence no lower. The reports' counts
 are derived from the rows and rule partitions, not stored apart from them.
@@ -20,6 +20,7 @@ import hashlib
 import io
 import logging
 import os
+import re
 import shutil
 import tempfile
 from dataclasses import dataclass
@@ -36,6 +37,7 @@ from .mine import distinct_rows, mine_frequent_itemsets
 from .oracle import (
     enumerate_frequent_itemsets,
     essential_rules_naive,
+    itemset_supports,
     rule_objects,
     witness_is_valid,
 )
@@ -96,14 +98,14 @@ def _mine_cluster(
         "cluster %d: %d records, %d frequent itemsets, %d rules (%d essential, %d redundant)",
         index,
         len(rows),
-        len(table),
+        sum(len(projection.counts) for projection in table.values()),
         partition.rule_count,
         len(partition.essential),
         len(partition.redundant),
     )
     top_labels = [codebooks[Attribute.ASSIGNEE].decode(code) for code in top_codes]
     rendered = render_partition(partition, codebooks)
-    return ClusterOutcome(rows, table, top_codes, top_labels, partition, rendered)
+    return ClusterOutcome(rows, table, top_labels, partition, rendered)
 
 
 def execute(config: PipelineConfig) -> PipelineResult:
@@ -194,27 +196,46 @@ def _audit_rules(partition: RulePartition, config: PipelineConfig) -> list[str]:
     ]
 
 
-def write_outputs(result: PipelineResult, dump_itemsets: bool = False) -> Path:
+def _foreign_entry(directory: Path, relative: str = "") -> Path | None:
+    """The first entry under a previous report, in name order, that the
+    writer does not write; a directory's relative path ends in "/"."""
+    for entry in sorted(os.scandir(directory), key=lambda entry: entry.name):
+        path = relative + entry.name + ("/" if entry.is_dir(follow_symlinks=False) else "")
+        if not re.fullmatch(
+            r"(config_used|codebooks|clusters)\.json|report/(summary\.json|rules\.csv"
+            r"|cluster_(0|[1-9]\d*)\.txt|figures/((cluster_sizes|essential_redundant"
+            r"|rule_lengths)\.csv)?)?",
+            path,
+        ):
+            return Path(entry.path)
+        if path.endswith("/") and (found := _foreign_entry(Path(entry.path), path)):
+            return found
+    return None
+
+
+def write_outputs(result: PipelineResult) -> Path:
     """Write the full output tree atomically; returns the output directory.
 
     An existing output path is replaced only if it holds a previous report
-    (config_used.json plus report/). The old report is renamed aside, the
-    new one renamed in, and only then is the old one deleted, so a complete
-    report exists at every moment.
+    (config_used.json plus report/) and nothing the writer does not write;
+    otherwise nothing is touched. The old report is renamed aside, the new
+    one renamed in, and only then is the old one deleted, so a complete
+    report exists at every moment. A failed write is an input/output error.
     """
     final_dir = Path(result.config.output_dir)
-    if final_dir.exists() and not (
-        (final_dir / "config_used.json").is_file() and (final_dir / "report").is_dir()
-    ):
-        raise ParameterError(
-            f"output {str(final_dir)!r} exists and is not a triage-miner report;"
-            " refusing to replace it"
-        )
-    final_dir.parent.mkdir(parents=True, exist_ok=True)
-    staging = Path(
-        tempfile.mkdtemp(prefix=final_dir.name + ".staging-", dir=final_dir.parent)
-    )
+    staging = None
     try:
+        is_report = (final_dir / "config_used.json").is_file() and (final_dir / "report").is_dir()
+        foreign = _foreign_entry(final_dir) if is_report else final_dir
+        if final_dir.exists() and foreign is not None:
+            raise ParameterError(
+                f"output {str(final_dir)!r} exists and is not a triage-miner report;"
+                f" refusing to replace {str(foreign)!r}"
+            )
+        final_dir.parent.mkdir(parents=True, exist_ok=True)
+        staging = Path(
+            tempfile.mkdtemp(prefix=final_dir.name + ".staging-", dir=final_dir.parent)
+        )
         config_used = dict(result.config.analysis_parameters())
         config_used["input_sha256"] = result.input_sha256
         write_json(staging / "config_used.json", config_used)
@@ -230,11 +251,6 @@ def write_outputs(result: PipelineResult, dump_itemsets: bool = False) -> Path:
             write_cluster_text(report_dir / f"cluster_{index}.txt", index, outcome)
         write_figure_csvs(report_dir / "figures", summary)
         write_rules_csv(report_dir / "rules.csv", result.outcomes)
-        if dump_itemsets:
-            itemsets_dir = report_dir / "itemsets"
-            itemsets_dir.mkdir()
-            for index, outcome in enumerate(result.outcomes):
-                write_json(itemsets_dir / f"cluster_{index}.json", outcome.table.to_json())
 
         if final_dir.exists():
             aside = Path(tempfile.mkdtemp(prefix=final_dir.name + ".old-", dir=final_dir.parent))
@@ -243,16 +259,18 @@ def write_outputs(result: PipelineResult, dump_itemsets: bool = False) -> Path:
             shutil.rmtree(aside)
         else:
             os.replace(staging, final_dir)
-    except BaseException:
-        shutil.rmtree(staging, ignore_errors=True)
-        raise
+    except OSError as exc:
+        raise InputError(f"cannot write output {str(final_dir)!r}: {exc}") from exc
+    finally:
+        if staging is not None:  # a no-op once renamed into place
+            shutil.rmtree(staging, ignore_errors=True)
     return final_dir
 
 
-def run_pipeline(config: PipelineConfig, dump_itemsets: bool = False) -> PipelineResult:
+def run_pipeline(config: PipelineConfig) -> PipelineResult:
     """Execute all stages, audit, and write the report directory."""
     result = execute(config)
-    out = write_outputs(result, dump_itemsets=dump_itemsets)
+    out = write_outputs(result)
     logger.info("report written to %s", out)
     return result
 
@@ -268,7 +286,7 @@ def run_verify(
     ok = True
     lines: list[str] = []
     for index, outcome in enumerate(result.outcomes):
-        table, partition = outcome.table, outcome.partition
+        partition = outcome.partition
         if len(outcome.rows) > max_transactions:
             lines.append(
                 f"cluster {index}: skipped itemset check"
@@ -278,19 +296,18 @@ def run_verify(
         reference = enumerate_frequent_itemsets(
             outcome.rows.tolist(), result.config.min_support_count
         )
-        if dict(table.support) != reference:
+        supports = itemset_supports(outcome.table)
+        if supports != reference:
             ok = False
-            missing = set(reference) - set(table.support)
-            extra = set(table.support) - set(reference)
-            wrong = {
-                s for s in set(reference) & set(table.support) if reference[s] != table.support[s]
-            }
+            missing = set(reference) - set(supports)
+            extra = set(supports) - set(reference)
+            wrong = {s for s in set(reference) & set(supports) if reference[s] != supports[s]}
             lines.append(
                 f"cluster {index}: FREQUENT-ITEMSET MISMATCH"
                 f" (missing {len(missing)}, extra {len(extra)}, miscounted {len(wrong)})"
             )
             continue
-        lines.append(f"cluster {index}: itemsets OK ({len(table)} frequent itemsets)")
+        lines.append(f"cluster {index}: itemsets OK ({len(supports)} frequent itemsets)")
 
         if partition.rule_count > max_rules:
             lines.append(

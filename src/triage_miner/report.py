@@ -32,7 +32,7 @@ import numpy as np
 from .cluster import ClusterModel
 from .errors import ConsistencyError
 from .ingest import Attribute, Codebook
-from .mine import FrequentItemsetTable
+from .mine import Projection, Subset
 from .rules import RulePartition, RuleTable
 
 _RENDER_PREFIX = {  # in print order
@@ -143,8 +143,7 @@ class ClusterOutcome:
     ``partition``."""
 
     rows: np.ndarray
-    table: FrequentItemsetTable
-    top_codes: list[int]
+    table: Mapping[Subset, Projection]  # the frequent itemsets, by attribute subset
     top_assignees: list[str]
     partition: RulePartition
     rendered: RenderedRules

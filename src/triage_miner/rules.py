@@ -18,13 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, Mapping
 
 import numpy as np
 
 from .errors import DuplicateRuleError, ParameterError
 from .ingest import Attribute
-from .mine import FrequentItemsetTable, distinct_rows, group_keys
+from .mine import Projection, Subset, distinct_rows, group_keys
 
 ANTECEDENT_ATTRIBUTES = tuple(Attribute)[:-1]  # the assignee is the consequent
 
@@ -113,14 +113,14 @@ def top_assignees(assignee_codes: np.ndarray, n: int) -> list[int]:
 
 
 def generate_class_rules(
-    table: FrequentItemsetTable,
+    projections: Mapping[Subset, Projection],
     min_confidence: float,
     allowed_consequents: Iterable[int],
 ) -> RuleTable:
     """All rules A => assignee with A non-empty, A u {assignee} frequent and
     confidence >= min_confidence, for the allowed assignee codes only.
 
-    Rows are read off the table's projections: in each subset holding the
+    Rows are read off the mined projections: in each subset holding the
     assignee (its last attribute) and another attribute, a group with an
     allowed assignee is a candidate whose parent count is its antecedent
     count. Rows are ordered by antecedent size asc, confidence desc (the
@@ -133,7 +133,7 @@ def generate_class_rules(
 
     # an empty part first, so that a table without rules still concatenates
     parts = [(np.empty((0, len(ANTECEDENT_ATTRIBUTES)), np.int64), *[np.empty(0, np.int64)] * 3)]
-    for subset, (values, support, antecedent_count) in table.projections.items():
+    for subset, (values, support, antecedent_count) in projections.items():
         if len(subset) < 2 or subset[-1] != Attribute.ASSIGNEE:
             continue
         # float division of counts below 2**53 is exact-then-rounded, as in Python

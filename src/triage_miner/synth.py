@@ -12,7 +12,7 @@ import csv
 import random
 from pathlib import Path
 
-from .errors import ParameterError
+from .errors import InputError, ParameterError
 from .ingest import LOGICAL_FIELDS, PRIORITY_LABELS, SEVERITY_LABELS
 
 # Marginal weights loosely shaped like a public tracker: most bugs are
@@ -101,7 +101,7 @@ def synthesize_rows(
     ):
         if value < 1:
             raise ParameterError(f"{name} must be positive, got {value}")
-    if skew < 0:
+    if not skew >= 0:  # NaN too
         raise ParameterError(f"skew must be non-negative, got {skew}")
 
     rng = random.Random(seed)
@@ -140,8 +140,11 @@ def synthesize_rows(
 
 def write_csv(path: Path, rows: list[tuple[str, ...]]) -> None:
     """Write rows with the logical field names as the header."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(LOGICAL_FIELDS)
-        writer.writerows(rows)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(LOGICAL_FIELDS)
+            writer.writerows(rows)
+    except OSError as exc:
+        raise InputError(f"cannot write {str(path)!r}: {exc}") from exc

@@ -11,8 +11,7 @@ import numpy as np
 import pytest
 
 from triage_miner.ingest import Attribute, Codebook
-from triage_miner.mine import FrequentItemsetTable, Item, Itemset
-from triage_miner.oracle import Rule, rule_objects
+from triage_miner.oracle import Item, Itemset, Rule, rule_objects
 from triage_miner.report import ClusterOutcome, render_partition
 from triage_miner.rules import RulePartition, RuleTable, eliminate_redundant
 
@@ -164,8 +163,7 @@ def cluster_outcome(rules, codebooks, size: int = 10, top_codes=(1,)) -> Cluster
     partition = eliminate_redundant(rule_table(rules))
     return ClusterOutcome(
         rows=np.zeros((size, 5), dtype=np.int64),
-        table=FrequentItemsetTable({}, 1, size),
-        top_codes=list(top_codes),
+        table={},
         top_assignees=[codebooks[Attribute.ASSIGNEE].decode(code) for code in top_codes],
         partition=partition,
         rendered=render_partition(partition, codebooks),

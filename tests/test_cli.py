@@ -6,10 +6,9 @@ import pytest
 
 from conftest import tree_bytes
 from triage_miner import cli
-from triage_miner.config import PipelineConfig, default_column_map, validate_config
+from triage_miner.config import default_column_map, validate_config
 from triage_miner.errors import AuditError, ConfigError
-from triage_miner.oracle import enumerate_frequent_itemsets
-from triage_miner.pipeline import execute, run_verify
+from triage_miner.pipeline import run_verify
 from triage_miner.synth import synthesize_rows, write_csv
 
 
@@ -145,6 +144,47 @@ class TestRunCommand:
         assert cli.main(["run", "--input", str(sample_csv), "--output", str(out)]) == 1
         assert out.read_text() == "keep me\n"
 
+    @pytest.mark.parametrize("foreign", ["bugs.csv", "report/my_notes.txt"])
+    def test_refuses_to_replace_a_report_holding_a_foreign_file(
+        self, sample_csv, tmp_path, capsys, foreign
+    ):
+        out = tmp_path / "out"
+        assert cli.main(["run", "--input", str(sample_csv), "--output", str(out)]) == 0
+        # a copy of the input (the run then reads it from there) or a note
+        (out / foreign).write_bytes(sample_csv.read_bytes())
+        before = tree_bytes(out)
+        capsys.readouterr()
+        code = cli.main(["run", "--input", str(out / foreign), "--output", str(out)])
+        assert code == 1
+        assert repr(str(out / foreign)) in capsys.readouterr().err
+        assert tree_bytes(out) == before
+        assert [path.name for path in tmp_path.iterdir()] == ["out"]
+
+    def test_a_smaller_k_replaces_every_cluster_file(self, sample_csv, tmp_path):
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        for flags in (["--clusters", "5"], ["--clusters", "3"]):
+            run = ["run", "--input", str(sample_csv), "--output", str(out), *flags]
+            assert cli.main(run) == 0
+        assert cli.main(
+            ["run", "--input", str(sample_csv), "--output", str(fresh), "--clusters", "3"]
+        ) == 0
+        assert tree_bytes(out) == tree_bytes(fresh)
+        assert not (out / "report" / "cluster_3.txt").exists()
+        assert not (out / "report" / "cluster_4.txt").exists()
+
+    def test_output_under_a_regular_file_exits_2_and_names_the_path(
+        self, sample_csv, tmp_path, capsys
+    ):
+        blocker = tmp_path / "afile"
+        blocker.write_text("keep me\n")
+        out = blocker / "report"
+        assert cli.main(["run", "--input", str(sample_csv), "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write output {str(out)!r}")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert blocker.read_text() == "keep me\n"
+        assert [path.name for path in tmp_path.iterdir()] == ["afile"]
+
     def test_utf8_bom_gives_the_golden_report(self, sample_csv, tmp_path, golden_report_dir):
         bom_csv = tmp_path / "bom.csv"
         bom_csv.write_bytes(b"\xef\xbb\xbf" + sample_csv.read_bytes())
@@ -157,34 +197,6 @@ class TestRunCommand:
         fresh_config.pop("input_sha256")
         golden_config.pop("input_sha256")
         assert fresh_config == golden_config
-
-    def test_dump_itemsets_flag(self, sample_csv, tmp_path):
-        out = tmp_path / "with_itemsets"
-        code = cli.main(
-            ["run", "--input", str(sample_csv), "--output", str(out), "--dump-itemsets"]
-        )
-        assert code == 0
-        dumped = list((out / "report" / "itemsets").glob("cluster_*.json"))
-        assert len(dumped) == 5
-        # each dump is the brute-force table of that cluster's rows, written
-        # as the report writes JSON: canonical itemset order, exact counts
-        result = execute(PipelineConfig(input_path=str(sample_csv)))
-        for index, outcome in enumerate(result.outcomes):
-            reference = enumerate_frequent_itemsets(outcome.rows.tolist(), 3)
-            payload = {
-                "min_support_count": 3,
-                "transaction_count": len(outcome.rows),
-                "itemsets": [
-                    {
-                        "items": [[item.attribute.display, item.code] for item in itemset],
-                        "support_count": reference[itemset],
-                    }
-                    for itemset in sorted(reference, key=lambda itemset: itemset.items)
-                ],
-            }
-            path = out / "report" / "itemsets" / f"cluster_{index}.json"
-            expected = json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
-            assert path.read_text(encoding="utf-8") == expected
 
     def test_missing_input_exits_2_and_names_the_path(self, tmp_path, capsys):
         out = tmp_path / "never"
@@ -234,7 +246,7 @@ class TestRunCommand:
         assert not out.exists()
 
     def test_audit_failure_exits_3(self, sample_csv, tmp_path, monkeypatch):
-        def boom(config, dump_itemsets=False):
+        def boom(config):
             raise AuditError(["fabricated violation"])
 
         monkeypatch.setattr(cli, "run_pipeline", boom)
@@ -334,6 +346,23 @@ class TestSynthesizeCommand:
         assert cli.main(["synthesize", "--output", str(a), "--rows", "200", "--seed", "5"]) == 0
         assert cli.main(["synthesize", "--output", str(b), "--rows", "200", "--seed", "6"]) == 0
         assert a.read_bytes() != b.read_bytes()
+
+    def test_nan_skew_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        code = cli.main(["synthesize", "--output", str(out), "--skew", "nan"])
+        assert code == 1
+        assert "skew must be non-negative, got nan" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_output_under_a_regular_file_exits_2_and_names_the_path(self, tmp_path, capsys):
+        blocker = tmp_path / "afile"
+        blocker.write_text("keep me\n")
+        out = blocker / "x.csv"
+        assert cli.main(["synthesize", "--output", str(out), "--rows", "10"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {str(out)!r}")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert blocker.read_text() == "keep me\n"
 
     def test_synthesized_data_runs_through_the_pipeline(self, tmp_path):
         csv_path = tmp_path / "synth.csv"

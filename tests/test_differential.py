@@ -13,8 +13,12 @@ from conftest import rule_split
 from triage_miner.config import PipelineConfig
 from triage_miner.errors import InfeasibleKError
 from triage_miner.ingest import Attribute
-from triage_miner.mine import Itemset
-from triage_miner.oracle import enumerate_frequent_itemsets, essential_rules_naive
+from triage_miner.oracle import (
+    Itemset,
+    enumerate_frequent_itemsets,
+    essential_rules_naive,
+    itemset_supports,
+)
 from triage_miner.pipeline import execute
 from triage_miner.synth import synthesize_rows, write_csv
 
@@ -80,11 +84,12 @@ def test_execute_matches_the_oracles_on_synthetic_data(
     for outcome in result.outcomes:
         code_rows = outcome.rows.tolist()
         reference = enumerate_frequent_itemsets(code_rows, min_support_count)
-        assert dict(outcome.table.support) == reference
+        assert itemset_supports(outcome.table) == reference
 
         tally = Counter(row[Attribute.ASSIGNEE] for row in code_rows)
         ranked = sorted(tally, key=lambda code: (-tally[code], code))[:top_n]
-        assert outcome.top_codes == ranked
+        assignees = result.codebooks[Attribute.ASSIGNEE]
+        assert outcome.top_assignees == [assignees.decode(code) for code in ranked]
 
         split = rule_split(outcome.partition)
         rules = split.all_rules()

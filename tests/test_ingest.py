@@ -17,9 +17,7 @@ from triage_miner.errors import (
 )
 from triage_miner.ingest import (
     LOGICAL_FIELDS,
-    PRIORITY_CODEBOOK,
     PRIORITY_LABELS,
-    SEVERITY_CODEBOOK,
     SEVERITY_LABELS,
     Attribute,
     codebooks_to_json,
@@ -57,6 +55,11 @@ def _read_rows(rows):
     buffer = io.StringIO()
     csv.writer(buffer).writerows([_HEADER, *rows])
     return _read(buffer.getvalue())
+
+
+def _codes_of(**labels) -> list[int]:
+    """The code row ingest gives a one-row file holding ``labels`` (see _row)."""
+    return _read_rows([_row(**labels)])[2][0].tolist()
 
 
 class TestParseCsv:
@@ -162,30 +165,32 @@ class TestParseCsv:
 
 
 class TestFixedScales:
+    """The fixed severity and priority scales, read through ingest."""
+
     def test_blocker_is_level_one(self):
-        assert SEVERITY_CODEBOOK.encode("blocker") == 1
+        assert _codes_of(severity="blocker")[Attribute.SEVERITY] == 1
 
     def test_enhancement_is_level_seven(self):
-        assert SEVERITY_CODEBOOK.encode("enhancement") == 7
+        assert _codes_of(severity="enhancement")[Attribute.SEVERITY] == 7
 
     def test_severity_lookup_ignores_case(self):
-        assert SEVERITY_CODEBOOK.encode("Normal") == 4
-        assert SEVERITY_CODEBOOK.encode("  CRITICAL  ") == 2
+        assert _codes_of(severity="Normal")[Attribute.SEVERITY] == 4
+        assert _codes_of(severity="  CRITICAL  ")[Attribute.SEVERITY] == 2
 
     def test_priority_endpoints(self):
-        assert PRIORITY_CODEBOOK.encode("P1") == 1
-        assert PRIORITY_CODEBOOK.encode("P5") == 5
+        assert _codes_of(priority="P1")[Attribute.PRIORITY] == 1
+        assert _codes_of(priority="P5")[Attribute.PRIORITY] == 5
 
     def test_priority_lookup_ignores_case(self):
-        assert PRIORITY_CODEBOOK.encode("p3") == 3
+        assert _codes_of(priority="p3")[Attribute.PRIORITY] == 3
 
     def test_unknown_severity_carries_the_label(self):
         with pytest.raises(UnknownCategoryError, match="S1"):
-            SEVERITY_CODEBOOK.encode("S1")
+            _codes_of(severity="S1")
 
     def test_unknown_priority_rejected(self):
-        with pytest.raises(UnknownCategoryError):
-            PRIORITY_CODEBOOK.encode("P6")
+        with pytest.raises(UnknownCategoryError, match="P6"):
+            _codes_of(priority="P6")
 
     @pytest.mark.parametrize(
         "label,code",
@@ -193,7 +198,7 @@ class TestFixedScales:
          ("minor", 5), ("trivial", 6), ("enhancement", 7)],
     )
     def test_full_severity_scale(self, label, code):
-        assert SEVERITY_CODEBOOK.encode(label) == code
+        assert _codes_of(severity=label)[Attribute.SEVERITY] == code
 
 
 class TestBuildCodebooks:
@@ -277,18 +282,13 @@ def test_round_trip_and_contiguous_codes(components, oses, assignees):
         book = codebooks[attribute]
         # bijection between forward and reverse
         assert {book.decode(code) for code in book.reverse} == set(book.forward)
-        assert {book.encode(label) for label in book.forward} == set(book.reverse)
+        assert {code: label for label, code in book.forward.items()} == book.reverse
         # codes are exactly 1..n
-        assert sorted(book.reverse) == list(range(1, len(book) + 1))
-    # round-trip through every record
-    for (_, severity_label, priority_label, component_label, os_label, assignee_label), (
-        severity, priority, component, os_, assignee
-    ) in zip(rows, codes.tolist()):
-        assert SEVERITY_CODEBOOK.encode(severity_label) == severity
-        assert PRIORITY_CODEBOOK.encode(priority_label) == priority
-        assert codebooks[Attribute.COMPONENT].encode(component_label) == component
-        assert codebooks[Attribute.OPERATING_SYSTEM].encode(os_label) == os_
-        assert codebooks[Attribute.ASSIGNEE].encode(assignee_label) == assignee
+        assert sorted(book.reverse) == list(range(1, len(book.forward) + 1))
+    # round-trip through every record: each code decodes to its label, up to case
+    for (_, *labels), row_codes in zip(rows, codes.tolist()):
+        for attribute, label, code in zip(Attribute, labels, row_codes):
+            assert codebooks[attribute].decode(code).casefold() == label.casefold()
 
 
 @given(st.integers(0, 2**32))

@@ -91,7 +91,7 @@ def test_duplicating_rows_and_doubling_support_doubles_every_count(
     shared = dict(min_confidence=min_confidence, top_n=top_n)
     once = _single_cluster(data, min_support_count=min_support_count, **shared)
     twice = _single_cluster(data + copies, min_support_count=2 * min_support_count, **shared)
-    assert twice.top_codes == once.top_codes
+    assert twice.top_assignees == once.top_assignees
     doubled = {
         key: (2 * support, 2 * antecedent_count, witness)
         for key, (support, antecedent_count, witness) in _table(once).items()
@@ -148,7 +148,8 @@ def test_relabelling_categories_changes_only_rendered_labels(
     # code, count, rule, status and witness is unchanged, in the same order
     assert np.array_equal(relabelled.codes, original.codes)
     [before], [after] = original.outcomes, relabelled.outcomes
-    assert after.top_codes == before.top_codes
+    renamed = mappings[Attribute.ASSIGNEE]
+    assert after.top_assignees == [renamed[label] for label in before.top_assignees]
     assert list(_table(after).items()) == list(_table(before).items())
     for attribute, mapping in mappings.items():
         assert relabelled.codebooks[attribute].forward == {

@@ -10,8 +10,13 @@ from conftest import random_rows, row_lists
 from triage_miner import mine
 from triage_miner.errors import ParameterError
 from triage_miner.ingest import Attribute
-from triage_miner.mine import Item, Itemset, mine_frequent_itemsets
-from triage_miner.oracle import enumerate_frequent_itemsets
+from triage_miner.mine import mine_frequent_itemsets
+from triage_miner.oracle import Item, Itemset, enumerate_frequent_itemsets, itemset_supports
+
+
+def supports(rows, min_support_count: int) -> dict:
+    """The mined table of ``rows`` as Itemset -> support count."""
+    return itemset_supports(mine_frequent_itemsets(np.array(rows), min_support_count))
 
 
 class TestItemset:
@@ -45,7 +50,7 @@ class TestApriori:
     name of the level-wise Apriori miner it replaced)."""
 
     def test_classic_four_basket_example(self):
-        table = mine_frequent_itemsets(classic_baskets(), min_support_count=2)
+        table = supports(classic_baskets(), min_support_count=2)
         item_a = Item(Attribute.COMPONENT, 1)
         item_b = Item(Attribute.OPERATING_SYSTEM, 1)
         item_c = Item(Attribute.ASSIGNEE, 1)
@@ -57,61 +62,51 @@ class TestApriori:
             Itemset([item_a, item_c]): 2,
             Itemset([item_b, item_c]): 2,
         }
-        assert dict(table.support) == expected
-        assert Itemset([item_a, item_b, item_c]) not in table.support  # support 1
+        assert table == expected
+        assert Itemset([item_a, item_b, item_c]) not in table  # support 1
 
     def test_single_transaction_all_subsets(self):
-        table = mine_frequent_itemsets(np.array([(1, 2, 3, 4, 5)]), min_support_count=1)
+        table = supports([(1, 2, 3, 4, 5)], min_support_count=1)
         assert len(table) == 2**5 - 1
-        assert all(count == 1 for count in table.support.values())
+        assert all(count == 1 for count in table.values())
 
     def test_unattainable_threshold_gives_empty_table(self):
         table = mine_frequent_itemsets(np.ones((3, 5), dtype=np.int64), min_support_count=4)
-        assert len(table) == 0
+        assert table == {}
 
     def test_empty_code_array_gives_empty_table(self):
         table = mine_frequent_itemsets(np.empty((0, 5), dtype=np.int64), min_support_count=1)
-        assert len(table) == 0 and table.transaction_count == 0 and table.support == {}
+        assert table == {}
 
     def test_parameter_validation(self):
         with pytest.raises(ParameterError):
             mine_frequent_itemsets(np.empty((0, 5), dtype=np.int64), min_support_count=0)
-
-    def test_to_json_is_sorted_and_complete(self):
-        table = mine_frequent_itemsets(classic_baskets(), min_support_count=2)
-        payload = table.to_json()
-        assert payload["transaction_count"] == 4
-        assert payload["min_support_count"] == 2
-        assert len(payload["itemsets"]) == len(table)
 
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("min_support", [1, 2, 3])
     def test_matches_brute_force_on_random_data(self, seed, min_support):
         rnd = random.Random(seed)
         rows = random_rows(rnd, max_transactions=60, max_codes=6)
-        fast = mine_frequent_itemsets(np.array(rows), min_support)
-        slow = enumerate_frequent_itemsets(rows, min_support)
-        assert dict(fast.support) == slow
+        assert supports(rows, min_support) == enumerate_frequent_itemsets(rows, min_support)
 
 
 @given(row_lists(), st.integers(1, 4))
 @settings(max_examples=60, deadline=None)
 def test_apriori_oracle_equivalence_property(rows, min_support):
-    fast = mine_frequent_itemsets(np.array(rows), min_support)
-    assert dict(fast.support) == enumerate_frequent_itemsets(rows, min_support)
+    assert supports(rows, min_support) == enumerate_frequent_itemsets(rows, min_support)
 
 
 @given(row_lists(max_transactions=25, max_codes=4))
 @settings(max_examples=40, deadline=None)
 def test_downward_closure_and_antimonotonicity(rows):
-    table = mine_frequent_itemsets(np.array(rows), min_support_count=2)
-    for itemset, count in table.support.items():
-        assert count >= table.min_support_count
+    table = supports(rows, min_support_count=2)
+    for itemset, count in table.items():
+        assert count >= 2
         for size in range(1, len(itemset)):
             for subset in combinations(itemset.items, size):
                 sub = Itemset(subset)
-                assert sub in table.support
-                assert table.support[sub] >= count
+                assert sub in table
+                assert table[sub] >= count
 
 
 def test_codes_whose_radices_overflow_int64_are_counted_exactly():
@@ -132,16 +127,13 @@ def test_codes_whose_radices_overflow_int64_are_counted_exactly():
     ]
     assert (base + 4) * (base + 1) * (2 * base + 3) > 2**63
     for min_support in (1, 3):
-        table = mine_frequent_itemsets(np.array(rows, dtype=np.int64), min_support)
-        assert dict(table.support) == enumerate_frequent_itemsets(rows, min_support)
+        assert supports(rows, min_support) == enumerate_frequent_itemsets(rows, min_support)
 
 
 def test_table_counts_are_python_ints():
-    table = mine_frequent_itemsets(classic_baskets(), min_support_count=1)
-    assert all(type(count) is int for count in table.support.values())
-    assert all(
-        type(item.code) is int for itemset in table.support for item in itemset
-    )
+    table = supports(classic_baskets(), min_support_count=1)
+    assert all(type(count) is int for count in table.values())
+    assert all(type(item.code) is int for itemset in table for item in itemset)
 
 
 def sorted_projections(codes: np.ndarray, min_support: int) -> dict:
@@ -188,7 +180,7 @@ def test_projections_match_a_sorting_reference(codes, min_support):
     table = mine_frequent_itemsets(codes, min_support)
     got = {
         subset: (values.tolist(), counts.tolist(), parent_counts.tolist())
-        for subset, (values, counts, parent_counts) in table.projections.items()
+        for subset, (values, counts, parent_counts) in table.items()
     }
     assert got == sorted_projections(codes, min_support)
 
@@ -215,6 +207,6 @@ def test_key_spaces_fall_on_both_sides_of_the_tally_threshold(
         return group_keys(keys, key_space)
 
     monkeypatch.setattr(mine, "group_keys", spy)
-    table = mine_frequent_itemsets(codes, 1)
+    table = supports(codes, 1)
     assert any(sides) == sorted_somewhere and not all(sides)
-    assert dict(table.support) == enumerate_frequent_itemsets(codes.tolist(), 1)
+    assert table == enumerate_frequent_itemsets(codes.tolist(), 1)

@@ -12,11 +12,11 @@ import pytest
 
 from conftest import rule_table
 
-from triage_miner import pipeline
+from triage_miner import mine, pipeline
 from triage_miner.config import PipelineConfig
 from triage_miner.ingest import Attribute
-from triage_miner.mine import Item, Itemset, Projection
-from triage_miner.oracle import Rule, rule_objects, witness_is_valid
+from triage_miner.mine import Projection
+from triage_miner.oracle import Item, Itemset, Rule, rule_objects, witness_is_valid
 from triage_miner.pipeline import (
     PipelineResult,
     _audit_rules,
@@ -138,13 +138,10 @@ class TestAuditRows:
 
 class TestRunVerify:
     def test_checks_the_runs_own_itemset_table(self, sample_result):
-        table = sample_result.outcomes[1].table
-        projections = dict(table.projections)
-        subset, projection = next(iter(projections.items()))
-        projections[subset] = Projection(*(column[1:] for column in projection))
-        doctored = _with_outcome(
-            sample_result, 1, table=dataclasses.replace(table, projections=projections)
-        )
+        table = dict(sample_result.outcomes[1].table)
+        subset, projection = next(iter(table.items()))
+        table[subset] = Projection(*(column[1:] for column in projection))
+        doctored = _with_outcome(sample_result, 1, table=table)
         ok, lines = run_verify(doctored)
         assert not ok
         assert "cluster 1: FREQUENT-ITEMSET MISMATCH (missing 1, extra 0, miscounted 0)" in lines
@@ -179,6 +176,8 @@ def test_run_builds_no_rule_objects(sample_csv, tmp_path, monkeypatch):
     monkeypatch.setattr(Rule, "__init__", forbidden)
     monkeypatch.setattr(Itemset, "__init__", forbidden)
     monkeypatch.setattr(Item, "__new__", forbidden)
+    # the object view lives in the oracle only
+    assert not hasattr(mine, "Item") and not hasattr(mine, "Itemset")
     config = PipelineConfig(input_path=str(sample_csv), output_dir=str(tmp_path / "out"))
     result = run_pipeline(config)
     assert sum(outcome.partition.rule_count for outcome in result.outcomes) == 385

@@ -22,8 +22,7 @@ from conftest import (
 from triage_miner.cluster import ClusterModel
 from triage_miner.errors import ConsistencyError, UnknownCategoryError
 from triage_miner.ingest import Attribute, Codebook
-from triage_miner.mine import Item, Itemset
-from triage_miner.oracle import Rule
+from triage_miner.oracle import Item, Itemset, Rule
 from triage_miner.report import (
     build_summary,
     confidence_percents,

@@ -11,8 +11,8 @@ from hypothesis import given, settings
 
 from conftest import row_lists, rule_lists, rule_split, rule_table, simple_codebooks
 from triage_miner.ingest import Attribute
-from triage_miner.mine import FrequentItemsetTable, Item, Itemset, mine_frequent_itemsets
-from triage_miner.oracle import Rule, rule_objects
+from triage_miner.mine import Projection, Subset, mine_frequent_itemsets
+from triage_miner.oracle import Item, Itemset, Rule, rule_objects
 from triage_miner.report import RENDER_ORDER, render_partition
 from triage_miner.rules import eliminate_redundant, generate_class_rules
 
@@ -24,12 +24,14 @@ _PREFIX = {
 }
 
 
-def reference_generate(table: FrequentItemsetTable, min_confidence: float, allowed) -> list[Rule]:
+def reference_generate(
+    table: dict[Subset, Projection], min_confidence: float, allowed
+) -> list[Rule]:
     """One Rule per passing projection group, sorted by (size, exact
     confidence key desc, support desc, antecedent items, consequent code)."""
     allowed = np.array(sorted(set(allowed)), dtype=np.int64)
     rules = []
-    for subset, (values, support, antecedent_counts) in table.projections.items():
+    for subset, (values, support, antecedent_counts) in table.items():
         if len(subset) < 2 or subset[-1] != Attribute.ASSIGNEE:
             continue
         passing = np.isin(values[:, -1], allowed) & (support / antecedent_counts >= min_confidence)

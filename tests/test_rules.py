@@ -9,14 +9,10 @@ from hypothesis import given, settings
 from conftest import random_rows, random_rules, rule_lists, rule_table, split_rules
 from triage_miner.errors import DuplicateRuleError, ParameterError
 from triage_miner.ingest import Attribute
-from triage_miner.mine import (
-    FrequentItemsetTable,
+from triage_miner.mine import Projection, Subset, mine_frequent_itemsets
+from triage_miner.oracle import (
     Item,
     Itemset,
-    Projection,
-    mine_frequent_itemsets,
-)
-from triage_miner.oracle import (
     Rule,
     enumerate_frequent_itemsets,
     essential_rules_naive,
@@ -35,7 +31,7 @@ PRI3 = Item(Attribute.PRIORITY, 3)
 WHO = Item(Attribute.ASSIGNEE, 9)
 
 
-def _table(support: dict, min_support=3, transactions=47) -> FrequentItemsetTable:
+def _table(support: dict, transactions=47) -> dict[Subset, Projection]:
     """A table holding exactly the given itemset counts."""
     groups: dict[tuple, list] = {}
     for itemset, count in support.items():
@@ -44,13 +40,10 @@ def _table(support: dict, min_support=3, transactions=47) -> FrequentItemsetTabl
         groups.setdefault(subset, []).append(
             (tuple(item.code for item in itemset), count, parent_count)
         )
-    projections = {
+    return {
         subset: Projection(*(np.array(column, dtype=np.int64) for column in zip(*sorted(entries))))
         for subset, entries in groups.items()
     }
-    return FrequentItemsetTable(
-        projections=projections, min_support_count=min_support, transaction_count=transactions
-    )
 
 
 def _rule(items, consequent_code, support, antecedent_count) -> Rule:
@@ -62,7 +55,7 @@ def _rule(items, consequent_code, support, antecedent_count) -> Rule:
     )
 
 
-def _generate(table: FrequentItemsetTable, min_confidence: float, allowed) -> list[Rule]:
+def _generate(table: dict[Subset, Projection], min_confidence: float, allowed) -> list[Rule]:
     """generate_class_rules' table as Rule objects, in row order."""
     return rule_objects(generate_class_rules(table, min_confidence, allowed))
 
