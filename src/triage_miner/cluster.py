@@ -5,9 +5,10 @@ generator so identical inputs and seed give bit-identical assignments.
 Distances are squared Euclidean on the raw integer codes; the assignee code
 is excluded from the features because it is the prediction target.
 
-Lloyd steps run on the distinct feature vectors, gathered back to the points.
-This is exact: equal points get equal labels, and count-weighted sums of
-integer coordinates are exact below 2**53, so centroids equal per-point means.
+Lloyd steps and the k-means++ distances run on the distinct feature vectors,
+gathered back to the points; k-means++ still draws over all points. This is
+exact: equal points get equal labels, and count-weighted sums of integer
+coordinates are exact below 2**53, so centroids equal per-point means.
 """
 
 from __future__ import annotations
@@ -91,20 +92,23 @@ def _assign_with_repair(
     raise ConsistencyError("empty-cluster repair did not converge")
 
 
-def _kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    n = len(points)
-    centroids = np.empty((k, points.shape[1]), dtype=float)
-    centroids[0] = points[rng.integers(n)]
-    d2 = ((points - centroids[0]) ** 2).sum(axis=1)
+def _kmeanspp_init(vectors: np.ndarray, rank: np.ndarray, k: int, seed: int) -> np.ndarray:
+    """k-means++ seeds, each drawn over all points from the distances of the
+    distinct vectors gathered to the points by ``rank``."""
+    n, rng = len(rank), np.random.default_rng(seed)
+    centroids = np.empty((k, vectors.shape[1]), dtype=float)
+    centroids[0] = vectors[rank[rng.integers(n)]]
+    d2 = ((vectors - centroids[0]) ** 2).sum(axis=1)
     for j in range(1, k):
-        total = d2.sum()
+        point_d2 = d2[rank]
+        total = point_d2.sum()
         if total <= 0.0:
             raise ConsistencyError("k-means++ ran out of distinct points")
-        idx = int(rng.choice(n, p=d2 / total))
-        if d2[idx] == 0.0:  # boundary artifact of the cumulative draw
-            idx = int(d2.argmax())
-        centroids[j] = points[idx]
-        d2 = np.minimum(d2, ((points - centroids[j]) ** 2).sum(axis=1))
+        idx = int(rng.choice(n, p=point_d2 / total))
+        if point_d2[idx] == 0.0:  # boundary artifact of the cumulative draw
+            idx = int(point_d2.argmax())
+        centroids[j] = vectors[rank[idx]]
+        d2 = np.minimum(d2, ((vectors - centroids[j]) ** 2).sum(axis=1))
     return centroids
 
 
@@ -143,7 +147,7 @@ def kmeans_fit(
         labels[rank] = assignments  # equal points get equal labels
         return centroids, labels, dists
 
-    centroids, labels, dists = assign(_kmeanspp_init(data, k, np.random.default_rng(seed)))
+    centroids, labels, dists = assign(_kmeanspp_init(vectors, rank, k, seed))
     history = [float(dists.sum())]
     for iterations_run in range(1, max_iterations + 1):
         previous = labels

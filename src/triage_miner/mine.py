@@ -55,8 +55,10 @@ def distinct_rows(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     n² (rank so far × the column's distinct values + the value's rank)."""
     rank, counts = np.zeros(len(points), dtype=np.int64), np.array([len(points)])
     for column in points.T:
-        values, value_rank = np.unique(column, return_inverse=True)
-        _, counts, rank = group_keys(rank * len(values) + value_rank, len(counts) * len(values))
+        values = np.unique(column, return_counts=True)[0]  # no inverse: it needs an argsort
+        rank *= len(values)
+        rank += np.searchsorted(values, column)
+        _, counts, rank = group_keys(rank, len(counts) * len(values))
     vectors = np.empty((len(counts), points.shape[1]), dtype=points.dtype)
     vectors[rank] = points
     return vectors, rank, counts
@@ -82,7 +84,8 @@ def mine_frequent_itemsets(codes: np.ndarray, min_support_count: int) -> dict[Su
     level = {(): (np.zeros_like(codes[:, 0]), np.empty((1, 0), np.int64), np.array([len(codes)]))}
     while level:
         next_level: dict[Subset, tuple[np.ndarray, ...]] = {}
-        for prefix, (prefix_rank, prefix_values, prefix_counts) in level.items():
+        for prefix in list(level):  # each prefix's row ranks are freed once extended
+            prefix_rank, prefix_values, prefix_counts = level.pop(prefix)
             for attribute in Attribute:
                 if prefix and attribute <= prefix[-1]:
                     continue
@@ -98,7 +101,8 @@ def mine_frequent_itemsets(codes: np.ndarray, min_support_count: int) -> dict[Su
                     projections[subset] = Projection(
                         values[frequent], counts[frequent], prefix_counts[parent[frequent]]
                     )
-                    next_level[subset] = (rank, values, counts)
+                    if attribute != Attribute.ASSIGNEE:  # the last attribute extends nothing
+                        next_level[subset] = (rank, values, counts)
         level = next_level
 
     return projections

@@ -71,17 +71,33 @@ class PipelineResult:
     outcomes: list[ClusterOutcome]  # cluster i's at position i
 
 
+class _HashingReader(io.RawIOBase):
+    """A raw byte stream that feeds each byte read from ``raw`` to a sha256."""
+
+    def __init__(self, raw: io.RawIOBase):
+        self.raw, self.sha256 = raw, hashlib.sha256()
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        count = self.raw.readinto(buffer)
+        self.sha256.update(memoryview(buffer)[:count])
+        return count
+
+
 def _load_and_encode(config: PipelineConfig):
-    path = Path(config.input_path)
+    """Parse the input and hash the bytes parsed, in one pass over the file."""
     try:
-        payload = path.read_bytes()
+        with open(config.input_path, "rb", buffering=0) as raw:
+            source = _HashingReader(raw)
+            bug_ids, codebooks, codes = read_bug_csv(io.BufferedReader(source), config.column_map)
+            source.readall()  # hash whatever the parse left unread
     except OSError as exc:
         raise InputError(f"cannot read input {config.input_path!r}: {exc}") from exc
-    input_sha256 = hashlib.sha256(payload).hexdigest()
-    bug_ids, codebooks, codes = read_bug_csv(io.BytesIO(payload), config.column_map)
     if not bug_ids:
         raise InputError(f"input {config.input_path!r} contains no data rows")
-    return input_sha256, codebooks, bug_ids, codes
+    return source.sha256.hexdigest(), codebooks, bug_ids, codes
 
 
 def _mine_cluster(
@@ -145,7 +161,8 @@ def audit_result(result: PipelineResult) -> list[str]:
         problems.append("assignments do not cover the record list")
 
     vectors, rank, _ = distinct_rows(points)
-    if not np.array_equal(vectors[rank], points):
+    same = (np.array_equal(v[rank], p) for v, p in zip(vectors.T, points.T))  # a column at a time
+    if vectors.shape[1:] != points.shape[1:] or not all(same):
         problems.append("distinct feature vectors do not reproduce the records")
     distances = ((vectors[:, None, :] - np.array(model.centroids)) ** 2).sum(axis=2)
     assignments = model.assignments

@@ -44,6 +44,7 @@ _RENDER_PREFIX = {  # in print order
 RENDER_ORDER = tuple(_RENDER_PREFIX)
 
 _AND = " ∧ "
+CLUSTERS_JSON_CHUNK = 1 << 16  # assignments per write of clusters.json
 
 
 def confidence_percents(support: Sequence[int], antecedent_count: Sequence[int]) -> list[str]:
@@ -182,8 +183,8 @@ def write_json(path: Path, payload: dict) -> None:
 
 def write_clusters_json(path: Path, model: ClusterModel, bug_ids: Sequence[str]) -> None:
     """The model's diagnostics and each bug_id's cluster, as ``write_json``
-    prints them; the assignments are joined from each id's encoding and a
-    ": <cluster>" suffix, since ``indent`` makes ``json`` encode in Python."""
+    prints them; the assignments are written a chunk at a time, each id's
+    encoding and a ": <cluster>" suffix, as ``indent`` makes ``json`` encode in Python."""
     if len(model.assignments) != len(bug_ids):
         raise ConsistencyError("model and records disagree on record count")
     payload = {
@@ -195,16 +196,19 @@ def write_clusters_json(path: Path, model: ClusterModel, bug_ids: Sequence[str])
         "assignments": {},
         "cluster_sizes": model.cluster_sizes(),
     }
-    text = json.dumps(payload, indent=2, ensure_ascii=False)
-    if bug_ids:
-        suffixes = np.array([f": {cluster},\n    " for cluster in range(model.k)], dtype=object)
-        entries = [""] * (2 * len(bug_ids))
-        entries[::2] = map(encode_basestring, bug_ids)
-        entries[1::2] = suffixes[model.assignments].tolist()
-        entries[-1] = f": {model.assignments[-1]}"
-        block = '"assignments": {\n    ' + "".join(entries) + "\n  }"
-        text = text.replace('"assignments": {}', block)
-    path.write_text(text + "\n", encoding="utf-8")
+    head, tail = json.dumps(payload, indent=2, ensure_ascii=False).split('"assignments": {}')
+    suffixes = np.array([f": {cluster},\n    " for cluster in range(model.k)], dtype=object)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(head + ('"assignments": {\n    ' if bug_ids else '"assignments": {}'))
+        for start in range(0, len(bug_ids), CLUSTERS_JSON_CHUNK):
+            ids = bug_ids[start : start + CLUSTERS_JSON_CHUNK]
+            entries = [""] * (2 * len(ids))
+            entries[::2] = map(encode_basestring, ids)
+            entries[1::2] = suffixes[model.assignments[start : start + len(ids)]].tolist()
+            if start + len(ids) == len(bug_ids):
+                entries[-1] = f": {model.assignments[-1]}\n  }}"
+            fh.write("".join(entries))
+        fh.write(tail + "\n")
 
 
 def write_cluster_text(path: Path, index: int, outcome: ClusterOutcome) -> None:

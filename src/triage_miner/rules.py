@@ -188,7 +188,7 @@ def eliminate_redundant(rules: RuleTable) -> RulePartition:
     witness = np.full(len(rules), -1)
     subset_of = rules.present @ (1 << np.arange(len(ANTECEDENT_ATTRIBUTES)))
     essential: dict[tuple[int, ...], np.ndarray] = {}  # attribute subset -> essential rows
-    for mask in sorted(np.unique(subset_of).tolist(), key=int.bit_count):
+    for mask in sorted(np.flatnonzero(np.bincount(subset_of)).tolist(), key=int.bit_count):
         attributes = tuple(a for a in range(len(ANTECEDENT_ATTRIBUTES)) if mask >> a & 1)
         rows = np.flatnonzero(subset_of == mask)
         for size in range(1, len(attributes)):

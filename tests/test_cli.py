@@ -1,11 +1,16 @@
+import errno
 import hashlib
 import inspect
+import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from conftest import tree_bytes
-from triage_miner import cli
+from conftest import REPO_ROOT, tree_bytes
+from triage_miner import cli, pipeline
 from triage_miner.config import default_column_map, validate_config
 from triage_miner.errors import AuditError, ConfigError
 from triage_miner.pipeline import run_verify
@@ -204,6 +209,74 @@ class TestRunCommand:
         assert code == 2
         assert "nope.csv" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "variant",
+        [
+            lambda data: data,
+            lambda data: b"\xef\xbb\xbf" + data,
+            lambda data: data.replace(b"\n", b"\r\n"),
+            lambda data: data.rstrip(b"\n"),
+            lambda data: data.replace(b",Build Config,", b',"Build\nConfig",'),
+        ],
+        ids=["plain", "bom", "crlf", "no-final-newline", "quoted-newline"],
+    )
+    def test_input_sha256_is_the_digest_of_the_input_bytes(self, sample_csv, tmp_path, variant):
+        path, out = tmp_path / "input.csv", tmp_path / "out"
+        path.write_bytes(variant(sample_csv.read_bytes()))
+        assert cli.main(["run", "--input", str(path), "--output", str(out)]) == 0
+        used = json.loads((out / "config_used.json").read_text())
+        assert used["input_sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
+
+    def test_a_read_error_halfway_exits_2_and_names_the_input(
+        self, sample_csv, tmp_path, monkeypatch, capsys
+    ):
+        limit = sample_csv.stat().st_size // 2
+
+        class FailingHalfway(io.RawIOBase):
+            """The input in 1 KiB reads, failing once half of it has been read."""
+
+            def __init__(self, raw):
+                self.raw, self.done = raw, 0
+
+            def readable(self):
+                return True
+
+            def readinto(self, buffer):
+                if self.done >= limit:
+                    raise OSError(errno.EIO, os.strerror(errno.EIO))
+                count = self.raw.readinto(memoryview(buffer)[:1024])
+                self.done += count
+                return count
+
+            def close(self):
+                self.raw.close()
+                super().close()
+
+        monkeypatch.setattr(
+            pipeline, "open", lambda *args, **kwargs: FailingHalfway(open(*args, **kwargs)),
+            raising=False,
+        )
+        out = tmp_path / "x"
+        assert cli.main(["run", "--input", str(sample_csv), "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read input {str(sample_csv)!r}")
+        assert os.strerror(errno.EIO) in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_run_does_not_import_numpy_ma(self, sample_csv, tmp_path):
+        # numpy.ma costs milliseconds to import and the pipeline needs none of it
+        script = (
+            "import sys; from triage_miner import cli;"
+            f" assert cli.main(['run', '--input', {str(sample_csv)!r},"
+            f" '--output', {str(tmp_path / 'out')!r}]) == 0;"
+            " print('numpy.ma' in sys.modules)"
+        )
+        env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        )
+        assert done.stdout.splitlines()[-1] == "False"
 
     def test_bad_config_exits_1(self, sample_csv, tmp_path):
         code = cli.main(

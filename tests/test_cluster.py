@@ -19,6 +19,7 @@ from triage_miner.cluster import (
     split_by_cluster,
 )
 from triage_miner.errors import ConsistencyError, InfeasibleKError, ParameterError
+from triage_miner.mine import distinct_rows
 
 
 def _row(sev=4, pri=3, comp=1, os_=1, who=1) -> tuple[int, ...]:
@@ -199,6 +200,25 @@ def test_empty_cluster_repair_on_adversarial_data():
         assert sum(model.cluster_sizes()) == len(points)
 
 
+def per_point_kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k-means++ with every distance computed per point, as kmeans_fit seeded
+    before it moved the distances to the distinct feature vectors."""
+    n = len(points)
+    centroids = np.empty((k, points.shape[1]), dtype=float)
+    centroids[0] = points[rng.integers(n)]
+    d2 = ((points - centroids[0]) ** 2).sum(axis=1)
+    for j in range(1, k):
+        total = d2.sum()
+        if total <= 0.0:
+            raise ConsistencyError("k-means++ ran out of distinct points")
+        idx = int(rng.choice(n, p=d2 / total))
+        if d2[idx] == 0.0:
+            idx = int(d2.argmax())
+        centroids[j] = points[idx]
+        d2 = np.minimum(d2, ((points - centroids[j]) ** 2).sum(axis=1))
+    return centroids
+
+
 def per_point_kmeans_fit(points, k: int, seed: int, max_iterations: int = 100) -> ClusterModel:
     """Lloyd's algorithm over every point, as kmeans_fit ran before it moved
     its steps to the distinct feature vectors: the reference it must equal."""
@@ -207,7 +227,7 @@ def per_point_kmeans_fit(points, k: int, seed: int, max_iterations: int = 100) -
     if k > distinct:
         raise InfeasibleKError(f"k={k} exceeds the {distinct} distinct feature vectors")
     rng = np.random.default_rng(seed)
-    centroids = _kmeanspp_init(data, k, rng)
+    centroids = per_point_kmeanspp_init(data, k, rng)
     centroids, assignments, dists = _assign_with_repair(data, centroids, k)
     history = [float(dists.sum())]
     iterations_run = 0
@@ -261,6 +281,21 @@ def test_distinct_vector_steps_equal_the_per_point_fit(case, seed, max_iteration
             kmeans_fit(points, k, seed, max_iterations)
         return
     assert_same_model(kmeans_fit(points, k, seed, max_iterations), expected)
+
+
+@given(duplicated_points(), st.integers(0, 2**32))
+@settings(max_examples=200, deadline=None)
+def test_distinct_vector_init_equals_the_per_point_init(case, seed):
+    points, k = case
+    data = np.asarray(points, dtype=float)
+    vectors, rank, _ = distinct_rows(data)
+    try:
+        expected = per_point_kmeanspp_init(data, k, np.random.default_rng(seed))
+    except ConsistencyError:
+        with pytest.raises(ConsistencyError):
+            _kmeanspp_init(vectors, rank, k, seed)
+        return
+    assert np.array_equal(_kmeanspp_init(vectors, rank, k, seed), expected)
 
 
 def test_a_step_that_empties_a_cluster_runs_the_repair(monkeypatch):

@@ -19,6 +19,7 @@ from conftest import (
     simple_codebooks,
     split_rules,
 )
+from triage_miner import report
 from triage_miner.cluster import ClusterModel
 from triage_miner.errors import ConsistencyError, UnknownCategoryError
 from triage_miner.ingest import Attribute, Codebook
@@ -413,6 +414,26 @@ class TestClustersJson:
             path = Path(scratch) / "clusters.json"
             write_clusters_json(path, model, bug_ids)
             assert path.read_bytes() == expected.encode("utf-8")
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3])
+    def test_chunked_assignments_match_the_indented_encoder(self, tmp_path, monkeypatch, chunk):
+        monkeypatch.setattr(report, "CLUSTERS_JSON_CHUNK", chunk)
+        ids = ['say "hi"', "back\\slash", "\x00\x1f\t\r\n", "line\u2028sep", "😀", "b5", "b6"]
+        for n in range(2 * chunk + 2):  # 0, 1 and 2 chunk boundaries, and no ids at all
+            bug_ids = ids[:n]
+            model = ClusterModel(
+                k=2,
+                centroids=((0.0,) * 4, (1.5,) * 4),
+                assignments=np.arange(n) % 2,
+                inertia=0.25,
+                seed=7,
+                iterations_run=1,
+                inertia_history=(0.25,),
+            )
+            path = tmp_path / f"clusters-{n}.json"
+            write_clusters_json(path, model, bug_ids)
+            expected = json.dumps(_model_to_json(model, bug_ids), indent=2, ensure_ascii=False)
+            assert path.read_bytes() == (expected + "\n").encode("utf-8")
 
     def test_a_record_count_mismatch_is_a_consistency_error(self, tmp_path):
         model = ClusterModel(1, ((0.0,) * 4,), np.zeros(2, dtype=np.int64), 0.0, 0, 1, (0.0,))
