@@ -8,13 +8,15 @@ is excluded from the features because it is the prediction target.
 Lloyd steps and the k-means++ distances run on the distinct feature vectors,
 gathered back to the points; k-means++ still draws over all points. This is
 exact: equal points get equal labels, and count-weighted sums of integer
-coordinates are exact below 2**53, so centroids equal per-point means.
+coordinates are exact below 2**53, so centroids equal per-point means. Only
+the distinct vectors are converted to floats, which is exact for integer
+codes below 2**53, so an integer view of the codes fits as its float copy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -41,12 +43,6 @@ class ClusterModel:
 
     def cluster_sizes(self) -> list[int]:
         return np.bincount(self.assignments, minlength=self.k).tolist()
-
-
-def feature_matrix(codes: np.ndarray) -> np.ndarray:
-    """The 4 clustering features of each ``(n, 5)`` code row, as floats:
-    severity, priority, component and os codes."""
-    return codes[:, :4].astype(float)
 
 
 def _nearest(points: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -128,10 +124,11 @@ def kmeans_fit(
         raise ParameterError(f"k must be positive, got {k}")
     if max_iterations < 1:
         raise ParameterError(f"max_iterations must be >= 1, got {max_iterations}")
-    data = np.asarray(points, dtype=float)
+    data = np.asarray(points)
     if data.ndim != 2 or len(data) == 0:
         raise ParameterError("points must be a non-empty list of equal-length vectors")
     vectors, rank, counts = distinct_rows(data)
+    vectors = vectors.astype(float)
     if k > len(vectors):
         raise InfeasibleKError(
             f"k={k} exceeds the {len(vectors)} distinct feature vectors in the input"
@@ -143,7 +140,7 @@ def kmeans_fit(
         labels, dists = _nearest(vectors, centroids)
         if np.bincount(labels, minlength=k).all():
             return centroids, labels, dists[rank]
-        centroids, assignments, dists = _assign_with_repair(data, centroids, k)
+        centroids, assignments, dists = _assign_with_repair(vectors[rank], centroids, k)
         labels[rank] = assignments  # equal points get equal labels
         return centroids, labels, dists
 
@@ -169,10 +166,11 @@ def kmeans_fit(
     )
 
 
-def split_by_cluster(codes: np.ndarray, model: ClusterModel) -> list[np.ndarray]:
-    """The code rows of each of the k clusters, input order kept."""
+def split_by_cluster(codes: np.ndarray, model: ClusterModel) -> Iterator[np.ndarray]:
+    """The code rows of each of the k clusters in turn, input order kept; a
+    cluster's rows are copied only when the iterator reaches it."""
     if len(model.assignments) != len(codes):
         raise ConsistencyError(
             f"model covers {len(model.assignments)} records, got {len(codes)}"
         )
-    return [codes[model.assignments == cluster] for cluster in range(model.k)]
+    return (codes[model.assignments == cluster] for cluster in range(model.k))

@@ -7,11 +7,15 @@ holds nothing else is ever replaced. Every run re-checks its own output
 before anything is written, and a violation aborts with an audit error. The
 cluster model: sizes cover the records with no empty cluster, each record
 sits at its nearest centroid, the inertia recomputes and never rose between
-iterations. Each of the k clusters: its rows are the records assigned to it,
-every rule meets the thresholds with a non-empty antecedent, and every
-redundant rule's witness is an essential rule with the same assignee, a
-strictly smaller antecedent and a confidence no lower. The reports' counts
-are derived from the rows and rule partitions, not stored apart from them.
+iterations. Each of the k clusters: its size is the number of records
+assigned to it, every rule meets the thresholds with a non-empty antecedent,
+and every redundant rule's witness is an essential rule with the same
+assignee, a strictly smaller antecedent and a confidence no lower. The
+reports' counts are derived from the sizes and rule partitions, not stored
+apart from them.
+
+The records are held once, as ``codes``: k-means and the audit read a view of
+it, and a cluster's rows are copied only while that cluster is mined or verified.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .cluster import ClusterModel, feature_matrix, kmeans_fit, split_by_cluster
+from .cluster import ClusterModel, kmeans_fit, split_by_cluster
 from .config import PipelineConfig
 from .errors import AuditError, InputError, ParameterError
 from .ingest import Attribute, Codebook, codebooks_to_json, read_bug_csv
@@ -65,8 +69,7 @@ class PipelineResult:
     input_sha256: str
     codebooks: dict[Attribute, Codebook]
     bug_ids: list[str]
-    codes: np.ndarray  # (n, 5), one column per Attribute
-    features: np.ndarray  # the k-means input, derived from codes
+    codes: np.ndarray  # (n, 5), one column per Attribute; the only copy of the records
     model: ClusterModel
     outcomes: list[ClusterOutcome]  # cluster i's at position i
 
@@ -121,26 +124,23 @@ def _mine_cluster(
     )
     top_labels = [codebooks[Attribute.ASSIGNEE].decode(code) for code in top_codes]
     rendered = render_partition(partition, codebooks)
-    return ClusterOutcome(rows, table, top_labels, partition, rendered)
+    return ClusterOutcome(len(rows), table, top_labels, partition, rendered)
 
 
 def execute(config: PipelineConfig) -> PipelineResult:
     """Run every stage in memory; no files are touched."""
     input_sha256, codebooks, bug_ids, codes = _load_and_encode(config)
     logger.info("encoded %d records from %s", len(codes), config.input_path)
-    features = feature_matrix(codes)
+    features = codes[:, : Attribute.ASSIGNEE]  # a view: every attribute but the assignee
     model = kmeans_fit(features, config.k, config.seed, config.max_iterations)
     logger.info(
         "k-means: k=%d, %d iterations, inertia %.4f", model.k, model.iterations_run, model.inertia
     )
-    parts = split_by_cluster(codes, model)
     outcomes = [
         _mine_cluster(index, cluster_rows, config, codebooks)
-        for index, cluster_rows in enumerate(parts)
+        for index, cluster_rows in enumerate(split_by_cluster(codes, model))
     ]
-    result = PipelineResult(
-        config, input_sha256, codebooks, bug_ids, codes, features, model, outcomes
-    )
+    result = PipelineResult(config, input_sha256, codebooks, bug_ids, codes, model, outcomes)
     violations = audit_result(result)
     if violations:
         raise AuditError(violations)
@@ -150,7 +150,7 @@ def execute(config: PipelineConfig) -> PipelineResult:
 def audit_result(result: PipelineResult) -> list[str]:
     """Re-derive the pipeline's structural invariants from its own output."""
     problems: list[str] = []
-    model, points = result.model, result.features
+    model, points = result.model, result.codes[:, : Attribute.ASSIGNEE]
 
     sizes = model.cluster_sizes()
     if sum(sizes) != len(points):
@@ -164,7 +164,7 @@ def audit_result(result: PipelineResult) -> list[str]:
     same = (np.array_equal(v[rank], p) for v, p in zip(vectors.T, points.T))  # a column at a time
     if vectors.shape[1:] != points.shape[1:] or not all(same):
         problems.append("distinct feature vectors do not reproduce the records")
-    distances = ((vectors[:, None, :] - np.array(model.centroids)) ** 2).sum(axis=2)
+    distances = ((vectors.astype(float)[:, None, :] - np.array(model.centroids)) ** 2).sum(axis=2)
     assignments = model.assignments
     if not np.array_equal(distances.argmin(axis=1)[rank], assignments):
         problems.append("some record is not assigned to its nearest centroid")
@@ -178,8 +178,10 @@ def audit_result(result: PipelineResult) -> list[str]:
         problems.append("cluster outcomes do not match the model's clusters")
     for index, outcome in enumerate(result.outcomes):
         label = f"cluster {index}"
-        if not np.array_equal(outcome.rows, result.codes[assignments == index]):
-            problems.append(f"{label}: rows are not the input rows assigned to it")
+        if index < model.k and outcome.size != sizes[index]:
+            problems.append(
+                f"{label}: size {outcome.size} is not the {sizes[index]} records assigned to it"
+            )
         problems += [f"{label}: {p}" for p in _audit_rules(outcome.partition, result.config)]
     return problems
 
@@ -302,17 +304,16 @@ def run_verify(
     are skipped (reported as such)."""
     ok = True
     lines: list[str] = []
-    for index, outcome in enumerate(result.outcomes):
+    parts = split_by_cluster(result.codes, result.model)
+    for index, (outcome, rows) in enumerate(zip(result.outcomes, parts)):
         partition = outcome.partition
-        if len(outcome.rows) > max_transactions:
+        if outcome.size > max_transactions:
             lines.append(
                 f"cluster {index}: skipped itemset check"
-                f" ({len(outcome.rows)} transactions > cap {max_transactions})"
+                f" ({outcome.size} transactions > cap {max_transactions})"
             )
             continue
-        reference = enumerate_frequent_itemsets(
-            outcome.rows.tolist(), result.config.min_support_count
-        )
+        reference = enumerate_frequent_itemsets(rows.tolist(), result.config.min_support_count)
         supports = itemset_supports(outcome.table)
         if supports != reference:
             ok = False

@@ -44,7 +44,7 @@ _RENDER_PREFIX = {  # in print order
 RENDER_ORDER = tuple(_RENDER_PREFIX)
 
 _AND = " ∧ "
-CLUSTERS_JSON_CHUNK = 1 << 16  # assignments per write of clusters.json
+CLUSTERS_JSON_CHUNK = 1 << 13  # assignments per write of clusters.json
 
 
 def confidence_percents(support: Sequence[int], antecedent_count: Sequence[int]) -> list[str]:
@@ -138,12 +138,12 @@ def length_histogram(rules: RuleTable) -> dict[int, int]:
 
 @dataclass
 class ClusterOutcome:
-    """Everything mined from one cluster, with its rules rendered once; ``rows``
-    are its (n, 5) code rows. A cluster's index is its position in the run's
-    list, and every count a report prints is derived from ``rows`` and
-    ``partition``."""
+    """Everything mined from one cluster, with its rules rendered once; ``size``
+    is its number of records, whose rows are not kept. A cluster's index is its
+    position in the run's list, and every count a report prints is derived
+    from ``size`` and ``partition``."""
 
-    rows: np.ndarray
+    size: int
     table: Mapping[Subset, Projection]  # the frequent itemsets, by attribute subset
     top_assignees: list[str]
     partition: RulePartition
@@ -158,7 +158,7 @@ def build_summary(
     clusters = [
         {
             "cluster": index,
-            "size": len(outcome.rows),
+            "size": outcome.size,
             "top_assignees": list(outcome.top_assignees),
             "rules": outcome.partition.rule_count,
             "essential": len(outcome.partition.essential),
@@ -222,7 +222,7 @@ def write_cluster_text(path: Path, index: int, outcome: ClusterOutcome) -> None:
     lines = [
         f"Cluster {index}",
         "=" * len(f"Cluster {index}"),
-        f"Records: {len(outcome.rows)}",
+        f"Records: {outcome.size}",
         f"Top assignees: {top}",
         f"Rules: {outcome.partition.rule_count} (essential {essential},"
         f" redundant {len(outcome.partition.redundant)})",

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import operator
 import random
@@ -6,7 +7,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from triage_miner import cluster
@@ -14,12 +15,13 @@ from triage_miner.cluster import (
     ClusterModel,
     _assign_with_repair,
     _kmeanspp_init,
-    feature_matrix,
     kmeans_fit,
     split_by_cluster,
 )
+from triage_miner.config import PipelineConfig
 from triage_miner.errors import ConsistencyError, InfeasibleKError, ParameterError
 from triage_miner.mine import distinct_rows
+from triage_miner.pipeline import execute
 
 
 def _row(sev=4, pri=3, comp=1, os_=1, who=1) -> tuple[int, ...]:
@@ -150,7 +152,7 @@ class TestSplitByCluster:
 
     def test_direct_partition(self):
         codes = np.array([_row(who=1), _row(who=2), _row(who=3)])
-        parts = split_by_cluster(codes, self._model([0, 1, 0], k=2))
+        parts = list(split_by_cluster(codes, self._model([0, 1, 0], k=2)))
         assert [part.tolist() for part in parts] == [
             [codes[0].tolist(), codes[2].tolist()],
             [codes[1].tolist()],
@@ -158,7 +160,7 @@ class TestSplitByCluster:
 
     def test_single_cluster_identity(self):
         codes = np.array([_row(who=i) for i in range(5)])
-        [part] = split_by_cluster(codes, self._model([0] * 5, k=1))
+        [part] = list(split_by_cluster(codes, self._model([0] * 5, k=1)))
         assert np.array_equal(part, codes)
 
     def test_multiset_union_equals_input(self):
@@ -170,8 +172,8 @@ class TestSplitByCluster:
                 for i in range(100)
             ]
         )
-        model = kmeans_fit(feature_matrix(codes), k=5, seed=2)
-        parts = split_by_cluster(codes, model)
+        model = kmeans_fit(codes[:, :4], k=5, seed=2)
+        parts = list(split_by_cluster(codes, model))
         assert len(parts) == 5
         stacked = [tuple(row) for part in parts for row in part.tolist()]
         assert Counter(stacked) == Counter(tuple(row) for row in codes.tolist())
@@ -182,13 +184,23 @@ class TestSplitByCluster:
 
     def test_length_mismatch_is_a_consistency_error(self):
         with pytest.raises(ConsistencyError):
-            split_by_cluster(np.array([_row()]), self._model([0, 0], k=1))
+            list(split_by_cluster(np.array([_row()]), self._model([0, 0], k=1)))
 
 
-def test_feature_vector_excludes_assignee():
-    features = feature_matrix(np.array([(4, 3, 7, 2, 9)], dtype=np.int64))
-    assert features.dtype == np.float64
-    assert features.tolist() == [[4.0, 3.0, 7.0, 2.0]]
+def test_relabelling_every_assignee_leaves_the_model_unchanged(sample_csv, tmp_path):
+    with open(sample_csv, newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    rnd = random.Random(3)
+    column = header.index("assignee")
+    for row in rows:
+        row[column] = f"Someone {rnd.randint(1, 4)}"
+    relabelled = tmp_path / "bugs.csv"
+    with open(relabelled, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([header, *rows])
+    before = execute(PipelineConfig(input_path=str(sample_csv)))
+    after = execute(PipelineConfig(input_path=str(relabelled)))
+    assert not np.array_equal(after.codes[:, 4], before.codes[:, 4])
+    assert_same_model(after.model, before.model)
 
 
 def test_empty_cluster_repair_on_adversarial_data():
@@ -298,12 +310,32 @@ def test_distinct_vector_init_equals_the_per_point_init(case, seed):
     assert np.array_equal(_kmeanspp_init(vectors, rank, k, seed), expected)
 
 
+# found by search: with k=3 and seed 11 the first Lloyd update leaves a cluster empty
+REPAIRED_POINTS = [
+    (11, 12), (0, 8), (0, 8), (7, 3), (7, 11), (0, 7),
+    (0, 8), (7, 3), (7, 11), (0, 7), (11, 12),
+]
+
+
+@given(duplicated_points(), st.integers(0, 2**32), st.integers(1, 6))
+@example((REPAIRED_POINTS, 3), 11, 100)
+@settings(max_examples=200, deadline=None)
+def test_an_integer_code_view_fits_as_its_float_copy(case, seed, max_iterations):
+    points, k = case
+    # a trailing column, so the fit reads a strided view as it reads codes[:, :4]
+    codes = np.column_stack([np.array(points, dtype=np.int64), np.arange(len(points))])
+    view = codes[:, :-1]
+    try:
+        expected = kmeans_fit(view.astype(float), k, seed, max_iterations)
+    except ConsistencyError:
+        with pytest.raises(ConsistencyError):
+            kmeans_fit(view, k, seed, max_iterations)
+        return
+    assert_same_model(kmeans_fit(view, k, seed, max_iterations), expected)
+
+
 def test_a_step_that_empties_a_cluster_runs_the_repair(monkeypatch):
-    # found by search: the first Lloyd update leaves one of the 3 clusters empty
-    points = [
-        (11, 12), (0, 8), (0, 8), (7, 3), (7, 11), (0, 7),
-        (0, 8), (7, 3), (7, 11), (0, 7), (11, 12),
-    ]
+    points = REPAIRED_POINTS
     repairs = []
 
     def spy(points, centroids, k):

@@ -4,6 +4,7 @@ and rule objects built only for verification."""
 
 import csv
 import dataclasses
+import enum
 import json
 import re
 
@@ -26,6 +27,7 @@ from triage_miner.pipeline import (
     run_verify,
 )
 from triage_miner.rules import RulePartition
+from triage_miner.synth import synthesize_rows, write_csv
 
 
 @pytest.fixture(scope="module")
@@ -125,15 +127,49 @@ class TestAuditRuleTable:
 
 class TestAuditRows:
     def test_rows_that_are_not_the_assigned_rows_are_reported(self, sample_result):
-        rows = sample_result.outcomes[0].rows
-        doctored = _with_outcome(sample_result, 0, rows=rows[::-1])
+        size = sample_result.outcomes[0].size
+        doctored = _with_outcome(sample_result, 0, size=size - 1)
         assert audit_result(doctored) == [
-            "cluster 0: rows are not the input rows assigned to it"
+            f"cluster 0: size {size - 1} is not the {size} records assigned to it"
         ]
 
     def test_a_missing_cluster_is_reported(self, sample_result):
         doctored = dataclasses.replace(sample_result, outcomes=sample_result.outcomes[:-1])
         assert "cluster outcomes do not match the model's clusters" in audit_result(doctored)
+
+
+def _reachable_arrays(root) -> list[np.ndarray]:
+    """Every array reachable from ``root`` through the fields of the
+    package's objects (cached properties included), mappings and sequences."""
+    seen, stack, arrays = set(), [root], []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            arrays.append(obj)
+        elif isinstance(obj, dict):
+            stack += [*obj.keys(), *obj.values()]
+        elif isinstance(obj, (list, tuple)):
+            stack += obj
+        elif type(obj).__module__.startswith("triage_miner.") and not isinstance(obj, enum.Enum):
+            stack += vars(obj).values()
+    return arrays
+
+
+def test_the_run_holds_one_copy_of_the_records(tmp_path):
+    source = tmp_path / "bugs.csv"
+    write_csv(source, synthesize_rows(3000, seed=5))
+    result = execute(PipelineConfig(input_path=str(source)))
+    per_record = [a for a in _reachable_arrays(result) if a.ndim and len(a) == 3000]
+    kept = (result.codes, result.model.assignments)
+    copies = [(a.dtype, a.shape) for a in per_record if not any(a is k for k in kept)]
+    assert len(per_record) == len(kept) and not copies, copies
+    for index, outcome in enumerate(result.outcomes):
+        arrays = _reachable_arrays(outcome)
+        assert arrays, "the walk reaches the rule tables"
+        assert not [a.shape for a in arrays if a.ndim and len(a) == outcome.size], index
 
 
 class TestRunVerify:
