@@ -14,11 +14,12 @@ import logging
 import os
 import sys
 import traceback
+from dataclasses import fields
 from pathlib import Path
 
-from .config import validate_config
+from .config import PipelineConfig, validate_config
 from .errors import InputError, ParameterError, TriageMinerError
-from .pipeline import MAX_VERIFY_RULES, MAX_VERIFY_TRANSACTIONS, execute, run_pipeline, run_verify
+from .pipeline import execute, run_pipeline, run_verify
 from .synth import synthesize_rows, write_csv
 
 
@@ -31,39 +32,32 @@ def _setup_logging() -> None:
 
 
 def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--input", help="input CSV path")
+    defaults = {setting.name: setting.default for setting in fields(PipelineConfig)}
+
+    def setting_flag(flag: str, name: str, text: str) -> None:
+        default, metavar = defaults[name], flag[2:].upper().replace("-", "_")
+        help_text = f"{text} (default {default})"
+        parser.add_argument(flag, dest=name, metavar=metavar, type=type(default), help=help_text)
+
+    parser.add_argument("--input", dest="input_path", metavar="INPUT", help="input CSV path")
     parser.add_argument("--config", help="JSON config file; flags override it")
-    parser.add_argument("--output", help="output directory for reports")
-    parser.add_argument("--clusters", type=int, help="number of k-means clusters (default 5)")
-    parser.add_argument("--min-support", type=int, help="minimum rule support count (default 3)")
-    parser.add_argument(
-        "--min-confidence", type=float, help="minimum rule confidence in (0,1] (default 0.10)"
-    )
-    parser.add_argument(
-        "--top-assignees", type=int, help="rule consequents per cluster (default 5)"
-    )
-    parser.add_argument("--seed", type=int, help="clustering seed (default 0)")
-    parser.add_argument("--max-iterations", type=int, help="k-means iteration cap (default 100)")
+    setting_flag("--output", "output_dir", "output directory for reports")
+    setting_flag("--clusters", "k", "number of k-means clusters")
+    setting_flag("--min-support", "min_support_count", "minimum rule support count")
+    setting_flag("--min-confidence", "min_confidence", "minimum rule confidence in (0,1]")
+    setting_flag("--top-assignees", "top_n", "rule consequents per cluster")
+    setting_flag("--seed", "seed", "clustering seed")
+    setting_flag("--max-iterations", "max_iterations", "k-means iteration cap")
 
 
-def _config_from_args(args: argparse.Namespace):
+def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
     raw = ""
     if args.config:
         try:
             raw = Path(args.config).read_text(encoding="utf-8")
         except OSError as exc:
             raise InputError(f"cannot read config {args.config!r}: {exc}") from exc
-    overrides = {
-        "input_path": args.input,
-        "output_dir": args.output,
-        "k": args.clusters,
-        "min_support_count": args.min_support,
-        "min_confidence": args.min_confidence,
-        "top_n": args.top_assignees,
-        "seed": args.seed,
-        "max_iterations": args.max_iterations,
-    }
-    return validate_config(raw, overrides)
+    return validate_config(raw, vars(args))  # the flags left unset are None
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -82,7 +76,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     caps = {"--max-transactions": args.max_transactions, "--max-rules": args.max_rules}
     for flag, cap in caps.items():
-        if cap < 0:
+        if cap is not None and cap < 0:
             raise ParameterError(f"{flag} must be >= 0, got {cap}")
     result = execute(_config_from_args(args))
     ok, lines = run_verify(
@@ -132,14 +126,12 @@ def build_parser() -> argparse.ArgumentParser:
     verify_parser.add_argument(
         "--max-transactions",
         type=int,
-        default=MAX_VERIFY_TRANSACTIONS,
-        help="skip the itemset oracle for clusters above this size",
+        help="skip the itemset oracle for clusters above this size (default: no cap)",
     )
     verify_parser.add_argument(
         "--max-rules",
         type=int,
-        default=MAX_VERIFY_RULES,
-        help="skip the redundancy oracle for rule sets above this size",
+        help="skip the redundancy oracle for rule sets above this size (default: no cap)",
     )
     verify_parser.set_defaults(handler=_cmd_verify)
 

@@ -20,6 +20,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from .config import PipelineConfig
 from .errors import ConsistencyError, InfeasibleKError, ParameterError
 from .mine import distinct_rows
 
@@ -112,7 +113,7 @@ def kmeans_fit(
     points: Sequence[Sequence[float]],
     k: int,
     seed: int,
-    max_iterations: int = 100,
+    max_iterations: int = PipelineConfig.max_iterations,
 ) -> ClusterModel:
     """Fit k clusters with Lloyd's algorithm and k-means++ seeding.
 

@@ -1,11 +1,10 @@
-"""Pipeline configuration: one JSON file, optional flag overrides, defaults
-matching the standard run (5 clusters, support count 3, confidence 10%,
-top 5 assignees)."""
+"""Pipeline configuration: one JSON file and optional flag overrides over
+PipelineConfig's defaults, which are the paper's standard run."""
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from typing import Mapping
 
 from .errors import ConfigError
@@ -18,6 +17,9 @@ def default_column_map() -> dict[str, str]:
 
 @dataclass
 class PipelineConfig:
+    """Every setting of a run and its default, stated once: validation,
+    config_used.json and the CLI flags all read these fields."""
+
     input_path: str
     output_dir: str = "triage_report"
     column_map: dict[str, str] = field(default_factory=default_column_map)
@@ -29,62 +31,38 @@ class PipelineConfig:
     max_iterations: int = 100
 
     def analysis_parameters(self) -> dict[str, object]:
-        """The knobs that determine the output, excluding file locations."""
-        return {
-            "column_map": dict(self.column_map),
-            "k": self.k,
-            "min_support_count": self.min_support_count,
-            "min_confidence": self.min_confidence,
-            "top_n": self.top_n,
-            "seed": self.seed,
-            "max_iterations": self.max_iterations,
-        }
-
-
-_KNOWN_KEYS = {f.name for f in fields(PipelineConfig)}
+        """The settings that determine the output, in field order; the paths are left out."""
+        parameters = asdict(self)
+        del parameters["input_path"], parameters["output_dir"]
+        return parameters
 
 
 def validate_config(raw_text: str, overrides: Mapping[str, object] | None = None) -> PipelineConfig:
-    """Parse config JSON, apply overrides (overrides win), fill defaults and
-    validate every field, reporting all violations at once."""
-    violations: list[str] = []
+    """Parse config JSON, apply overrides (overrides win; their None values
+    and unknown keys are ignored), fill defaults and validate every field,
+    reporting all violations at once."""
     data: dict[str, object] = {}
     if raw_text.strip():
         try:
-            parsed = json.loads(raw_text)
+            data = json.loads(raw_text)
         except json.JSONDecodeError as exc:
             raise ConfigError([f"config is not valid JSON: {exc}"]) from exc
-        if not isinstance(parsed, dict):
+        if not isinstance(data, dict):
             raise ConfigError(["config must be a JSON object"])
-        data = parsed
-    for key in sorted(set(data) - _KNOWN_KEYS):
-        violations.append(f"unknown config key: {key}")
-    data = {key: value for key, value in data.items() if key in _KNOWN_KEYS}
-    if overrides:
-        data.update({key: value for key, value in overrides.items() if value is not None})
+    values = asdict(PipelineConfig(input_path=""))
+    violations = [f"unknown config key: {key}" for key in sorted(set(data) - set(values))]
+    given = {**data, **{key: value for key, value in (overrides or {}).items() if value is not None}}
+    values.update((key, value) for key, value in given.items() if key in values)
 
-    def check_positive_int(name: str, default: int) -> int:
-        value = data.get(name, default)
-        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-            violations.append(f"{name} must be a positive integer, got {value!r}")
-            return default
-        return value
+    for name in ("input_path", "output_dir"):
+        if not isinstance(values[name], str) or not values[name]:
+            violations.append(f"{name} must be a non-empty string")
 
-    input_path = data.get("input_path")
-    if not isinstance(input_path, str) or not input_path:
-        violations.append("input_path must be a non-empty string")
-        input_path = ""
-    output_dir = data.get("output_dir", "triage_report")
-    if not isinstance(output_dir, str) or not output_dir:
-        violations.append("output_dir must be a non-empty string")
-        output_dir = "triage_report"
-
-    column_map = data.get("column_map", default_column_map())
+    column_map = values["column_map"]
     if not isinstance(column_map, dict):
         violations.append("column_map must be an object of logical field -> header name")
-        column_map = default_column_map()
     else:
-        column_map = dict(column_map)
+        values["column_map"] = dict(column_map)
         mapped_from: dict[str, str] = {}
         for name in LOGICAL_FIELDS:
             header = column_map.get(name)
@@ -102,34 +80,22 @@ def validate_config(raw_text: str, overrides: Mapping[str, object] | None = None
         for name in sorted(set(column_map) - set(LOGICAL_FIELDS)):
             violations.append(f"column_map has unknown logical field: {name}")
 
-    k = check_positive_int("k", 5)
-    min_support_count = check_positive_int("min_support_count", 3)
-    top_n = check_positive_int("top_n", 5)
-    max_iterations = check_positive_int("max_iterations", 100)
+    for name in ("k", "min_support_count", "top_n", "max_iterations"):
+        value = values[name]
+        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+            violations.append(f"{name} must be a positive integer, got {value!r}")
 
-    min_confidence = data.get("min_confidence", 0.10)
+    min_confidence = values["min_confidence"]
     if isinstance(min_confidence, bool) or not isinstance(min_confidence, (int, float)):
         violations.append(f"min_confidence must be a number in (0, 1], got {min_confidence!r}")
-        min_confidence = 0.10
     elif not 0.0 < float(min_confidence) <= 1.0:
         violations.append(f"min_confidence must be in (0, 1], got {min_confidence!r}")
-        min_confidence = 0.10
 
-    seed = data.get("seed", 0)
+    seed = values["seed"]
     if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < 2**64:
         violations.append(f"seed must be an integer in [0, 2^64), got {seed!r}")
-        seed = 0
 
     if violations:
         raise ConfigError(violations)
-    return PipelineConfig(
-        input_path=input_path,
-        output_dir=output_dir,
-        column_map=column_map,
-        k=k,
-        min_support_count=min_support_count,
-        min_confidence=float(min_confidence),
-        top_n=top_n,
-        seed=seed,
-        max_iterations=max_iterations,
-    )
+    values["min_confidence"] = float(min_confidence)
+    return PipelineConfig(**values)

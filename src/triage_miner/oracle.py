@@ -1,9 +1,12 @@
 """Brute-force reference implementations used to cross-check the fast paths.
 
 These deliberately avoid the algorithms they validate: frequent itemsets are
-tallied by enumerating every subset of every report's five items, and
-redundancy is decided by a declarative recursion over all rules rather than
-the level-wise sweep. Quadratic or exponential cost is fine at verification scale.
+tallied by enumerating every subset of each distinct report's five items,
+and redundancy is decided by a declarative recursion over all pairs of rules
+of one consequent rather than the level-wise sweep. Their cost grows with
+the distinct rows (31 subsets each) and with the square of the rules per
+consequent, not with the rows or the square of all rules, which lets
+``verify`` check every cluster by default.
 Items, Itemsets and Rules live here, built from a run's arrays only for them.
 """
 
@@ -93,15 +96,15 @@ def itemset_supports(projections: Mapping[Subset, Projection]) -> dict[Itemset, 
 def enumerate_frequent_itemsets(
     rows: Sequence[Sequence[int]], min_support_count: int
 ) -> dict[Itemset, int]:
-    """Exact frequent-itemset counts by tallying every subset of every row of
-    five codes, one per Attribute (any itemset with positive support shows
-    up this way)."""
+    """Exact frequent-itemset counts by tallying every subset of every
+    distinct row of five codes, one per Attribute, weighted by how often the
+    row occurs (any itemset with positive support shows up this way)."""
     counts: Counter[Itemset] = Counter()
-    for row in rows:
+    for row, weight in Counter(map(tuple, rows)).items():
         items = [Item(attribute, code) for attribute, code in zip(Attribute, row)]
         for size in range(1, len(items) + 1):
             for combo in combinations(items, size):
-                counts[Itemset(combo)] += 1
+                counts[Itemset(combo)] += weight
     return {
         itemset: count for itemset, count in counts.items() if count >= min_support_count
     }
@@ -118,18 +121,23 @@ def _naive_subsumes(witness: Rule, rule: Rule) -> bool:
 
 
 def essential_rules_naive(rules: Sequence[Rule]) -> set[tuple]:
-    """Keys of the essential rules as the fixpoint of all-pairs subsumption.
+    """Keys of the essential rules as the fixpoint of all-pairs subsumption,
+    taken separately among the rules of each consequent (a rule subsumes
+    only rules of its own consequent).
 
     A rule is essential iff no essential rule subsumes it; the recursion is
     well-founded because subsumption strictly shrinks the antecedent.
     """
+    by_consequent: dict[Item, list[Rule]] = {}
+    for rule in rules:
+        by_consequent.setdefault(rule.consequent, []).append(rule)
     cache: dict[tuple, bool] = {}
 
     def essential(rule: Rule) -> bool:
         if rule.key not in cache:
             cache[rule.key] = not any(
                 _naive_subsumes(other, rule) and essential(other)
-                for other in rules
+                for other in by_consequent[rule.consequent]
                 if other.key != rule.key
             )
         return cache[rule.key]

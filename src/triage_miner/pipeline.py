@@ -59,9 +59,6 @@ from .rules import RulePartition, eliminate_redundant, generate_class_rules, top
 
 logger = logging.getLogger("triage_miner")
 
-MAX_VERIFY_TRANSACTIONS = 2000  # verify's default caps, and its CLI flags' defaults
-MAX_VERIFY_RULES = 5000
-
 
 @dataclass
 class PipelineResult:
@@ -296,18 +293,18 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
 
 def run_verify(
     result: PipelineResult,
-    max_transactions: int = MAX_VERIFY_TRANSACTIONS,
-    max_rules: int = MAX_VERIFY_RULES,
+    max_transactions: int | None = None,
+    max_rules: int | None = None,
 ) -> tuple[bool, list[str]]:
     """Diff a run's own frequent-itemset tables and rule partitions against
-    the brute-force oracles, cluster by cluster. Clusters above the size caps
-    are skipped (reported as such)."""
+    the brute-force oracles, cluster by cluster. Every cluster is checked,
+    except those above an optional size cap (reported as skipped)."""
     ok = True
     lines: list[str] = []
     parts = split_by_cluster(result.codes, result.model)
     for index, (outcome, rows) in enumerate(zip(result.outcomes, parts)):
         partition = outcome.partition
-        if outcome.size > max_transactions:
+        if max_transactions is not None and outcome.size > max_transactions:
             lines.append(
                 f"cluster {index}: skipped itemset check"
                 f" ({outcome.size} transactions > cap {max_transactions})"
@@ -327,7 +324,7 @@ def run_verify(
             continue
         lines.append(f"cluster {index}: itemsets OK ({len(supports)} frequent itemsets)")
 
-        if partition.rule_count > max_rules:
+        if max_rules is not None and partition.rule_count > max_rules:
             lines.append(
                 f"cluster {index}: skipped redundancy check"
                 f" ({partition.rule_count} rules > cap {max_rules})"

@@ -1,17 +1,20 @@
+import argparse
 import errno
 import hashlib
 import inspect
 import io
 import json
 import os
+import re
 import subprocess
 import sys
+from dataclasses import fields
 
 import pytest
 
 from conftest import REPO_ROOT, tree_bytes
 from triage_miner import cli, pipeline
-from triage_miner.config import default_column_map, validate_config
+from triage_miner.config import PipelineConfig, default_column_map, validate_config
 from triage_miner.errors import AuditError, ConfigError
 from triage_miner.pipeline import run_verify
 from triage_miner.synth import synthesize_rows, write_csv
@@ -88,6 +91,108 @@ class TestValidateConfig:
     def test_seed_range(self):
         with pytest.raises(ConfigError, match="seed"):
             validate_config("", {"input_path": "x.csv", "seed": -1})
+
+    def test_every_field_invalid_reports_each_violation_in_order(self):
+        raw = json.dumps(
+            {
+                "input_path": 7,
+                "output_dir": "",
+                "column_map": [],
+                "k": 0,
+                "min_support_count": -3,
+                "min_confidence": 1.5,
+                "top_n": "5",
+                "seed": 2**64,
+                "max_iterations": True,
+                "mystery": 1,
+                "another": None,
+            }
+        )
+        with pytest.raises(ConfigError) as err:
+            validate_config(raw)
+        assert str(err.value) == (
+            "unknown config key: another; unknown config key: mystery;"
+            " input_path must be a non-empty string; output_dir must be a non-empty string;"
+            " column_map must be an object of logical field -> header name;"
+            " k must be a positive integer, got 0;"
+            " min_support_count must be a positive integer, got -3;"
+            " top_n must be a positive integer, got '5';"
+            " max_iterations must be a positive integer, got True;"
+            " min_confidence must be in (0, 1], got 1.5;"
+            " seed must be an integer in [0, 2^64), got 18446744073709551616"
+        )
+
+    def test_every_column_map_violation_in_order(self):
+        column_map = {
+            "bug_id": "", "severity": "sev", "priority": "sev", "component": 3,
+            "extra": "x", "zzz": "y",
+        }
+        raw = json.dumps(
+            {"input_path": "a.csv", "column_map": column_map, "min_confidence": "high", "seed": 1.5}
+        )
+        with pytest.raises(ConfigError) as err:
+            validate_config(raw)
+        assert str(err.value) == (
+            "column_map.bug_id must be a non-empty header name;"
+            " column_map.severity and column_map.priority both name column 'sev';"
+            " column_map.component must be a non-empty header name;"
+            " column_map missing logical field: operating_system;"
+            " column_map missing logical field: assignee;"
+            " column_map has unknown logical field: extra;"
+            " column_map has unknown logical field: zzz;"
+            " min_confidence must be a number in (0, 1], got 'high';"
+            " seed must be an integer in [0, 2^64), got 1.5"
+        )
+
+    def test_integer_confidence_becomes_a_float(self):
+        config = validate_config("", {"input_path": "x.csv", "min_confidence": 1})
+        assert type(config.min_confidence) is float and config.min_confidence == 1.0
+
+    def test_analysis_parameters_are_the_fields_but_the_paths_in_field_order(self):
+        config = PipelineConfig(input_path="x.csv", output_dir="out", k=4, seed=9)
+        names = [f.name for f in fields(PipelineConfig) if f.name not in ("input_path", "output_dir")]
+        parameters = config.analysis_parameters()
+        assert list(parameters) == names
+        assert parameters == {name: getattr(config, name) for name in names}
+        parameters["column_map"]["bug_id"] = "id"  # a copy: the config is unchanged
+        assert config.column_map == default_column_map()
+
+
+# each pipeline flag that sets a PipelineConfig field with a default
+SETTING_FLAGS = {
+    "--output": ("output_dir", "elsewhere"),
+    "--clusters": ("k", 7),
+    "--min-support": ("min_support_count", 2),
+    "--min-confidence": ("min_confidence", 0.5),
+    "--top-assignees": ("top_n", 9),
+    "--seed": ("seed", 11),
+    "--max-iterations": ("max_iterations", 20),
+}
+
+
+class TestPipelineFlags:
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    @pytest.mark.parametrize("flag", sorted(SETTING_FLAGS))
+    def test_flag_sets_its_field(self, command, flag):
+        name, value = SETTING_FLAGS[flag]
+        args = cli.build_parser().parse_args([command, "--input", "x.csv", flag, str(value)])
+        config = cli._config_from_args(args)
+        assert getattr(config, name) == value
+        assert config.input_path == "x.csv"
+        untouched = PipelineConfig(input_path="x.csv")
+        for other in fields(PipelineConfig):
+            if other.name not in (name, "input_path"):
+                assert getattr(config, other.name) == getattr(untouched, other.name)
+
+    @pytest.mark.parametrize("flag", sorted(set(SETTING_FLAGS) - {"--output"}))
+    def test_help_shows_the_fields_default(self, flag):
+        parser = argparse.ArgumentParser()
+        cli._add_pipeline_flags(parser)
+        (action,) = [a for a in parser._actions if flag in a.option_strings]
+        default = next(f.default for f in fields(PipelineConfig) if f.name == SETTING_FLAGS[flag][0])
+        shown = re.search(r"\(default ([^)]+)\)", action.help)
+        assert shown is not None, action.help
+        assert type(default)(shown.group(1)) == default
 
 
 class TestRunCommand:
@@ -385,6 +490,15 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert code == 0
         assert "skipped itemset check" in out
+
+    def test_no_cap_flag_checks_a_cluster_above_2000_rows(self, tmp_path, capsys):
+        path = tmp_path / "bugs.csv"
+        write_csv(path, synthesize_rows(rows=2100, components=40, assignees=60, seed=11))
+        code = cli.main(["verify", "--input", str(path), "--clusters", "1"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "cluster 0: itemsets OK" in out and "cluster 0: redundancy OK" in out
+        assert "skipped" not in out
 
     def test_cap_defaults_are_run_verifys(self):
         args = cli.build_parser().parse_args(["verify", "--input", "bugs.csv"])
