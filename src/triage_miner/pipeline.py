@@ -48,12 +48,10 @@ from .oracle import (
 from .report import (
     ClusterOutcome,
     build_summary,
-    render_partition,
-    write_cluster_text,
     write_clusters_json,
     write_figure_csvs,
     write_json,
-    write_rules_csv,
+    write_rule_reports,
 )
 from .rules import RulePartition, eliminate_redundant, generate_class_rules, top_assignees
 
@@ -120,8 +118,7 @@ def _mine_cluster(
         len(partition.redundant),
     )
     top_labels = [codebooks[Attribute.ASSIGNEE].decode(code) for code in top_codes]
-    rendered = render_partition(partition, codebooks)
-    return ClusterOutcome(len(rows), table, top_labels, partition, rendered)
+    return ClusterOutcome(len(rows), table, top_labels, partition)
 
 
 def execute(config: PipelineConfig) -> PipelineResult:
@@ -263,10 +260,8 @@ def write_outputs(result: PipelineResult) -> Path:
         parameters = result.config.analysis_parameters()
         summary = build_summary(len(result.bug_ids), parameters, result.outcomes)
         write_json(report_dir / "summary.json", summary)
-        for index, outcome in enumerate(result.outcomes):
-            write_cluster_text(report_dir / f"cluster_{index}.txt", index, outcome)
+        write_rule_reports(report_dir, summary, result.outcomes, result.codebooks)
         write_figure_csvs(report_dir / "figures", summary)
-        write_rules_csv(report_dir / "rules.csv", result.outcomes)
 
         if final_dir.exists():
             aside = Path(tempfile.mkdtemp(prefix=final_dir.name + ".old-", dir=final_dir.parent))

@@ -10,13 +10,14 @@ Attributes print in the fixed order Severity, Priority, Os, Component;
 "Component" binds tightly to its brace. Confidence percentages are rounded
 half-up to two decimals and printed without a fractional part when integral.
 
-A cluster's rules are rendered as string columns: the strings of each label
-and of each (support, antecedent count) pair are built once, and a witness's
-text is looked up by its row. rules.csv quotes a field holding a comma, a
-double quote, CR or LF, doubling its quotes (RFC 4180). When some label
-holds CR or LF, cluster_<i>.txt shows them as ``\\r`` and ``\\n`` and a
-backslash as ``\\\\``, so that every rule keeps one line and each escape
-reads one way.
+Only this module knows the rendered form. A cluster's rules are rendered
+when its reports are written, once for cluster_<i>.txt and rules.csv both,
+as string columns: the strings of each label and of each (support,
+antecedent count) pair are built once, and a witness's text is looked up by
+its row. rules.csv quotes a field holding a comma, a double quote, CR or
+LF, doubling its quotes (RFC 4180). When some label holds CR or LF,
+cluster_<i>.txt shows them as ``\\r`` and ``\\n`` and a backslash as
+``\\\\``, so that every rule keeps one line and each escape reads one way.
 """
 
 from __future__ import annotations
@@ -77,25 +78,22 @@ def _csv_fields(fields: np.ndarray, quote: np.ndarray) -> np.ndarray:
 
 
 class RenderedRules(NamedTuple):
-    """One cluster's rules as string columns, essential rules first, each
-    part in generation order; shared by the cluster text and rules.csv."""
+    """One cluster's rules as the report writers print them, essential rules
+    first, each part in generation order."""
 
     text: list[str]  # the whole rule in the fixed grammar
-    antecedent: list[str]
-    assignee: list[str]
     support: list[int]
     confidence: list[str]  # repr of the float confidence, as rules.csv prints it
     witness: list[str]  # the witness's text, "" for an essential rule
-    antecedent_csv: list[str]  # as rules.csv prints it: the same string unless quoted
+    antecedent_csv: list[str]  # as rules.csv prints it: the antecedent, quoted if need be
     assignee_csv: list[str]
-    line_breaks: bool  # some label of the codebooks holds CR or LF
 
 
 def render_partition(
     partition: RulePartition, codebooks: Mapping[Attribute, Codebook]
 ) -> RenderedRules:
     """Every rule of a partition in the fixed grammar (``text`` is injective
-    for distinct rules), with the pieces rules.csv prints. The strings of a
+    for distinct rules), with the fields rules.csv prints. The strings of a
     label or of a (support, antecedent count) pair are built once."""
     rules = partition.rules
     antecedent = np.full(len(rules), "", dtype=object)
@@ -109,8 +107,6 @@ def render_partition(
     antecedent = np.array([text[len(_AND) :] for text in antecedent.tolist()], dtype=object)
     assignee, assignee_quote = _labels(rules.consequent, codebooks[Attribute.ASSIGNEE], "{}")
     arrow, _ = _labels(rules.consequent, codebooks[Attribute.ASSIGNEE], " ⇒ Assignee {{{}}}")
-    labels = (label for codebook in codebooks.values() for label in codebook.forward)
-    line_breaks = any("\r" in label or "\n" in label for label in labels)
 
     pairs, pair = rules.pairs
     pair_support, pair_count = pairs.T.tolist()
@@ -121,13 +117,11 @@ def render_partition(
     text = antecedent + arrow + share[pair]
     essential, redundant = partition.essential, partition.redundant
     order = np.concatenate([essential, redundant])
-    columns = (text, antecedent, assignee, rules.support, confidence[pair])
     fields = (_csv_fields(antecedent, quote), _csv_fields(assignee, assignee_quote))
     return RenderedRules(
-        *(column[order].tolist() for column in columns),
+        *(column[order].tolist() for column in (text, rules.support, confidence[pair])),
         [""] * len(essential) + text[partition.witness[redundant]].tolist(),
         *(field[order].tolist() for field in fields),
-        line_breaks,
     )
 
 
@@ -138,16 +132,15 @@ def length_histogram(rules: RuleTable) -> dict[int, int]:
 
 @dataclass
 class ClusterOutcome:
-    """Everything mined from one cluster, with its rules rendered once; ``size``
-    is its number of records, whose rows are not kept. A cluster's index is its
-    position in the run's list, and every count a report prints is derived
-    from ``size`` and ``partition``."""
+    """Everything mined from one cluster; ``size`` is its number of records,
+    whose rows are not kept. A cluster's index is its position in the run's
+    list, and every count a report prints is derived from ``size`` and
+    ``partition``. Its rules are rendered only when its reports are written."""
 
     size: int
     table: Mapping[Subset, Projection]  # the frequent itemsets, by attribute subset
     top_assignees: list[str]
     partition: RulePartition
-    rendered: RenderedRules
 
 
 def build_summary(
@@ -211,22 +204,23 @@ def write_clusters_json(path: Path, model: ClusterModel, bug_ids: Sequence[str])
         fh.write(tail + "\n")
 
 
-def write_cluster_text(path: Path, index: int, outcome: ClusterOutcome) -> None:
-    rendered, essential = outcome.rendered, len(outcome.partition.essential)
-    top = ", ".join(outcome.top_assignees) if outcome.top_assignees else "(none)"
+def write_cluster_text(path: Path, cluster: Mapping, rendered: RenderedRules, escape: bool) -> None:
+    """A cluster's text report: the header from its ``build_summary`` entry,
+    then its rules; with ``escape``, labels show CR, LF and backslash as escapes."""
+    index, essential = cluster["cluster"], cluster["essential"]
+    top = ", ".join(cluster["top_assignees"]) if cluster["top_assignees"] else "(none)"
     text, witness = rendered.text, rendered.witness
-    if rendered.line_breaks:  # keep one rule per line, each escape read one way
+    if escape:  # keep one rule per line, each escape read one way
         top = top.translate(_SHOWN)
         text, witness = [t.translate(_SHOWN) for t in text], [w.translate(_SHOWN) for w in witness]
-    histogram = length_histogram(outcome.partition.rules)
     lines = [
         f"Cluster {index}",
         "=" * len(f"Cluster {index}"),
-        f"Records: {outcome.size}",
+        f"Records: {cluster['size']}",
         f"Top assignees: {top}",
-        f"Rules: {outcome.partition.rule_count} (essential {essential},"
-        f" redundant {len(outcome.partition.redundant)})",
-        "Antecedent length histogram: " + " ".join(f"{k}={v}" for k, v in histogram.items()),
+        f"Rules: {cluster['rules']} (essential {essential}, redundant {cluster['redundant']})",
+        "Antecedent length histogram: "
+        + " ".join(f"{k}={v}" for k, v in cluster["length_histogram"].items()),
         "",
         "Essential rules",
     ]
@@ -259,14 +253,22 @@ def write_figure_csvs(figures_dir: Path, summary: Mapping) -> None:
         (figures_dir / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def write_rules_csv(path: Path, outcomes: Sequence[ClusterOutcome]) -> None:
-    """One row per rule across all clusters, essential rows first per
-    cluster, joined and written a cluster at a time. A witness holds the
-    comma of "(n,p%)", so it is always quoted."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+def write_rule_reports(
+    report_dir: Path, summary: Mapping, outcomes: Sequence[ClusterOutcome], codebooks: Mapping
+) -> None:
+    """cluster_<i>.txt for each of ``build_summary``'s clusters, and rules.csv,
+    one row per rule, essential rows first per cluster. Each cluster's rules
+    are rendered once, for both, so one cluster's strings are held at a time.
+    The text reports escape CR and LF when some label holds one. A witness
+    holds the comma of "(n,p%)", so rules.csv always quotes it."""
+    labels = (label for codebook in codebooks.values() for label in codebook.forward)
+    escape = any("\r" in label or "\n" in label for label in labels)
+    with open(report_dir / "rules.csv", "w", newline="", encoding="utf-8") as fh:
         fh.write("cluster,antecedent,consequent,support_count,confidence,status,witness\n")
-        for index, outcome in enumerate(outcomes):
-            rendered, essential = outcome.rendered, len(outcome.partition.essential)
+        for cluster, outcome in zip(summary["clusters"], outcomes):
+            index, essential = cluster["cluster"], cluster["essential"]
+            rendered = render_partition(outcome.partition, codebooks)
+            write_cluster_text(report_dir / f"cluster_{index}.txt", cluster, rendered, escape)
             status = [",essential,"] * essential + [
                 ',redundant,"' + witness.replace('"', '""') + '"'
                 for witness in rendered.witness[essential:]
@@ -274,3 +276,4 @@ def write_rules_csv(path: Path, outcomes: Sequence[ClusterOutcome]) -> None:
             columns = (rendered.antecedent_csv, rendered.assignee_csv, rendered.support)
             rows = zip(*columns, rendered.confidence, status)
             fh.write("".join([f"{index},{a},{b},{n},{c}{t}\n" for a, b, n, c, t in rows]))
+            del rendered, status, rows  # before the next cluster's are rendered

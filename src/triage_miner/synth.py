@@ -103,6 +103,8 @@ def synthesize_rows(
             raise ParameterError(f"{name} must be positive, got {value}")
     if not skew >= 0:  # NaN too
         raise ParameterError(f"skew must be non-negative, got {skew}")
+    if seed < 0:  # random.Random would take -seed's absolute value, aliasing seed
+        raise ParameterError(f"seed must be non-negative, got {seed}")
 
     rng = random.Random(seed)
     component_names = _category_names(_COMPONENT_NAMES, components, "Component")

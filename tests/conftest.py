@@ -160,13 +160,11 @@ def render_text(rule: Rule, codebooks) -> str:
 def cluster_outcome(rules, codebooks, size: int = 10, top_codes=(1,)) -> ClusterOutcome:
     """The record of a cluster of ``size`` rows whose rules are ``rules``, as
     the report writers read it; its itemset table is a placeholder."""
-    partition = eliminate_redundant(rule_table(rules))
     return ClusterOutcome(
         size=size,
         table={},
         top_assignees=[codebooks[Attribute.ASSIGNEE].decode(code) for code in top_codes],
-        partition=partition,
-        rendered=render_partition(partition, codebooks),
+        partition=eliminate_redundant(rule_table(rules)),
     )
 
 

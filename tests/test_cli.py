@@ -541,6 +541,15 @@ class TestSynthesizeCommand:
         assert "skew must be non-negative, got nan" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_negative_seed_exits_1(self, tmp_path, capsys):
+        """random.Random takes a seed's absolute value, so -7 would write
+        the CSV of seed 7; a negative seed is refused instead."""
+        out = tmp_path / "x.csv"
+        code = cli.main(["synthesize", "--output", str(out), "--rows", "50", "--seed", "-7"])
+        assert code == 1
+        assert "seed must be non-negative, got -7" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_output_under_a_regular_file_exits_2_and_names_the_path(self, tmp_path, capsys):
         blocker = tmp_path / "afile"
         blocker.write_text("keep me\n")

@@ -13,7 +13,7 @@ import pytest
 
 from conftest import rule_table
 
-from triage_miner import mine, pipeline
+from triage_miner import mine, pipeline, report
 from triage_miner.config import PipelineConfig
 from triage_miner.ingest import Attribute
 from triage_miner.mine import Projection
@@ -25,7 +25,9 @@ from triage_miner.pipeline import (
     execute,
     run_pipeline,
     run_verify,
+    write_outputs,
 )
+from triage_miner.report import RenderedRules, render_partition
 from triage_miner.rules import RulePartition
 from triage_miner.synth import synthesize_rows, write_csv
 
@@ -138,36 +140,36 @@ class TestAuditRows:
         assert "cluster outcomes do not match the model's clusters" in audit_result(doctored)
 
 
-def _reachable_arrays(root) -> list[np.ndarray]:
-    """Every array reachable from ``root`` through the fields of the
+def _reachable(root, kind=np.ndarray) -> list:
+    """Every ``kind`` reachable from ``root`` through the fields of the
     package's objects (cached properties included), mappings and sequences."""
-    seen, stack, arrays = set(), [root], []
+    seen, stack, found = set(), [root], []
     while stack:
         obj = stack.pop()
         if id(obj) in seen:
             continue
         seen.add(id(obj))
-        if isinstance(obj, np.ndarray):
-            arrays.append(obj)
+        if isinstance(obj, kind):
+            found.append(obj)
         elif isinstance(obj, dict):
             stack += [*obj.keys(), *obj.values()]
         elif isinstance(obj, (list, tuple)):
             stack += obj
         elif type(obj).__module__.startswith("triage_miner.") and not isinstance(obj, enum.Enum):
             stack += vars(obj).values()
-    return arrays
+    return found
 
 
 def test_the_run_holds_one_copy_of_the_records(tmp_path):
     source = tmp_path / "bugs.csv"
     write_csv(source, synthesize_rows(3000, seed=5))
     result = execute(PipelineConfig(input_path=str(source)))
-    per_record = [a for a in _reachable_arrays(result) if a.ndim and len(a) == 3000]
+    per_record = [a for a in _reachable(result) if a.ndim and len(a) == 3000]
     kept = (result.codes, result.model.assignments)
     copies = [(a.dtype, a.shape) for a in per_record if not any(a is k for k in kept)]
     assert len(per_record) == len(kept) and not copies, copies
     for index, outcome in enumerate(result.outcomes):
-        arrays = _reachable_arrays(outcome)
+        arrays = _reachable(outcome)
         assert arrays, "the walk reaches the rule tables"
         assert not [a.shape for a in arrays if a.ndim and len(a) == outcome.size], index
 
@@ -190,19 +192,25 @@ class TestRunVerify:
         assert any(line.startswith("cluster 2: REDUNDANCY MISMATCH") for line in lines)
 
 
-def test_each_rule_is_rendered_once(sample_csv, monkeypatch):
+def test_each_rule_is_rendered_once(sample_csv, tmp_path, monkeypatch):
+    """execute and run_verify render nothing; write_outputs renders each
+    cluster's partition once, in cluster order, and the run keeps none of it."""
     calls = []
-    render_partition = pipeline.render_partition
+    render_partition = report.render_partition
 
     def counting(partition, codebooks):
         calls.append(partition)
         return render_partition(partition, codebooks)
 
-    monkeypatch.setattr(pipeline, "render_partition", counting)
-    result = execute(PipelineConfig(input_path=str(sample_csv)))
+    monkeypatch.setattr(report, "render_partition", counting)
+    assert not hasattr(pipeline, "render_partition")  # only the report writer renders
+    config = PipelineConfig(input_path=str(sample_csv), output_dir=str(tmp_path / "out"))
+    result = execute(config)
+    assert run_verify(result)[0]
+    assert calls == []
+    write_outputs(result)
     assert [id(call) for call in calls] == [id(outcome.partition) for outcome in result.outcomes]
-    for outcome in result.outcomes:
-        assert len(outcome.rendered.text) == outcome.partition.rule_count
+    assert _reachable(result, RenderedRules) == []
 
 
 def test_run_builds_no_rule_objects(sample_csv, tmp_path, monkeypatch):
@@ -257,7 +265,7 @@ def test_cluster_text_shows_a_line_break_in_a_label_and_keeps_each_rule_on_one_l
         assert not any("\r" in line for line in lines)
         rules = [line.split(". ", 1)[1] for line in lines if re.match(r"  \d+\. ", line)]
         witnesses = [line[len(prefix) :] for line in lines if line.startswith(prefix)]
-        rendered = outcome.rendered
+        rendered = render_partition(outcome.partition, result.codebooks)
         assert rules == [rule.replace(label, shown) for rule in rendered.text]
         assert witnesses == [w.replace(label, shown) for w in rendered.witness if w]
         labelled += sum(f"Component{{{shown}}}" in rule for rule in rules)

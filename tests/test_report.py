@@ -15,10 +15,12 @@ from conftest import (
     cluster_outcome,
     render_text,
     rule_lists,
+    rule_split,
     rule_table,
     simple_codebooks,
     split_rules,
 )
+from test_rule_table import reference_render
 from triage_miner import report
 from triage_miner.cluster import ClusterModel
 from triage_miner.errors import ConsistencyError, UnknownCategoryError
@@ -29,9 +31,8 @@ from triage_miner.report import (
     confidence_percents,
     length_histogram,
     render_partition,
-    write_cluster_text,
     write_clusters_json,
-    write_rules_csv,
+    write_rule_reports,
 )
 from triage_miner.rules import eliminate_redundant
 
@@ -168,7 +169,8 @@ class TestRenderRule:
         books = _codebooks_for(["General"], ["All"], ["x"])
         rule = _rule([Item(Attribute.OPERATING_SYSTEM, 1), Item(Attribute.PRIORITY, 1)], 1, 1, 2)
         partition = eliminate_redundant(rule_table([rule]))
-        assert render_partition(partition, books).antecedent == ["Priority {P1} ∧ Os {All}"]
+        # no label needs quoting, so rules.csv's field is the fragment itself
+        assert render_partition(partition, books).antecedent_csv == ["Priority {P1} ∧ Os {All}"]
 
     @given(rule_lists(max_rules=25))
     @settings(max_examples=40, deadline=None)
@@ -243,8 +245,9 @@ class TestClusterOutcome:
             "redundant": 0,
             "length_histogram": {"1": 0, "2": 0, "3": 0, "4": 0},
         }
-        assert outcomes[2].rendered.text == outcomes[2].rendered.witness == []
-        write_cluster_text(tmp_path / "cluster_2.txt", 2, outcomes[2])
+        rendered = render_partition(outcomes[2].partition, books)
+        assert rendered.text == rendered.witness == []
+        write_rule_reports(tmp_path, summary, outcomes, books)
         assert (tmp_path / "cluster_2.txt").read_text(encoding="utf-8").split("\n")[:6] == [
             "Cluster 2",
             "=========",
@@ -268,7 +271,7 @@ class TestClusterOutcome:
         assert cluster["essential"] + cluster["redundant"] == cluster["rules"] == 5
         assert sum(cluster["length_histogram"].values()) == 5
         assert cluster["top_assignees"] == ["Dev 1", "Dev 2"]
-        rendered = outcome.rendered
+        rendered = render_partition(outcome.partition, books)
         assert len(rendered.text) == len(rendered.witness) == 5
         assert rendered.text[: cluster["essential"]] == [
             render_text(r, books) for r in split_rules(rules).essential
@@ -302,40 +305,38 @@ def _outcomes(clusters, books):
     return [cluster_outcome(rules, books) for rules in clusters]
 
 
-def _csv_writer_rules_csv(path: Path, outcomes) -> None:
+def _rule_rows(outcomes, books) -> list[list]:
+    """Every rule's rules.csv row, unquoted: the antecedent and assignee from
+    the reference renderer, the other fields from render_partition."""
+    rows = []
+    for index, outcome in enumerate(outcomes):
+        rendered, split = render_partition(outcome.partition, books), rule_split(outcome.partition)
+        rules = [*split.essential, *(rule for rule, _ in split.redundant)]
+        statuses = ["essential"] * len(split.essential) + ["redundant"] * len(split.redundant)
+        columns = (rendered.support, rendered.confidence, statuses, rendered.witness)
+        for rule, support, confidence, status, witness in zip(rules, *columns, strict=True):
+            _, antecedent, assignee, _, _ = reference_render(rule, books)
+            rows.append([index, antecedent, assignee, support, confidence, status, witness])
+    return rows
+
+
+def _csv_writer_rules_csv(path: Path, outcomes, books) -> None:
     """rules.csv as csv.writer writes it, as it was written before the
     rendered rows; before Python 3.13 it leaves a bare \\r unquoted."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(_HEADER)
-        for index, outcome in enumerate(outcomes):
-            rendered, partition = outcome.rendered, outcome.partition
-            status = ["essential"] * len(partition.essential) + ["redundant"] * len(
-                partition.redundant
-            )
-            writer.writerows(
-                zip(
-                    repeat(index),
-                    rendered.antecedent,
-                    rendered.assignee,
-                    rendered.support,
-                    rendered.confidence,
-                    status,
-                    rendered.witness,
-                )
-            )
+        writer.writerows(_rule_rows(outcomes, books))
 
 
-def _rendered_rows(outcomes) -> list[list[str]]:
-    rows = [_HEADER]
-    for index, outcome in enumerate(outcomes):
-        rendered, essential = outcome.rendered, len(outcome.partition.essential)
-        for row, columns in enumerate(zip(*rendered[1:6])):
-            antecedent, assignee, support, confidence, witness = columns
-            status = "essential" if row < essential else "redundant"
-            fields = [antecedent, assignee, str(support), confidence, status, witness]
-            rows.append([str(index), *fields])
-    return rows
+def _rendered_rows(outcomes, books) -> list[list[str]]:
+    return [_HEADER] + [[str(field) for field in row] for row in _rule_rows(outcomes, books)]
+
+
+def _write_rules_csv(directory: Path, outcomes, books) -> Path:
+    """rules.csv as the report writer writes it, with the cluster texts."""
+    write_rule_reports(directory, build_summary(0, {}, outcomes), outcomes, books)
+    return directory / "rules.csv"
 
 
 class TestRulesCsv:
@@ -344,14 +345,14 @@ class TestRulesCsv:
     def test_reads_back_to_the_rendered_columns(self, clusters, books):
         outcomes = _outcomes(clusters, books)
         with tempfile.TemporaryDirectory() as scratch:
-            path, reference = Path(scratch) / "rules.csv", Path(scratch) / "reference.csv"
-            write_rules_csv(path, outcomes)
+            path = _write_rules_csv(Path(scratch), outcomes, books)
+            reference = Path(scratch) / "reference.csv"
             with open(path, newline="", encoding="utf-8") as fh:
                 rows = list(csv.reader(fh))
-            assert rows == _rendered_rows(outcomes)
+            assert rows == _rendered_rows(outcomes, books)
             assert {len(row) for row in rows} == {7}
             if not any("\r" in label for book in books.values() for label in book.forward):
-                _csv_writer_rules_csv(reference, outcomes)
+                _csv_writer_rules_csv(reference, outcomes, books)
                 assert path.read_bytes() == reference.read_bytes()
 
     def test_a_label_holding_a_carriage_return_is_quoted(self):
@@ -359,13 +360,12 @@ class TestRulesCsv:
         rule = _rule([Item(Attribute.COMPONENT, 1)], 1, 3, 4)
         outcomes = _outcomes([[rule]], books)
         with tempfile.TemporaryDirectory() as scratch:
-            path = Path(scratch) / "rules.csv"
-            write_rules_csv(path, outcomes)
+            path = _write_rules_csv(Path(scratch), outcomes, books)
             assert path.read_bytes().decode("utf-8").split("\n")[1] == (
                 '0,"Component{Build\rConfig}",Frank Moreau,3,0.75,essential,'
             )
             with open(path, newline="", encoding="utf-8") as fh:
-                assert list(csv.reader(fh)) == _rendered_rows(outcomes)
+                assert list(csv.reader(fh)) == _rendered_rows(outcomes, books)
 
 
 def _model_to_json(model: ClusterModel, bug_ids) -> dict:

@@ -108,12 +108,16 @@ def assert_matches_reference(rules: list[Rule], partition, codebooks, ordered=Tr
     essential, redundant = reference_eliminate(rules)
     split = rule_split(partition)
     rendered = render_partition(partition, codebooks)
-    columns = list(zip(*rendered[:5], rendered.witness))
-    expected = [(*reference_render(rule, codebooks), "") for rule in essential]
-    expected += [
-        (*reference_render(rule, codebooks), reference_render(witness, codebooks)[0])
-        for rule, witness in redundant
-    ]
+    # no label of ``codebooks`` needs quoting, so rules.csv's fields are the
+    # reference's antecedent and assignee themselves
+    columns = list(zip(*rendered))
+
+    def row(rule, witness=""):
+        text, antecedent, assignee, support, confidence = reference_render(rule, codebooks)
+        return text, support, confidence, witness, antecedent, assignee
+
+    expected = [row(rule) for rule in essential]
+    expected += [row(rule, reference_render(witness, codebooks)[0]) for rule, witness in redundant]
     if ordered:
         assert list(split.essential) == essential
         assert list(split.redundant) == redundant
