@@ -24,8 +24,7 @@ from .synth import synthesize_rows, write_csv
 
 
 def _setup_logging() -> None:
-    level_name = os.environ.get("TRIAGE_MINER_LOG", "WARNING").upper()
-    level = getattr(logging, level_name, None)
+    level = getattr(logging, os.environ.get("TRIAGE_MINER_LOG", "WARNING").upper(), None)
     if not isinstance(level, int):
         level = logging.WARNING
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
@@ -79,9 +78,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         if cap is not None and cap < 0:
             raise ParameterError(f"{flag} must be >= 0, got {cap}")
     result = execute(_config_from_args(args))
-    ok, lines = run_verify(
-        result, max_transactions=args.max_transactions, max_rules=args.max_rules
-    )
+    ok, lines = run_verify(result, args.max_transactions, args.max_rules)
     for line in lines:
         print(line)
     if not ok:
@@ -93,12 +90,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_synthesize(args: argparse.Namespace) -> int:
     rows = synthesize_rows(
-        rows=args.rows,
-        components=args.components,
-        operating_systems=args.operating_systems,
-        assignees=args.assignees,
-        skew=args.skew,
-        seed=args.seed,
+        args.rows, args.components, args.operating_systems, args.assignees, args.skew, args.seed
     )
     write_csv(Path(args.output), rows)
     print(f"wrote {len(rows)} rows to {args.output}")

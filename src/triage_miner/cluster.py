@@ -5,18 +5,19 @@ generator so identical inputs and seed give bit-identical assignments.
 Distances are squared Euclidean on the raw integer codes; the assignee code
 is excluded from the features because it is the prediction target.
 
-Lloyd steps and the k-means++ distances run on the distinct feature vectors,
-gathered back to the points; k-means++ still draws over all points. This is
-exact: equal points get equal labels, and count-weighted sums of integer
-coordinates are exact below 2**53, so centroids equal per-point means. Only
-the distinct vectors are converted to floats, which is exact for integer
-codes below 2**53, so an integer view of the codes fits as its float copy.
+The records are a table of points and each record's row in it. Lloyd steps
+and the k-means++ distances run on the distinct feature vectors, gathered back
+to the records; k-means++ draws over all records and the inertia sums over
+them. This is exact: equal points get equal labels, and count-weighted sums of
+integer coordinates are exact below 2**53, so centroids equal per-record means.
+Only the distinct vectors are converted to floats, exact for integer codes
+below 2**53, so an integer view of the codes fits as its float copy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -29,7 +30,7 @@ from .mine import distinct_rows
 class ClusterModel:
     """Fitted partition: centroids, per-record assignments and diagnostics.
 
-    ``assignments[i]`` is the cluster of the i-th input point (an int array);
+    ``assignments[i]`` is the cluster of the i-th record (an int array);
     ``inertia_history`` holds the objective after each Lloyd iteration
     (entry 0 is the post-initialization value).
     """
@@ -90,8 +91,8 @@ def _assign_with_repair(
 
 
 def _kmeanspp_init(vectors: np.ndarray, rank: np.ndarray, k: int, seed: int) -> np.ndarray:
-    """k-means++ seeds, each drawn over all points from the distances of the
-    distinct vectors gathered to the points by ``rank``."""
+    """k-means++ seeds, each drawn over all records from the distances of the
+    distinct vectors gathered to the records by ``rank``."""
     n, rng = len(rank), np.random.default_rng(seed)
     centroids = np.empty((k, vectors.shape[1]), dtype=float)
     centroids[0] = vectors[rank[rng.integers(n)]]
@@ -111,24 +112,28 @@ def _kmeanspp_init(vectors: np.ndarray, rank: np.ndarray, k: int, seed: int) -> 
 
 def kmeans_fit(
     points: Sequence[Sequence[float]],
+    index: Sequence[int],
     k: int,
     seed: int,
     max_iterations: int = PipelineConfig.max_iterations,
 ) -> ClusterModel:
-    """Fit k clusters with Lloyd's algorithm and k-means++ seeding.
+    """Fit k clusters of the records ``points[index[i]]`` with Lloyd's
+    algorithm and k-means++ seeding.
 
     Stops when assignments are unchanged between iterations or after
     max_iterations. Requires k <= number of distinct points so no cluster
-    can stay empty. The k-means++ draws are made over all points.
+    can stay empty. The k-means++ draws are made over all records.
     """
     if k <= 0:
         raise ParameterError(f"k must be positive, got {k}")
     if max_iterations < 1:
         raise ParameterError(f"max_iterations must be >= 1, got {max_iterations}")
-    data = np.asarray(points)
-    if data.ndim != 2 or len(data) == 0:
+    data, index = np.asarray(points), np.asarray(index)
+    if data.ndim != 2 or len(data) == 0 or len(index) == 0:
         raise ParameterError("points must be a non-empty list of equal-length vectors")
-    vectors, rank, counts = distinct_rows(data)
+    vectors, table_rank, _ = distinct_rows(data)
+    rank = table_rank[index]
+    counts = np.bincount(rank, minlength=len(vectors))
     vectors = vectors.astype(float)
     if k > len(vectors):
         raise InfeasibleKError(
@@ -165,13 +170,3 @@ def kmeans_fit(
         iterations_run=iterations_run,
         inertia_history=tuple(history),
     )
-
-
-def split_by_cluster(codes: np.ndarray, model: ClusterModel) -> Iterator[np.ndarray]:
-    """The code rows of each of the k clusters in turn, input order kept; a
-    cluster's rows are copied only when the iterator reaches it."""
-    if len(model.assignments) != len(codes):
-        raise ConsistencyError(
-            f"model covers {len(model.assignments)} records, got {len(codes)}"
-        )
-    return (codes[model.assignments == cluster] for cluster in range(model.k))

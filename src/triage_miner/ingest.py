@@ -1,5 +1,6 @@
 """Read bug-report CSV exports and encode the five categorical attributes,
-in one pass from the CSV bytes to bug ids, codebooks and a code array.
+in one pass from the CSV bytes to bug ids, codebooks and the records as a
+table of distinct code rows plus one table index per record.
 
 Severity and priority use fixed integer scales (1..7 and 1..5). Component,
 operating system and assignee get codes 1..n in first-appearance order, so a
@@ -42,16 +43,8 @@ class Attribute(enum.IntEnum):
 
     @property
     def display(self) -> str:
-        return _DISPLAY_NAMES[self]
-
-
-_DISPLAY_NAMES = {
-    Attribute.SEVERITY: "Severity",
-    Attribute.PRIORITY: "Priority",
-    Attribute.COMPONENT: "Component",
-    Attribute.OPERATING_SYSTEM: "OperatingSystem",
-    Attribute.ASSIGNEE: "Assignee",
-}
+        """The name in CamelCase, as in "OperatingSystem"."""
+        return self.name.title().replace("_", "")
 
 SEVERITY_LABELS = ("Blocker", "Critical", "Major", "Normal", "Minor", "Trivial", "Enhancement")
 PRIORITY_LABELS = ("P1", "P2", "P3", "P4", "P5")
@@ -95,10 +88,11 @@ PRIORITY_CODEBOOK = Codebook.from_labels(Attribute.PRIORITY, PRIORITY_LABELS)
 
 def read_bug_csv(
     source: IO[bytes], column_map: Mapping[str, str]
-) -> tuple[list[str], dict[Attribute, Codebook], np.ndarray]:
+) -> tuple[list[str], dict[Attribute, Codebook], np.ndarray, np.ndarray]:
     """Read a UTF-8 CSV with a header row in one pass: the bug ids in file
-    order, all five codebooks, and an ``(n, 5)`` int64 code array with one
-    row per data row and one column per Attribute.
+    order, all five codebooks, the distinct code ``rows`` in first-appearance
+    order (an ``(m, 5)`` int64 array, one column per Attribute) and each
+    record's int32 row ``index``, so the records are ``rows[index]``.
 
     ``column_map`` maps each logical field (see LOGICAL_FIELDS) to the header
     name that carries it; each mapped header must appear exactly once. A
@@ -164,7 +158,8 @@ def read_bug_csv(
 
         bug_ids: list[str] = []
         seen_ids: set[str] = set()
-        flat_codes: list[int] = []
+        row_of: dict[tuple[int, ...], int] = {}  # code row -> its row in ``rows``
+        index: list[int] = []
         width = len(header)
         try:
             for cells in reader:
@@ -182,10 +177,10 @@ def read_bug_csv(
                 seen_ids.add(bug_id)
                 bug_ids.append(bug_id)
                 row = pick_attributes(cells)
-                codes = [*map(dict.get, cell_codes, row)]
+                codes = (*map(dict.get, cell_codes, row),)
                 if None in codes:
-                    codes = [*map(code_of, Attribute, row)]
-                flat_codes += codes
+                    codes = (*map(code_of, Attribute, row),)
+                index.append(row_of.setdefault(codes, len(row_of)))
         except (csv.Error, UnicodeDecodeError) as exc:
             raise RowError(f"unreadable row at line {reader.line_num}: {exc}") from exc
     finally:
@@ -194,13 +189,10 @@ def read_bug_csv(
     codebooks = {Attribute.SEVERITY: SEVERITY_CODEBOOK, Attribute.PRIORITY: PRIORITY_CODEBOOK}
     for attribute, labels in learned.items():
         codebooks[attribute] = Codebook.from_labels(attribute, labels)
-    return bug_ids, codebooks, np.array(flat_codes, dtype=np.int64).reshape(-1, len(Attribute))
+    rows = np.array(list(row_of), dtype=np.int64).reshape(-1, len(Attribute))
+    return bug_ids, codebooks, rows, np.array(index, dtype=np.int32)
 
 
 def codebooks_to_json(codebooks: Mapping[Attribute, Codebook]) -> dict[str, dict[str, int]]:
     """JSON-ready view: attribute display name -> {label: code}."""
-    return {
-        attribute.display: dict(codebooks[attribute].forward)
-        for attribute in Attribute
-        if attribute in codebooks
-    }
+    return {attribute.display: dict(codebooks[attribute].forward) for attribute in Attribute}

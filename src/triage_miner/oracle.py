@@ -94,11 +94,11 @@ def itemset_supports(projections: Mapping[Subset, Projection]) -> dict[Itemset, 
 
 
 def enumerate_frequent_itemsets(
-    rows: Sequence[Sequence[int]], min_support_count: int
+    rows: Iterable[Sequence[int]], min_support_count: int
 ) -> dict[Itemset, int]:
     """Exact frequent-itemset counts by tallying every subset of every
     distinct row of five codes, one per Attribute, weighted by how often the
-    row occurs (any itemset with positive support shows up this way)."""
+    row occurs in the stream ``rows`` (every positive support shows up so)."""
     counts: Counter[Itemset] = Counter()
     for row, weight in Counter(map(tuple, rows)).items():
         items = [Item(attribute, code) for attribute, code in zip(Attribute, row)]

@@ -14,8 +14,9 @@ assignee, a strictly smaller antecedent and a confidence no lower. The
 reports' counts are derived from the sizes and rule partitions, not stored
 apart from them.
 
-The records are held once, as ``codes``: k-means and the audit read a view of
-it, and a cluster's rows are copied only while that cluster is mined or verified.
+The records are held as a table of distinct code rows and one row index per
+record. Every stage runs on the table and its rows' record counts, a cluster on
+a mask over it; only ``verify``'s oracle gathers records, a chunk at a time.
 """
 
 from __future__ import annotations
@@ -29,15 +30,15 @@ import shutil
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
-from .cluster import ClusterModel, kmeans_fit, split_by_cluster
+from .cluster import ClusterModel, kmeans_fit
 from .config import PipelineConfig
 from .errors import AuditError, InputError, ParameterError
 from .ingest import Attribute, Codebook, codebooks_to_json, read_bug_csv
-from .mine import distinct_rows, mine_frequent_itemsets
+from .mine import mine_frequent_itemsets
 from .oracle import (
     enumerate_frequent_itemsets,
     essential_rules_naive,
@@ -56,6 +57,7 @@ from .report import (
 from .rules import RulePartition, eliminate_redundant, generate_class_rules, top_assignees
 
 logger = logging.getLogger("triage_miner")
+VERIFY_CHUNK = 1 << 13  # records gathered per step of verify's itemset tally
 
 
 @dataclass
@@ -64,7 +66,8 @@ class PipelineResult:
     input_sha256: str
     codebooks: dict[Attribute, Codebook]
     bug_ids: list[str]
-    codes: np.ndarray  # (n, 5), one column per Attribute; the only copy of the records
+    rows: np.ndarray  # (m, 5) distinct code rows, one column per Attribute
+    index: np.ndarray  # record i is rows[index[i]]
     model: ClusterModel
     outcomes: list[ClusterOutcome]  # cluster i's at position i
 
@@ -89,52 +92,56 @@ def _load_and_encode(config: PipelineConfig):
     try:
         with open(config.input_path, "rb", buffering=0) as raw:
             source = _HashingReader(raw)
-            bug_ids, codebooks, codes = read_bug_csv(io.BufferedReader(source), config.column_map)
+            bug_ids, codebooks, rows, index = read_bug_csv(
+                io.BufferedReader(source), config.column_map
+            )
             source.readall()  # hash whatever the parse left unread
     except OSError as exc:
         raise InputError(f"cannot read input {config.input_path!r}: {exc}") from exc
     if not bug_ids:
         raise InputError(f"input {config.input_path!r} contains no data rows")
-    return source.sha256.hexdigest(), codebooks, bug_ids, codes
+    return source.sha256.hexdigest(), codebooks, bug_ids, rows, index
 
 
 def _mine_cluster(
-    index: int,
-    rows: np.ndarray,
-    config: PipelineConfig,
-    codebooks: Mapping[Attribute, Codebook],
+    cluster: int, rows: np.ndarray, counts: np.ndarray, config: PipelineConfig, codebooks: Mapping
 ) -> ClusterOutcome:
-    table = mine_frequent_itemsets(rows, config.min_support_count)
-    top_codes = top_assignees(rows[:, Attribute.ASSIGNEE], config.top_n)
+    """Mine a cluster given as its distinct code rows and their record counts."""
+    table = mine_frequent_itemsets(rows, counts, config.min_support_count)
+    top_codes = top_assignees(rows[:, Attribute.ASSIGNEE], counts, config.top_n)
     rules = generate_class_rules(table, config.min_confidence, top_codes)
     partition = eliminate_redundant(rules)
+    size = int(counts.sum())
     logger.info(
         "cluster %d: %d records, %d frequent itemsets, %d rules (%d essential, %d redundant)",
-        index,
-        len(rows),
+        cluster,
+        size,
         sum(len(projection.counts) for projection in table.values()),
         partition.rule_count,
         len(partition.essential),
         len(partition.redundant),
     )
     top_labels = [codebooks[Attribute.ASSIGNEE].decode(code) for code in top_codes]
-    return ClusterOutcome(len(rows), table, top_labels, partition)
+    return ClusterOutcome(size, table, top_labels, partition)
 
 
 def execute(config: PipelineConfig) -> PipelineResult:
     """Run every stage in memory; no files are touched."""
-    input_sha256, codebooks, bug_ids, codes = _load_and_encode(config)
-    logger.info("encoded %d records from %s", len(codes), config.input_path)
-    features = codes[:, : Attribute.ASSIGNEE]  # a view: every attribute but the assignee
-    model = kmeans_fit(features, config.k, config.seed, config.max_iterations)
+    input_sha256, codebooks, bug_ids, rows, index = _load_and_encode(config)
+    logger.info("encoded %d records from %s", len(index), config.input_path)
+    features = rows[:, : Attribute.ASSIGNEE]  # a view: every attribute but the assignee
+    model = kmeans_fit(features, index, config.k, config.seed, config.max_iterations)
     logger.info(
         "k-means: k=%d, %d iterations, inertia %.4f", model.k, model.iterations_run, model.inertia
     )
+    counts = np.bincount(index, minlength=len(rows))
+    row_cluster = np.empty_like(model.assignments, shape=len(rows))
+    row_cluster[index] = model.assignments  # equal rows have equal features, so one cluster
     outcomes = [
-        _mine_cluster(index, cluster_rows, config, codebooks)
-        for index, cluster_rows in enumerate(split_by_cluster(codes, model))
+        _mine_cluster(cluster, rows[mask], counts[mask], config, codebooks)
+        for cluster, mask in enumerate(row_cluster == j for j in range(model.k))
     ]
-    result = PipelineResult(config, input_sha256, codebooks, bug_ids, codes, model, outcomes)
+    result = PipelineResult(config, input_sha256, codebooks, bug_ids, rows, index, model, outcomes)
     violations = audit_result(result)
     if violations:
         raise AuditError(violations)
@@ -144,27 +151,26 @@ def execute(config: PipelineConfig) -> PipelineResult:
 def audit_result(result: PipelineResult) -> list[str]:
     """Re-derive the pipeline's structural invariants from its own output."""
     problems: list[str] = []
-    model, points = result.model, result.codes[:, : Attribute.ASSIGNEE]
+    model, rows, index = result.model, result.rows, result.index
 
     sizes = model.cluster_sizes()
-    if sum(sizes) != len(points):
-        problems.append(f"cluster sizes sum to {sum(sizes)}, expected {len(points)}")
+    if sum(sizes) != len(index):
+        problems.append(f"cluster sizes sum to {sum(sizes)}, expected {len(index)}")
     if any(size == 0 for size in sizes):
         problems.append("model contains an empty cluster")
-    if len(model.assignments) != len(points):
-        problems.append("assignments do not cover the record list")
 
-    vectors, rank, _ = distinct_rows(points)
-    same = (np.array_equal(v[rank], p) for v, p in zip(vectors.T, points.T))  # a column at a time
-    if vectors.shape[1:] != points.shape[1:] or not all(same):
-        problems.append("distinct feature vectors do not reproduce the records")
-    distances = ((vectors.astype(float)[:, None, :] - np.array(model.centroids)) ** 2).sum(axis=2)
-    assignments = model.assignments
-    if not np.array_equal(distances.argmin(axis=1)[rank], assignments):
-        problems.append("some record is not assigned to its nearest centroid")
-    recomputed = float(distances[rank, assignments].sum())
-    if abs(model.inertia - recomputed) > 1e-9 * max(1.0, abs(recomputed)):
-        problems.append(f"inertia {model.inertia} != recomputed {recomputed}")
+    in_range = len(index) > 0 and index.min() >= 0 and index.max() < len(rows)
+    if not in_range or not np.bincount(index, minlength=len(rows)).all():
+        problems.append("the record index does not map the records onto every table row")
+    if in_range:
+        points = rows[:, : Attribute.ASSIGNEE].astype(float)
+        distances = ((points[:, None, :] - np.array(model.centroids)) ** 2).sum(axis=2)
+        assignments = model.assignments
+        if not np.array_equal(distances.argmin(axis=1)[index], assignments):
+            problems.append("some record is not assigned to its nearest centroid")
+        recomputed = float(distances[index, assignments].sum())
+        if abs(model.inertia - recomputed) > 1e-9 * max(1.0, abs(recomputed)):
+            problems.append(f"inertia {model.inertia} != recomputed {recomputed}")
     if any(later > earlier + 1e-9 for earlier, later in zip(model.inertia_history, model.inertia_history[1:])):
         problems.append("inertia increased between iterations")
 
@@ -172,7 +178,7 @@ def audit_result(result: PipelineResult) -> list[str]:
         problems.append("cluster outcomes do not match the model's clusters")
     for index, outcome in enumerate(result.outcomes):
         label = f"cluster {index}"
-        if index < model.k and outcome.size != sizes[index]:
+        if index < model.k and outcome.size != sizes[index]:  # the cluster's summed counts
             problems.append(
                 f"{label}: size {outcome.size} is not the {sizes[index]} records assigned to it"
             )
@@ -249,15 +255,14 @@ def write_outputs(result: PipelineResult) -> Path:
         staging = Path(
             tempfile.mkdtemp(prefix=final_dir.name + ".staging-", dir=final_dir.parent)
         )
-        config_used = dict(result.config.analysis_parameters())
-        config_used["input_sha256"] = result.input_sha256
+        parameters = result.config.analysis_parameters()
+        config_used = {**parameters, "input_sha256": result.input_sha256}
         write_json(staging / "config_used.json", config_used)
         write_json(staging / "codebooks.json", codebooks_to_json(result.codebooks))
         write_clusters_json(staging / "clusters.json", result.model, result.bug_ids)
 
         report_dir = staging / "report"
         report_dir.mkdir()
-        parameters = result.config.analysis_parameters()
         summary = build_summary(len(result.bug_ids), parameters, result.outcomes)
         write_json(report_dir / "summary.json", summary)
         write_rule_reports(report_dir, summary, result.outcomes, result.codebooks)
@@ -281,70 +286,67 @@ def write_outputs(result: PipelineResult) -> Path:
 def run_pipeline(config: PipelineConfig) -> PipelineResult:
     """Execute all stages, audit, and write the report directory."""
     result = execute(config)
-    out = write_outputs(result)
-    logger.info("report written to %s", out)
+    logger.info("report written to %s", write_outputs(result))
     return result
 
 
 def run_verify(
-    result: PipelineResult,
-    max_transactions: int | None = None,
-    max_rules: int | None = None,
+    result: PipelineResult, max_transactions: int | None = None, max_rules: int | None = None
 ) -> tuple[bool, list[str]]:
     """Diff a run's own frequent-itemset tables and rule partitions against
     the brute-force oracles, cluster by cluster. Every cluster is checked,
     except those above an optional size cap (reported as skipped)."""
-    ok = True
-    lines: list[str] = []
-    parts = split_by_cluster(result.codes, result.model)
-    for index, (outcome, rows) in enumerate(zip(result.outcomes, parts)):
-        partition = outcome.partition
-        if max_transactions is not None and outcome.size > max_transactions:
-            lines.append(
-                f"cluster {index}: skipped itemset check"
-                f" ({outcome.size} transactions > cap {max_transactions})"
-            )
-            continue
-        reference = enumerate_frequent_itemsets(rows.tolist(), result.config.min_support_count)
-        supports = itemset_supports(outcome.table)
-        if supports != reference:
-            ok = False
-            missing = set(reference) - set(supports)
-            extra = set(supports) - set(reference)
-            wrong = {s for s in set(reference) & set(supports) if reference[s] != supports[s]}
-            lines.append(
-                f"cluster {index}: FREQUENT-ITEMSET MISMATCH"
-                f" (missing {len(missing)}, extra {len(extra)}, miscounted {len(wrong)})"
-            )
-            continue
-        lines.append(f"cluster {index}: itemsets OK ({len(supports)} frequent itemsets)")
+    checks = [
+        check
+        for cluster in range(len(result.outcomes))
+        for check in _verify_cluster(result, cluster, max_transactions, max_rules)
+    ]
+    return all(passed for passed, _ in checks), [line for _, line in checks]
 
-        if max_rules is not None and partition.rule_count > max_rules:
-            lines.append(
-                f"cluster {index}: skipped redundancy check"
-                f" ({partition.rule_count} rules > cap {max_rules})"
-            )
-            continue
-        rules = rule_objects(partition.rules)
-        naive_keys = essential_rules_naive(rules)
-        fast_keys = {rules[row].key for row in partition.essential}
-        if fast_keys != naive_keys:
-            ok = False
-            lines.append(
-                f"cluster {index}: REDUNDANCY MISMATCH"
-                f" (fast {len(fast_keys)} essential, oracle {len(naive_keys)})"
-            )
-            continue
-        bad_witnesses = [
-            row for row in partition.redundant
-            if not witness_is_valid(rules[row], rules[partition.witness[row]], naive_keys)
-        ]
-        if bad_witnesses:
-            ok = False
-            lines.append(f"cluster {index}: {len(bad_witnesses)} INVALID WITNESSES")
-        else:
-            lines.append(
-                f"cluster {index}: redundancy OK ({len(rules)} rules,"
-                f" {len(fast_keys)} essential)"
-            )
-    return ok, lines
+
+def _cluster_records(result: PipelineResult, cluster: int) -> Iterator[list[int]]:
+    """A cluster's code rows, gathered through the index a chunk at a time."""
+    index, assignments = result.index, result.model.assignments
+    for start in range(0, len(index), VERIFY_CHUNK):
+        chunk = slice(start, start + VERIFY_CHUNK)
+        yield from result.rows[index[chunk][assignments[chunk] == cluster]].tolist()
+
+
+def _verify_cluster(
+    result: PipelineResult, cluster: int, max_transactions: int | None, max_rules: int | None
+) -> Iterator[tuple[bool, str]]:
+    """run_verify's lines for one cluster, each with whether it passed; what
+    the oracles build is freed once the last line is read."""
+    outcome, name = result.outcomes[cluster], f"cluster {cluster}"
+    partition = outcome.partition
+    if max_transactions is not None and outcome.size > max_transactions:
+        cap = f"{outcome.size} transactions > cap {max_transactions}"
+        yield True, f"{name}: skipped itemset check ({cap})"
+        return
+    records = _cluster_records(result, cluster)
+    reference = enumerate_frequent_itemsets(records, result.config.min_support_count)
+    supports = itemset_supports(outcome.table)
+    if supports != reference:
+        missing, extra = len(reference.keys() - supports), len(supports.keys() - reference)
+        wrong = sum(reference[s] != supports[s] for s in reference.keys() & supports)
+        counts = f"missing {missing}, extra {extra}, miscounted {wrong}"
+        yield False, f"{name}: FREQUENT-ITEMSET MISMATCH ({counts})"
+        return
+    yield True, f"{name}: itemsets OK ({len(supports)} frequent itemsets)"
+    if max_rules is not None and partition.rule_count > max_rules:
+        cap = f"{partition.rule_count} rules > cap {max_rules}"
+        yield True, f"{name}: skipped redundancy check ({cap})"
+        return
+    rules = rule_objects(partition.rules)
+    naive_keys = essential_rules_naive(rules)
+    fast_keys = {rules[row].key for row in partition.essential}
+    if fast_keys != naive_keys:
+        oracle = f"fast {len(fast_keys)} essential, oracle {len(naive_keys)}"
+        yield False, f"{name}: REDUNDANCY MISMATCH ({oracle})"
+        return
+    witness, redundant = partition.witness, partition.redundant
+    bad = sum(not witness_is_valid(rules[r], rules[witness[r]], naive_keys) for r in redundant)
+    if bad:
+        yield False, f"{name}: {bad} INVALID WITNESSES"
+    else:
+        yield True, f"{name}: redundancy OK ({len(rules)} rules, {len(fast_keys)} essential)"

@@ -144,9 +144,7 @@ class ClusterOutcome:
 
 
 def build_summary(
-    record_count: int,
-    parameters: Mapping[str, object],
-    outcomes: Sequence[ClusterOutcome],
+    record_count: int, parameters: Mapping[str, object], outcomes: Sequence[ClusterOutcome]
 ) -> dict:
     clusters = [
         {

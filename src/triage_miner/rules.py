@@ -102,14 +102,14 @@ class RulePartition:
         return len(self.rules)
 
 
-def top_assignees(assignee_codes: np.ndarray, n: int) -> list[int]:
-    """The n assignee codes with the most bugs, count desc then code asc."""
+def top_assignees(assignee_codes: np.ndarray, counts: np.ndarray, n: int) -> list[int]:
+    """The n assignee codes with the most bugs (``counts[i]`` at row i), ties to the lower code."""
     if len(assignee_codes) == 0:
         raise ParameterError("top_assignees requires at least one record")
     if n < 1:
         raise ParameterError(f"n must be positive, got {n}")
-    codes, counts = np.unique(assignee_codes, return_counts=True)
-    return codes[np.argsort(-counts, kind="stable")][:n].tolist()
+    codes, rank = np.unique(assignee_codes, return_inverse=True)
+    return codes[np.argsort(-np.bincount(rank, counts), kind="stable")][:n].tolist()
 
 
 def generate_class_rules(

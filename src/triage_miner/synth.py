@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import csv
 import random
+from bisect import bisect
+from itertools import accumulate
 from pathlib import Path
+from typing import Callable, Sequence
 
 from .errors import InputError, ParameterError
 from .ingest import LOGICAL_FIELDS, PRIORITY_LABELS, SEVERITY_LABELS
@@ -77,6 +80,13 @@ def _zipf_weights(count: int, skew: float) -> list[float]:
     return [1.0 / (rank**skew) for rank in range(1, count + 1)]
 
 
+def _weighted_draw(rng: random.Random, weights: Sequence[float]) -> Callable[[], int]:
+    """An index drawn with chance proportional to its weight from one ``rng.random()``,
+    as ``Random.choices`` draws it; Python fixes only ``random()``'s sequence per seed."""
+    cumulative = list(accumulate(weights))
+    return lambda: bisect(cumulative, rng.random() * cumulative[-1], 0, len(cumulative) - 1)
+
+
 def synthesize_rows(
     rows: int,
     components: int = 12,
@@ -110,23 +120,25 @@ def synthesize_rows(
     component_names = _category_names(_COMPONENT_NAMES, components, "Component")
     os_names = _category_names(_OS_NAMES, operating_systems, "OS")
     assignee_names = _category_names(_ASSIGNEE_NAMES, assignees, "Developer")
-    component_weights = _zipf_weights(components, skew)
-    os_weights = _zipf_weights(operating_systems, skew)
-    assignee_weights = _zipf_weights(assignees, skew)
+    draw_severity = _weighted_draw(rng, _SEVERITY_WEIGHTS)
+    draw_priority = _weighted_draw(rng, _PRIORITY_WEIGHTS)
+    draw_component = _weighted_draw(rng, _zipf_weights(components, skew))
+    draw_os = _weighted_draw(rng, _zipf_weights(operating_systems, skew))
+    draw_assignee = _weighted_draw(rng, _zipf_weights(assignees, skew))
 
     out = []
     for i in range(rows):
-        severity = rng.choices(SEVERITY_LABELS, weights=_SEVERITY_WEIGHTS)[0]
-        priority = rng.choices(PRIORITY_LABELS, weights=_PRIORITY_WEIGHTS)[0]
-        component_idx = rng.choices(range(components), weights=component_weights)[0]
-        os_idx = rng.choices(range(operating_systems), weights=os_weights)[0]
+        severity = SEVERITY_LABELS[draw_severity()]
+        priority = PRIORITY_LABELS[draw_priority()]
+        component_idx = draw_component()
+        os_idx = draw_os()
         draw = rng.random()
         if draw < 0.65:
             assignee_idx = (component_idx * 7 + 3) % assignees
         elif draw < 0.80:
             assignee_idx = (component_idx * 5 + os_idx * 3 + 1) % assignees
         else:
-            assignee_idx = rng.choices(range(assignees), weights=assignee_weights)[0]
+            assignee_idx = draw_assignee()
         out.append(
             (
                 f"BUG-{i + 1:06d}",

@@ -56,6 +56,22 @@ def random_rows(
     ]
 
 
+def point_table(points) -> tuple[list[tuple], list[int]]:
+    """``points`` as kmeans_fit takes them: the distinct points in
+    first-appearance order, as ingest numbers its table rows, and the row of
+    each point."""
+    rows: dict[tuple, int] = {}
+    index = [rows.setdefault(tuple(point), len(rows)) for point in points]
+    return list(rows), index
+
+
+def row_table(rows) -> tuple[np.ndarray, np.ndarray]:
+    """Code rows (one code per Attribute) as the miner takes them: the
+    distinct rows and the number of times each occurs."""
+    table = np.asarray(rows, dtype=np.int64).reshape(-1, len(Attribute))
+    return np.unique(table, axis=0, return_counts=True)
+
+
 def random_rules(rnd: random.Random, max_rules: int = 50, max_count: int = 60) -> list[Rule]:
     n = rnd.randint(1, max_rules)
     by_key: dict[tuple, Rule] = {}

@@ -15,7 +15,15 @@ import time
 import numpy as np
 import pytest
 
-from conftest import random_rows, random_rules, render_text, split_rules, tree_bytes
+from conftest import (
+    point_table,
+    random_rows,
+    random_rules,
+    render_text,
+    row_table,
+    split_rules,
+    tree_bytes,
+)
 from triage_miner import cli
 from triage_miner.cluster import kmeans_fit
 from triage_miner.config import PipelineConfig
@@ -66,7 +74,7 @@ def test_criterion_1_apriori_matches_brute_force_enumeration():
     for i in range(104):
         rows = random_rows(rnd, max_transactions=200, max_codes=12)
         min_support = support_choices[i % len(support_choices)]
-        fast = mine_frequent_itemsets(np.array(rows), min_support)
+        fast = mine_frequent_itemsets(*row_table(rows), min_support)
         slow = enumerate_frequent_itemsets(rows, min_support)
         assert itemset_supports(fast) == slow, f"dataset {i} diverged"
         datasets += 1
@@ -86,8 +94,9 @@ def test_criterion_2_rules_respect_default_thresholds():
     rules_seen = 0
     for _ in range(60):
         codes = _random_codes(rnd, rnd.randint(20, 200), rnd.choice((3, 4, 6, 10)))
-        table = mine_frequent_itemsets(codes, min_support_count=3)
-        top = top_assignees(codes[:, Attribute.ASSIGNEE], 5)
+        rows, counts = row_table(codes)
+        table = mine_frequent_itemsets(rows, counts, min_support_count=3)
+        top = top_assignees(rows[:, Attribute.ASSIGNEE], counts, 5)
         for rule in rule_objects(generate_class_rules(table, 0.10, top)):
             rules_seen += 1
             if rule.support_count < 3 or rule.support_count / rule.antecedent_count < 0.10:
@@ -156,8 +165,8 @@ def test_criterion_5_kmeans_invariants():
             for _ in range(rnd.randint(10, 150))
         ]
         k = rnd.randint(1, 5)
-        first = kmeans_fit(points, k=k, seed=trial)
-        second = kmeans_fit(points, k=k, seed=trial)
+        first = kmeans_fit(*point_table(points), k=k, seed=trial)
+        second = kmeans_fit(*point_table(points), k=k, seed=trial)
         assert np.array_equal(first.assignments, second.assignments)
         assert first.centroids == second.centroids
         history = first.inertia_history
@@ -165,7 +174,7 @@ def test_criterion_5_kmeans_invariants():
         assert all(size > 0 for size in first.cluster_sizes())
 
     points = [(1, 1, 1, 1)] * 5 + [(9, 9, 9, 9)] * 5
-    model = kmeans_fit(points, k=2, seed=0)
+    model = kmeans_fit(*point_table(points), k=2, seed=0)
     assert model.inertia == 0.0
     assert len({model.assignments[i] for i in range(5)}) == 1
     assert len({model.assignments[i] for i in range(5, 10)}) == 1

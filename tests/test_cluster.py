@@ -10,23 +10,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from triage_miner import cluster
-from triage_miner.cluster import (
-    ClusterModel,
-    _assign_with_repair,
-    _kmeanspp_init,
-    kmeans_fit,
-    split_by_cluster,
-)
+from conftest import point_table
+
+from triage_miner import cluster, pipeline
+from triage_miner.cluster import ClusterModel, _assign_with_repair, _kmeanspp_init, kmeans_fit
 from triage_miner.config import PipelineConfig
 from triage_miner.errors import ConsistencyError, InfeasibleKError, ParameterError
 from triage_miner.mine import distinct_rows
 from triage_miner.pipeline import execute
-
-
-def _row(sev=4, pri=3, comp=1, os_=1, who=1) -> tuple[int, ...]:
-    """One code row, columns in Attribute order."""
-    return (sev, pri, comp, os_, who)
+from triage_miner.synth import synthesize_rows, write_csv
 
 
 def _random_points(rnd: random.Random, n: int, spread: int = 8):
@@ -51,7 +43,7 @@ def brute_force_best_two_partition(points):
 
 class TestKmeansFit:
     def test_identical_points_k1(self):
-        model = kmeans_fit([(2, 2, 2, 2)] * 10, k=1, seed=5)
+        model = kmeans_fit(*point_table([(2, 2, 2, 2)] * 10), k=1, seed=5)
         assert model.centroids == ((2.0, 2.0, 2.0, 2.0),)
         assert model.inertia == 0.0
         assert model.iterations_run == 1
@@ -61,7 +53,7 @@ class TestKmeansFit:
         points = [(1, 1, 1, 1)] * 5 + [(9, 9, 9, 9)] * 5
         oracle_inertia, oracle_partition = brute_force_best_two_partition(points)
         assert oracle_inertia == 0.0
-        model = kmeans_fit(points, k=2, seed=0)
+        model = kmeans_fit(*point_table(points), k=2, seed=0)
         assert model.inertia == 0.0
         got = frozenset(
             frozenset(i for i, c in enumerate(model.assignments) if c == j) for j in range(2)
@@ -70,40 +62,40 @@ class TestKmeansFit:
 
     def test_k_equals_distinct_points_gives_zero_inertia(self):
         points = [(float(i), 1.0, 1.0, 1.0) for i in range(6)]
-        model = kmeans_fit(points, k=6, seed=3)
+        model = kmeans_fit(*point_table(points), k=6, seed=3)
         assert model.inertia == 0.0
         assert sorted(model.centroids) == sorted(tuple(p) for p in points)
         assert sorted(model.assignments) == list(range(6))
 
     def test_k_above_distinct_points_is_infeasible(self):
         with pytest.raises(InfeasibleKError):
-            kmeans_fit([(1, 1, 1, 1)] * 4, k=2, seed=0)
+            kmeans_fit(*point_table([(1, 1, 1, 1)] * 4), k=2, seed=0)
 
     def test_distinct_points_are_counted_across_repeats(self):
         # rows that differ in one column only, repeated out of order
         points = [(1, 2, 3, 4), (1, 2, 3, 5), (0, 2, 3, 4), (1, 2, 3, 4), (1, 2, 3, 5)] * 3
-        assert sum(kmeans_fit(points, k=3, seed=0).cluster_sizes()) == 15
+        assert sum(kmeans_fit(*point_table(points), k=3, seed=0).cluster_sizes()) == 15
         with pytest.raises(InfeasibleKError, match="the 3 distinct"):
-            kmeans_fit(points, k=4, seed=0)
+            kmeans_fit(*point_table(points), k=4, seed=0)
 
     def test_nonpositive_k_rejected(self):
         with pytest.raises(ParameterError):
-            kmeans_fit([(1, 1, 1, 1)], k=0, seed=0)
+            kmeans_fit(*point_table([(1, 1, 1, 1)]), k=0, seed=0)
 
     def test_nonpositive_max_iterations_rejected(self):
         with pytest.raises(ParameterError):
-            kmeans_fit([(1, 1, 1, 1)], k=1, seed=0, max_iterations=0)
+            kmeans_fit(*point_table([(1, 1, 1, 1)]), k=1, seed=0, max_iterations=0)
 
     def test_empty_points_rejected(self):
         with pytest.raises(ParameterError):
-            kmeans_fit([], k=1, seed=0)
+            kmeans_fit([], [], k=1, seed=0)
 
     @pytest.mark.parametrize("seed", [0, 1, 12345])
     def test_deterministic_for_same_seed(self, seed):
         rnd = random.Random(99)
         points = _random_points(rnd, 80)
-        a = kmeans_fit(points, k=5, seed=seed)
-        b = kmeans_fit(points, k=5, seed=seed)
+        a = kmeans_fit(*point_table(points), k=5, seed=seed)
+        b = kmeans_fit(*point_table(points), k=5, seed=seed)
         assert np.array_equal(a.assignments, b.assignments)
         assert a.centroids == b.centroids
         assert a.inertia == b.inertia
@@ -113,7 +105,7 @@ class TestKmeansFit:
         rnd = random.Random(1000 + seed)
         points = _random_points(rnd, rnd.randint(20, 120))
         k = rnd.randint(1, 6)
-        model = kmeans_fit(points, k=k, seed=seed)
+        model = kmeans_fit(*point_table(points), k=k, seed=seed)
         sizes = model.cluster_sizes()
         assert all(size > 0 for size in sizes)
         assert sum(sizes) == len(points)
@@ -134,57 +126,54 @@ class TestKmeansFit:
     @settings(max_examples=25, deadline=None)
     def test_any_seed_is_accepted(self, seed):
         points = [(1, 1, 1, 1), (5, 5, 5, 5), (9, 9, 9, 9), (1, 9, 1, 9)]
-        model = kmeans_fit(points, k=2, seed=seed)
+        model = kmeans_fit(*point_table(points), k=2, seed=seed)
         assert sum(model.cluster_sizes()) == 4
 
 
-class TestSplitByCluster:
-    def _model(self, assignments, k):
-        return ClusterModel(
-            k=k,
-            centroids=tuple((0.0, 0.0, 0.0, 0.0) for _ in range(k)),
-            assignments=np.array(assignments, dtype=np.int64),
-            inertia=0.0,
-            seed=0,
-            iterations_run=1,
-            inertia_history=(0.0,),
-        )
+class TestClusterMaskSplit:
+    """execute mines each cluster on a mask over the row table: the rows of
+    the records assigned to it, each once and in table order, with the
+    number of those records per row."""
 
-    def test_direct_partition(self):
-        codes = np.array([_row(who=1), _row(who=2), _row(who=3)])
-        parts = list(split_by_cluster(codes, self._model([0, 1, 0], k=2)))
-        assert [part.tolist() for part in parts] == [
-            [codes[0].tolist(), codes[2].tolist()],
-            [codes[1].tolist()],
-        ]
+    @pytest.fixture
+    def mined(self, monkeypatch, tmp_path):
+        def run(k: int):
+            source = tmp_path / "bugs.csv"
+            write_csv(source, synthesize_rows(2000, seed=4))
+            calls = []
+            mine_cluster = pipeline._mine_cluster
 
-    def test_single_cluster_identity(self):
-        codes = np.array([_row(who=i) for i in range(5)])
-        [part] = list(split_by_cluster(codes, self._model([0] * 5, k=1)))
-        assert np.array_equal(part, codes)
+            def spy(cluster, rows, counts, config, codebooks):
+                calls.append((cluster, rows, counts))
+                return mine_cluster(cluster, rows, counts, config, codebooks)
 
-    def test_multiset_union_equals_input(self):
-        rnd = random.Random(7)
-        # the assignee column numbers the rows, so each row is identifiable
-        codes = np.array(
-            [
-                _row(rnd.randint(1, 7), rnd.randint(1, 5), rnd.randint(1, 9), rnd.randint(1, 6), i)
-                for i in range(100)
-            ]
-        )
-        model = kmeans_fit(codes[:, :4], k=5, seed=2)
-        parts = list(split_by_cluster(codes, model))
-        assert len(parts) == 5
-        stacked = [tuple(row) for part in parts for row in part.tolist()]
-        assert Counter(stacked) == Counter(tuple(row) for row in codes.tolist())
-        # order preserved within each part
-        for part in parts:
-            positions = part[:, 4].tolist()
-            assert positions == sorted(positions)
+            monkeypatch.setattr(pipeline, "_mine_cluster", spy)
+            return execute(PipelineConfig(input_path=str(source), k=k)), calls
 
-    def test_length_mismatch_is_a_consistency_error(self):
-        with pytest.raises(ConsistencyError):
-            list(split_by_cluster(np.array([_row()]), self._model([0, 0], k=1)))
+        return run
+
+    def test_each_cluster_gets_the_rows_and_counts_of_its_records(self, mined):
+        result, calls = mined(5)
+        records = result.rows[result.index]
+        assert [cluster for cluster, _, _ in calls] == list(range(5))
+        for cluster, rows, counts in calls:
+            given = Counter(dict(zip(map(tuple, rows.tolist()), counts.tolist())))
+            assigned = Counter(map(tuple, records[result.model.assignments == cluster].tolist()))
+            assert len(given) == len(rows) and given == assigned
+            size = result.model.cluster_sizes()[cluster]
+            assert counts.sum() == result.outcomes[cluster].size == size
+
+    def test_the_clusters_partition_the_table_in_table_order(self, mined):
+        result, calls = mined(5)
+        position = {row: i for i, row in enumerate(map(tuple, result.rows.tolist()))}
+        parts = [[position[row] for row in map(tuple, rows.tolist())] for _, rows, _ in calls]
+        assert sorted(i for part in parts for i in part) == list(range(len(result.rows)))
+        assert all(part == sorted(part) for part in parts)
+
+    def test_a_single_cluster_gets_the_whole_table(self, mined):
+        result, [(cluster, rows, counts)] = mined(1)
+        assert cluster == 0 and np.array_equal(rows, result.rows)
+        assert counts.tolist() == np.bincount(result.index).tolist()
 
 
 def test_relabelling_every_assignee_leaves_the_model_unchanged(sample_csv, tmp_path):
@@ -199,7 +188,7 @@ def test_relabelling_every_assignee_leaves_the_model_unchanged(sample_csv, tmp_p
         csv.writer(fh).writerows([header, *rows])
     before = execute(PipelineConfig(input_path=str(sample_csv)))
     after = execute(PipelineConfig(input_path=str(relabelled)))
-    assert not np.array_equal(after.codes[:, 4], before.codes[:, 4])
+    assert not np.array_equal(after.rows[after.index, 4], before.rows[before.index, 4])
     assert_same_model(after.model, before.model)
 
 
@@ -207,7 +196,7 @@ def test_empty_cluster_repair_on_adversarial_data():
     # one far outlier plus two tight clumps forces centroid relocation paths
     points = [(1, 1, 1, 1)] * 30 + [(2, 1, 1, 1)] * 30 + [(50, 50, 50, 50)]
     for seed in range(10):
-        model = kmeans_fit(points, k=3, seed=seed)
+        model = kmeans_fit(*point_table(points), k=3, seed=seed)
         assert all(size > 0 for size in model.cluster_sizes())
         assert sum(model.cluster_sizes()) == len(points)
 
@@ -290,9 +279,9 @@ def test_distinct_vector_steps_equal_the_per_point_fit(case, seed, max_iteration
         expected = per_point_kmeans_fit(points, k, seed, max_iterations)
     except ConsistencyError:
         with pytest.raises(ConsistencyError):
-            kmeans_fit(points, k, seed, max_iterations)
+            kmeans_fit(*point_table(points), k, seed, max_iterations)
         return
-    assert_same_model(kmeans_fit(points, k, seed, max_iterations), expected)
+    assert_same_model(kmeans_fit(*point_table(points), k, seed, max_iterations), expected)
 
 
 @given(duplicated_points(), st.integers(0, 2**32))
@@ -322,16 +311,17 @@ REPAIRED_POINTS = [
 @settings(max_examples=200, deadline=None)
 def test_an_integer_code_view_fits_as_its_float_copy(case, seed, max_iterations):
     points, k = case
-    # a trailing column, so the fit reads a strided view as it reads codes[:, :4]
-    codes = np.column_stack([np.array(points, dtype=np.int64), np.arange(len(points))])
+    # a trailing column, so the fit reads a strided view as it reads rows[:, :4]
+    table, index = point_table(points)
+    codes = np.column_stack([np.array(table, dtype=np.int64), np.arange(len(table))])
     view = codes[:, :-1]
     try:
-        expected = kmeans_fit(view.astype(float), k, seed, max_iterations)
+        expected = kmeans_fit(view.astype(float), index, k, seed, max_iterations)
     except ConsistencyError:
         with pytest.raises(ConsistencyError):
-            kmeans_fit(view, k, seed, max_iterations)
+            kmeans_fit(view, index, k, seed, max_iterations)
         return
-    assert_same_model(kmeans_fit(view, k, seed, max_iterations), expected)
+    assert_same_model(kmeans_fit(view, index, k, seed, max_iterations), expected)
 
 
 def test_a_step_that_empties_a_cluster_runs_the_repair(monkeypatch):
@@ -343,13 +333,13 @@ def test_a_step_that_empties_a_cluster_runs_the_repair(monkeypatch):
         return _assign_with_repair(points, centroids, k)
 
     monkeypatch.setattr(cluster, "_assign_with_repair", spy)
-    model = kmeans_fit(points, k=3, seed=11)
+    model = kmeans_fit(*point_table(points), k=3, seed=11)
     assert len(repairs) == 1
     assert_same_model(model, per_point_kmeans_fit(points, k=3, seed=11))
     assert all(size > 0 for size in model.cluster_sizes())
 
 
 def test_cluster_sizes_are_python_ints():
-    model = kmeans_fit([(1, 1, 1, 1)] * 3 + [(9, 9, 9, 9)], k=2, seed=0)
+    model = kmeans_fit(*point_table([(1, 1, 1, 1)] * 3 + [(9, 9, 9, 9)]), k=2, seed=0)
     assert sorted(model.cluster_sizes()) == [1, 3]
     assert all(type(size) is int for size in model.cluster_sizes())

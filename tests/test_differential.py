@@ -10,7 +10,6 @@ import hypothesis.strategies as st
 from hypothesis import given, reject, settings
 
 from conftest import rule_split
-from triage_miner.cluster import split_by_cluster
 from triage_miner.config import PipelineConfig
 from triage_miner.errors import InfeasibleKError
 from triage_miner.ingest import Attribute
@@ -82,10 +81,11 @@ def test_execute_matches_the_oracles_on_synthetic_data(
             reject()
 
     assert sum(outcome.size for outcome in result.outcomes) == rows
-    parts = split_by_cluster(result.codes, result.model)
-    for outcome, cluster_rows in zip(result.outcomes, parts, strict=True):
-        assert len(cluster_rows) == outcome.size
-        code_rows = cluster_rows.tolist()
+    assert len(result.outcomes) == result.model.k
+    records = result.rows[result.index]
+    for cluster, outcome in enumerate(result.outcomes):
+        code_rows = records[result.model.assignments == cluster].tolist()
+        assert len(code_rows) == outcome.size
         reference = enumerate_frequent_itemsets(code_rows, min_support_count)
         assert itemset_supports(outcome.table) == reference
 

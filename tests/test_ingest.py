@@ -41,8 +41,22 @@ def _csv(text: str) -> io.BytesIO:
     return io.BytesIO(text.encode("utf-8"))
 
 
+def _records(payload: bytes):
+    """read_bug_csv's bug ids, codebooks and each record's code row
+    ``rows[index]``, after checking the table: int64 rows, one int32 index
+    entry per record, each row distinct and used, in first-appearance order."""
+    bug_ids, codebooks, rows, index = read_bug_csv(io.BytesIO(payload), COLUMN_MAP)
+    assert rows.dtype == np.int64 and rows.shape == (len(rows), 5)
+    assert index.dtype == np.int32 and index.shape == (len(bug_ids),)
+    assert len(np.unique(rows, axis=0)) == len(rows)
+    used, first = np.unique(index, return_index=True)
+    assert used.tolist() == list(range(len(rows)))
+    assert (np.diff(first) > 0).all()
+    return bug_ids, codebooks, rows[index]
+
+
 def _read(text: str):
-    return read_bug_csv(_csv(text), COLUMN_MAP)
+    return _records(text.encode("utf-8"))
 
 
 def _row(bug_id="1", severity="Normal", priority="P3", component="General",
@@ -302,8 +316,8 @@ def test_parse_and_encode_are_deterministic(seed):
             f"b{i},normal,P{rnd.randint(1, 5)},C{rnd.randint(0, 5)},O{rnd.randint(0, 3)},A{rnd.randint(0, 6)}"
         )
     payload = ("\n".join(lines) + "\n").encode()
-    ids1, books1, codes1 = read_bug_csv(io.BytesIO(payload), COLUMN_MAP)
-    ids2, books2, codes2 = read_bug_csv(io.BytesIO(payload), COLUMN_MAP)
+    ids1, books1, codes1 = _records(payload)
+    ids2, books2, codes2 = _records(payload)
     assert ids1 == ids2
     assert np.array_equal(codes1, codes2)
     assert all(books1[a].forward == books2[a].forward for a in Attribute)
@@ -385,12 +399,40 @@ def test_reader_matches_reference(rows, column_order, bom, newline):
         lines.append(buffer.getvalue()[:-2] + newline)
     payload = (bom + "".join(lines)).encode("utf-8")
 
-    bug_ids, codebooks, codes = read_bug_csv(io.BytesIO(payload), COLUMN_MAP)
+    bug_ids, codebooks, codes = _records(payload)
     expected_ids, expected_forwards, expected_codes = _reference_read(payload, COLUMN_MAP)
     assert bug_ids == expected_ids
     assert codes.dtype == np.int64 and codes.tolist() == expected_codes
     for attribute, forward in zip(Attribute, expected_forwards):
         assert list(codebooks[attribute].forward.items()) == list(forward.items())
+
+
+@given(
+    st.lists(
+        st.tuples(
+            _cells(["Normal", "major"]),
+            _cells(["P3", "p1"]),
+            _cells(["General", "Sync", "", "--"]),
+            _cells(["Linux", "", "--"]),
+            _cells(["Ada Riley", "ben okafor"]),
+        ),
+        min_size=1,
+        max_size=40,
+    )
+)
+@settings(max_examples=150, deadline=None)
+def test_records_equal_up_to_case_padding_and_blanks_share_a_table_row(cells):
+    """Cells that differ only in case, padding, or "" against "--" encode to
+    one table row: ``rows[index]`` is the reference encoding, with no
+    duplicate row and one row per distinct encoded record."""
+    buffer = io.StringIO()
+    csv.writer(buffer).writerows([_HEADER, *([f"b{i}", *row] for i, row in enumerate(cells))])
+    payload = buffer.getvalue().encode("utf-8")
+    _, _, rows, index = read_bug_csv(io.BytesIO(payload), COLUMN_MAP)
+    _, _, expected_codes = _reference_read(payload, COLUMN_MAP)
+    assert rows[index].tolist() == expected_codes
+    assert len(np.unique(rows, axis=0)) == len(rows)
+    assert len(rows) == len({tuple(row) for row in expected_codes})
 
 
 _cell = st.one_of(
@@ -403,7 +445,7 @@ def _read_or_input_error(payload: bytes) -> None:
     """The ingest path of a run: only InputError subclasses may escape, so
     bad input exits with code 2, never 3."""
     try:
-        bug_ids, _, codes = read_bug_csv(io.BytesIO(payload), COLUMN_MAP)
+        bug_ids, _, codes = _records(payload)
         assert codes.shape == (len(bug_ids), 5)
     except InputError:
         pass

@@ -146,7 +146,8 @@ def test_relabelling_categories_changes_only_rendered_labels(
 
     # applied row by row, a bijection keeps first-appearance order, so every
     # code, count, rule, status and witness is unchanged, in the same order
-    assert np.array_equal(relabelled.codes, original.codes)
+    assert np.array_equal(relabelled.rows, original.rows)
+    assert np.array_equal(relabelled.index, original.index)
     [before], [after] = original.outcomes, relabelled.outcomes
     renamed = mappings[Attribute.ASSIGNEE]
     assert after.top_assignees == [renamed[label] for label in before.top_assignees]

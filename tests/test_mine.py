@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from conftest import random_rows, row_lists
+from conftest import random_rows, row_lists, row_table
 from triage_miner import mine
 from triage_miner.errors import ParameterError
 from triage_miner.ingest import Attribute
@@ -15,8 +15,9 @@ from triage_miner.oracle import Item, Itemset, enumerate_frequent_itemsets, item
 
 
 def supports(rows, min_support_count: int) -> dict:
-    """The mined table of ``rows`` as Itemset -> support count."""
-    return itemset_supports(mine_frequent_itemsets(np.array(rows), min_support_count))
+    """The mined table of ``rows``, given as its distinct rows and their
+    counts, as Itemset -> support count."""
+    return itemset_supports(mine_frequent_itemsets(*row_table(rows), min_support_count))
 
 
 class TestItemset:
@@ -71,16 +72,16 @@ class TestApriori:
         assert all(count == 1 for count in table.values())
 
     def test_unattainable_threshold_gives_empty_table(self):
-        table = mine_frequent_itemsets(np.ones((3, 5), dtype=np.int64), min_support_count=4)
+        table = mine_frequent_itemsets(*row_table(np.ones((3, 5))), min_support_count=4)
         assert table == {}
 
     def test_empty_code_array_gives_empty_table(self):
-        table = mine_frequent_itemsets(np.empty((0, 5), dtype=np.int64), min_support_count=1)
+        table = mine_frequent_itemsets(*row_table(np.empty((0, 5))), min_support_count=1)
         assert table == {}
 
     def test_parameter_validation(self):
         with pytest.raises(ParameterError):
-            mine_frequent_itemsets(np.empty((0, 5), dtype=np.int64), min_support_count=0)
+            mine_frequent_itemsets(*row_table(np.empty((0, 5))), min_support_count=0)
 
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("min_support", [1, 2, 3])
@@ -177,7 +178,7 @@ def code_arrays(draw) -> np.ndarray:
 @given(code_arrays(), st.integers(1, 3))
 @settings(max_examples=80, deadline=None)
 def test_projections_match_a_sorting_reference(codes, min_support):
-    table = mine_frequent_itemsets(codes, min_support)
+    table = mine_frequent_itemsets(*row_table(codes), min_support)
     got = {
         subset: (values.tolist(), counts.tolist(), parent_counts.tolist())
         for subset, (values, counts, parent_counts) in table.items()
@@ -202,11 +203,28 @@ def test_key_spaces_fall_on_both_sides_of_the_tally_threshold(
     sides = []
     group_keys = mine.group_keys
 
-    def spy(keys, key_space):
+    def spy(keys, key_space, weights=None):
         sides.append(key_space > mine._TALLY_KEYS_PER_ROW * len(keys))
-        return group_keys(keys, key_space)
+        return group_keys(keys, key_space, weights)
 
     monkeypatch.setattr(mine, "group_keys", spy)
     table = supports(codes, 1)
     assert any(sides) == sorted_somewhere and not all(sides)
     assert table == enumerate_frequent_itemsets(codes.tolist(), 1)
+
+
+@given(code_arrays(), st.integers(1, 3), st.randoms(use_true_random=False))
+@settings(max_examples=80, deadline=None)
+def test_any_table_of_the_same_records_mines_alike(codes, min_support, rnd):
+    """The weighted walk sees only the records a table stands for: their
+    distinct rows with counts, or every record once in any order, mine to
+    the same projections, array for array."""
+    order = list(range(len(codes)))
+    rnd.shuffle(order)
+    distinct = mine_frequent_itemsets(*row_table(codes), min_support)
+    each_once = mine_frequent_itemsets(codes[order], np.ones(len(codes), np.int64), min_support)
+    assert list(distinct) == list(each_once)
+    for subset, projection in distinct.items():
+        for got, expected in zip(each_once[subset], projection):
+            assert got.dtype == expected.dtype == np.int64
+            assert np.array_equal(got, expected), subset

@@ -13,7 +13,7 @@ import pytest
 
 from conftest import rule_table
 
-from triage_miner import mine, pipeline, report
+from triage_miner import cluster, mine, pipeline, report, rules
 from triage_miner.config import PipelineConfig
 from triage_miner.ingest import Attribute
 from triage_miner.mine import Projection
@@ -140,6 +140,31 @@ class TestAuditRows:
         assert "cluster outcomes do not match the model's clusters" in audit_result(doctored)
 
 
+class TestAuditTable:
+    UNMAPPED = "the record index does not map the records onto every table row"
+
+    def test_the_runs_own_table_passes(self, sample_result):
+        assert audit_result(sample_result) == []
+
+    @pytest.mark.parametrize("outside", [-1, "rows"])
+    def test_an_index_outside_the_table_is_reported(self, sample_result, outside):
+        index = sample_result.index.copy()
+        index[3] = len(sample_result.rows) if outside == "rows" else outside
+        doctored = dataclasses.replace(sample_result, index=index)
+        assert audit_result(doctored) == [self.UNMAPPED]
+
+    def test_a_row_no_record_uses_is_reported(self, sample_result):
+        rows = np.vstack([sample_result.rows, sample_result.rows[:1]])
+        assert audit_result(dataclasses.replace(sample_result, rows=rows)) == [self.UNMAPPED]
+
+    def test_a_record_sent_to_a_row_of_another_cluster_is_reported(self, sample_result):
+        index, assignments = sample_result.index.copy(), sample_result.model.assignments
+        other = index[np.flatnonzero(assignments != assignments[0])[0]]
+        index[0] = other
+        doctored = dataclasses.replace(sample_result, index=index)
+        assert "some record is not assigned to its nearest centroid" in audit_result(doctored)
+
+
 def _reachable(root, kind=np.ndarray) -> list:
     """Every ``kind`` reachable from ``root`` through the fields of the
     package's objects (cached properties included), mappings and sequences."""
@@ -161,20 +186,74 @@ def _reachable(root, kind=np.ndarray) -> list:
 
 
 def test_the_run_holds_one_copy_of_the_records(tmp_path):
+    """After ingest the records are the row table and the index: the only
+    reachable arrays with one entry per record are the index and the
+    assignments, and no (n, 5) array is reachable."""
     source = tmp_path / "bugs.csv"
     write_csv(source, synthesize_rows(3000, seed=5))
     result = execute(PipelineConfig(input_path=str(source)))
-    per_record = [a for a in _reachable(result) if a.ndim and len(a) == 3000]
-    kept = (result.codes, result.model.assignments)
+    arrays = _reachable(result)
+    per_record = [a for a in arrays if a.ndim and len(a) == 3000]
+    kept = (result.index, result.model.assignments)
     copies = [(a.dtype, a.shape) for a in per_record if not any(a is k for k in kept)]
     assert len(per_record) == len(kept) and not copies, copies
+    assert not [a.shape for a in arrays if a.shape == (3000, 5)]
+    assert result.rows.shape == (len(np.unique(result.rows, axis=0)), 5)
+    assert len(result.rows) < 3000
     for index, outcome in enumerate(result.outcomes):
         arrays = _reachable(outcome)
         assert arrays, "the walk reaches the rule tables"
         assert not [a.shape for a in arrays if a.ndim and len(a) == outcome.size], index
 
 
+def test_every_stage_after_ingest_runs_on_the_table(tmp_path, monkeypatch):
+    """k-means, mining and the audit get no array with a row per record but
+    the index, and distinct_rows never runs over the records."""
+    source = tmp_path / "bugs.csv"
+    write_csv(source, synthesize_rows(3000, seed=5))
+    seen = []
+
+    def spying(module, name):
+        function = getattr(module, name)
+
+        def spy(*args, **kwargs):
+            seen.append((name, [a.shape for a in args if isinstance(a, np.ndarray)]))
+            return function(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, spy)
+
+    for name in ("kmeans_fit", "mine_frequent_itemsets", "top_assignees", "audit_result"):
+        spying(pipeline, name)
+    spying(cluster, "distinct_rows")
+    spying(rules, "distinct_rows")
+    assert not hasattr(pipeline, "distinct_rows")
+    execute(PipelineConfig(input_path=str(source)))
+    assert {name for name, _ in seen} == {
+        "kmeans_fit", "mine_frequent_itemsets", "top_assignees", "audit_result", "distinct_rows"
+    }
+    per_record = [(name, shape) for name, shapes in seen for shape in shapes if 3000 in shape]
+    assert per_record == [("kmeans_fit", (3000,))], per_record
+
+
 class TestRunVerify:
+    def test_catches_a_doctored_count_given_to_the_miner(self, sample_csv, monkeypatch):
+        """verify tallies the records themselves, so one table count off by
+        one in every cluster shows as miscounted itemsets in every cluster."""
+        mine_frequent_itemsets = pipeline.mine_frequent_itemsets
+
+        def doctored(rows, counts, min_support_count):
+            counts = counts.copy()
+            counts[0] += 1
+            return mine_frequent_itemsets(rows, counts, min_support_count)
+
+        monkeypatch.setattr(pipeline, "mine_frequent_itemsets", doctored)
+        result = execute(PipelineConfig(input_path=str(sample_csv)))
+        ok, lines = run_verify(result)
+        assert not ok
+        mismatch = r"cluster (\d): FREQUENT-ITEMSET MISMATCH \(missing \d+, extra \d+,"
+        clusters = [re.match(mismatch + r" miscounted [1-9]", line) for line in lines]
+        assert [int(match[1]) for match in clusters if match] == list(range(result.model.k))
+
     def test_checks_the_runs_own_itemset_table(self, sample_result):
         table = dict(sample_result.outcomes[1].table)
         subset, projection = next(iter(table.items()))

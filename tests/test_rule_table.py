@@ -9,7 +9,7 @@ import hypothesis.strategies as st
 import numpy as np
 from hypothesis import given, settings
 
-from conftest import row_lists, rule_lists, rule_split, rule_table, simple_codebooks
+from conftest import row_lists, row_table, rule_lists, rule_split, rule_table, simple_codebooks
 from triage_miner.ingest import Attribute
 from triage_miner.mine import Projection, Subset, mine_frequent_itemsets
 from triage_miner.oracle import Item, Itemset, Rule, rule_objects
@@ -136,7 +136,7 @@ def assert_matches_reference(rules: list[Rule], partition, codebooks, ordered=Tr
 )
 @settings(max_examples=150, deadline=None)
 def test_rule_stage_matches_the_object_reference(rows, min_support_count, min_confidence, allowed):
-    table = mine_frequent_itemsets(np.array(rows), min_support_count)
+    table = mine_frequent_itemsets(*row_table(rows), min_support_count)
     rules = generate_class_rules(table, min_confidence, allowed)
     expected = reference_generate(table, min_confidence, allowed)
     assert rule_objects(rules) == expected

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from conftest import random_rows, random_rules, rule_lists, rule_table, split_rules
+from conftest import random_rows, random_rules, row_table, rule_lists, rule_table, split_rules
 from triage_miner.errors import DuplicateRuleError, ParameterError
 from triage_miner.ingest import Attribute
 from triage_miner.mine import Projection, Subset, mine_frequent_itemsets
@@ -138,7 +138,7 @@ class TestGenerateClassRules:
             antecedent = Itemset(i for i in itemset if i != consequent)
             if count / reference[antecedent] >= 0.3:
                 expected.add((antecedent.items, consequent, count, reference[antecedent]))
-        table = mine_frequent_itemsets(np.array(rows), 2)
+        table = mine_frequent_itemsets(*row_table(rows), 2)
         rules = _generate(table, 0.3, allowed)
         got = {(r.antecedent.items, r.consequent, r.support_count, r.antecedent_count) for r in rules}
         assert got == expected
@@ -304,25 +304,32 @@ def test_confidence_rank_is_the_dense_rank_of_the_fractions(pairs):
 
 
 class TestTopAssignees:
-    def _records(self, counts: dict[int, int]) -> np.ndarray:
-        """An assignee code column holding each code ``count`` times."""
-        return np.repeat(list(counts), list(counts.values()))
+    def _records(self, counts: dict[int, int]) -> tuple[np.ndarray, np.ndarray]:
+        """An assignee code column holding each code ``count`` times, one
+        record per row, and the rows' counts."""
+        codes = np.repeat(list(counts), list(counts.values()))
+        return codes, np.ones(len(codes), dtype=np.int64)
 
     def test_count_then_code_tie_break(self):
         records = self._records({1: 5, 2: 3, 3: 3, 4: 1})
-        assert top_assignees(records, 2) == [1, 2]
+        assert top_assignees(*records, 2) == [1, 2]
 
     def test_saturation_returns_all(self):
         records = self._records({5: 2, 9: 1})
-        assert top_assignees(records, 10) == [5, 9]
+        assert top_assignees(*records, 10) == [5, 9]
 
     def test_all_tied_returns_lowest_codes(self):
         records = self._records({4: 2, 2: 2, 8: 2, 6: 2})
-        assert top_assignees(records, 2) == [2, 4]
+        assert top_assignees(*records, 2) == [2, 4]
+
+    def test_rows_count_as_their_counts(self):
+        # code 3 has 6 bugs over two rows; code 1 has more rows but 3 bugs
+        codes, counts = np.array([1, 3, 1, 1, 3]), np.array([1, 4, 1, 1, 2])
+        assert top_assignees(codes, counts, 2) == [3, 1]
 
     def test_empty_records_rejected(self):
         with pytest.raises(ParameterError):
-            top_assignees(np.empty(0, dtype=np.int64), 5)
+            top_assignees(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), 5)
 
 
 class TestEliminateRedundant:
@@ -422,7 +429,7 @@ class TestEliminateRedundant:
         assert set(again.redundant) == set(partition.redundant)
 
     def test_sorted_input_keeps_its_order(self):
-        table = mine_frequent_itemsets(np.array(random_rows(random.Random(5), 200, 4)), 1)
+        table = mine_frequent_itemsets(*row_table(random_rows(random.Random(5), 200, 4)), 1)
         rules = _generate(table, 0.0, range(1, 5))
         partition = split_rules(rules)
         essential = set(partition.essential)
