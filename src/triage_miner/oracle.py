@@ -7,7 +7,9 @@ of one consequent rather than the level-wise sweep. Their cost grows with
 the distinct rows (31 subsets each) and with the square of the rules per
 consequent, not with the rows or the square of all rules, which lets
 ``verify`` check every cluster by default.
-Items, Itemsets and Rules live here, built from a run's arrays only for them.
+Items and Rules live here, built from a run's arrays only for them. An
+itemset is a plain tuple of Items in attribute order, as every caller builds
+it; a rule's antecedent is a frozenset, so containment is a set comparison.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .ingest import Attribute
 from .mine import Projection, Subset
@@ -30,20 +32,7 @@ class Item(NamedTuple):
     code: int
 
 
-@dataclass(frozen=True, init=False)
-class Itemset:
-    """An immutable set of Items with canonical ordering for hashing/equality."""
-
-    items: tuple[Item, ...]
-
-    def __init__(self, items: Iterable[Item] = ()):
-        object.__setattr__(self, "items", tuple(sorted(set(items))))
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-    def __iter__(self) -> Iterator[Item]:
-        return iter(self.items)
+Itemset = tuple[Item, ...]  # in attribute order, at most one Item per attribute
 
 
 @dataclass(frozen=True)
@@ -55,7 +44,7 @@ class Rule:
     confidence is the exact ratio of the two.
     """
 
-    antecedent: Itemset
+    antecedent: frozenset[Item]
     consequent: Item
     support_count: int
     antecedent_count: int
@@ -67,7 +56,7 @@ class Rule:
     @property
     def key(self) -> tuple:
         """Identity: antecedent plus consequent."""
-        return (self.antecedent.items, self.consequent)
+        return (self.antecedent, self.consequent)
 
 
 def rule_objects(table: RuleTable) -> list[Rule]:
@@ -75,7 +64,7 @@ def rule_objects(table: RuleTable) -> list[Rule]:
     columns = (table.codes, table.consequent, table.support, table.antecedent_count)
     return [
         Rule(
-            Itemset(Item(Attribute(a), code) for a, code in enumerate(codes) if code >= 0),
+            frozenset(Item(Attribute(a), code) for a, code in enumerate(codes) if code >= 0),
             Item(Attribute.ASSIGNEE, consequent),
             support,
             antecedent_count,
@@ -87,7 +76,7 @@ def rule_objects(table: RuleTable) -> list[Rule]:
 def itemset_supports(projections: Mapping[Subset, Projection]) -> dict[Itemset, int]:
     """Itemset -> support count of every group of a mined projection table."""
     return {
-        Itemset(map(Item, subset, row)): count
+        tuple(map(Item, subset, row)): count
         for subset, (values, counts, _) in projections.items()
         for row, count in zip(values.tolist(), counts.tolist())
     }
@@ -104,7 +93,7 @@ def enumerate_frequent_itemsets(
         items = [Item(attribute, code) for attribute, code in zip(Attribute, row)]
         for size in range(1, len(items) + 1):
             for combo in combinations(items, size):
-                counts[Itemset(combo)] += weight
+                counts[combo] += weight
     return {
         itemset: count for itemset, count in counts.items() if count >= min_support_count
     }
@@ -115,7 +104,7 @@ def _naive_subsumes(witness: Rule, rule: Rule) -> bool:
     # plus Fraction comparison instead of cross-multiplied counts
     return (
         witness.consequent == rule.consequent
-        and set(witness.antecedent.items) < set(rule.antecedent.items)
+        and witness.antecedent < rule.antecedent
         and witness.confidence_fraction >= rule.confidence_fraction
     )
 
@@ -126,7 +115,8 @@ def essential_rules_naive(rules: Sequence[Rule]) -> set[tuple]:
     only rules of its own consequent).
 
     A rule is essential iff no essential rule subsumes it; the recursion is
-    well-founded because subsumption strictly shrinks the antecedent.
+    well-founded, and no rule is its own witness, because subsumption
+    strictly shrinks the antecedent.
     """
     by_consequent: dict[Item, list[Rule]] = {}
     for rule in rules:
@@ -138,7 +128,6 @@ def essential_rules_naive(rules: Sequence[Rule]) -> set[tuple]:
             cache[rule.key] = not any(
                 _naive_subsumes(other, rule) and essential(other)
                 for other in by_consequent[rule.consequent]
-                if other.key != rule.key
             )
         return cache[rule.key]
 
@@ -152,6 +141,6 @@ def witness_is_valid(rule: Rule, witness: Rule, essential_keys: set[tuple]) -> b
         witness.key in essential_keys
         and witness.consequent == rule.consequent
         and len(witness.antecedent) < len(rule.antecedent)
-        and set(witness.antecedent.items) < set(rule.antecedent.items)
+        and witness.antecedent < rule.antecedent
         and witness.confidence_fraction >= rule.confidence_fraction
     )

@@ -176,11 +176,11 @@ def audit_result(result: PipelineResult) -> list[str]:
 
     if len(result.outcomes) != model.k:
         problems.append("cluster outcomes do not match the model's clusters")
-    for index, outcome in enumerate(result.outcomes):
-        label = f"cluster {index}"
-        if index < model.k and outcome.size != sizes[index]:  # the cluster's summed counts
+    for cluster, outcome in enumerate(result.outcomes):
+        label = f"cluster {cluster}"
+        if cluster < model.k and outcome.size != sizes[cluster]:  # the cluster's summed counts
             problems.append(
-                f"{label}: size {outcome.size} is not the {sizes[index]} records assigned to it"
+                f"{label}: size {outcome.size} is not the {sizes[cluster]} records assigned to it"
             )
         problems += [f"{label}: {p}" for p in _audit_rules(outcome.partition, result.config)]
     return problems

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from triage_miner.ingest import Attribute, Codebook
-from triage_miner.oracle import Item, Itemset, Rule, rule_objects
+from triage_miner.oracle import Item, Rule, rule_objects
 from triage_miner.report import ClusterOutcome, render_partition
 from triage_miner.rules import RulePartition, RuleTable, eliminate_redundant
 
@@ -78,9 +78,9 @@ def random_rules(rnd: random.Random, max_rules: int = 50, max_count: int = 60) -
     while len(by_key) < n:
         size = rnd.randint(1, 4)
         attrs = rnd.sample(NON_ASSIGNEE_ATTRIBUTES, size)
-        antecedent = Itemset(Item(a, rnd.randint(1, 3)) for a in attrs)
+        antecedent = frozenset(Item(a, rnd.randint(1, 3)) for a in attrs)
         consequent = Item(Attribute.ASSIGNEE, rnd.randint(1, 3))
-        key = (antecedent.items, consequent)
+        key = (antecedent, consequent)
         if key in by_key:
             continue
         antecedent_count = rnd.randint(1, max_count)
@@ -107,9 +107,9 @@ def rule_lists(draw, max_rules: int = 30, max_count: int = 40):
         attrs = draw(
             st.sets(st.sampled_from(NON_ASSIGNEE_ATTRIBUTES), min_size=1, max_size=4)
         )
-        antecedent = Itemset(Item(a, draw(st.integers(1, 3))) for a in sorted(attrs))
+        antecedent = frozenset(Item(a, draw(st.integers(1, 3))) for a in sorted(attrs))
         consequent = Item(Attribute.ASSIGNEE, draw(st.integers(1, 3)))
-        key = (antecedent.items, consequent)
+        key = (antecedent, consequent)
         if key in by_key:
             continue
         antecedent_count = draw(st.integers(1, max_count))

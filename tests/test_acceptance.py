@@ -32,7 +32,6 @@ from triage_miner.ingest import Attribute, Codebook
 from triage_miner.mine import mine_frequent_itemsets
 from triage_miner.oracle import (
     Item,
-    Itemset,
     Rule,
     enumerate_frequent_itemsets,
     itemset_supports,
@@ -208,7 +207,7 @@ def test_criterion_6_rendering_matches_pinned_strings():
     cases = [
         (
             Rule(
-                Itemset(
+                frozenset(
                     [
                         Item(Attribute.SEVERITY, 4),
                         Item(Attribute.PRIORITY, 3),
@@ -225,7 +224,7 @@ def test_criterion_6_rendering_matches_pinned_strings():
         ),
         (
             Rule(
-                Itemset(
+                frozenset(
                     [Item(Attribute.OPERATING_SYSTEM, 2), Item(Attribute.COMPONENT, 2)]
                 ),
                 Item(Attribute.ASSIGNEE, 2),
@@ -236,7 +235,7 @@ def test_criterion_6_rendering_matches_pinned_strings():
         ),
         (
             Rule(
-                Itemset(
+                frozenset(
                     [
                         Item(Attribute.SEVERITY, 4),
                         Item(Attribute.PRIORITY, 3),

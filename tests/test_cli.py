@@ -481,9 +481,19 @@ class TestVerifyCommand:
         code = cli.main(["verify", "--input", str(sample_csv)])
         out = capsys.readouterr().out
         assert code == 0
-        assert "verification passed" in out
-        assert "itemsets OK" in out
-        assert "redundancy OK" in out
+        assert out.splitlines() == [
+            "cluster 0: itemsets OK (91 frequent itemsets)",
+            "cluster 0: redundancy OK (37 rules, 21 essential)",
+            "cluster 1: itemsets OK (159 frequent itemsets)",
+            "cluster 1: redundancy OK (62 rules, 41 essential)",
+            "cluster 2: itemsets OK (374 frequent itemsets)",
+            "cluster 2: redundancy OK (158 rules, 81 essential)",
+            "cluster 3: itemsets OK (150 frequent itemsets)",
+            "cluster 3: redundancy OK (63 rules, 41 essential)",
+            "cluster 4: itemsets OK (160 frequent itemsets)",
+            "cluster 4: redundancy OK (65 rules, 47 essential)",
+            "verification passed",
+        ]
 
     def test_caps_skip_large_clusters(self, sample_csv, capsys):
         code = cli.main(["verify", "--input", str(sample_csv), "--max-transactions", "1"])

@@ -14,7 +14,6 @@ from triage_miner.config import PipelineConfig
 from triage_miner.errors import InfeasibleKError
 from triage_miner.ingest import Attribute
 from triage_miner.oracle import (
-    Itemset,
     enumerate_frequent_itemsets,
     essential_rules_naive,
     itemset_supports,
@@ -24,16 +23,16 @@ from triage_miner.synth import synthesize_rows, write_csv
 
 
 def _reference_rules(reference: dict, allowed: set, min_confidence: float) -> set:
-    """(antecedent items, consequent, support, antecedent count) of every
+    """(antecedent, consequent, support, antecedent count) of every
     class rule read straight off an oracle itemset table."""
     rules = set()
     for itemset, count in reference.items():
         consequents = [item for item in itemset if item.attribute == Attribute.ASSIGNEE]
         if len(itemset) < 2 or len(consequents) != 1 or consequents[0].code not in allowed:
             continue
-        antecedent = Itemset(item for item in itemset if item != consequents[0])
+        antecedent = tuple(item for item in itemset if item != consequents[0])
         if count / reference[antecedent] >= min_confidence:
-            rules.add((antecedent.items, consequents[0], count, reference[antecedent]))
+            rules.add((frozenset(antecedent), consequents[0], count, reference[antecedent]))
     return rules
 
 
@@ -97,7 +96,7 @@ def test_execute_matches_the_oracles_on_synthetic_data(
         split = rule_split(outcome.partition)
         rules = split.all_rules()
         assert {
-            (rule.antecedent.items, rule.consequent, rule.support_count, rule.antecedent_count)
+            (rule.antecedent, rule.consequent, rule.support_count, rule.antecedent_count)
             for rule in rules
         } == _reference_rules(reference, set(ranked), min_confidence)
         assert {rule.key for rule in split.essential} == essential_rules_naive(rules)

@@ -11,25 +11,29 @@ from triage_miner import mine
 from triage_miner.errors import ParameterError
 from triage_miner.ingest import Attribute
 from triage_miner.mine import mine_frequent_itemsets
-from triage_miner.oracle import Item, Itemset, enumerate_frequent_itemsets, itemset_supports
+from triage_miner.oracle import Item, enumerate_frequent_itemsets, itemset_supports
 
 
 def supports(rows, min_support_count: int) -> dict:
     """The mined table of ``rows``, given as its distinct rows and their
-    counts, as Itemset -> support count."""
+    counts, as itemset (a tuple of Items) -> support count."""
     return itemset_supports(mine_frequent_itemsets(*row_table(rows), min_support_count))
 
 
-class TestItemset:
-    def test_canonical_order_and_equality(self):
-        a = Itemset([Item(Attribute.ASSIGNEE, 2), Item(Attribute.SEVERITY, 1)])
-        b = Itemset([Item(Attribute.SEVERITY, 1), Item(Attribute.ASSIGNEE, 2)])
-        assert a == b and hash(a) == hash(b)
-        assert a.items[0].attribute == Attribute.SEVERITY
-
-    def test_duplicates_collapse(self):
-        item = Item(Attribute.PRIORITY, 3)
-        assert len(Itemset([item, item])) == 1
+@given(row_lists(max_transactions=30, max_codes=4), st.integers(1, 4))
+@settings(max_examples=60, deadline=None)
+def test_both_oracles_key_itemsets_as_tuples_in_attribute_order(rows, min_support):
+    """An itemset is a plain tuple of Items, one per attribute in strictly
+    increasing attribute order, as both oracles build it; so the same
+    itemset is the same key in each, and their dicts compare equal."""
+    reference = enumerate_frequent_itemsets(rows, min_support)
+    mined = supports(rows, min_support)
+    for itemset in [*reference, *mined]:
+        assert type(itemset) is tuple and itemset
+        assert all(type(item) is Item for item in itemset)
+        attributes = [item.attribute for item in itemset]
+        assert all(a < b for a, b in zip(attributes, attributes[1:]))
+    assert mined == reference
 
 
 def classic_baskets() -> np.ndarray:
@@ -56,15 +60,15 @@ class TestApriori:
         item_b = Item(Attribute.OPERATING_SYSTEM, 1)
         item_c = Item(Attribute.ASSIGNEE, 1)
         expected = {
-            Itemset([item_a]): 3,
-            Itemset([item_b]): 3,
-            Itemset([item_c]): 3,
-            Itemset([item_a, item_b]): 2,
-            Itemset([item_a, item_c]): 2,
-            Itemset([item_b, item_c]): 2,
+            (item_a,): 3,
+            (item_b,): 3,
+            (item_c,): 3,
+            (item_a, item_b): 2,
+            (item_a, item_c): 2,
+            (item_b, item_c): 2,
         }
         assert table == expected
-        assert Itemset([item_a, item_b, item_c]) not in table  # support 1
+        assert (item_a, item_b, item_c) not in table  # support 1
 
     def test_single_transaction_all_subsets(self):
         table = supports([(1, 2, 3, 4, 5)], min_support_count=1)
@@ -104,8 +108,7 @@ def test_downward_closure_and_antimonotonicity(rows):
     for itemset, count in table.items():
         assert count >= 2
         for size in range(1, len(itemset)):
-            for subset in combinations(itemset.items, size):
-                sub = Itemset(subset)
+            for sub in combinations(itemset, size):
                 assert sub in table
                 assert table[sub] >= count
 

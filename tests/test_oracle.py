@@ -13,7 +13,6 @@ from conftest import row_lists, rule_lists
 from triage_miner.ingest import Attribute
 from triage_miner.oracle import (
     Item,
-    Itemset,
     _naive_subsumes,
     enumerate_frequent_itemsets,
     essential_rules_naive,
@@ -26,7 +25,7 @@ def reference_frequent_itemsets(rows, min_support_count):
         items = [Item(attribute, code) for attribute, code in zip(Attribute, row)]
         for size in range(1, len(items) + 1):
             for combo in combinations(items, size):
-                counts[Itemset(combo)] += 1
+                counts[combo] += 1
     return {itemset: count for itemset, count in counts.items() if count >= min_support_count}
 
 
@@ -59,9 +58,16 @@ def test_per_consequent_fixpoint_matches_the_all_rules_fixpoint(rules):
     assert essential_rules_naive(rules) == reference_essential_rules(rules)
 
 
+@settings(deadline=None)
+@given(rule_lists(max_rules=40, max_count=12))
+def test_no_rule_subsumes_itself(rules):
+    """Why the fixpoint needs no self-filter: containment is strict."""
+    assert not any(_naive_subsumes(rule, rule) for rule in rules)
+
+
 def test_duplicate_rows_weigh_their_count():
     rows = [(1, 1, 1, 1, 1)] * 3 + [(1, 2, 1, 1, 2)]
     table = enumerate_frequent_itemsets(rows, 3)
-    assert table[Itemset([Item(Attribute.SEVERITY, 1)])] == 4
-    assert table[Itemset(Item(attribute, 1) for attribute in Attribute)] == 3
-    assert Itemset([Item(Attribute.ASSIGNEE, 2)]) not in table
+    assert table[(Item(Attribute.SEVERITY, 1),)] == 4
+    assert table[tuple(Item(attribute, 1) for attribute in Attribute)] == 3
+    assert (Item(Attribute.ASSIGNEE, 2),) not in table

@@ -17,7 +17,7 @@ from triage_miner import cluster, mine, pipeline, report, rules
 from triage_miner.config import PipelineConfig
 from triage_miner.ingest import Attribute
 from triage_miner.mine import Projection
-from triage_miner.oracle import Item, Itemset, Rule, rule_objects, witness_is_valid
+from triage_miner.oracle import Item, Rule, rule_objects, witness_is_valid
 from triage_miner.pipeline import (
     PipelineResult,
     _audit_rules,
@@ -86,12 +86,12 @@ class TestAuditRuleTable:
 
     def _problems(self, witness_of_row_1=0, essential_row_0=True, extra=()) -> list[str]:
         rules = [
-            Rule(Itemset([self.SEV4]), Item(Attribute.ASSIGNEE, 9), 6, 10),  # the witness
-            Rule(Itemset([self.SEV4, self.PRI3]), Item(Attribute.ASSIGNEE, 9), 5, 10),
-            Rule(Itemset([self.SEV4]), Item(Attribute.ASSIGNEE, 1), 6, 10),  # other assignee
-            Rule(Itemset([self.SEV5]), Item(Attribute.ASSIGNEE, 9), 6, 10),  # other code
-            Rule(Itemset([self.PRI3]), Item(Attribute.ASSIGNEE, 9), 4, 10),  # less confident
-            Rule(Itemset([self.SEV4, self.OS1]), Item(Attribute.ASSIGNEE, 9), 7, 10),  # same size
+            Rule(frozenset([self.SEV4]), Item(Attribute.ASSIGNEE, 9), 6, 10),  # the witness
+            Rule(frozenset([self.SEV4, self.PRI3]), Item(Attribute.ASSIGNEE, 9), 5, 10),
+            Rule(frozenset([self.SEV4]), Item(Attribute.ASSIGNEE, 1), 6, 10),  # other assignee
+            Rule(frozenset([self.SEV5]), Item(Attribute.ASSIGNEE, 9), 6, 10),  # other code
+            Rule(frozenset([self.PRI3]), Item(Attribute.ASSIGNEE, 9), 4, 10),  # less confident
+            Rule(frozenset([self.SEV4, self.OS1]), Item(Attribute.ASSIGNEE, 9), 7, 10),  # same size
             *extra,
         ]
         witness = np.full(len(rules), -1)
@@ -109,8 +109,8 @@ class TestAuditRuleTable:
 
     def test_an_out_of_range_witness_is_reported(self):
         rules = [
-            Rule(Itemset([self.SEV4, self.PRI3]), Item(Attribute.ASSIGNEE, 9), 5, 10),
-            Rule(Itemset([self.SEV4]), Item(Attribute.ASSIGNEE, 9), 6, 10),
+            Rule(frozenset([self.SEV4, self.PRI3]), Item(Attribute.ASSIGNEE, 9), 5, 10),
+            Rule(frozenset([self.SEV4]), Item(Attribute.ASSIGNEE, 9), 6, 10),
         ]
         partition = RulePartition(rule_table(rules), np.array([2, -1]))
         assert _audit_rules(partition, self.CONFIG) == ["invalid witness (1 rules, first row 0)"]
@@ -119,8 +119,8 @@ class TestAuditRuleTable:
         assert self._problems(essential_row_0=False) == ["invalid witness (2 rules, first row 0)"]
 
     def test_thresholds_are_rechecked(self):
-        low_support = Rule(Itemset([self.OS1]), Item(Attribute.ASSIGNEE, 9), 1, 2)
-        low_confidence = Rule(Itemset([self.OS1]), Item(Attribute.ASSIGNEE, 1), 2, 10)
+        low_support = Rule(frozenset([self.OS1]), Item(Attribute.ASSIGNEE, 9), 1, 2)
+        low_confidence = Rule(frozenset([self.OS1]), Item(Attribute.ASSIGNEE, 1), 2, 10)
         assert self._problems(extra=[low_support, low_confidence]) == [
             "rules below min support (1 rules, first row 6)",
             "rules below min confidence (1 rules, first row 7)",
@@ -297,7 +297,6 @@ def test_run_builds_no_rule_objects(sample_csv, tmp_path, monkeypatch):
         raise AssertionError("object built")
 
     monkeypatch.setattr(Rule, "__init__", forbidden)
-    monkeypatch.setattr(Itemset, "__init__", forbidden)
     monkeypatch.setattr(Item, "__new__", forbidden)
     # the object view lives in the oracle only
     assert not hasattr(mine, "Item") and not hasattr(mine, "Itemset")

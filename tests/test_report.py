@@ -25,7 +25,7 @@ from triage_miner import report
 from triage_miner.cluster import ClusterModel
 from triage_miner.errors import ConsistencyError, UnknownCategoryError
 from triage_miner.ingest import Attribute, Codebook
-from triage_miner.oracle import Item, Itemset, Rule
+from triage_miner.oracle import Item, Rule
 from triage_miner.report import (
     build_summary,
     confidence_percents,
@@ -62,7 +62,7 @@ def _codebooks_for(component_labels, os_labels, assignee_labels):
 
 
 def _rule(items, consequent_code, support, antecedent_count) -> Rule:
-    return Rule(Itemset(items), Item(Attribute.ASSIGNEE, consequent_code), support, antecedent_count)
+    return Rule(frozenset(items), Item(Attribute.ASSIGNEE, consequent_code), support, antecedent_count)
 
 
 def format_confidence_percent(support: int, antecedent_count: int) -> str:

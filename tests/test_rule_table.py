@@ -1,5 +1,5 @@
 """Differential tests of the columnar rule stage against an object-based
-reference: a test-local copy of the per-rule `Rule`/`Itemset` implementation
+reference: a test-local copy of the per-rule `Rule` implementation
 of generate -> eliminate -> render that the rule table replaced. Rule order,
 the essential set, every witness and every rendered string must agree."""
 
@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from conftest import row_lists, row_table, rule_lists, rule_split, rule_table, simple_codebooks
 from triage_miner.ingest import Attribute
 from triage_miner.mine import Projection, Subset, mine_frequent_itemsets
-from triage_miner.oracle import Item, Itemset, Rule, rule_objects
+from triage_miner.oracle import Item, Rule, rule_objects
 from triage_miner.report import RENDER_ORDER, render_partition
 from triage_miner.rules import eliminate_redundant, generate_class_rules
 
@@ -37,7 +37,7 @@ def reference_generate(
         passing = np.isin(values[:, -1], allowed) & (support / antecedent_counts >= min_confidence)
         rows, counts = values[passing].tolist(), support[passing].tolist()
         rules += [
-            Rule(Itemset(map(Item, subset, row[:-1])), Item(Attribute.ASSIGNEE, row[-1]), s, a)
+            Rule(frozenset(map(Item, subset, row[:-1])), Item(Attribute.ASSIGNEE, row[-1]), s, a)
             for row, s, a in zip(rows, counts, antecedent_counts[passing].tolist())
         ]
     shift = 2 * max((rule.antecedent_count for rule in rules), default=0).bit_length()
@@ -46,7 +46,7 @@ def reference_generate(
             len(rule.antecedent),
             -((rule.support_count << shift) // rule.antecedent_count),
             -rule.support_count,
-            rule.antecedent.items,
+            tuple(sorted(rule.antecedent)),
             rule.consequent.code,
         )
     )
@@ -59,7 +59,7 @@ def reference_eliminate(rules: list[Rule]) -> tuple[list[Rule], list[tuple[Rule,
     ``combinations`` order among equals."""
     essential, redundant, by_key = [], [], {}
     for rule in sorted(rules, key=lambda rule: len(rule.antecedent)):
-        items, witness = rule.antecedent.items, None
+        items, witness = tuple(sorted(rule.antecedent)), None
         for size in range(1, len(items)):
             for subset in combinations(items, size):
                 candidate = by_key.get((subset, rule.consequent))

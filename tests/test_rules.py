@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -12,7 +13,6 @@ from triage_miner.ingest import Attribute
 from triage_miner.mine import Projection, Subset, mine_frequent_itemsets
 from triage_miner.oracle import (
     Item,
-    Itemset,
     Rule,
     enumerate_frequent_itemsets,
     essential_rules_naive,
@@ -32,11 +32,12 @@ WHO = Item(Attribute.ASSIGNEE, 9)
 
 
 def _table(support: dict, transactions=47) -> dict[Subset, Projection]:
-    """A table holding exactly the given itemset counts."""
+    """A table holding exactly the given itemset counts, keyed by tuples of
+    Items in attribute order."""
     groups: dict[tuple, list] = {}
     for itemset, count in support.items():
         subset = tuple(item.attribute for item in itemset)
-        parent_count = support[Itemset(itemset.items[:-1])] if len(itemset) > 1 else transactions
+        parent_count = support[itemset[:-1]] if len(itemset) > 1 else transactions
         groups.setdefault(subset, []).append(
             (tuple(item.code for item in itemset), count, parent_count)
         )
@@ -48,11 +49,16 @@ def _table(support: dict, transactions=47) -> dict[Subset, Projection]:
 
 def _rule(items, consequent_code, support, antecedent_count) -> Rule:
     return Rule(
-        antecedent=Itemset(items),
+        antecedent=frozenset(items),
         consequent=Item(Attribute.ASSIGNEE, consequent_code),
         support_count=support,
         antecedent_count=antecedent_count,
     )
+
+
+def _items(rule: Rule) -> tuple[Item, ...]:
+    """The rule's antecedent Items in canonical attribute-then-code order."""
+    return tuple(sorted(rule.antecedent))
 
 
 def _generate(table: dict[Subset, Projection], min_confidence: float, allowed) -> list[Rule]:
@@ -67,7 +73,7 @@ def fraction_order_key(rule: Rule) -> tuple:
         len(rule.antecedent),
         -Fraction(rule.support_count, rule.antecedent_count),
         -rule.support_count,
-        rule.antecedent.items,
+        _items(rule),
         rule.consequent.code,
     )
 
@@ -79,7 +85,7 @@ def brute_force_witness(rule: Rule, essential) -> Rule | None:
         witness
         for witness in essential
         if witness.consequent == rule.consequent
-        and set(witness.antecedent.items) < set(rule.antecedent.items)
+        and witness.antecedent < rule.antecedent
         and Fraction(witness.support_count, witness.antecedent_count)
         >= Fraction(rule.support_count, rule.antecedent_count)
     ]
@@ -88,7 +94,7 @@ def brute_force_witness(rule: Rule, essential) -> Rule | None:
         key=lambda w: (
             len(w.antecedent),
             -Fraction(w.support_count, w.antecedent_count),
-            w.antecedent.items,
+            _items(w),
         ),
         default=None,
     )
@@ -96,29 +102,29 @@ def brute_force_witness(rule: Rule, essential) -> Rule | None:
 
 class TestGenerateClassRules:
     def test_paper_style_single_antecedent(self):
-        table = _table({Itemset([SEV4]): 17, Itemset([WHO]): 9, Itemset([SEV4, WHO]): 9})
+        table = _table({(SEV4,): 17, (WHO,): 9, (SEV4, WHO): 9})
         [rule] = _generate(table, 0.10, {9})
-        assert rule.antecedent == Itemset([SEV4])
+        assert rule.antecedent == frozenset([SEV4])
         assert rule.consequent == WHO
         assert rule.support_count == 9
         assert rule.antecedent_count == 17
         assert rule.support_count / rule.antecedent_count == pytest.approx(9 / 17, abs=1e-12)
 
     def test_perfect_implication_passes_confidence_one(self):
-        table = _table({Itemset([SEV4]): 5, Itemset([WHO]): 5, Itemset([SEV4, WHO]): 5})
+        table = _table({(SEV4,): 5, (WHO,): 5, (SEV4, WHO): 5})
         [rule] = _generate(table, 1.0, {9})
         assert rule.support_count / rule.antecedent_count == 1.0
 
     def test_imperfect_implication_suppressed_at_confidence_one(self):
-        table = _table({Itemset([SEV4]): 5, Itemset([WHO]): 4, Itemset([SEV4, WHO]): 4})
+        table = _table({(SEV4,): 5, (WHO,): 4, (SEV4, WHO): 4})
         assert _generate(table, 1.0, {9}) == []
 
     def test_disallowed_consequents_are_skipped(self):
-        table = _table({Itemset([SEV4]): 5, Itemset([WHO]): 4, Itemset([SEV4, WHO]): 4})
+        table = _table({(SEV4,): 5, (WHO,): 4, (SEV4, WHO): 4})
         assert _generate(table, 0.10, {1}) == []
 
     def test_counts_are_python_ints(self):
-        table = _table({Itemset([SEV4]): 17, Itemset([WHO]): 9, Itemset([SEV4, WHO]): 9})
+        table = _table({(SEV4,): 17, (WHO,): 9, (SEV4, WHO): 9})
         [rule] = _generate(table, 0.10, {9})
         assert type(rule.support_count) is int and type(rule.antecedent_count) is int
         assert type(rule.consequent.code) is int
@@ -135,12 +141,12 @@ class TestGenerateClassRules:
             [consequent] = [i for i in itemset if i.attribute == Attribute.ASSIGNEE] or [None]
             if consequent is None or consequent.code not in allowed or len(itemset) < 2:
                 continue
-            antecedent = Itemset(i for i in itemset if i != consequent)
+            antecedent = tuple(i for i in itemset if i != consequent)
             if count / reference[antecedent] >= 0.3:
-                expected.add((antecedent.items, consequent, count, reference[antecedent]))
+                expected.add((frozenset(antecedent), consequent, count, reference[antecedent]))
         table = mine_frequent_itemsets(*row_table(rows), 2)
         rules = _generate(table, 0.3, allowed)
-        got = {(r.antecedent.items, r.consequent, r.support_count, r.antecedent_count) for r in rules}
+        got = {(r.antecedent, r.consequent, r.support_count, r.antecedent_count) for r in rules}
         assert got == expected
         assert rules == sorted(rules, key=fraction_order_key)
 
@@ -152,14 +158,14 @@ class TestGenerateClassRules:
         who2 = Item(Attribute.ASSIGNEE, 2)
         table = _table(
             {
-                Itemset([SEV4]): 10,
-                Itemset([PRI3]): 10,
-                Itemset([WHO]): 9,
-                Itemset([who2]): 9,
-                Itemset([SEV4, WHO]): 9,        # conf 0.9
-                Itemset([PRI3, who2]): 5,       # conf 0.5
-                Itemset([SEV4, PRI3]): 8,
-                Itemset([SEV4, PRI3, WHO]): 8,  # conf 1.0, size 2
+                (SEV4,): 10,
+                (PRI3,): 10,
+                (WHO,): 9,
+                (who2,): 9,
+                (SEV4, WHO): 9,        # conf 0.9
+                (PRI3, who2): 5,       # conf 0.5
+                (SEV4, PRI3): 8,
+                (SEV4, PRI3, WHO): 8,  # conf 1.0, size 2
             }
         )
         rules = _generate(table, 0.10, {9, 2})
@@ -195,24 +201,24 @@ class TestExactOrderingAtLargeCounts:
     def _rules(self) -> list[Rule]:
         support = {}
         for antecedent, (count, antecedent_count) in self.COUNTS.items():
-            support[Itemset(antecedent)] = antecedent_count
-            support[Itemset(antecedent + (WHO,))] = count
+            support[antecedent] = antecedent_count
+            support[antecedent + (WHO,)] = count
         return _generate(_table(support), 0.10, {9})
 
     def test_order_matches_fraction_keys(self):
         rules = self._rules()
         assert rules == sorted(rules, key=fraction_order_key)
-        keys = [rule.antecedent.items for rule in rules]
+        keys = [_items(rule) for rule in rules]
         # a float key would tie these and put SEV1's larger support first
         assert keys.index((self.PRI1,)) < keys.index((self.SEV1,))
         assert keys.index((self.COMP1,)) < keys.index((self.PRI2,)) < keys.index((self.SEV2,))
-        assert all(r.support_count >= 2**32 for r in rules if r.antecedent.items[0] == self.SEV1)
+        assert all(r.support_count >= 2**32 for r in rules if self.SEV1 in r.antecedent)
 
     def test_witnesses_match_fraction_comparisons(self):
         rules = self._rules()
         partition = split_rules(rules)
         assert {r.key for r in partition.essential} == essential_rules_naive(rules)
-        witnesses = {rule.antecedent.items: w.antecedent.items for rule, w in partition.redundant}
+        witnesses = {_items(rule): _items(w) for rule, w in partition.redundant}
         # PRI1 is the more confident witness although SEV1 is probed first
         assert witnesses == {(self.SEV1, self.PRI1): (self.PRI1,), (self.SEV2, self.PRI2): (self.PRI2,)}
         for rule, witness in partition.redundant:
@@ -242,15 +248,15 @@ class TestCountsOfAnySize:
         }
         support = {}
         for antecedent, (count, antecedent_count) in counts.items():
-            support[Itemset(antecedent)] = antecedent_count
-            support[Itemset(antecedent + (WHO,))] = count
+            support[antecedent] = antecedent_count
+            support[antecedent + (WHO,)] = count
         return _generate(_table(support), 0.10, {9})
 
     @pytest.mark.parametrize("m", SIZES)
     def test_order_matches_fractions(self, m):
         rules = self._rules(m)
         assert rules == sorted(rules, key=fraction_order_key)
-        keys = [rule.antecedent.items for rule in rules]
+        keys = [_items(rule) for rule in rules]
         assert keys[:4] == [(self.PRI1,), (self.SEV1,), (self.OS1,), (self.COMP1,)]
 
     @pytest.mark.parametrize("m", SIZES)
@@ -258,7 +264,7 @@ class TestCountsOfAnySize:
         rules = self._rules(m)
         partition = split_rules(rules)
         assert {r.key for r in partition.essential} == essential_rules_naive(rules)
-        witnesses = {rule.antecedent.items: w.antecedent.items for rule, w in partition.redundant}
+        witnesses = {_items(rule): _items(w) for rule, w in partition.redundant}
         # PRI1 is the most confident one-item witness of both two-item rules
         assert witnesses == {
             (self.SEV1, self.PRI1): (self.PRI1,),
@@ -451,14 +457,14 @@ class TestEliminateRedundant:
 def test_partition_is_a_disjoint_cover(rules):
     partition = split_rules(rules)
     assert partition.rule_count == len(rules)
-    covered = sorted(r.key for r in partition.all_rules())
-    assert covered == sorted(r.key for r in rules)
+    covered = Counter(r.key for r in partition.all_rules())
+    assert covered == Counter(r.key for r in rules)
     essential_keys = {r.key for r in partition.essential}
     for rule, witness in partition.redundant:
         assert rule.key not in essential_keys
         assert witness.key in essential_keys
         assert witness.consequent == rule.consequent
-        assert set(witness.antecedent.items) < set(rule.antecedent.items)
+        assert witness.antecedent < rule.antecedent
         assert witness.confidence_fraction >= rule.confidence_fraction
 
 
