@@ -62,7 +62,7 @@ def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
 def _cmd_run(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     result = run_pipeline(config)
-    total_rules = sum(outcome.partition.rule_count for outcome in result.outcomes)
+    total_rules = sum(len(outcome.partition.rules) for outcome in result.outcomes)
     essential = sum(len(outcome.partition.essential) for outcome in result.outcomes)
     print(
         f"{len(result.bug_ids)} records -> {config.k} clusters ->"

@@ -3,10 +3,10 @@
 These deliberately avoid the algorithms they validate: frequent itemsets are
 tallied by enumerating every subset of each distinct report's five items,
 and redundancy is decided by a declarative recursion over all pairs of rules
-of one consequent rather than the level-wise sweep. Their cost grows with
-the distinct rows (31 subsets each) and with the square of the rules per
-consequent, not with the rows or the square of all rules, which lets
-``verify`` check every cluster by default.
+of one consequent, not by ranking a table of each rule's sub-antecedent
+probes. Their cost grows with the distinct rows (31 subsets each) and with
+the square of the rules per consequent, not with the rows or the square of
+all rules, which lets ``verify`` check every cluster by default.
 Items and Rules live here, built from a run's arrays only for them. An
 itemset is a plain tuple of Items in attribute order, as every caller builds
 it; a rule's antecedent is a frozenset, so containment is a set comparison.

@@ -117,7 +117,7 @@ def _mine_cluster(
         cluster,
         size,
         sum(len(projection.counts) for projection in table.values()),
-        partition.rule_count,
+        len(partition.rules),
         len(partition.essential),
         len(partition.redundant),
     )
@@ -333,8 +333,8 @@ def _verify_cluster(
         yield False, f"{name}: FREQUENT-ITEMSET MISMATCH ({counts})"
         return
     yield True, f"{name}: itemsets OK ({len(supports)} frequent itemsets)"
-    if max_rules is not None and partition.rule_count > max_rules:
-        cap = f"{partition.rule_count} rules > cap {max_rules}"
+    if max_rules is not None and len(partition.rules) > max_rules:
+        cap = f"{len(partition.rules)} rules > cap {max_rules}"
         yield True, f"{name}: skipped redundancy check ({cap})"
         return
     rules = rule_objects(partition.rules)

@@ -151,7 +151,7 @@ def build_summary(
             "cluster": index,
             "size": outcome.size,
             "top_assignees": list(outcome.top_assignees),
-            "rules": outcome.partition.rule_count,
+            "rules": len(outcome.partition.rules),
             "essential": len(outcome.partition.essential),
             "redundant": len(outcome.partition.redundant),
             "length_histogram": {

@@ -4,29 +4,36 @@ rules, with no per-rule objects.
 
 A rule is redundant when some essential rule with the same consequent, a
 strictly smaller antecedent and confidence at least as high already carries
-its meaning. Confidences are compared exactly and in one place: each rule
-table keys its distinct (support, antecedent count) pairs by ``(support <<
-shift) // antecedent_count`` in Python ints, with ``2**shift >= M**2`` for M
-the largest antecedent count. Distinct ratios with denominators up to M
-differ by at least 1/M**2, so their keys differ and order as the ratios do,
-and equal ratios get equal keys. Rules sort and are compared on the dense
-rank of their pair's key, for counts of any size.
+its meaning. One ranking of each rule's row and of its probes, the row cut
+down to each smaller antecedent subset, finds every candidate. Confidences
+are compared exactly and in one place: each rule table keys its distinct
+(support, antecedent count) pairs by ``(support << shift) //
+antecedent_count`` in Python ints, with ``2**shift >= M**2`` for M the
+largest antecedent count. Distinct ratios with denominators up to M differ
+by at least 1/M**2, so their keys differ and order as the ratios do, and
+equal ratios get equal keys. Rules sort and are compared on the dense rank
+of their pair's key, for counts of any size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
 from typing import Iterable, Mapping
 
 import numpy as np
 
 from .errors import DuplicateRuleError, ParameterError
 from .ingest import Attribute
-from .mine import Projection, Subset, distinct_rows, group_keys
+from .mine import Projection, Subset, distinct_rows
 
 ANTECEDENT_ATTRIBUTES = tuple(Attribute)[:-1]  # the assignee is the consequent
+
+# The non-empty antecedent attribute subsets as bit masks (bit a for
+# attribute a), by size and then in ``combinations`` order, which is not mask
+# order: {Severity, OperatingSystem} (9) comes before {Priority, Component}
+# (6). Of two equally confident witnesses of one size, the earlier one wins.
+SUBSETS = np.array([1, 2, 4, 8, 3, 5, 9, 6, 10, 12, 7, 11, 13, 14, 15])
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,15 +77,6 @@ class RuleTable:
         rank_of = {key: rank for rank, key in enumerate(sorted(set(keys)))}
         return np.array([rank_of[key] for key in keys], dtype=np.int64)[pair]
 
-    def take(self, rows: np.ndarray) -> RuleTable:
-        """The rules at ``rows``, in that order, keeping this table's pairs and
-        ranks (a cached_property's value lives in the instance dict)."""
-        columns = (self.codes, self.consequent, self.support, self.antecedent_count)
-        taken = RuleTable(*(column[rows] for column in columns))
-        (pairs, pair), rank = self.pairs, self.confidence_rank
-        vars(taken).update(pairs=(pairs, pair[rows]), confidence_rank=rank[rows])
-        return taken
-
 
 @dataclass(frozen=True, eq=False)
 class RulePartition:
@@ -96,10 +94,6 @@ class RulePartition:
     @property
     def redundant(self) -> np.ndarray:
         return np.flatnonzero(self.witness >= 0)
-
-    @property
-    def rule_count(self) -> int:
-        return len(self.rules)
 
 
 def top_assignees(assignee_codes: np.ndarray, counts: np.ndarray, n: int) -> list[int]:
@@ -141,75 +135,56 @@ def generate_class_rules(
         codes = np.full((np.count_nonzero(passing), len(ANTECEDENT_ATTRIBUTES)), -1)
         codes[:, list(subset[:-1])] = values[passing, :-1]
         parts.append((codes, values[passing, -1], support[passing], antecedent_count[passing]))
-    rules = RuleTable(*(np.concatenate(column) for column in zip(*parts)))
+    columns = [np.concatenate(column) for column in zip(*parts)]
+    rules = RuleTable(*columns)
     # within one size, an absent attribute sorts after every code of it, as
     # the canonical item sequences compare
     items = np.where(rules.present, rules.codes, np.iinfo(np.int64).max)
     order = np.lexsort(
         (rules.consequent, *items.T[::-1], -rules.support, -rules.confidence_rank, rules.size)
     )
-    return rules.take(order)
+    return RuleTable(*(column[order] for column in columns))
 
 
 def eliminate_redundant(rules: RuleTable) -> RulePartition:
     """Split a rule table into essential and redundant rules, keeping its row
     order in both.
 
-    Rules are decided level by level over the antecedent size, so every
-    witness is known to be essential before a larger rule is tested against
-    it. For the rules over one attribute subset S, each proper subset T of S
-    (smallest size first, ``combinations`` order within a size) looks up the
-    essential rule over the same T codes and consequent for all of them at
-    once. A rule's witness is the most confident such rule of the first size
-    that has one with confidence no lower, the first in that order among
-    equals.
+    Each rule is probed by every proper non-empty subset T of its antecedent:
+    its row again with the codes outside T set to -1. One ranking of the
+    rules' rows and the probes matches each probe to the rule with exactly
+    that antecedent and consequent, if there is one, and finds duplicate
+    rules. A match no less confident than the rule subsumes it if the match
+    is essential, so rules are decided by antecedent size, smallest first. A
+    rule's witness is its essential match of the smallest size, then the
+    highest confidence, then the first subset in ``SUBSETS`` order.
     """
-    # every column's codes (the consequent last) as dense ranks, so the rows
-    # of any projection rank on keys below n² for any codebook size
-    ranked = [np.unique(c, return_inverse=True) for c in (*rules.codes.T, rules.consequent)]
-    radices, code_ranks = [len(distinct) for distinct, _ in ranked], [r for _, r in ranked]
+    n, width = len(rules), len(ANTECEDENT_ATTRIBUTES)
+    antecedent = rules.present @ (1 << np.arange(width))
+    proper = (antecedent[:, None] & SUBSETS == SUBSETS) & (antecedent[:, None] != SUBSETS)
+    rule, position = np.nonzero(proper)
+    # the rules' own rows, then the probes, rule by rule
+    table = np.column_stack([rules.codes, rules.consequent])[np.concatenate([np.arange(n), rule])]
+    outside = (SUBSETS[:, None] >> np.arange(width) & 1) == 0
+    table[n:, :width][outside[position]] = -1
+    _, rank, counts = distinct_rows(table)
+    del table
 
-    def projection_ranks(rows: np.ndarray, attributes: tuple[int, ...]) -> tuple[np.ndarray, int]:
-        """Each row's rank among the distinct (codes on attributes, consequent)."""
-        rank, groups = np.zeros(len(rows), dtype=np.int64), 1
-        for column in (*attributes, -1):
-            radix = radices[column]
-            _, counts, rank = group_keys(rank * radix + code_ranks[column][rows], groups * radix)
-            groups = len(counts)
-        return rank, groups
-
-    everything = np.arange(len(rules))
-    rank, groups = projection_ranks(everything, tuple(range(len(ANTECEDENT_ATTRIBUTES))))
-    if groups < len(rules):
-        _, first = np.unique(rank, return_index=True)
-        raise DuplicateRuleError(f"duplicate rule at row {np.setdiff1d(everything, first)[0]}")
+    _, first = np.unique(rank[:n], return_index=True)
+    if len(first) < n:
+        raise DuplicateRuleError(f"duplicate rule at row {np.setdiff1d(np.arange(n), first)[0]}")
+    row_of = np.full(len(counts), -1)
+    row_of[rank[:n]] = np.arange(n)
+    match = row_of[rank[n:]]
 
     confidence = rules.confidence_rank
-    witness = np.full(len(rules), -1)
-    subset_of = rules.present @ (1 << np.arange(len(ANTECEDENT_ATTRIBUTES)))
-    essential: dict[tuple[int, ...], np.ndarray] = {}  # attribute subset -> essential rows
-    for mask in sorted(np.flatnonzero(np.bincount(subset_of)).tolist(), key=int.bit_count):
-        attributes = tuple(a for a in range(len(ANTECEDENT_ATTRIBUTES)) if mask >> a & 1)
-        rows = np.flatnonzero(subset_of == mask)
-        for size in range(1, len(attributes)):
-            best = np.full(len(rows), -1)
-            for subset in combinations(attributes, size):
-                candidates = essential.get(subset)
-                if candidates is None:
-                    continue  # no rule has this antecedent subset
-                rank, groups = projection_ranks(np.concatenate([candidates, rows]), subset)
-                row_of = np.full(groups, -1)
-                row_of[rank[: len(candidates)]] = candidates
-                found = row_of[rank[len(candidates) :]]
-                probed = found >= 0
-                rule, candidate, current = rows[probed], found[probed], best[probed]
-                # at least the rule's confidence, and above the best so far
-                better = (confidence[candidate] >= confidence[rule]) & (
-                    (current < 0) | (confidence[candidate] > confidence[current])
-                )
-                best[probed] = np.where(better, candidate, current)
-            subsumed = best >= 0
-            witness[rows[subsumed]] = best[subsumed]
-            rows = rows[~subsumed]
-        essential[attributes] = rows
+    kept = (match >= 0) & (confidence[match] >= confidence[rule])
+    rule, match, position = rule[kept], match[kept], position[kept]
+    order = np.lexsort((position, -confidence[match], rules.size[match], rule))
+    rule, match = rule[order], match[order]
+    witness = np.full(n, -1)
+    for size in range(2, width + 1):
+        probing = (rules.size[rule] == size) & (witness[match] < 0)
+        _, first = np.unique(rule[probing], return_index=True)
+        witness[rule[probing][first]] = match[probing][first]
     return RulePartition(rules=rules, witness=witness)

@@ -135,8 +135,8 @@ def test_criterion_4_partition_accounting_is_self_audited(sample_csv, tmp_path):
     clusters = build_summary(len(result.bug_ids), {}, result.outcomes)["clusters"]
     assert sum(cluster["size"] for cluster in clusters) == len(result.bug_ids)
     for cluster, outcome in zip(clusters, result.outcomes):
-        assert cluster["essential"] + cluster["redundant"] == outcome.partition.rule_count
-        assert sum(cluster["length_histogram"].values()) == outcome.partition.rule_count
+        assert cluster["essential"] + cluster["redundant"] == len(outcome.partition.rules)
+        assert sum(cluster["length_histogram"].values()) == len(outcome.partition.rules)
     assert audit_result(result) == []
 
     # corrupt one cluster's partition, pointing a redundant rule's witness at

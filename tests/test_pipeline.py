@@ -302,7 +302,7 @@ def test_run_builds_no_rule_objects(sample_csv, tmp_path, monkeypatch):
     assert not hasattr(mine, "Item") and not hasattr(mine, "Itemset")
     config = PipelineConfig(input_path=str(sample_csv), output_dir=str(tmp_path / "out"))
     result = run_pipeline(config)
-    assert sum(outcome.partition.rule_count for outcome in result.outcomes) == 385
+    assert sum(len(outcome.partition.rules) for outcome in result.outcomes) == 385
     # the oracles work on objects, so verify builds them
     with pytest.raises(AssertionError, match="object built"):
         run_verify(result)

@@ -406,11 +406,25 @@ class TestEliminateRedundant:
         assert witnesses[ab] == a
         assert witnesses[abc] == a
 
+    def test_witness_choice_among_equals_follows_combinations_order(self):
+        # bit masks would order {Priority, Component} (6) before
+        # {Severity, OperatingSystem} (9); combinations order does not
+        comp2 = Item(Attribute.COMPONENT, 2)
+        os1 = Item(Attribute.OPERATING_SYSTEM, 1)
+        sev_os = _rule([SEV4, os1], 9, 3, 5)               # conf 0.6
+        pri_comp = _rule([PRI3, comp2], 9, 6, 10)          # conf 0.6
+        every = _rule([SEV4, PRI3, comp2, os1], 9, 1, 2)   # conf 0.5
+        for rules in ([pri_comp, sev_os, every], [every, sev_os, pri_comp]):
+            partition = split_rules(rules)
+            assert set(partition.essential) == {sev_os, pri_comp}
+            assert partition.redundant == ((every, sev_os),)
+
     def test_duplicate_rules_rejected(self):
         rule = _rule([SEV4], 9, 3, 5)
+        other = _rule([SEV4], 8, 3, 5)
         clone = _rule([SEV4], 9, 4, 6)
-        with pytest.raises(DuplicateRuleError):
-            eliminate_redundant(rule_table([rule, clone]))
+        with pytest.raises(DuplicateRuleError, match="row 2"):
+            eliminate_redundant(rule_table([rule, other, clone]))
 
     def test_empty_input_gives_empty_partition(self):
         partition = split_rules([])
