@@ -17,6 +17,9 @@ import traceback
 from dataclasses import fields
 from pathlib import Path
 
+# before numpy loads: no stage makes a BLAS call, and OpenBLAS's thread pool costs ~70 ms
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .config import PipelineConfig, validate_config
 from .errors import InputError, ParameterError, TriageMinerError
 from .pipeline import execute, run_pipeline, run_verify

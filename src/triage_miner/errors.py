@@ -45,14 +45,12 @@ class RowError(InputError):
 
 
 class UnknownCategoryError(InputError):
-    """A label falls outside a fixed codebook (severity/priority scales); read
-    from a file, the message names the line."""
+    """A label falls outside a fixed scale (severity/priority) at a line of the input."""
 
-    def __init__(self, attribute: str, label: str, line: int | None = None):
+    def __init__(self, attribute: str, label: str, line: int):
         self.attribute = attribute
         self.label = label
-        where = "" if line is None else f" at line {line}"
-        super().__init__(f"unknown {attribute} label: {label!r}{where}")
+        super().__init__(f"unknown {attribute} label: {label!r} at line {line}")
 
 
 class ConsistencyError(TriageMinerError):

@@ -2,9 +2,11 @@
 in one pass from the CSV bytes to bug ids, codebooks and the records as a
 table of distinct code rows plus one table index per record.
 
-Severity and priority use fixed integer scales (1..7 and 1..5). Component,
-operating system and assignee get codes 1..n in first-appearance order, so a
-single pass over the input fully determines every codebook.
+An attribute's codebook is the tuple of its labels in code order: code c
+is ``labels[c - 1]``. Severity and priority use the fixed scales
+SEVERITY_LABELS and PRIORITY_LABELS (codes 1..7 and 1..5); component,
+operating system and assignee get codes 1..n in first-appearance order, so
+a single pass over the input fully determines every codebook.
 """
 
 from __future__ import annotations
@@ -13,13 +15,12 @@ import csv
 import enum
 import io
 import operator
-from dataclasses import dataclass
-from functools import cached_property
-from typing import IO, Iterable, Mapping
+from typing import IO, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import (
+    ConsistencyError,
     DuplicateIdError,
     RowError,
     SchemaError,
@@ -53,42 +54,20 @@ PRIORITY_LABELS = ("P1", "P2", "P3", "P4", "P5")
 LOGICAL_FIELDS = ("bug_id", "severity", "priority", "component", "operating_system", "assignee")
 
 
-@dataclass(frozen=True)
-class Codebook:
-    """Bijective label<->code mapping for one attribute.
-
-    Lookups trim whitespace and ignore case; stored labels keep the casing
-    they were defined with (first-seen casing for learned codebooks).
-    """
-
-    attribute: Attribute
-    forward: Mapping[str, int]
-    reverse: Mapping[int, str]
-
-    @cached_property
-    def _folded(self) -> Mapping[str, int]:
-        return {label.casefold(): code for label, code in self.forward.items()}
-
-    def decode(self, code: int) -> str:
-        label = self.reverse.get(code)
-        if label is None:
-            raise UnknownCategoryError(self.attribute.display, f"code {code}")
-        return label
-
-    @classmethod
-    def from_labels(cls, attribute: Attribute, labels: Iterable[str]) -> "Codebook":
-        """Codes 1..n in the order of ``labels``."""
-        forward = {label: i for i, label in enumerate(labels, start=1)}
-        return cls(attribute, forward, {c: l for l, c in forward.items()})
-
-
-SEVERITY_CODEBOOK = Codebook.from_labels(Attribute.SEVERITY, SEVERITY_LABELS)
-PRIORITY_CODEBOOK = Codebook.from_labels(Attribute.PRIORITY, PRIORITY_LABELS)
+def decode(labels: Sequence[str], codes: Iterable[int]) -> list[str]:
+    """The label of each code in a codebook. Every code ingest hands out lies
+    in 1..len(labels), so one outside it is an internal fault."""
+    decoded = []
+    for code in codes:
+        if not 1 <= code <= len(labels):
+            raise ConsistencyError(f"code {code} is outside its codebook of {len(labels)} labels")
+        decoded.append(labels[code - 1])
+    return decoded
 
 
 def read_bug_csv(
     source: IO[bytes], column_map: Mapping[str, str]
-) -> tuple[list[str], dict[Attribute, Codebook], np.ndarray, np.ndarray]:
+) -> tuple[list[str], dict[Attribute, tuple[str, ...]], np.ndarray, np.ndarray]:
     """Read a UTF-8 CSV with a header row in one pass: the bug ids in file
     order, all five codebooks, the distinct code ``rows`` in first-appearance
     order (an ``(m, 5)`` int64 array, one column per Attribute) and each
@@ -130,14 +109,10 @@ def read_bug_csv(
         id_position = positions[0]
         pick_attributes = operator.itemgetter(*positions[1:])
 
-        # per attribute: folded label -> code; the learned attributes also
-        # keep their labels in code order, each in its first-seen casing
-        folded = [SEVERITY_CODEBOOK._folded, PRIORITY_CODEBOOK._folded, {}, {}, {}]
-        learned: dict[Attribute, list[str]] = {
-            Attribute.COMPONENT: [],
-            Attribute.OPERATING_SYSTEM: [],
-            Attribute.ASSIGNEE: [],
-        }
+        # per attribute: its labels in code order, each learned one in its
+        # first-seen casing, and folded label -> code
+        labels = [list(SEVERITY_LABELS), list(PRIORITY_LABELS), [], [], []]
+        folded = [{label.casefold(): code for code, label in enumerate(book, 1)} for book in labels]
         # per attribute: raw cell -> code, so a repeated cell skips normalising
         cell_codes: list[dict[str, int]] = [{} for _ in Attribute]
 
@@ -148,11 +123,10 @@ def read_bug_csv(
             key = label.casefold()
             code = folded[attribute].get(key)
             if code is None:
-                labels = learned.get(attribute)
-                if labels is None:
+                if attribute in (Attribute.SEVERITY, Attribute.PRIORITY):
                     raise UnknownCategoryError(attribute.display, label, reader.line_num)
-                labels.append(label)
-                code = folded[attribute][key] = len(labels)
+                labels[attribute].append(label)
+                code = folded[attribute][key] = len(labels[attribute])
             cell_codes[attribute][cell] = code
             return code
 
@@ -186,13 +160,14 @@ def read_bug_csv(
     finally:
         text.detach()  # leave ownership of the byte stream with the caller
 
-    codebooks = {Attribute.SEVERITY: SEVERITY_CODEBOOK, Attribute.PRIORITY: PRIORITY_CODEBOOK}
-    for attribute, labels in learned.items():
-        codebooks[attribute] = Codebook.from_labels(attribute, labels)
+    codebooks = {attribute: tuple(labels[attribute]) for attribute in Attribute}
     rows = np.array(list(row_of), dtype=np.int64).reshape(-1, len(Attribute))
     return bug_ids, codebooks, rows, np.array(index, dtype=np.int32)
 
 
-def codebooks_to_json(codebooks: Mapping[Attribute, Codebook]) -> dict[str, dict[str, int]]:
+def codebooks_to_json(codebooks: Mapping[Attribute, Sequence[str]]) -> dict[str, dict[str, int]]:
     """JSON-ready view: attribute display name -> {label: code}."""
-    return {attribute.display: dict(codebooks[attribute].forward) for attribute in Attribute}
+    return {
+        attribute.display: {label: code for code, label in enumerate(codebooks[attribute], 1)}
+        for attribute in Attribute
+    }

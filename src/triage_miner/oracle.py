@@ -2,11 +2,12 @@
 
 These deliberately avoid the algorithms they validate: frequent itemsets are
 tallied by enumerating every subset of each distinct report's five items,
-and redundancy is decided by a declarative recursion over all pairs of rules
-of one consequent, not by ranking a table of each rule's sub-antecedent
-probes. Their cost grows with the distinct rows (31 subsets each) and with
-the square of the rules per consequent, not with the rows or the square of
-all rules, which lets ``verify`` check every cluster by default.
+and redundancy is decided by a declarative recursion over the pairs of rules
+of one consequent, the first with the smaller antecedent, not by ranking a
+table of each rule's sub-antecedent probes. Their cost grows with the
+distinct rows (31 subsets each) and with the square of the rules per
+consequent, not with the rows or the square of all rules, which lets
+``verify`` check every cluster by default.
 Items and Rules live here, built from a run's arrays only for them. An
 itemset is a plain tuple of Items in attribute order, as every caller builds
 it; a rule's antecedent is a frozenset, so containment is a set comparison.
@@ -110,24 +111,26 @@ def _naive_subsumes(witness: Rule, rule: Rule) -> bool:
 
 
 def essential_rules_naive(rules: Sequence[Rule]) -> set[tuple]:
-    """Keys of the essential rules as the fixpoint of all-pairs subsumption,
-    taken separately among the rules of each consequent (a rule subsumes
-    only rules of its own consequent).
+    """Keys of the essential rules as the fixpoint of subsumption. A rule is
+    tested only against the rules of its own consequent with a smaller
+    antecedent, indexed by (consequent, antecedent size): strict containment
+    rejects every other pair anyway.
 
     A rule is essential iff no essential rule subsumes it; the recursion is
     well-founded, and no rule is its own witness, because subsumption
     strictly shrinks the antecedent.
     """
-    by_consequent: dict[Item, list[Rule]] = {}
+    by_shape: dict[tuple[Item, int], list[Rule]] = {}
     for rule in rules:
-        by_consequent.setdefault(rule.consequent, []).append(rule)
+        by_shape.setdefault((rule.consequent, len(rule.antecedent)), []).append(rule)
     cache: dict[tuple, bool] = {}
 
     def essential(rule: Rule) -> bool:
         if rule.key not in cache:
             cache[rule.key] = not any(
                 _naive_subsumes(other, rule) and essential(other)
-                for other in by_consequent[rule.consequent]
+                for size in range(len(rule.antecedent))
+                for other in by_shape.get((rule.consequent, size), ())
             )
         return cache[rule.key]
 

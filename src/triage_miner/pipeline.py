@@ -37,7 +37,7 @@ import numpy as np
 from .cluster import ClusterModel, kmeans_fit
 from .config import PipelineConfig
 from .errors import AuditError, InputError, ParameterError
-from .ingest import Attribute, Codebook, codebooks_to_json, read_bug_csv
+from .ingest import Attribute, codebooks_to_json, decode, read_bug_csv
 from .mine import mine_frequent_itemsets
 from .oracle import (
     enumerate_frequent_itemsets,
@@ -64,7 +64,7 @@ VERIFY_CHUNK = 1 << 13  # records gathered per step of verify's itemset tally
 class PipelineResult:
     config: PipelineConfig
     input_sha256: str
-    codebooks: dict[Attribute, Codebook]
+    codebooks: dict[Attribute, tuple[str, ...]]  # each attribute's labels in code order
     bug_ids: list[str]
     rows: np.ndarray  # (m, 5) distinct code rows, one column per Attribute
     index: np.ndarray  # record i is rows[index[i]]
@@ -121,7 +121,7 @@ def _mine_cluster(
         len(partition.essential),
         len(partition.redundant),
     )
-    top_labels = [codebooks[Attribute.ASSIGNEE].decode(code) for code in top_codes]
+    top_labels = decode(codebooks[Attribute.ASSIGNEE], top_codes)
     return ClusterOutcome(size, table, top_labels, partition)
 
 

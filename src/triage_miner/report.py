@@ -32,7 +32,7 @@ import numpy as np
 
 from .cluster import ClusterModel
 from .errors import ConsistencyError
-from .ingest import Attribute, Codebook
+from .ingest import Attribute, decode
 from .mine import Projection, Subset
 from .rules import RulePartition, RuleTable
 
@@ -56,14 +56,14 @@ def confidence_percents(support: Sequence[int], antecedent_count: Sequence[int])
     return [f"{h // 100}" if h % 100 == 0 else f"{h // 100}.{h % 100:02d}" for h in hundredths]
 
 
-def _labels(codes: np.ndarray, codebook: Codebook, template: str) -> tuple[np.ndarray, np.ndarray]:
-    """``template`` filled with the label of each code, and whether rules.csv
-    must quote that label; each distinct code is decoded once."""
+def _labels(codes: np.ndarray, book: Sequence[str], *templates: str) -> tuple[np.ndarray, ...]:
+    """Each template filled with the label of each code, then whether
+    rules.csv must quote that label; each distinct code is decoded once."""
     distinct, inverse = np.unique(codes, return_inverse=True)
-    labels = [codebook.decode(code) for code in distinct.tolist()]
-    text = np.array([template.format(label) for label in labels], dtype=object)
+    labels = decode(book, distinct.tolist())
+    texts = [np.array([t.format(label) for label in labels], dtype=object) for t in templates]
     quote = np.array([any(c in label for c in ',"\r\n') for label in labels], dtype=bool)
-    return text[inverse], quote[inverse]
+    return *(text[inverse] for text in texts), quote[inverse]
 
 
 # CR and LF as visible escapes, and a backslash doubled so each escape reads one way
@@ -90,7 +90,7 @@ class RenderedRules(NamedTuple):
 
 
 def render_partition(
-    partition: RulePartition, codebooks: Mapping[Attribute, Codebook]
+    partition: RulePartition, codebooks: Mapping[Attribute, Sequence[str]]
 ) -> RenderedRules:
     """Every rule of a partition in the fixed grammar (``text`` is injective
     for distinct rules), with the fields rules.csv prints. The strings of a
@@ -105,8 +105,9 @@ def render_partition(
         antecedent[rows] += fragment
         quote[rows] |= special
     antecedent = np.array([text[len(_AND) :] for text in antecedent.tolist()], dtype=object)
-    assignee, assignee_quote = _labels(rules.consequent, codebooks[Attribute.ASSIGNEE], "{}")
-    arrow, _ = _labels(rules.consequent, codebooks[Attribute.ASSIGNEE], " ⇒ Assignee {{{}}}")
+    assignee, arrow, assignee_quote = _labels(
+        rules.consequent, codebooks[Attribute.ASSIGNEE], "{}", " ⇒ Assignee {{{}}}"
+    )
 
     pairs, pair = rules.pairs
     pair_support, pair_count = pairs.T.tolist()
@@ -259,7 +260,7 @@ def write_rule_reports(
     are rendered once, for both, so one cluster's strings are held at a time.
     The text reports escape CR and LF when some label holds one. A witness
     holds the comma of "(n,p%)", so rules.csv always quotes it."""
-    labels = (label for codebook in codebooks.values() for label in codebook.forward)
+    labels = (label for codebook in codebooks.values() for label in codebook)
     escape = any("\r" in label or "\n" in label for label in labels)
     with open(report_dir / "rules.csv", "w", newline="", encoding="utf-8") as fh:
         fh.write("cluster,antecedent,consequent,support_count,confidence,status,witness\n")

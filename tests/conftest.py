@@ -10,7 +10,7 @@ import hypothesis.strategies as st
 import numpy as np
 import pytest
 
-from triage_miner.ingest import Attribute, Codebook
+from triage_miner.ingest import PRIORITY_LABELS, SEVERITY_LABELS, Attribute, decode
 from triage_miner.oracle import Item, Rule, rule_objects
 from triage_miner.report import ClusterOutcome, render_partition
 from triage_miner.rules import RulePartition, RuleTable, eliminate_redundant
@@ -179,24 +179,20 @@ def cluster_outcome(rules, codebooks, size: int = 10, top_codes=(1,)) -> Cluster
     return ClusterOutcome(
         size=size,
         table={},
-        top_assignees=[codebooks[Attribute.ASSIGNEE].decode(code) for code in top_codes],
+        top_assignees=decode(codebooks[Attribute.ASSIGNEE], top_codes),
         partition=eliminate_redundant(rule_table(rules)),
     )
 
 
-def simple_codebooks(max_code: int = 6) -> dict[Attribute, Codebook]:
+def simple_codebooks(max_code: int = 6) -> dict[Attribute, tuple[str, ...]]:
     """Codebooks with generic labels covering codes 1..max_code everywhere."""
-    from triage_miner.ingest import PRIORITY_CODEBOOK, SEVERITY_CODEBOOK
-
-    books = {Attribute.SEVERITY: SEVERITY_CODEBOOK, Attribute.PRIORITY: PRIORITY_CODEBOOK}
+    books = {Attribute.SEVERITY: SEVERITY_LABELS, Attribute.PRIORITY: PRIORITY_LABELS}
     for attribute, stem in (
         (Attribute.COMPONENT, "Comp"),
         (Attribute.OPERATING_SYSTEM, "OS"),
         (Attribute.ASSIGNEE, "Dev"),
     ):
-        labels = [f"{stem} {i}" for i in range(1, max_code + 1)]
-        forward = {label: i for i, label in enumerate(labels, start=1)}
-        books[attribute] = Codebook(attribute, forward, {c: l for l, c in forward.items()})
+        books[attribute] = tuple(f"{stem} {i}" for i in range(1, max_code + 1))
     return books
 
 

@@ -28,7 +28,7 @@ from triage_miner import cli
 from triage_miner.cluster import kmeans_fit
 from triage_miner.config import PipelineConfig
 from triage_miner.errors import AuditError
-from triage_miner.ingest import Attribute, Codebook
+from triage_miner.ingest import PRIORITY_LABELS, SEVERITY_LABELS, Attribute
 from triage_miner.mine import mine_frequent_itemsets
 from triage_miner.oracle import (
     Item,
@@ -183,25 +183,12 @@ def test_criterion_5_kmeans_invariants():
 
 def test_criterion_6_rendering_matches_pinned_strings():
     """Three pinned rule strings reproduced character for character."""
-
-    def learned(attribute, labels):
-        forward = {label: i for i, label in enumerate(labels, start=1)}
-        return Codebook(attribute, forward, {c: l for l, c in forward.items()})
-
-    from triage_miner.ingest import PRIORITY_CODEBOOK, SEVERITY_CODEBOOK
-
     books = {
-        Attribute.SEVERITY: SEVERITY_CODEBOOK,
-        Attribute.PRIORITY: PRIORITY_CODEBOOK,
-        Attribute.COMPONENT: learned(
-            Attribute.COMPONENT, ["Build Config", "User Interface", "Developer Tools: Debugger"]
-        ),
-        Attribute.OPERATING_SYSTEM: learned(
-            Attribute.OPERATING_SYSTEM, ["Linux", "All", "Unspecified"]
-        ),
-        Attribute.ASSIGNEE: learned(
-            Attribute.ASSIGNEE, ["Jon Granrose", "Ben Goodger", "Jason Laster"]
-        ),
+        Attribute.SEVERITY: SEVERITY_LABELS,
+        Attribute.PRIORITY: PRIORITY_LABELS,
+        Attribute.COMPONENT: ("Build Config", "User Interface", "Developer Tools: Debugger"),
+        Attribute.OPERATING_SYSTEM: ("Linux", "All", "Unspecified"),
+        Attribute.ASSIGNEE: ("Jon Granrose", "Ben Goodger", "Jason Laster"),
     }
 
     cases = [

@@ -16,6 +16,7 @@ from conftest import REPO_ROOT, tree_bytes
 from triage_miner import cli, pipeline
 from triage_miner.config import PipelineConfig, default_column_map, validate_config
 from triage_miner.errors import AuditError, ConfigError
+from triage_miner.ingest import Attribute
 from triage_miner.pipeline import run_verify
 from triage_miner.synth import synthesize_rows, write_csv
 
@@ -382,6 +383,43 @@ class TestRunCommand:
             [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
         )
         assert done.stdout.splitlines()[-1] == "False"
+
+    def test_openblas_runs_one_thread_unless_the_caller_set_it(self):
+        # importing the CLI caps OpenBLAS's pool before numpy loads, and keeps
+        # a value the caller already set
+        script = (
+            "import os, triage_miner.cli; print(os.environ['OPENBLAS_NUM_THREADS']);"
+            " status = '/proc/self/status';"
+            " print(os.path.exists(status) and next(line.split()[1] for line in open(status)"
+            " if line.startswith('Threads:')))"
+        )
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = str(REPO_ROOT / "src")
+        for preset, expected in ((None, "1"), ("3", "3")):
+            if preset is not None:
+                env["OPENBLAS_NUM_THREADS"] = preset
+            done = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+            )
+            value, threads = done.stdout.split()
+            assert value == expected
+            if preset is None and threads != "False":  # /proc/self/status exists
+                assert threads == "1"
+
+    def test_a_code_outside_its_codebook_exits_3(self, sample_csv, tmp_path, monkeypatch, capsys):
+        # ingest hands out no such code, so meeting one is an internal fault
+        read = pipeline.read_bug_csv
+
+        def short_assignee_book(source, column_map):
+            bug_ids, codebooks, rows, index = read(source, column_map)
+            codebooks[Attribute.ASSIGNEE] = codebooks[Attribute.ASSIGNEE][:1]
+            return bug_ids, codebooks, rows, index
+
+        monkeypatch.setattr(pipeline, "read_bug_csv", short_assignee_book)
+        out = tmp_path / "x"
+        assert cli.main(["run", "--input", str(sample_csv), "--output", str(out)]) == 3
+        assert "outside its codebook" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_config_exits_1(self, sample_csv, tmp_path):
         code = cli.main(

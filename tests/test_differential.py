@@ -12,7 +12,7 @@ from hypothesis import given, reject, settings
 from conftest import rule_split
 from triage_miner.config import PipelineConfig
 from triage_miner.errors import InfeasibleKError
-from triage_miner.ingest import Attribute
+from triage_miner.ingest import Attribute, decode
 from triage_miner.oracle import (
     enumerate_frequent_itemsets,
     essential_rules_naive,
@@ -90,8 +90,7 @@ def test_execute_matches_the_oracles_on_synthetic_data(
 
         tally = Counter(row[Attribute.ASSIGNEE] for row in code_rows)
         ranked = sorted(tally, key=lambda code: (-tally[code], code))[:top_n]
-        assignees = result.codebooks[Attribute.ASSIGNEE]
-        assert outcome.top_assignees == [assignees.decode(code) for code in ranked]
+        assert outcome.top_assignees == decode(result.codebooks[Attribute.ASSIGNEE], ranked)
 
         split = rule_split(outcome.partition)
         rules = split.all_rules()

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 
 from triage_miner.config import PipelineConfig
 from triage_miner.errors import (
+    ConsistencyError,
     DuplicateIdError,
     InputError,
     RowError,
@@ -21,6 +22,7 @@ from triage_miner.ingest import (
     SEVERITY_LABELS,
     Attribute,
     codebooks_to_json,
+    decode,
     read_bug_csv,
 )
 from triage_miner.pipeline import execute
@@ -82,9 +84,9 @@ class TestParseCsv:
         bug_ids, codebooks, codes = _read(payload)
         assert bug_ids == ["42"]
         assert codes.tolist() == [[4, 3, 1, 1, 1]]
-        assert codebooks[Attribute.COMPONENT].forward == {"General": 1}
-        assert codebooks[Attribute.OPERATING_SYSTEM].forward == {"Linux": 1}
-        assert codebooks[Attribute.ASSIGNEE].forward == {"alice": 1}
+        assert codebooks[Attribute.COMPONENT] == ("General",)
+        assert codebooks[Attribute.OPERATING_SYSTEM] == ("Linux",)
+        assert codebooks[Attribute.ASSIGNEE] == ("alice",)
 
     def test_missing_mapped_column_names_it(self):
         bad_map = dict(COLUMN_MAP, severity="severity")
@@ -94,11 +96,11 @@ class TestParseCsv:
 
     def test_blank_cell_becomes_unspecified(self):
         _, codebooks, _ = _read("id,sev,pri,comp,os,who\n42,normal,P3,General,,alice\n")
-        assert codebooks[Attribute.OPERATING_SYSTEM].forward == {"Unspecified": 1}
+        assert codebooks[Attribute.OPERATING_SYSTEM] == ("Unspecified",)
 
     def test_double_dash_cell_becomes_unspecified(self):
         _, codebooks, _ = _read("id,sev,pri,comp,os,who\n42,normal,P3,--,Linux,alice\n")
-        assert codebooks[Attribute.COMPONENT].forward == {"Unspecified": 1}
+        assert codebooks[Attribute.COMPONENT] == ("Unspecified",)
         # on a fixed scale "Unspecified" is no level, so the row is rejected
         with pytest.raises(UnknownCategoryError, match="'Unspecified' at line 2"):
             _read("id,sev,pri,comp,os,who\n42,normal,--,General,Linux,alice\n")
@@ -147,7 +149,7 @@ class TestParseCsv:
         bug_ids, codebooks, codes = _read(payload)
         assert bug_ids == ["42"]
         assert codes.tolist() == [[4, 3, 1, 1, 1]]
-        assert codebooks[Attribute.COMPONENT].forward == {"General": 1}
+        assert codebooks[Attribute.COMPONENT] == ("General",)
 
     def test_incomplete_column_map_is_a_schema_error(self):
         with pytest.raises(SchemaError, match="assignee"):
@@ -170,7 +172,7 @@ class TestParseCsv:
         )
         _, codebooks, codes = _read(payload)
         assert codes[:, Attribute.COMPONENT].tolist() == [1, 2]
-        assert list(codebooks[Attribute.COMPONENT].forward) == ["Build\r\nConfig", "Build\nConfig"]
+        assert codebooks[Attribute.COMPONENT] == ("Build\r\nConfig", "Build\nConfig")
 
     def test_does_not_close_the_source_stream(self):
         stream = _csv("id,sev,pri,comp,os,who\n1,normal,P3,General,Linux,a\n")
@@ -220,12 +222,12 @@ class TestBuildCodebooks:
         rows = [_row("1", component="General"), _row("2", component="Sync"),
                 _row("3", component="General")]
         _, codebooks, _ = _read_rows(rows)
-        assert codebooks[Attribute.COMPONENT].forward == {"General": 1, "Sync": 2}
+        assert codebooks[Attribute.COMPONENT] == ("General", "Sync")
 
     def test_singleton_learned_codebooks(self):
         _, codebooks, codes = _read_rows([_row()])
         for attribute in LEARNED:
-            assert codebooks[attribute].forward == {list(codebooks[attribute].forward)[0]: 1}
+            assert len(codebooks[attribute]) == 1
         assert codes.shape == (1, 5) and codes.dtype == np.int64
         assert codes[0, 2] == codes[0, 3] == codes[0, 4] == 1
 
@@ -234,10 +236,17 @@ class TestBuildCodebooks:
         rows = [_row(str(i), assignee=names[i % 4]) for i in range(10)]
         _, codebooks, codes = _read_rows(rows)
         book = codebooks[Attribute.ASSIGNEE]
-        assert sorted(book.reverse) == [1, 2, 3, 4]
-        # independent decode pass: every record decodes to its original label
-        for row, code in zip(rows, codes[:, Attribute.ASSIGNEE].tolist()):
-            assert book.decode(code) == row[5]
+        assert book == tuple(names)
+        # every record decodes to its original label
+        assert decode(book, codes[:, Attribute.ASSIGNEE].tolist()) == [row[5] for row in rows]
+
+    @pytest.mark.parametrize("code", [0, -1, 3])
+    def test_decode_rejects_a_code_outside_the_codebook(self, code):
+        # ingest hands out codes 1..len only, so any other is an internal
+        # fault (exit 3); code 0 must not wrap round to the last label
+        with pytest.raises(ConsistencyError, match=f"code {code} ") as err:
+            decode(("a", "b"), [1, code])
+        assert err.value.exit_code == 3
 
     def test_empty_input_rejected(self, tmp_path):
         # a header alone reads as zero rows, and a run rejects it as bad input
@@ -255,14 +264,17 @@ class TestBuildCodebooks:
     def test_case_insensitive_learned_labels_keep_first_casing(self):
         rows = [_row("1", component="General"), _row("2", component="GENERAL")]
         _, codebooks, codes = _read_rows(rows)
-        assert codebooks[Attribute.COMPONENT].forward == {"General": 1}
+        assert codebooks[Attribute.COMPONENT] == ("General",)
         assert codes[:, Attribute.COMPONENT].tolist() == [1, 1]
 
     def test_codebooks_json_shape(self):
         _, codebooks, _ = _read_rows([_row()])
+        assert codebooks[Attribute.SEVERITY] == SEVERITY_LABELS
+        assert codebooks[Attribute.PRIORITY] == PRIORITY_LABELS
         payload = codebooks_to_json(codebooks)
         assert payload["Severity"]["Blocker"] == 1
-        assert payload["Priority"]["P5"] == 5
+        assert list(payload["Severity"].values()) == list(range(1, 8))
+        assert payload["Priority"] == {"P1": 1, "P2": 2, "P3": 3, "P4": 4, "P5": 5}
         assert payload["Component"] == {"General": 1}
         assert set(payload) == {"Severity", "Priority", "Component", "OperatingSystem", "Assignee"}
 
@@ -294,15 +306,19 @@ def test_round_trip_and_contiguous_codes(components, oses, assignees):
     assert codes.shape == (n, 5)
     for attribute in LEARNED:
         book = codebooks[attribute]
-        # bijection between forward and reverse
-        assert {book.decode(code) for code in book.reverse} == set(book.forward)
-        assert {code: label for label, code in book.forward.items()} == book.reverse
-        # codes are exactly 1..n
-        assert sorted(book.reverse) == list(range(1, len(book.forward) + 1))
+        # labels distinct up to case, each in its first-seen casing, in the
+        # order they first appear, and codes first appear as 1, 2, ..., n
+        first_seen: dict[str, str] = {}
+        for row in rows:
+            first_seen.setdefault(row[1 + attribute].casefold(), row[1 + attribute])
+        assert len({label.casefold() for label in book}) == len(book)
+        assert book == tuple(first_seen.values())
+        assert list(dict.fromkeys(codes[:, attribute].tolist())) == list(range(1, len(book) + 1))
     # round-trip through every record: each code decodes to its label, up to case
     for (_, *labels), row_codes in zip(rows, codes.tolist()):
         for attribute, label, code in zip(Attribute, labels, row_codes):
-            assert codebooks[attribute].decode(code).casefold() == label.casefold()
+            [decoded] = decode(codebooks[attribute], [code])
+            assert decoded.casefold() == label.casefold()
 
 
 @given(st.integers(0, 2**32))
@@ -320,7 +336,7 @@ def test_parse_and_encode_are_deterministic(seed):
     ids2, books2, codes2 = _records(payload)
     assert ids1 == ids2
     assert np.array_equal(codes1, codes2)
-    assert all(books1[a].forward == books2[a].forward for a in Attribute)
+    assert books1 == books2
 
 
 def _reference_read(payload: bytes, column_map):
@@ -404,7 +420,8 @@ def test_reader_matches_reference(rows, column_order, bom, newline):
     assert bug_ids == expected_ids
     assert codes.dtype == np.int64 and codes.tolist() == expected_codes
     for attribute, forward in zip(Attribute, expected_forwards):
-        assert list(codebooks[attribute].forward.items()) == list(forward.items())
+        assert codebooks[attribute] == tuple(forward)
+        assert list(codebooks_to_json(codebooks)[attribute.display].items()) == list(forward.items())
 
 
 @given(

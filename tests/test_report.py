@@ -23,8 +23,8 @@ from conftest import (
 from test_rule_table import reference_render
 from triage_miner import report
 from triage_miner.cluster import ClusterModel
-from triage_miner.errors import ConsistencyError, UnknownCategoryError
-from triage_miner.ingest import Attribute, Codebook
+from triage_miner.errors import ConsistencyError
+from triage_miner.ingest import PRIORITY_LABELS, SEVERITY_LABELS, Attribute
 from triage_miner.oracle import Item, Rule
 from triage_miner.report import (
     build_summary,
@@ -46,18 +46,12 @@ def _fraction_percent(support: int, antecedent: int) -> str:
 
 
 def _codebooks_for(component_labels, os_labels, assignee_labels):
-    from triage_miner.ingest import PRIORITY_CODEBOOK, SEVERITY_CODEBOOK
-
-    def learned(attribute, labels):
-        forward = {label: i for i, label in enumerate(labels, start=1)}
-        return Codebook(attribute, forward, {c: l for l, c in forward.items()})
-
     return {
-        Attribute.SEVERITY: SEVERITY_CODEBOOK,
-        Attribute.PRIORITY: PRIORITY_CODEBOOK,
-        Attribute.COMPONENT: learned(Attribute.COMPONENT, component_labels),
-        Attribute.OPERATING_SYSTEM: learned(Attribute.OPERATING_SYSTEM, os_labels),
-        Attribute.ASSIGNEE: learned(Attribute.ASSIGNEE, assignee_labels),
+        Attribute.SEVERITY: SEVERITY_LABELS,
+        Attribute.PRIORITY: PRIORITY_LABELS,
+        Attribute.COMPONENT: tuple(component_labels),
+        Attribute.OPERATING_SYSTEM: tuple(os_labels),
+        Attribute.ASSIGNEE: tuple(assignee_labels),
     }
 
 
@@ -160,10 +154,13 @@ class TestRenderRule:
         assert render_text(rule, books) == "Priority {P2} ⇒ Assignee {x} @ (3,50%)"
 
     def test_undecodable_code_raises(self):
+        # ingest hands out no code outside a codebook, so meeting one is an
+        # internal fault (exit 3), not an input error
         books = _codebooks_for(["General"], ["All"], ["x"])
         rule = _rule([Item(Attribute.COMPONENT, 99)], 1, 3, 6)
-        with pytest.raises(UnknownCategoryError):
+        with pytest.raises(ConsistencyError, match="code 99") as err:
             render_text(rule, books)
+        assert err.value.exit_code == 3
 
     def test_render_antecedent_fragment(self):
         books = _codebooks_for(["General"], ["All"], ["x"])
@@ -295,9 +292,7 @@ def label_codebooks(draw):
     ``_labels_text``."""
     books = simple_codebooks()
     for attribute in (Attribute.COMPONENT, Attribute.OPERATING_SYSTEM, Attribute.ASSIGNEE):
-        labels = draw(st.lists(_labels_text, min_size=3, max_size=3, unique=True))
-        forward = {label: code for code, label in enumerate(labels, start=1)}
-        books[attribute] = Codebook(attribute, forward, {c: l for l, c in forward.items()})
+        books[attribute] = tuple(draw(st.lists(_labels_text, min_size=3, max_size=3, unique=True)))
     return books
 
 
@@ -351,7 +346,7 @@ class TestRulesCsv:
                 rows = list(csv.reader(fh))
             assert rows == _rendered_rows(outcomes, books)
             assert {len(row) for row in rows} == {7}
-            if not any("\r" in label for book in books.values() for label in book.forward):
+            if not any("\r" in label for book in books.values() for label in book):
                 _csv_writer_rules_csv(reference, outcomes, books)
                 assert path.read_bytes() == reference.read_bytes()
 

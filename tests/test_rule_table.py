@@ -10,7 +10,7 @@ import numpy as np
 from hypothesis import given, settings
 
 from conftest import row_lists, row_table, rule_lists, rule_split, rule_table, simple_codebooks
-from triage_miner.ingest import Attribute
+from triage_miner.ingest import Attribute, decode
 from triage_miner.mine import Projection, Subset, mine_frequent_itemsets
 from triage_miner.oracle import Item, Rule, rule_objects
 from triage_miner.report import RENDER_ORDER, render_partition
@@ -88,11 +88,11 @@ def reference_render(rule: Rule, codebooks) -> tuple[str, str, str, int, str]:
     """(text, antecedent, assignee, support, confidence repr) of one rule."""
     by_attribute = {item.attribute: item for item in rule.antecedent}
     antecedent = " ∧ ".join(
-        f"{_PREFIX[attribute]}{{{codebooks[attribute].decode(by_attribute[attribute].code)}}}"
+        f"{_PREFIX[attribute]}{{{decode(codebooks[attribute], [by_attribute[attribute].code])[0]}}}"
         for attribute in RENDER_ORDER
         if attribute in by_attribute
     )
-    assignee = codebooks[Attribute.ASSIGNEE].decode(rule.consequent.code)
+    [assignee] = decode(codebooks[Attribute.ASSIGNEE], [rule.consequent.code])
     s, a = rule.support_count, rule.antecedent_count
     hundredths = (20000 * s + a) // (2 * a)
     whole, cents = divmod(hundredths, 100)
