@@ -49,7 +49,7 @@ class ClusterModel:
 
 def _nearest(points: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Assign each point to its nearest centroid; ties go to the lowest index."""
-    distances = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+    distances = sum(np.subtract.outer(p, c) ** 2 for p, c in zip(points.T, centroids.T))
     assignments = distances.argmin(axis=1)
     return assignments, distances[np.arange(len(points)), assignments]
 

@@ -47,11 +47,6 @@ class RowError(InputError):
 class UnknownCategoryError(InputError):
     """A label falls outside a fixed scale (severity/priority) at a line of the input."""
 
-    def __init__(self, attribute: str, label: str, line: int):
-        self.attribute = attribute
-        self.label = label
-        super().__init__(f"unknown {attribute} label: {label!r} at line {line}")
-
 
 class ConsistencyError(TriageMinerError):
     """Cross-module invariant broken (index mismatch, table integrity)."""

@@ -37,7 +37,7 @@ import numpy as np
 from .cluster import ClusterModel, kmeans_fit
 from .config import PipelineConfig
 from .errors import AuditError, InputError, ParameterError
-from .ingest import Attribute, codebooks_to_json, decode, read_bug_csv
+from .ingest import Attribute, BugIds, codebooks_to_json, decode, read_bug_csv
 from .mine import mine_frequent_itemsets
 from .oracle import (
     enumerate_frequent_itemsets,
@@ -65,7 +65,7 @@ class PipelineResult:
     config: PipelineConfig
     input_sha256: str
     codebooks: dict[Attribute, tuple[str, ...]]  # each attribute's labels in code order
-    bug_ids: list[str]
+    bug_ids: BugIds
     rows: np.ndarray  # (m, 5) distinct code rows, one column per Attribute
     index: np.ndarray  # record i is rows[index[i]]
     model: ClusterModel
@@ -163,8 +163,8 @@ def audit_result(result: PipelineResult) -> list[str]:
     if not in_range or not np.bincount(index, minlength=len(rows)).all():
         problems.append("the record index does not map the records onto every table row")
     if in_range:
-        points = rows[:, : Attribute.ASSIGNEE].astype(float)
-        distances = ((points[:, None, :] - np.array(model.centroids)) ** 2).sum(axis=2)
+        features = zip(rows[:, : Attribute.ASSIGNEE].T, np.array(model.centroids).T)
+        distances = sum(np.subtract.outer(p, c) ** 2 for p, c in features)  # a feature at a time
         assignments = model.assignments
         if not np.array_equal(distances.argmin(axis=1)[index], assignments):
             problems.append("some record is not assigned to its nearest centroid")

@@ -32,7 +32,7 @@ import numpy as np
 
 from .cluster import ClusterModel
 from .errors import ConsistencyError
-from .ingest import Attribute, decode
+from .ingest import Attribute, BugIds, decode
 from .mine import Projection, Subset
 from .rules import RulePartition, RuleTable
 
@@ -45,7 +45,6 @@ _RENDER_PREFIX = {  # in print order
 RENDER_ORDER = tuple(_RENDER_PREFIX)
 
 _AND = " ∧ "
-CLUSTERS_JSON_CHUNK = 1 << 13  # assignments per write of clusters.json
 
 
 def confidence_percents(support: Sequence[int], antecedent_count: Sequence[int]) -> list[str]:
@@ -173,10 +172,10 @@ def write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, ensure_ascii=False) + "\n", encoding="utf-8")
 
 
-def write_clusters_json(path: Path, model: ClusterModel, bug_ids: Sequence[str]) -> None:
+def write_clusters_json(path: Path, model: ClusterModel, bug_ids: BugIds) -> None:
     """The model's diagnostics and each bug_id's cluster, as ``write_json``
-    prints them; the assignments are written a chunk at a time, each id's
-    encoding and a ": <cluster>" suffix, as ``indent`` makes ``json`` encode in Python."""
+    prints them; the assignments are written a chunk of ids at a time, each
+    id's encoding and a ": <cluster>" suffix, as ``indent`` makes ``json`` encode in Python."""
     if len(model.assignments) != len(bug_ids):
         raise ConsistencyError("model and records disagree on record count")
     payload = {
@@ -192,8 +191,7 @@ def write_clusters_json(path: Path, model: ClusterModel, bug_ids: Sequence[str])
     suffixes = np.array([f": {cluster},\n    " for cluster in range(model.k)], dtype=object)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(head + ('"assignments": {\n    ' if bug_ids else '"assignments": {}'))
-        for start in range(0, len(bug_ids), CLUSTERS_JSON_CHUNK):
-            ids = bug_ids[start : start + CLUSTERS_JSON_CHUNK]
+        for start, ids in bug_ids.chunks():
             entries = [""] * (2 * len(ids))
             entries[::2] = map(encode_basestring, ids)
             entries[1::2] = suffixes[model.assignments[start : start + len(ids)]].tolist()

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from triage_miner import ingest
 from triage_miner.config import PipelineConfig
 from triage_miner.errors import (
     ConsistencyError,
@@ -21,6 +22,7 @@ from triage_miner.ingest import (
     PRIORITY_LABELS,
     SEVERITY_LABELS,
     Attribute,
+    BugIds,
     codebooks_to_json,
     decode,
     read_bug_csv,
@@ -48,13 +50,24 @@ def _records(payload: bytes):
     ``rows[index]``, after checking the table: int64 rows, one int32 index
     entry per record, each row distinct and used, in first-appearance order."""
     bug_ids, codebooks, rows, index = read_bug_csv(io.BytesIO(payload), COLUMN_MAP)
+    assert isinstance(bug_ids, BugIds)
     assert rows.dtype == np.int64 and rows.shape == (len(rows), 5)
     assert index.dtype == np.int32 and index.shape == (len(bug_ids),)
     assert len(np.unique(rows, axis=0)) == len(rows)
     used, first = np.unique(index, return_index=True)
     assert used.tolist() == list(range(len(rows)))
     assert (np.diff(first) > 0).all()
-    return bug_ids, codebooks, rows[index]
+    return list(bug_ids), codebooks, rows[index]
+
+
+# a row fault of each kind, as bytes; the undecodable byte follows rows enough
+# to put it past the first block of bytes the reader decodes
+_LATER_FAULTS = (
+    b"9,normal,P3\n",
+    b",normal,P3,General,Linux,a\n",
+    b"9,normal,P9,General,Linux,a\n",
+    b"".join(b"f%d,normal,P3,General,Linux,a\n" % i for i in range(1000)) + b"9,\xff\n",
+)
 
 
 def _read(text: str):
@@ -130,6 +143,34 @@ class TestParseCsv:
         )
         with pytest.raises(DuplicateIdError, match="7"):
             _read(duplicate_then_unknown)
+
+        header, duplicate = b"id,sev,pri,comp,os,who\n", b"7,normal,P3,General,Linux,a\n" * 2
+        for fault in _LATER_FAULTS:
+            with pytest.raises(DuplicateIdError, match="'7'"):
+                _records(header + duplicate + fault)
+            # the fault alone, and then followed by a duplicate, is reported alike
+            with pytest.raises(InputError, match="line") as alone:
+                _records(header + fault)
+            with pytest.raises(type(alone.value)) as first:
+                _records(header + fault + duplicate)
+            assert str(first.value) == str(alone.value)
+
+    def test_ids_of_equal_hash_are_compared_as_strings(self, monkeypatch):
+        monkeypatch.setattr(ingest, "hash", lambda bug_id: 0, raising=False)
+        distinct = [f"b{i}" for i in range(40)]
+        assert _read_rows([_row(bug_id) for bug_id in distinct])[0] == distinct
+        with pytest.raises(DuplicateIdError, match="'b'"):
+            _read_rows([_row(bug_id) for bug_id in ["a", "b", "c", "b", "a"]])
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3])
+    def test_ids_are_joined_in_chunks(self, monkeypatch, chunk):
+        monkeypatch.setattr(ingest, "ID_CHUNK", chunk)
+        distinct = [f"id {i}" for i in range(10)]
+        assert _read_rows([_row(bug_id) for bug_id in distinct])[0] == distinct
+        # the repeat's pair straddles a chunk boundary
+        repeated = [*distinct[: chunk + 1], distinct[chunk - 1]]
+        with pytest.raises(DuplicateIdError, match=f"'{distinct[chunk - 1]}'"):
+            _read_rows([_row(bug_id) for bug_id in repeated])
 
     def test_unknown_priority_names_its_line(self):
         payload = (

@@ -176,7 +176,7 @@ def _reachable(root, kind=np.ndarray) -> list:
         seen.add(id(obj))
         if isinstance(obj, kind):
             found.append(obj)
-        elif isinstance(obj, dict):
+        if isinstance(obj, dict):
             stack += [*obj.keys(), *obj.values()]
         elif isinstance(obj, (list, tuple)):
             stack += obj
@@ -187,14 +187,15 @@ def _reachable(root, kind=np.ndarray) -> list:
 
 def test_the_run_holds_one_copy_of_the_records(tmp_path):
     """After ingest the records are the row table and the index: the only
-    reachable arrays with one entry per record are the index and the
-    assignments, and no (n, 5) array is reachable."""
+    reachable arrays with one entry per record are the index, the
+    assignments and the bug ids' end offsets (one chunk here), and no (n, 5)
+    array is reachable."""
     source = tmp_path / "bugs.csv"
     write_csv(source, synthesize_rows(3000, seed=5))
     result = execute(PipelineConfig(input_path=str(source)))
     arrays = _reachable(result)
     per_record = [a for a in arrays if a.ndim and len(a) == 3000]
-    kept = (result.index, result.model.assignments)
+    kept = (result.index, result.model.assignments, *(ends for _, ends in result.bug_ids.joined))
     copies = [(a.dtype, a.shape) for a in per_record if not any(a is k for k in kept)]
     assert len(per_record) == len(kept) and not copies, copies
     assert not [a.shape for a in arrays if a.shape == (3000, 5)]
@@ -204,6 +205,22 @@ def test_the_run_holds_one_copy_of_the_records(tmp_path):
         arrays = _reachable(outcome)
         assert arrays, "the walk reaches the rule tables"
         assert not [a.shape for a in arrays if a.ndim and len(a) == outcome.size], index
+
+
+def test_no_string_per_record_survives_ingest(tmp_path):
+    """The bug ids are held as joined chunks: no list or tuple holding a str
+    per record is reachable from the result, and the ids read back in file
+    order."""
+    source = tmp_path / "bugs.csv"
+    records = synthesize_rows(3000, seed=5)
+    write_csv(source, records)
+    result = execute(PipelineConfig(input_path=str(source)))
+    sequences = _reachable(result, (list, tuple))
+    assert sequences, "the walk reaches the codebooks"
+    per_record = [len(s) for s in sequences if sum(isinstance(x, str) for x in s) >= 3000]
+    assert not per_record, per_record
+    assert len(result.bug_ids) == 3000
+    assert list(result.bug_ids) == [record[0] for record in records]
 
 
 def test_every_stage_after_ingest_runs_on_the_table(tmp_path, monkeypatch):

@@ -21,10 +21,10 @@ from conftest import (
     split_rules,
 )
 from test_rule_table import reference_render
-from triage_miner import report
+from triage_miner import ingest
 from triage_miner.cluster import ClusterModel
 from triage_miner.errors import ConsistencyError
-from triage_miner.ingest import PRIORITY_LABELS, SEVERITY_LABELS, Attribute
+from triage_miner.ingest import PRIORITY_LABELS, SEVERITY_LABELS, Attribute, BugIds
 from triage_miner.oracle import Item, Rule
 from triage_miner.report import (
     build_summary,
@@ -376,6 +376,14 @@ def _model_to_json(model: ClusterModel, bug_ids) -> dict:
     }
 
 
+def _held(ids) -> BugIds:
+    """``ids`` held as ingest holds them, ``ingest.ID_CHUNK`` ids to a chunk."""
+    bug_ids = BugIds()
+    for start in range(0, len(ids), ingest.ID_CHUNK):
+        bug_ids.add_chunk(ids[start : start + ingest.ID_CHUNK])
+    return bug_ids
+
+
 # bug ids holding what JSON escapes or passes through: quotes, backslashes,
 # control characters, non-ASCII text and the line/paragraph separators
 _bug_ids = st.text(
@@ -407,12 +415,12 @@ class TestClustersJson:
         expected = json.dumps(_model_to_json(model, bug_ids), indent=2, ensure_ascii=False) + "\n"
         with tempfile.TemporaryDirectory() as scratch:
             path = Path(scratch) / "clusters.json"
-            write_clusters_json(path, model, bug_ids)
+            write_clusters_json(path, model, _held(bug_ids))
             assert path.read_bytes() == expected.encode("utf-8")
 
     @pytest.mark.parametrize("chunk", [1, 2, 3])
     def test_chunked_assignments_match_the_indented_encoder(self, tmp_path, monkeypatch, chunk):
-        monkeypatch.setattr(report, "CLUSTERS_JSON_CHUNK", chunk)
+        monkeypatch.setattr(ingest, "ID_CHUNK", chunk)
         ids = ['say "hi"', "back\\slash", "\x00\x1f\t\r\n", "line\u2028sep", "😀", "b5", "b6"]
         for n in range(2 * chunk + 2):  # 0, 1 and 2 chunk boundaries, and no ids at all
             bug_ids = ids[:n]
@@ -426,11 +434,11 @@ class TestClustersJson:
                 inertia_history=(0.25,),
             )
             path = tmp_path / f"clusters-{n}.json"
-            write_clusters_json(path, model, bug_ids)
+            write_clusters_json(path, model, _held(bug_ids))
             expected = json.dumps(_model_to_json(model, bug_ids), indent=2, ensure_ascii=False)
             assert path.read_bytes() == (expected + "\n").encode("utf-8")
 
     def test_a_record_count_mismatch_is_a_consistency_error(self, tmp_path):
         model = ClusterModel(1, ((0.0,) * 4,), np.zeros(2, dtype=np.int64), 0.0, 0, 1, (0.0,))
         with pytest.raises(ConsistencyError):
-            write_clusters_json(tmp_path / "clusters.json", model, ["b0"])
+            write_clusters_json(tmp_path / "clusters.json", model, _held(["b0"]))
