@@ -1,7 +1,9 @@
 """Seeded K-means over the four non-assignee attribute codes.
 
-Lloyd iterations with k-means++ initialization, driven by a deterministic
-generator so identical inputs and seed give bit-identical assignments.
+Lloyd iterations with k-means++ initialization, seeded by numpy's
+``default_rng(seed)`` draws re-derived from PCG64's raw stream, which numpy
+keeps fixed, without ``numpy.random`` and its ``Generator``, which does not.
+So identical inputs and seed give bit-identical assignments.
 Distances are squared Euclidean on the raw integer codes; the assignee code
 is excluded from the features because it is the prediction target.
 
@@ -17,13 +19,17 @@ below 2**53, so an integer view of the codes fits as its float copy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import permutations
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .config import PipelineConfig
 from .errors import ConsistencyError, InfeasibleKError, ParameterError
 from .mine import distinct_rows
+
+_M32, _M64, _M128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
+_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's 128-bit LCG multiplier
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,21 +96,62 @@ def _assign_with_repair(
     raise ConsistencyError("empty-cluster repair did not converge")
 
 
+def _pcg64(seed: int) -> Iterator[int]:
+    """``np.random.PCG64(seed)``'s raw outputs, 0 <= seed < 2**128: SeedSequence
+    hashes and mixes the seed's 32-bit words, then a 128-bit LCG steps, each
+    state giving an output by XSL-RR."""
+    const, mult = 0x43B0D7E5, 0x931E8875  # the hash constant and its step
+
+    def hashmix(value: int) -> int:
+        nonlocal const
+        value, const = value ^ const, const * mult & _M32
+        value = value * const & _M32
+        return value ^ value >> 16
+
+    pool = [hashmix(seed >> shift & _M32) for shift in range(0, 128, 32)]
+    for src, dst in permutations(range(4), 2):
+        value = 0xCA01F9DD * pool[dst] - 0x4973F715 * hashmix(pool[src]) & _M32
+        pool[dst] = value ^ value >> 16
+    const, mult = 0x8B51F9DD, 0x58F38DED  # generate_state(4, uint64): eight words, paired
+    words = [hashmix(value) for value in pool * 2]
+    high, low, seq_high, seq_low = (a | b << 32 for a, b in zip(words[::2], words[1::2]))
+    inc = ((seq_high << 64 | seq_low) << 1 | 1) & _M128
+    state = (inc + (high << 64 | low)) * _MULT + inc & _M128
+    while True:
+        state = state * _MULT + inc & _M128
+        value, rotate = (state >> 64 ^ state) & _M64, state >> 122
+        yield (value >> rotate | value << 64 - rotate) & _M64
+
+
+def _integers(halves: Iterator[int], n: int) -> int:
+    """``Generator.integers(n)``, 0 < n < 2**32, by Lemire's multiply and reject
+    on ``halves``: each raw output's low 32 bits, then its high 32 bits."""
+    m = next(halves) * n if n > 1 else 0
+    while m & _M32 < 2**32 % n:
+        m = next(halves) * n
+    return m >> 32
+
+
 def _kmeanspp_init(vectors: np.ndarray, rank: np.ndarray, k: int, seed: int) -> np.ndarray:
     """k-means++ seeds, each drawn over all records from the distances of the
     distinct vectors gathered to the records by ``rank``."""
-    n, rng = len(rank), np.random.default_rng(seed)
+    n, raw = len(rank), _pcg64(seed)
+    halves = (half for value in raw for half in (value & _M32, value >> 32))
     centroids = np.empty((k, vectors.shape[1]), dtype=float)
-    centroids[0] = vectors[rank[rng.integers(n)]]
+    centroids[0] = vectors[rank[_integers(halves, n)]]
     d2 = ((vectors - centroids[0]) ** 2).sum(axis=1)
     for j in range(1, k):
-        point_d2 = d2[rank]
-        total = point_d2.sum()
+        cdf = d2[rank]  # each record's distance, made Generator.choice's cdf in place
+        total = cdf.sum()
         if total <= 0.0:
             raise ConsistencyError("k-means++ ran out of distinct points")
-        idx = int(rng.choice(n, p=point_d2 / total))
-        if point_d2[idx] == 0.0:  # boundary artifact of the cumulative draw
-            idx = int(point_d2.argmax())
+        cdf /= total
+        np.cumsum(cdf, out=cdf)
+        cdf /= cdf[-1]
+        idx = int(cdf.searchsorted((next(raw) >> 11) * 2.0**-53, side="right"))
+        del cdf  # before the next record-sized array
+        if d2[rank[idx]] == 0.0:  # boundary artifact of the cumulative draw
+            idx = int(d2[rank].argmax())
         centroids[j] = vectors[rank[idx]]
         d2 = np.minimum(d2, ((vectors - centroids[j]) ** 2).sum(axis=1))
     return centroids
@@ -128,6 +175,8 @@ def kmeans_fit(
         raise ParameterError(f"k must be positive, got {k}")
     if max_iterations < 1:
         raise ParameterError(f"max_iterations must be >= 1, got {max_iterations}")
+    if not 0 <= seed < 2**64:  # as the config allows; _pcg64 would take any seed's low bits
+        raise ParameterError(f"seed must be in [0, 2^64), got {seed}")
     data, index = np.asarray(points), np.asarray(index)
     if data.ndim != 2 or len(data) == 0 or len(index) == 0:
         raise ParameterError("points must be a non-empty list of equal-length vectors")

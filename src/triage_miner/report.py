@@ -14,8 +14,9 @@ Only this module knows the rendered form. A cluster's rules are rendered
 when its reports are written, once for cluster_<i>.txt and rules.csv both,
 as string columns: the strings of each label and of each (support,
 antecedent count) pair are built once, and a witness's text is looked up by
-its row. rules.csv quotes a field holding a comma, a double quote, CR or
-LF, doubling its quotes (RFC 4180). When some label holds CR or LF,
+its row; both files are written WRITE_BATCH rules at a time, never whole.
+rules.csv quotes a field holding a comma, a double quote, CR or LF,
+doubling its quotes (RFC 4180). When some label holds CR or LF,
 cluster_<i>.txt shows them as ``\\r`` and ``\\n`` and a backslash as
 ``\\\\``, so that every rule keeps one line and each escape reads one way.
 """
@@ -24,9 +25,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import islice
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -45,6 +47,7 @@ _RENDER_PREFIX = {  # in print order
 RENDER_ORDER = tuple(_RENDER_PREFIX)
 
 _AND = " ∧ "
+WRITE_BATCH = 1024  # rules per write of cluster_<i>.txt and rules.csv
 
 
 def confidence_percents(support: Sequence[int], antecedent_count: Sequence[int]) -> list[str]:
@@ -201,33 +204,37 @@ def write_clusters_json(path: Path, model: ClusterModel, bug_ids: BugIds) -> Non
         fh.write(tail + "\n")
 
 
+def _write_in_batches(fh: TextIO, lines: Iterator[str]) -> None:
+    """Write ``lines`` joined WRITE_BATCH at a time, so no file's text is held whole."""
+    while batch := list(islice(lines, WRITE_BATCH)):
+        fh.write("".join(batch))
+
+
 def write_cluster_text(path: Path, cluster: Mapping, rendered: RenderedRules, escape: bool) -> None:
     """A cluster's text report: the header from its ``build_summary`` entry,
     then its rules; with ``escape``, labels show CR, LF and backslash as escapes."""
     index, essential = cluster["cluster"], cluster["essential"]
     top = ", ".join(cluster["top_assignees"]) if cluster["top_assignees"] else "(none)"
+    shown = (lambda text: text.translate(_SHOWN)) if escape else str  # each rule on one line
     text, witness = rendered.text, rendered.witness
-    if escape:  # keep one rule per line, each escape read one way
-        top = top.translate(_SHOWN)
-        text, witness = [t.translate(_SHOWN) for t in text], [w.translate(_SHOWN) for w in witness]
     lines = [
         f"Cluster {index}",
         "=" * len(f"Cluster {index}"),
         f"Records: {cluster['size']}",
-        f"Top assignees: {top}",
+        f"Top assignees: {shown(top)}",
         f"Rules: {cluster['rules']} (essential {essential}, redundant {cluster['redundant']})",
         "Antecedent length histogram: "
         + " ".join(f"{k}={v}" for k, v in cluster["length_histogram"].items()),
         "",
         "Essential rules",
     ]
-    lines += [f"  {i}. {t}" for i, t in enumerate(text[:essential], start=1)] or ["  (none)"]
-    lines += ["", "Redundant rules"]
-    redundant = zip(text[essential:], witness[essential:])
-    lines += [
-        f"  {i}. {t}\n     subsumed by: {w}" for i, (t, w) in enumerate(redundant, start=1)
-    ] or ["  (none)"]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n" + ("" if essential else "  (none)\n"))
+        _write_in_batches(fh, (f"  {i}. {shown(t)}\n" for i, t in enumerate(text[:essential], 1)))
+        fh.write("\nRedundant rules\n" + ("" if len(text) > essential else "  (none)\n"))
+        redundant = enumerate(zip(text[essential:], witness[essential:]), start=1)
+        subsumed = (f"  {i}. {shown(t)}\n     subsumed by: {shown(w)}\n" for i, (t, w) in redundant)
+        _write_in_batches(fh, subsumed)
 
 
 def write_figure_csvs(figures_dir: Path, summary: Mapping) -> None:
@@ -255,9 +262,10 @@ def write_rule_reports(
 ) -> None:
     """cluster_<i>.txt for each of ``build_summary``'s clusters, and rules.csv,
     one row per rule, essential rows first per cluster. Each cluster's rules
-    are rendered once, for both, so one cluster's strings are held at a time.
-    The text reports escape CR and LF when some label holds one. A witness
-    holds the comma of "(n,p%)", so rules.csv always quotes it."""
+    are rendered once, for both, so one cluster's strings are held at a time,
+    and its lines are joined and written WRITE_BATCH rules at a time. The
+    text reports escape CR and LF when some label holds one. A witness holds
+    the comma of "(n,p%)", so rules.csv always quotes it."""
     labels = (label for codebook in codebooks.values() for label in codebook)
     escape = any("\r" in label or "\n" in label for label in labels)
     with open(report_dir / "rules.csv", "w", newline="", encoding="utf-8") as fh:
@@ -266,11 +274,11 @@ def write_rule_reports(
             index, essential = cluster["cluster"], cluster["essential"]
             rendered = render_partition(outcome.partition, codebooks)
             write_cluster_text(report_dir / f"cluster_{index}.txt", cluster, rendered, escape)
-            status = [",essential,"] * essential + [
-                ',redundant,"' + witness.replace('"', '""') + '"'
-                for witness in rendered.witness[essential:]
-            ]
+            status = (
+                ",essential," if i < essential else ',redundant,"' + w.replace('"', '""') + '"'
+                for i, w in enumerate(rendered.witness)
+            )
             columns = (rendered.antecedent_csv, rendered.assignee_csv, rendered.support)
             rows = zip(*columns, rendered.confidence, status)
-            fh.write("".join([f"{index},{a},{b},{n},{c}{t}\n" for a, b, n, c, t in rows]))
+            _write_in_batches(fh, (f"{index},{a},{b},{n},{c}{t}\n" for a, b, n, c, t in rows))
             del rendered, status, rows  # before the next cluster's are rendered

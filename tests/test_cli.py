@@ -370,19 +370,24 @@ class TestRunCommand:
         assert os.strerror(errno.EIO) in err and "Traceback" not in err
         assert not out.exists()
 
-    def test_run_does_not_import_numpy_ma(self, sample_csv, tmp_path):
-        # numpy.ma costs milliseconds to import and the pipeline needs none of it
+    def test_run_imports_neither_numpy_ma_nor_numpy_random(self, sample_csv, tmp_path):
+        # numpy.ma costs milliseconds to import and the pipeline needs none of
+        # it; numpy.random costs about 7 MiB of RSS, and k-means++ draws
+        # without it. A numpy that loads numpy.random on import is not checked.
         script = (
-            "import sys; from triage_miner import cli;"
+            "import sys, numpy; eager = 'numpy.random' in sys.modules;"
+            " from triage_miner import cli;"
             f" assert cli.main(['run', '--input', {str(sample_csv)!r},"
             f" '--output', {str(tmp_path / 'out')!r}]) == 0;"
-            " print('numpy.ma' in sys.modules)"
+            " print('numpy.ma' in sys.modules, 'numpy.random' in sys.modules, eager)"
         )
         env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
         done = subprocess.run(
             [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
         )
-        assert done.stdout.splitlines()[-1] == "False"
+        numpy_ma, numpy_random, eager = done.stdout.splitlines()[-1].split()
+        assert numpy_ma == "False"
+        assert numpy_random == eager
 
     def test_openblas_runs_one_thread_unless_the_caller_set_it(self):
         # importing the CLI caps OpenBLAS's pool before numpy loads, and keeps

@@ -3,7 +3,7 @@ import dataclasses
 import operator
 import random
 from collections import Counter
-from itertools import product
+from itertools import islice, product
 
 import numpy as np
 import pytest
@@ -13,7 +13,15 @@ from hypothesis import strategies as st
 from conftest import point_table
 
 from triage_miner import cluster, pipeline
-from triage_miner.cluster import ClusterModel, _assign_with_repair, _kmeanspp_init, kmeans_fit
+from triage_miner.cluster import (
+    _M32,
+    ClusterModel,
+    _assign_with_repair,
+    _integers,
+    _kmeanspp_init,
+    _pcg64,
+    kmeans_fit,
+)
 from triage_miner.config import PipelineConfig
 from triage_miner.errors import ConsistencyError, InfeasibleKError, ParameterError
 from triage_miner.mine import distinct_rows
@@ -85,6 +93,11 @@ class TestKmeansFit:
     def test_nonpositive_max_iterations_rejected(self):
         with pytest.raises(ParameterError):
             kmeans_fit(*point_table([(1, 1, 1, 1)]), k=1, seed=0, max_iterations=0)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_the_pcg64_range_rejected(self, seed):
+        with pytest.raises(ParameterError, match="seed"):
+            kmeans_fit(*point_table([(1, 1, 1, 1)]), k=1, seed=seed)
 
     def test_empty_points_rejected(self):
         with pytest.raises(ParameterError):
@@ -343,3 +356,99 @@ def test_cluster_sizes_are_python_ints():
     model = kmeans_fit(*point_table([(1, 1, 1, 1)] * 3 + [(9, 9, 9, 9)]), k=2, seed=0)
     assert sorted(model.cluster_sizes()) == [1, 3]
     assert all(type(size) is int for size in model.cluster_sizes())
+
+
+def _halves(raw):
+    """numpy's next_uint32 over raw outputs: each one's low half, then its high half."""
+    return (half for value in raw for half in (value & _M32, value >> 32))
+
+
+_EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63 + 5, 2**64 - 1, 2**96 + 3, 2**128 - 1]
+
+
+def _seeds(count: int, seed: int) -> list[int]:
+    """The edge seeds and ``count`` more of random bit lengths up to 64."""
+    rnd = random.Random(seed)
+    return _EDGE_SEEDS + [rnd.getrandbits(rnd.randint(1, 64)) for _ in range(count)]
+
+
+def test_raw_outputs_are_pcg64s():
+    # numpy keeps PCG64's raw stream for a seed fixed across releases
+    for seed in _seeds(2000, 1):
+        assert list(islice(_pcg64(seed), 16)) == np.random.PCG64(seed).random_raw(16).tolist()
+
+
+def test_integers_and_the_uniform_draw_are_default_rngs():
+    # three bounded draws (a rejection is likely for n just above 2**31), then
+    # the 53-bit double of the cdf draw, which the buffered half does not shift
+    rnd = random.Random(2)
+    edges = [1, 2, 3, 7, 2**31 - 1, 2**31, 3 * 2**29, 2**31 + 1, 2**32 - 1]
+    for seed in _seeds(1000, 3):
+        ns = [rnd.choice(edges), rnd.randint(1, 2**31), rnd.randint(1, 1000)]
+        generator, raw = np.random.default_rng(seed), _pcg64(seed)
+        halves = _halves(raw)
+        assert [_integers(halves, n) for n in ns] == [int(generator.integers(n)) for n in ns]
+        assert (next(raw) >> 11) * 2.0**-53 == generator.random()
+
+
+def test_kmeanspp_draws_are_default_rngs():
+    # the first seed by integers(n) over the records, each later one by choice(n, p=...)
+    rnd = random.Random(4)
+    for seed in _seeds(300, 5):
+        points = _random_points(rnd, rnd.randint(1, 40), spread=rnd.randint(1, 4))
+        data = np.asarray(points)
+        k = rnd.randint(1, len(np.unique(data, axis=0)))
+        vectors, rank, _ = distinct_rows(data)
+        try:
+            expected = per_point_kmeanspp_init(data, k, np.random.default_rng(seed))
+        except ConsistencyError:
+            with pytest.raises(ConsistencyError):
+                _kmeanspp_init(vectors, rank, k, seed)
+            continue
+        assert np.array_equal(_kmeanspp_init(vectors, rank, k, seed), expected)
+
+
+@pytest.mark.parametrize(
+    "seed, bounded, uniform",
+    [
+        (0, [8, 1367864807, 3], 0.04097352393619469),
+        (1, [4, 1099128569, 5], 0.14415961271963373),
+        (12345, [6, 488200390, 5], 0.7973654573327341),
+        (2**63 + 5, [8, 1031292740, 1], 0.6417306338738085),
+    ],
+)
+def test_pinned_draws(seed, bounded, uniform):
+    # integers(10), integers(2**31), integers(7), then random(), as numpy 2.4 draws them
+    raw = _pcg64(seed)
+    halves = _halves(raw)
+    assert [_integers(halves, n) for n in (10, 2**31, 7)] == bounded
+    assert (next(raw) >> 11) * 2.0**-53 == uniform
+
+
+def test_pinned_raw_outputs():
+    assert list(islice(_pcg64(0), 3)) == [
+        11749869230777074271,
+        4976686463289251617,
+        755828109848996024,
+    ]
+    assert list(islice(_pcg64(2**64 - 1), 3)) == [
+        12544278110101001871,
+        15593249672699323225,
+        136562751618339402,
+    ]
+
+
+@pytest.mark.parametrize(
+    "seed, chosen",
+    [
+        (0, [34, 4, 13, 9]),
+        (1, [18, 39, 2, 34]),
+        (12345, [27, 4, 38, 21]),
+        (2**63 + 5, [32, 20, 9, 2]),
+    ],
+)
+def test_pinned_kmeanspp_seeds(seed, chosen):
+    # the records k-means++ picks, in order, among 40 distinct points x**1.5
+    vectors = np.arange(40, dtype=float).reshape(-1, 1) ** 1.5
+    centroids = _kmeanspp_init(vectors, np.arange(40), 4, seed)
+    assert centroids.tolist() == vectors[chosen].tolist()

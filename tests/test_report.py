@@ -19,13 +19,16 @@ from conftest import (
     rule_table,
     simple_codebooks,
     split_rules,
+    tree_bytes,
 )
 from test_rule_table import reference_render
-from triage_miner import ingest
+from triage_miner import ingest, report
 from triage_miner.cluster import ClusterModel
+from triage_miner.config import PipelineConfig
 from triage_miner.errors import ConsistencyError
 from triage_miner.ingest import PRIORITY_LABELS, SEVERITY_LABELS, Attribute, BugIds
 from triage_miner.oracle import Item, Rule
+from triage_miner.pipeline import execute
 from triage_miner.report import (
     build_summary,
     confidence_percents,
@@ -35,6 +38,7 @@ from triage_miner.report import (
     write_rule_reports,
 )
 from triage_miner.rules import eliminate_redundant
+from triage_miner.synth import synthesize_rows, write_csv
 
 
 def _fraction_percent(support: int, antecedent: int) -> str:
@@ -361,6 +365,79 @@ class TestRulesCsv:
             )
             with open(path, newline="", encoding="utf-8") as fh:
                 assert list(csv.reader(fh)) == _rendered_rows(outcomes, books)
+
+
+@pytest.fixture(scope="module")
+def batch_cases(sample_csv, tmp_path_factory):
+    """(summary, outcomes, codebooks) of three report inputs: the rule-dense
+    shape at 1k rows (up to 1,145 essential rules in a cluster), the sample
+    with labels holding CR, a comma and double quotes, and clusters with no
+    rules, with essential rules only, and with both."""
+    scratch = tmp_path_factory.mktemp("batch")
+    dense = scratch / "dense.csv"
+    write_csv(dense, synthesize_rows(1000, 40, 8, 60, 1.0, seed=11))
+    text = sample_csv.read_text(encoding="utf-8")
+    text = text.replace(",Build Config,", ',"Build\rConfig",')
+    quoted = scratch / "quoted.csv"
+    quoted.write_text(text.replace(",User Interface,", ',"User, ""Interface""",'), "utf-8")
+    cases = {}
+    for name, config in (
+        ("dense", PipelineConfig(str(dense), min_support_count=1, min_confidence=0.01, top_n=60)),
+        ("quoted", PipelineConfig(str(quoted))),
+    ):
+        result = execute(config)
+        summary = build_summary(len(result.bug_ids), {}, result.outcomes)
+        cases[name] = summary, result.outcomes, result.codebooks
+    books = simple_codebooks()
+    severity, priority = Item(Attribute.SEVERITY, 1), Item(Attribute.PRIORITY, 1)
+    essential_only = [_rule([severity], 1, 8, 10), _rule([priority], 2, 6, 10)]
+    mixed = [*essential_only, _rule([severity, priority], 1, 5, 10)]
+    outcomes = _outcomes([[], essential_only, mixed], books)
+    cases["edges"] = build_summary(0, {}, outcomes), outcomes, books
+    return cases
+
+
+class TestWriteBatch:
+    @pytest.mark.parametrize("case", ["dense", "quoted", "edges"])
+    @pytest.mark.parametrize("batch", [1, 2, 3, report.WRITE_BATCH])
+    def test_reports_do_not_depend_on_the_batch(
+        self, batch_cases, case, batch, tmp_path, monkeypatch
+    ):
+        summary, outcomes, books = batch_cases[case]
+        for size in (10**9, batch):  # each cluster's section in one write, then batched
+            monkeypatch.setattr(report, "WRITE_BATCH", size)
+            (tmp_path / str(size)).mkdir()
+            write_rule_reports(tmp_path / str(size), summary, outcomes, books)
+        assert tree_bytes(tmp_path / str(batch)) == tree_bytes(tmp_path / str(10**9))
+
+    def test_an_empty_section_prints_none(self, batch_cases, tmp_path):
+        summary, outcomes, books = batch_cases["edges"]
+        write_rule_reports(tmp_path, summary, outcomes, books)
+        sections = [
+            (tmp_path / f"cluster_{i}.txt").read_text(encoding="utf-8").split("\n\n", 1)[1]
+            for i in range(3)
+        ]
+        essential = (
+            "  1. Severity {Blocker} ⇒ Assignee {Dev 1} @ (8,80%)\n"
+            "  2. Priority {P1} ⇒ Assignee {Dev 2} @ (6,60%)\n"
+        )
+        assert sections == [
+            "Essential rules\n  (none)\n\nRedundant rules\n  (none)\n",
+            "Essential rules\n" + essential + "\nRedundant rules\n  (none)\n",
+            "Essential rules\n" + essential + "\nRedundant rules\n"
+            "  1. Severity {Blocker} ∧ Priority {P1} ⇒ Assignee {Dev 1} @ (5,50%)\n"
+            "     subsumed by: Severity {Blocker} ⇒ Assignee {Dev 1} @ (8,80%)\n",
+        ]
+
+    def test_the_cases_reach_every_boundary(self, batch_cases):
+        dense = batch_cases["dense"][0]["clusters"]
+        largest = max(c["essential"] for c in dense)  # a default batch ends short
+        assert largest > report.WRITE_BATCH and largest % report.WRITE_BATCH > 0
+        assert any(c["essential"] % 2 for c in dense)  # rules.csv: a batch spans both statuses
+        edges = [(c["essential"], c["redundant"]) for c in batch_cases["edges"][0]["clusters"]]
+        assert edges == [(0, 0), (2, 0), (2, 1)]  # "(none)" in either section
+        labels = batch_cases["quoted"][2][Attribute.COMPONENT]
+        assert {"Build\rConfig", 'User, "Interface"'} <= set(labels)
 
 
 def _model_to_json(model: ClusterModel, bug_ids) -> dict:
