@@ -16,8 +16,7 @@ class ConfigError(TriageMinerError):
     exit_code = 1
 
     def __init__(self, violations: list[str]):
-        self.violations = list(violations)
-        super().__init__("; ".join(self.violations))
+        super().__init__("; ".join(violations))
 
 
 class ParameterError(TriageMinerError):
@@ -60,5 +59,4 @@ class AuditError(ConsistencyError):
     """The pipeline's self-audit found an invariant violation in its own output."""
 
     def __init__(self, violations: list[str]):
-        self.violations = list(violations)
-        super().__init__("; ".join(self.violations))
+        super().__init__("; ".join(violations))

@@ -26,7 +26,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import islice
-from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Iterator, Mapping, NamedTuple, Sequence, TextIO
 
@@ -178,7 +177,8 @@ def write_json(path: Path, payload: dict) -> None:
 def write_clusters_json(path: Path, model: ClusterModel, bug_ids: BugIds) -> None:
     """The model's diagnostics and each bug_id's cluster, as ``write_json``
     prints them; the assignments are written a chunk of ids at a time, each
-    id's encoding and a ": <cluster>" suffix, as ``indent`` makes ``json`` encode in Python."""
+    id's JSON encoding as BugIds holds it and a ": <cluster>" suffix, as
+    ``indent`` makes ``json`` encode in Python, so no id is encoded here."""
     if len(model.assignments) != len(bug_ids):
         raise ConsistencyError("model and records disagree on record count")
     payload = {
@@ -196,7 +196,7 @@ def write_clusters_json(path: Path, model: ClusterModel, bug_ids: BugIds) -> Non
         fh.write(head + ('"assignments": {\n    ' if bug_ids else '"assignments": {}'))
         for start, ids in bug_ids.chunks():
             entries = [""] * (2 * len(ids))
-            entries[::2] = map(encode_basestring, ids)
+            entries[::2] = ids
             entries[1::2] = suffixes[model.assignments[start : start + len(ids)]].tolist()
             if start + len(ids) == len(bug_ids):
                 entries[-1] = f": {model.assignments[-1]}\n  }}"

@@ -1,6 +1,8 @@
 import csv
 import io
 import itertools
+import json
+from unittest import mock
 
 import hypothesis.strategies as st
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 
 from triage_miner import ingest
+from triage_miner.cluster import ClusterModel
 from triage_miner.config import PipelineConfig
 from triage_miner.errors import (
     ConsistencyError,
@@ -28,6 +31,7 @@ from triage_miner.ingest import (
     read_bug_csv,
 )
 from triage_miner.pipeline import execute
+from triage_miner.report import write_clusters_json
 
 COLUMN_MAP = {
     "bug_id": "id",
@@ -60,13 +64,14 @@ def _records(payload: bytes):
     return list(bug_ids), codebooks, rows[index]
 
 
-# a row fault of each kind, as bytes; the undecodable byte follows rows enough
-# to put it past the first block of bytes the reader decodes
+# a row fault of each kind, as bytes, with its line in a file that starts
+# with it; the undecodable byte follows rows enough to put it past the first
+# block of bytes a decoder reads
 _LATER_FAULTS = (
-    b"9,normal,P3\n",
-    b",normal,P3,General,Linux,a\n",
-    b"9,normal,P9,General,Linux,a\n",
-    b"".join(b"f%d,normal,P3,General,Linux,a\n" % i for i in range(1000)) + b"9,\xff\n",
+    (b"9,normal,P3\n", 2),
+    (b",normal,P3,General,Linux,a\n", 2),
+    (b"9,normal,P9,General,Linux,a\n", 2),
+    (b"".join(b"f%d,normal,P3,General,Linux,a\n" % i for i in range(1000)) + b"9,\xff\n", 1002),
 )
 
 
@@ -145,15 +150,25 @@ class TestParseCsv:
             _read(duplicate_then_unknown)
 
         header, duplicate = b"id,sev,pri,comp,os,who\n", b"7,normal,P3,General,Linux,a\n" * 2
-        for fault in _LATER_FAULTS:
+        for fault, line in _LATER_FAULTS:
             with pytest.raises(DuplicateIdError, match="'7'"):
                 _records(header + duplicate + fault)
             # the fault alone, and then followed by a duplicate, is reported alike
-            with pytest.raises(InputError, match="line") as alone:
+            with pytest.raises(InputError, match=rf"line {line}\b") as alone:
                 _records(header + fault)
             with pytest.raises(type(alone.value)) as first:
                 _records(header + fault + duplicate)
             assert str(first.value) == str(alone.value)
+
+        # an undecodable byte is named at its own line, after the rows before it
+        # are checked, whatever the line ends and with or without a BOM
+        good = [b"f%d,normal,P3,General,Linux,a" % i for i in range(1000)]
+        for bom, newline in itertools.product([b"", b"\xef\xbb\xbf"], [b"\n", b"\r\n", b"\r"]):
+            head = bom + newline.join([header.rstrip(b"\n"), *good]) + newline
+            with pytest.raises(RowError, match="^unreadable row at line 1002: .*0xff"):
+                _records(head + b"9,\xff" + newline)
+            with pytest.raises(DuplicateIdError, match="'f7'"):
+                _records(head + good[7] + newline + b"9,\xff" + newline)
 
     def test_ids_of_equal_hash_are_compared_as_strings(self, monkeypatch):
         monkeypatch.setattr(ingest, "hash", lambda bug_id: 0, raising=False)
@@ -171,6 +186,10 @@ class TestParseCsv:
         repeated = [*distinct[: chunk + 1], distinct[chunk - 1]]
         with pytest.raises(DuplicateIdError, match=f"'{distinct[chunk - 1]}'"):
             _read_rows([_row(bug_id) for bug_id in repeated])
+        # and is found when a later row of the same batch of lines fails,
+        # with more than a chunk of ids not yet in a chunk
+        with pytest.raises(DuplicateIdError, match=f"'{distinct[chunk - 1]}'"):
+            _read_rows([_row(bug_id) for bug_id in [*repeated, *distinct[-3:]]] + [("x",)])
 
     def test_unknown_priority_names_its_line(self):
         payload = (
@@ -214,6 +233,16 @@ class TestParseCsv:
         _, codebooks, codes = _read(payload)
         assert codes[:, Attribute.COMPONENT].tolist() == [1, 2]
         assert codebooks[Attribute.COMPONENT] == ("Build\r\nConfig", "Build\nConfig")
+
+    def test_an_id_column_mapped_as_an_attribute_too_is_read_per_line(self):
+        # the lines differ only in the id cell, which is also the assignee's
+        column_map = dict(COLUMN_MAP, assignee="id")
+        payload = "id,sev,pri,comp,os,who\n" + "".join(
+            f"a{i},normal,P3,General,Linux,x\n" for i in range(3)
+        )
+        _, codebooks, rows, index = read_bug_csv(_csv(payload), column_map)
+        assert codebooks[Attribute.ASSIGNEE] == ("a0", "a1", "a2")
+        assert rows[index][:, Attribute.ASSIGNEE].tolist() == [1, 2, 3]
 
     def test_does_not_close_the_source_stream(self):
         stream = _csv("id,sev,pri,comp,os,who\n1,normal,P3,General,Linux,a\n")
@@ -381,13 +410,31 @@ def test_parse_and_encode_are_deterministic(seed):
 
 
 def _reference_read(payload: bytes, column_map):
-    """The reader's result on valid input, computed the slow way: csv.reader,
-    then normalise each cell, then first-appearance dicts searched by
-    casefolded comparison. Returns bug ids, per-attribute forward maps and
-    the code rows."""
-    text = io.StringIO(payload.decode("utf-8-sig"), newline="")
-    header, *rows = [row for row in csv.reader(text) if row]
+    """The reader's result on input with valid labels, computed the slow way:
+    csv.reader, then normalise each cell, then first-appearance dicts
+    searched by casefolded comparison. Returns bug ids, per-attribute forward
+    maps and the code rows. The first fault in file order raises the
+    reader's error: a row that csv.reader cannot read or that has the wrong
+    width, or an id seen on an earlier row."""
+    reader = csv.reader(io.StringIO(payload.decode("utf-8-sig"), newline=""))
+    header, rows = next(reader), []
     positions = [header.index(column_map[field]) for field in LOGICAL_FIELDS]
+    seen_ids = set()
+    try:
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise RowError(
+                    f"row at line {reader.line_num} has {len(row)} cells, header has {len(header)}"
+                )
+            bug_id = row[positions[0]].strip()
+            if bug_id in seen_ids:
+                raise DuplicateIdError(f"duplicate bug_id: {bug_id!r}")
+            seen_ids.add(bug_id)
+            rows.append(row)
+    except csv.Error as exc:  # NUL before Python 3.11
+        raise RowError(f"unreadable row at line {reader.line_num}: {exc}") from exc
     forwards = [
         dict(zip(SEVERITY_LABELS, itertools.count(1))),
         dict(zip(PRIORITY_LABELS, itertools.count(1))),
@@ -456,13 +503,147 @@ def test_reader_matches_reference(rows, column_order, bom, newline):
         lines.append(buffer.getvalue()[:-2] + newline)
     payload = (bom + "".join(lines)).encode("utf-8")
 
+    _assert_reads_as_reference(payload)
+
+
+def _assert_reads_as_reference(payload: bytes) -> None:
+    """read_bug_csv gives _reference_read's records and codebooks, or its
+    error."""
+    try:
+        expected_ids, expected_forwards, expected_codes = _reference_read(payload, COLUMN_MAP)
+    except (RowError, DuplicateIdError) as expected:
+        with pytest.raises(type(expected)) as got:
+            _records(payload)
+        assert str(got.value) == str(expected)
+        return
     bug_ids, codebooks, codes = _records(payload)
-    expected_ids, expected_forwards, expected_codes = _reference_read(payload, COLUMN_MAP)
     assert bug_ids == expected_ids
     assert codes.dtype == np.int64 and codes.tolist() == expected_codes
     for attribute, forward in zip(Attribute, expected_forwards):
         assert codebooks[attribute] == tuple(forward)
         assert list(codebooks_to_json(codebooks)[attribute.display].items()) == list(forward.items())
+
+
+# attribute texts for both parse paths: plain ones, and ones that csv.writer
+# quotes (a comma, a double quote, a line break inside a cell)
+_shared_rows = st.tuples(
+    _cells(SEVERITY_LABELS),
+    _cells(PRIORITY_LABELS),
+    _cells(
+        ["General", "Sync", "Straße", "", "--", "Build, Config", 'Say "hi"', "Build\r\nConfig"]
+    ),
+    _cells(["Linux", "All", "--"]),
+    _cells(["Ada Riley", "Çelik", "", "x\ry"]),
+    _cells(["note", ""]),
+)
+
+
+@given(
+    shared=st.lists(_shared_rows, min_size=1, max_size=4),
+    records=st.lists(
+        st.tuples(
+            st.integers(0, 3),  # which shared attribute text the record repeats
+            st.sampled_from(["b", "ü", 'q"', "n\1"]),  # its id's stem; \1 stands for NUL
+            st.booleans(),  # written with every cell quoted
+            st.sampled_from(["\n", "\r\n", "\r"]),  # its line end
+            st.sampled_from(["", "", "", "\n", "\r\n", "\r"]),  # a blank line before it
+        ),
+        min_size=1,
+        max_size=30,
+    ),
+    spaces_before=st.one_of(st.none(), st.integers(0, 29)),  # a line of spaces before a record
+    id_cycle=st.sampled_from([30, 30, 5]),  # ids repeat after this many records
+    column_order=st.permutations(range(7)),
+    bom=st.sampled_from(["", "\ufeff"]),
+    bound=st.sampled_from([1, 3, ingest.LINE_CACHE]),
+    chunk=st.sampled_from([1, 2, 3, ingest.ID_CHUNK]),
+    batch=st.sampled_from([1, 60, ingest.READ_BATCH]),
+)
+@settings(max_examples=300, deadline=None)
+def test_both_parse_paths_match_the_reference(
+    shared, records, spaces_before, id_cycle, column_order, bom, bound, chunk, batch
+):
+    """Lines split at commas and lines read by csv.reader give the reference's
+    records, whichever column holds the id, for repeated attribute texts
+    (cached, or read again once a small cache is cleared), one text written
+    quoted and unquoted, blank lines, lines of spaces, repeated ids and every
+    line end, with quoted cells that continue past a batch of lines."""
+    columns = [*_HEADER, "note"]
+    lines = [",".join(columns[j] for j in column_order) + "\n"]
+    for i, (which, stem, quoted, newline, before) in enumerate(records):
+        buffer = io.StringIO()
+        writer = csv.writer(
+            buffer, quoting=csv.QUOTE_ALL if quoted else csv.QUOTE_MINIMAL, lineterminator="\r\n"
+        )
+        line = [f" {stem}{i % id_cycle} ", *shared[which % len(shared)]]
+        writer.writerow([line[j] for j in column_order])
+        spaces = "  \n" if i == spaces_before else ""
+        lines += [before, spaces, buffer.getvalue()[:-2] + newline]
+    # csv.writer before Python 3.11 cannot write a NUL, so it is put in after
+    payload = (bom + "".join(lines)).replace("\1", "\0").encode("utf-8")
+    with (
+        mock.patch.object(ingest, "LINE_CACHE", bound),
+        mock.patch.object(ingest, "ID_CHUNK", chunk),
+        mock.patch.object(ingest, "READ_BATCH", batch),
+    ):
+        _assert_reads_as_reference(payload)
+
+
+@pytest.mark.parametrize("column", [0, 3], ids=["id", "component"])
+@pytest.mark.parametrize("cell", ["past-limit", "at-limit", "nul"])
+@pytest.mark.parametrize("other", ["Sync", "Straße"], ids=["ascii", "non-ascii"])
+def test_a_long_cell_or_a_nul_reads_as_csv_reader_reads_it(column, cell, other):
+    """A cell longer than csv.field_size_limit() fails as csv.reader fails, at
+    its line, and one at the limit or holding a NUL reads as csv.reader reads
+    it; the id's cell follows a line whose text is cached."""
+    limit = csv.field_size_limit()
+    value = {"past-limit": "x" * (limit + 1), "at-limit": "x" * limit, "nul": "a\1b"}[cell]
+    rows = [_row("1"), _row("2", component=other), _row("3")]
+    rows[2] = (*rows[2][:column], value, *rows[2][column + 1 :])
+    buffer = io.StringIO()
+    csv.writer(buffer).writerows([_HEADER, *rows])
+    text = buffer.getvalue().replace("\1", "\0")  # csv.writer before Python 3.11 writes no NUL
+    payload = text.encode("utf-8")
+    try:
+        list(csv.reader(io.StringIO(text, newline="")))
+    except csv.Error as expected:
+        with pytest.raises(RowError) as got:
+            _records(payload)
+        assert str(got.value) == f"unreadable row at line 4: {expected}"
+    else:
+        assert cell != "past-limit"
+        _assert_reads_as_reference(payload)
+
+
+class TestBugIds:
+    _IDS = ['say "hi"', "back\\slash", "two\nlines", "tab\tbed", '", "', "Ünïcødé 😀", "b7"]
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3])
+    def test_every_view_gives_each_id_back(self, tmp_path, monkeypatch, chunk):
+        """Iteration, indexing and clusters.json give back each id, whatever
+        JSON escapes in it, across chunk boundaries."""
+        monkeypatch.setattr(ingest, "ID_CHUNK", chunk)
+        held = BugIds()
+        for start in range(0, len(self._IDS), chunk):
+            held.add_chunk(self._IDS[start : start + chunk])
+        assert len(held) == len(self._IDS)
+        assert list(held) == self._IDS
+        assert [held[row] for row in range(len(held))] == self._IDS
+        assert [ids for _, ids in held.chunks()] == [
+            [json.dumps(i, ensure_ascii=False) for i in self._IDS[start : start + chunk]]
+            for start in range(0, len(self._IDS), chunk)
+        ]
+        model = ClusterModel(
+            1, ((0.0,) * 4,), np.zeros(len(held), dtype=np.int64), 0.0, 0, 1, (0.0,)
+        )
+        write_clusters_json(tmp_path / "clusters.json", model, held)
+        with open(tmp_path / "clusters.json", encoding="utf-8") as fh:
+            assert list(json.load(fh)["assignments"]) == self._IDS
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3])
+    def test_ids_read_from_a_csv_come_back_whole(self, monkeypatch, chunk):
+        monkeypatch.setattr(ingest, "ID_CHUNK", chunk)
+        assert _read_rows([_row(bug_id) for bug_id in self._IDS])[0] == self._IDS
 
 
 @given(

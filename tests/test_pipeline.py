@@ -187,15 +187,15 @@ def _reachable(root, kind=np.ndarray) -> list:
 
 def test_the_run_holds_one_copy_of_the_records(tmp_path):
     """After ingest the records are the row table and the index: the only
-    reachable arrays with one entry per record are the index, the
-    assignments and the bug ids' end offsets (one chunk here), and no (n, 5)
-    array is reachable."""
+    reachable arrays with one entry per record are the index and the
+    assignments (the bug ids are JSON text), and no (n, 5) array is
+    reachable."""
     source = tmp_path / "bugs.csv"
     write_csv(source, synthesize_rows(3000, seed=5))
     result = execute(PipelineConfig(input_path=str(source)))
     arrays = _reachable(result)
     per_record = [a for a in arrays if a.ndim and len(a) == 3000]
-    kept = (result.index, result.model.assignments, *(ends for _, ends in result.bug_ids.joined))
+    kept = (result.index, result.model.assignments)
     copies = [(a.dtype, a.shape) for a in per_record if not any(a is k for k in kept)]
     assert len(per_record) == len(kept) and not copies, copies
     assert not [a.shape for a in arrays if a.shape == (3000, 5)]
@@ -208,9 +208,9 @@ def test_the_run_holds_one_copy_of_the_records(tmp_path):
 
 
 def test_no_string_per_record_survives_ingest(tmp_path):
-    """The bug ids are held as joined chunks: no list or tuple holding a str
-    per record is reachable from the result, and the ids read back in file
-    order."""
+    """The bug ids are held as chunks of JSON text: no list or tuple holding
+    a str per record is reachable from the result, and the ids read back in
+    file order."""
     source = tmp_path / "bugs.csv"
     records = synthesize_rows(3000, seed=5)
     write_csv(source, records)
