@@ -4,12 +4,15 @@ Subcommands: ``run`` (full pipeline), ``verify`` (run the pipeline and
 diff its tables against brute-force oracles), ``synthesize`` (deterministic
 synthetic datasets). Exit codes: 0 success, 1 bad parameters/config, 2
 unreadable input or unwritable output, 3 internal invariant failure. Set
-TRIAGE_MINER_LOG to control log verbosity.
+TRIAGE_MINER_LOG to control log verbosity. ``run`` loads neither the
+oracles nor the synthesizer: ``verify`` imports the one, ``synthesize`` the
+other.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import logging
 import os
 import sys
@@ -23,7 +26,6 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 from .config import PipelineConfig, validate_config
 from .errors import InputError, ParameterError, TriageMinerError
 from .pipeline import execute, run_pipeline, run_verify
-from .synth import synthesize_rows, write_csv
 
 
 def _setup_logging() -> None:
@@ -92,6 +94,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_synthesize(args: argparse.Namespace) -> int:
+    from .synth import synthesize_rows, write_csv
+
     rows = synthesize_rows(
         args.rows, args.components, args.operating_systems, args.assignees, args.skew, args.seed
     )
@@ -158,6 +162,9 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry_point() -> None:
+    # the objects made by the imports live until exit; frozen, no collection
+    # walks them again, the one at interpreter shutdown included
+    gc.freeze()
     sys.exit(main())
 
 

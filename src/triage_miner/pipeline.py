@@ -39,13 +39,6 @@ from .config import PipelineConfig
 from .errors import AuditError, InputError, ParameterError
 from .ingest import Attribute, BugIds, codebooks_to_json, decode, read_bug_csv
 from .mine import mine_frequent_itemsets
-from .oracle import (
-    enumerate_frequent_itemsets,
-    essential_rules_naive,
-    itemset_supports,
-    rule_objects,
-    witness_is_valid,
-)
 from .report import (
     ClusterOutcome,
     build_summary,
@@ -316,7 +309,16 @@ def _verify_cluster(
     result: PipelineResult, cluster: int, max_transactions: int | None, max_rules: int | None
 ) -> Iterator[tuple[bool, str]]:
     """run_verify's lines for one cluster, each with whether it passed; what
-    the oracles build is freed once the last line is read."""
+    the oracles build is freed once the last line is read. The oracles are
+    imported here, so that a run that does not verify never loads them."""
+    from .oracle import (
+        enumerate_frequent_itemsets,
+        essential_rules_naive,
+        itemset_supports,
+        rule_objects,
+        witness_is_valid,
+    )
+
     outcome, name = result.outcomes[cluster], f"cluster {cluster}"
     partition = outcome.partition
     if max_transactions is not None and outcome.size > max_transactions:

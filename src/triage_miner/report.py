@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice, repeat
 from pathlib import Path
 from typing import Iterator, Mapping, NamedTuple, Sequence, TextIO
 
@@ -204,10 +204,11 @@ def write_clusters_json(path: Path, model: ClusterModel, bug_ids: BugIds) -> Non
         fh.write(tail + "\n")
 
 
-def _write_in_batches(fh: TextIO, lines: Iterator[str]) -> None:
-    """Write ``lines`` joined WRITE_BATCH at a time, so no file's text is held whole."""
+def _write_in_batches(fh: TextIO, lines: Iterator[tuple[str, ...]]) -> None:
+    """Write ``lines``, each given as the string pieces it joins, WRITE_BATCH
+    lines at a time, so no file's text is held whole."""
     while batch := list(islice(lines, WRITE_BATCH)):
-        fh.write("".join(batch))
+        fh.write("".join(chain.from_iterable(batch)))
 
 
 def write_cluster_text(path: Path, cluster: Mapping, rendered: RenderedRules, escape: bool) -> None:
@@ -215,13 +216,16 @@ def write_cluster_text(path: Path, cluster: Mapping, rendered: RenderedRules, es
     then its rules; with ``escape``, labels show CR, LF and backslash as escapes."""
     index, essential = cluster["cluster"], cluster["essential"]
     top = ", ".join(cluster["top_assignees"]) if cluster["top_assignees"] else "(none)"
-    shown = (lambda text: text.translate(_SHOWN)) if escape else str  # each rule on one line
-    text, witness = rendered.text, rendered.witness
+    text, witness = rendered.text, rendered.witness[essential:]
+    if escape:  # each rule on one line
+        top = top.translate(_SHOWN)
+        text, witness = ([t.translate(_SHOWN) for t in texts] for texts in (text, witness))
+    numbers = [f"  {i}. " for i in range(1, max(essential, len(text) - essential) + 1)]
     lines = [
         f"Cluster {index}",
         "=" * len(f"Cluster {index}"),
         f"Records: {cluster['size']}",
-        f"Top assignees: {shown(top)}",
+        f"Top assignees: {top}",
         f"Rules: {cluster['rules']} (essential {essential}, redundant {cluster['redundant']})",
         "Antecedent length histogram: "
         + " ".join(f"{k}={v}" for k, v in cluster["length_histogram"].items()),
@@ -230,11 +234,10 @@ def write_cluster_text(path: Path, cluster: Mapping, rendered: RenderedRules, es
     ]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n" + ("" if essential else "  (none)\n"))
-        _write_in_batches(fh, (f"  {i}. {shown(t)}\n" for i, t in enumerate(text[:essential], 1)))
+        _write_in_batches(fh, zip(numbers, text[:essential], repeat("\n")))
         fh.write("\nRedundant rules\n" + ("" if len(text) > essential else "  (none)\n"))
-        redundant = enumerate(zip(text[essential:], witness[essential:]), start=1)
-        subsumed = (f"  {i}. {shown(t)}\n     subsumed by: {shown(w)}\n" for i, (t, w) in redundant)
-        _write_in_batches(fh, subsumed)
+        subsumed = repeat("\n     subsumed by: ")
+        _write_in_batches(fh, zip(numbers, text[essential:], subsumed, witness, repeat("\n")))
 
 
 def write_figure_csvs(figures_dir: Path, summary: Mapping) -> None:
@@ -274,11 +277,21 @@ def write_rule_reports(
             index, essential = cluster["cluster"], cluster["essential"]
             rendered = render_partition(outcome.partition, codebooks)
             write_cluster_text(report_dir / f"cluster_{index}.txt", cluster, rendered, escape)
-            status = (
-                ",essential," if i < essential else ',redundant,"' + w.replace('"', '""') + '"'
-                for i, w in enumerate(rendered.witness)
+            status = chain(
+                repeat(",essential,", essential),
+                (',redundant,"' + w.replace('"', '""') + '"' for w in rendered.witness[essential:]),
             )
-            columns = (rendered.antecedent_csv, rendered.assignee_csv, rendered.support)
-            rows = zip(*columns, rendered.confidence, status)
-            _write_in_batches(fh, (f"{index},{a},{b},{n},{c}{t}\n" for a, b, n, c, t in rows))
+            rows = zip(
+                repeat(f"{index},"),
+                rendered.antecedent_csv,
+                repeat(","),
+                rendered.assignee_csv,
+                repeat(","),
+                map(str, rendered.support),
+                repeat(","),
+                rendered.confidence,
+                status,
+                repeat("\n"),
+            )
+            _write_in_batches(fh, rows)
             del rendered, status, rows  # before the next cluster's are rendered

@@ -4,8 +4,14 @@ rules, with no per-rule objects.
 
 A rule is redundant when some essential rule with the same consequent, a
 strictly smaller antecedent and confidence at least as high already carries
-its meaning. One ranking of each rule's row and of its probes, the row cut
-down to each smaller antecedent subset, finds every candidate. Confidences
+its meaning. Its candidates are its probes, its row cut down to each smaller
+antecedent subset. Each rule's row is one int64 key in mixed radix: a digit
+per antecedent attribute, an absent attribute's digit one past that
+attribute's largest code among the table's rules, and the consequent. A
+probe's key is its rule's key plus what setting the dropped digits to absent
+adds, so probes are matched by a search among the sorted rule keys. Where
+the product of the radices, taken in Python ints, would pass ``KEY_BOUND``,
+the rows and probes are ranked by ``distinct_rows`` instead. Confidences
 are compared exactly and in one place: each rule table keys its distinct
 (support, antecedent count) pairs by ``(support << shift) //
 antecedent_count`` in Python ints, with ``2**shift >= M**2`` for M the
@@ -17,6 +23,7 @@ of their pair's key, for counts of any size.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
@@ -25,7 +32,7 @@ import numpy as np
 
 from .errors import DuplicateRuleError, ParameterError
 from .ingest import Attribute
-from .mine import Projection, Subset, distinct_rows
+from .mine import Projection, Subset, distinct_rows, group_keys
 
 ANTECEDENT_ATTRIBUTES = tuple(Attribute)[:-1]  # the assignee is the consequent
 
@@ -34,6 +41,9 @@ ANTECEDENT_ATTRIBUTES = tuple(Attribute)[:-1]  # the assignee is the consequent
 # order: {Severity, OperatingSystem} (9) comes before {Priority, Component}
 # (6). Of two equally confident witnesses of one size, the earlier one wins.
 SUBSETS = np.array([1, 2, 4, 8, 3, 5, 9, 6, 10, 12, 7, 11, 13, 14, 15])
+# each subset's complement: OUTSIDE[s, a] is 1 where SUBSETS[s] lacks attribute a
+OUTSIDE = 1 - (SUBSETS[:, None] >> np.arange(len(ANTECEDENT_ATTRIBUTES)) & 1)
+KEY_BOUND = 2**62  # packed row keys must stay below this; past it rows are ranked
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,9 +72,14 @@ class RuleTable:
 
     @cached_property
     def pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """The distinct (support, antecedent count) pairs, one row each, and
-        each rule's row among them."""
-        return distinct_rows(np.column_stack([self.support, self.antecedent_count]))[:2]
+        """The distinct (support, antecedent count) pairs in lexicographic
+        order, one row each, and each rule's row among them, found from one
+        packed key per rule unless its key space passes ``KEY_BOUND``."""
+        radix = int(max(self.support.max(initial=0), self.antecedent_count.max(initial=0))) + 1
+        if radix * radix > KEY_BOUND:
+            return distinct_rows(np.column_stack([self.support, self.antecedent_count]))[:2]
+        keys, _, pair = group_keys(self.support * radix + self.antecedent_count, radix * radix)
+        return np.column_stack(np.divmod(keys, radix)), pair
 
     @cached_property
     def confidence_rank(self) -> np.ndarray:
@@ -143,7 +158,33 @@ def generate_class_rules(
     order = np.lexsort(
         (rules.consequent, *items.T[::-1], -rules.support, -rules.confidence_rank, rules.size)
     )
-    return RuleTable(*(column[order] for column in columns))
+    ordered = RuleTable(*(column[order] for column in columns))
+    # the ranks the sort used, cached where cached_property keeps them (a
+    # frozen dataclass still has a writable instance dict)
+    pairs, pair = rules.pairs
+    vars(ordered).update(pairs=(pairs, pair[order]), confidence_rank=rules.confidence_rank[order])
+    return ordered
+
+
+def _row_keys(
+    rules: RuleTable, rule: np.ndarray, position: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Int64 keys of the rules' rows and of the probes, probe j being rule
+    ``rule[j]``'s row without the attributes outside ``SUBSETS[position[j]]``;
+    keys are equal exactly where the rows are."""
+    top = rules.codes.max(axis=0, initial=-1) + 1  # each attribute's absent digit
+    radices = [*(top + 1).tolist(), int(rules.consequent.max(initial=0)) + 1]
+    if math.prod(radices) > KEY_BOUND:
+        table = np.column_stack([rules.codes, rules.consequent])
+        table = table[np.concatenate([np.arange(len(rules)), rule])]
+        table[len(rules) :, :-1][OUTSIDE[position] == 1] = -1
+        rank = distinct_rows(table)[1]
+        return rank[: len(rules)], rank[len(rules) :]
+    weights = np.cumprod(radices[-1:] + radices[:-2])  # the consequent is the lowest digit
+    digits = np.where(rules.present, rules.codes, top)
+    keys = digits @ weights + rules.consequent
+    dropped = ((top - digits) * weights) @ OUTSIDE.T  # what each subset's probe adds
+    return keys, keys[rule] + dropped[rule, position]
 
 
 def eliminate_redundant(rules: RuleTable) -> RulePartition:
@@ -151,31 +192,29 @@ def eliminate_redundant(rules: RuleTable) -> RulePartition:
     order in both.
 
     Each rule is probed by every proper non-empty subset T of its antecedent:
-    its row again with the codes outside T set to -1. One ranking of the
-    rules' rows and the probes matches each probe to the rule with exactly
-    that antecedent and consequent, if there is one, and finds duplicate
-    rules. A match no less confident than the rule subsumes it if the match
-    is essential, so rules are decided by antecedent size, smallest first. A
-    rule's witness is its essential match of the smallest size, then the
-    highest confidence, then the first subset in ``SUBSETS`` order.
+    its row again without the codes outside T. Rows and probes are keyed as
+    the module docstring says, by one packed int64 each while the product of
+    the radices stays within ``KEY_BOUND`` and by their ``distinct_rows``
+    ranks past it. One stable argsort of the rules' keys finds duplicate
+    rules, and a search among them matches each probe to the rule with
+    exactly that antecedent and consequent, if there is one. A match no less
+    confident than the rule subsumes it if the match is essential, so rules
+    are decided by antecedent size, smallest first. A rule's witness is its
+    essential match of the smallest size, then the highest confidence, then
+    the first subset in ``SUBSETS`` order.
     """
     n, width = len(rules), len(ANTECEDENT_ATTRIBUTES)
     antecedent = rules.present @ (1 << np.arange(width))
     proper = (antecedent[:, None] & SUBSETS == SUBSETS) & (antecedent[:, None] != SUBSETS)
     rule, position = np.nonzero(proper)
-    # the rules' own rows, then the probes, rule by rule
-    table = np.column_stack([rules.codes, rules.consequent])[np.concatenate([np.arange(n), rule])]
-    outside = (SUBSETS[:, None] >> np.arange(width) & 1) == 0
-    table[n:, :width][outside[position]] = -1
-    _, rank, counts = distinct_rows(table)
-    del table
-
-    _, first = np.unique(rank[:n], return_index=True)
-    if len(first) < n:
-        raise DuplicateRuleError(f"duplicate rule at row {np.setdiff1d(np.arange(n), first)[0]}")
-    row_of = np.full(len(counts), -1)
-    row_of[rank[:n]] = np.arange(n)
-    match = row_of[rank[n:]]
+    keys, probes = _row_keys(rules, rule, position)
+    by_key = np.argsort(keys, kind="stable")  # equal keys in row order
+    ranked = keys[by_key]
+    repeated = ranked[1:] == ranked[:-1]
+    if repeated.any():
+        raise DuplicateRuleError(f"duplicate rule at row {by_key[1:][repeated].min()}")
+    at = np.minimum(np.searchsorted(ranked, probes), max(n - 1, 0))
+    match = np.where(ranked[at] == probes, by_key[at], -1)
 
     confidence = rules.confidence_rank
     kept = (match >= 0) & (confidence[match] >= confidence[rule])

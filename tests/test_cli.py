@@ -1,5 +1,6 @@
 import argparse
 import errno
+import gc
 import hashlib
 import inspect
 import io
@@ -388,6 +389,45 @@ class TestRunCommand:
         numpy_ma, numpy_random, eager = done.stdout.splitlines()[-1].split()
         assert numpy_ma == "False"
         assert numpy_random == eager
+
+    def test_run_loads_neither_the_oracles_nor_the_synthesizer(self, sample_csv, tmp_path):
+        # verify imports the oracles (and with them fractions and decimal),
+        # synthesize the synthesizer; run, started as python -m starts it,
+        # needs neither
+        script = (
+            "import runpy, sys\n"
+            f"sys.argv = ['triage_miner.cli', 'run', '--input', {str(sample_csv)!r},"
+            f" '--output', {str(tmp_path / 'out')!r}]\n"
+            "try:\n"
+            "    runpy.run_module('triage_miner.cli', run_name='__main__', alter_sys=True)\n"
+            "except SystemExit as done:\n"
+            "    assert done.code == 0, done.code\n"
+            "print(*(name in sys.modules for name in"
+            " ('triage_miner.oracle', 'fractions', 'triage_miner.synth')))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        )
+        assert done.stdout.splitlines()[-1] == "False False False"
+        assert (tmp_path / "out" / "report" / "summary.json").is_file()
+
+    def test_entry_point_freezes_the_import_time_objects_before_main(self, monkeypatch):
+        frozen = []
+
+        def main():
+            frozen.append(gc.get_freeze_count() > 0)
+            return 3
+
+        monkeypatch.setattr(cli, "main", main)
+        gc.unfreeze()
+        try:
+            with pytest.raises(SystemExit) as exited:
+                cli.entry_point()
+        finally:
+            gc.unfreeze()
+        assert frozen == [True]
+        assert exited.value.code == 3
 
     def test_openblas_runs_one_thread_unless_the_caller_set_it(self):
         # importing the CLI caps OpenBLAS's pool before numpy loads, and keeps

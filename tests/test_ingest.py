@@ -716,6 +716,10 @@ _csv_row = st.tuples(
 )
 @settings(max_examples=150, deadline=None)
 def test_arbitrary_rows_raise_only_input_errors(rows, bom, newline):
+    # csv.writer before Python 3.11 cannot write a NUL, so a drawn NUL is
+    # written as "\1" and put back after
+    rows = [[cell.replace("\0", "\1") for cell in row] for row in rows]
     buffer = io.StringIO()
     csv.writer(buffer, lineterminator=newline).writerows([_HEADER, *rows])
-    _read_or_input_error((bom + buffer.getvalue()).encode("utf-8", "surrogatepass"))
+    text = buffer.getvalue().replace("\1", "\0")
+    _read_or_input_error((bom + text).encode("utf-8", "surrogatepass"))

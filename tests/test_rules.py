@@ -1,16 +1,26 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from conftest import random_rows, random_rules, row_table, rule_lists, rule_table, split_rules
+from conftest import (
+    random_rows,
+    random_rules,
+    row_lists,
+    row_table,
+    rule_lists,
+    rule_table,
+    split_rules,
+)
+from triage_miner import rules as rules_module
 from triage_miner.errors import DuplicateRuleError, ParameterError
 from triage_miner.ingest import Attribute
-from triage_miner.mine import Projection, Subset, mine_frequent_itemsets
+from triage_miner.mine import Projection, Subset, distinct_rows, mine_frequent_itemsets
 from triage_miner.oracle import (
     Item,
     Rule,
@@ -309,6 +319,25 @@ def test_confidence_rank_is_the_dense_rank_of_the_fractions(pairs):
     assert rules.confidence_rank.tolist() == [dense[ratio] for ratio in ratios]
 
 
+@given(
+    rows=row_lists(max_transactions=60, max_codes=4),
+    min_support_count=st.integers(1, 3),
+    min_confidence=st.sampled_from((0.0, 0.05, 0.3, 1.0)),
+    allowed=st.sets(st.integers(1, 4), min_size=1),
+)
+@settings(max_examples=80, deadline=None)
+def test_the_sorted_table_carries_the_ranks_of_a_fresh_table(
+    rows, min_support_count, min_confidence, allowed
+):
+    table = mine_frequent_itemsets(*row_table(rows), min_support_count)
+    rules = generate_class_rules(table, min_confidence, allowed)
+    assert {"pairs", "confidence_rank"} <= vars(rules).keys()  # set by the sort, not derived
+    fresh = RuleTable(rules.codes, rules.consequent, rules.support, rules.antecedent_count)
+    for carried, derived in zip(rules.pairs, fresh.pairs):
+        assert np.array_equal(carried, derived)
+    assert np.array_equal(rules.confidence_rank, fresh.confidence_rank)
+
+
 class TestTopAssignees:
     def _records(self, counts: dict[int, int]) -> tuple[np.ndarray, np.ndarray]:
         """An assignee code column holding each code ``count`` times, one
@@ -501,3 +530,49 @@ def test_adding_a_rule_never_demotes_smaller_essentials(rules):
     for rule in base:
         if len(rule.antecedent) <= len(added.antecedent):
             assert (rule.key in before) == (rule.key in after)
+
+
+def _partition_or_error(rules: RuleTable) -> list[int] | str:
+    try:
+        return eliminate_redundant(rules).witness.tolist()
+    except DuplicateRuleError as error:
+        return str(error)
+
+
+@given(rule_lists(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_ranked_rows_decide_as_the_packed_keys(rules, data):
+    """With the key bound patched down, every table is ranked by
+    distinct_rows; witnesses and the duplicate-rule message are the packed
+    keys', with or without a rule given twice, and the message names the
+    first row that repeats an earlier rule."""
+    clones = data.draw(st.lists(st.sampled_from(rules), max_size=2))
+    rows = data.draw(st.permutations(rules + clones))
+    keys = [rule.key for rule in rows]
+    repeats = [row for row, key in enumerate(keys) if key in keys[:row]]
+    decided = {}
+    for bound in (rules_module.KEY_BOUND, 0):
+        spy = mock.Mock(wraps=distinct_rows)
+        with mock.patch.object(rules_module, "KEY_BOUND", bound), mock.patch.object(
+            rules_module, "distinct_rows", spy
+        ):
+            decided[bound] = _partition_or_error(rule_table(rows))
+        assert spy.called == (bound == 0)
+    assert decided[0] == decided[rules_module.KEY_BOUND]
+    if repeats:
+        assert decided[0] == f"duplicate rule at row {repeats[0]}"
+
+
+@given(rule_lists())
+@settings(max_examples=50, deadline=None)
+def test_codes_past_the_key_bound_decide_as_small_codes(rules):
+    # codes times 2**40 make a radix product above 2**200, far past the bound
+    small = rule_table(rules)
+    large = RuleTable(
+        np.where(small.present, small.codes << 40, -1),
+        small.consequent << 40,
+        small.support,
+        small.antecedent_count,
+    )
+    witness = eliminate_redundant(small).witness
+    assert np.array_equal(eliminate_redundant(large).witness, witness)
