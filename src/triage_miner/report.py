@@ -11,10 +11,11 @@ Attributes print in the fixed order Severity, Priority, Os, Component;
 half-up to two decimals and printed without a fractional part when integral.
 
 Only this module knows the rendered form. A cluster's rules are rendered
-when its reports are written, once for cluster_<i>.txt and rules.csv both,
-as string columns: the strings of each label and of each (support,
-antecedent count) pair are built once, and a witness's text is looked up by
-its row; both files are written WRITE_BATCH rules at a time, never whole.
+as its reports are written, WRITE_BATCH rules at a time, each batch written
+to cluster_<i>.txt and rules.csv before the next is rendered. What is held
+at once is one batch's strings and the cluster's strings of each label its
+rules use and of each (support, antecedent count) pair. A witness is
+rendered again, from those strings, in each batch of rules it subsumes.
 rules.csv quotes a field holding a comma, a double quote, CR or LF,
 doubling its quotes (RFC 4180). When some label holds CR or LF,
 cluster_<i>.txt shows them as ``\\r`` and ``\\n`` and a backslash as
@@ -25,9 +26,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import chain, islice, repeat
+from itertools import chain, repeat
 from pathlib import Path
-from typing import Iterator, Mapping, NamedTuple, Sequence, TextIO
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -58,72 +59,87 @@ def confidence_percents(support: Sequence[int], antecedent_count: Sequence[int])
 
 
 def _labels(codes: np.ndarray, book: Sequence[str], *templates: str) -> tuple[np.ndarray, ...]:
-    """Each template filled with the label of each code, then whether
-    rules.csv must quote that label; each distinct code is decoded once."""
-    distinct, inverse = np.unique(codes, return_inverse=True)
-    labels = decode(book, distinct.tolist())
-    texts = [np.array([t.format(label) for label in labels], dtype=object) for t in templates]
-    quote = np.array([any(c in label for c in ',"\r\n') for label in labels], dtype=bool)
-    return *(text[inverse] for text in texts), quote[inverse]
+    """The distinct codes among ``codes`` in order, after -1 (absent), each
+    template filled with each one's label ("" for -1) and whether rules.csv
+    must quote that label; each code is decoded once."""
+    distinct = sorted(set(codes.tolist()) - {-1})  # np.unique alone would load numpy.ma
+    labels = decode(book, distinct)
+    texts = [np.array(["", *map(t.format, labels)], dtype=object) for t in templates]
+    quote = np.array([False, *(any(c in label for c in ',"\r\n') for label in labels)])
+    return np.array([-1, *distinct], dtype=np.int64), *texts, quote
 
 
 # CR and LF as visible escapes, and a backslash doubled so each escape reads one way
 _SHOWN = str.maketrans({"\\": "\\\\", "\r": "\\r", "\n": "\\n"})
 
 
-def _csv_fields(fields: np.ndarray, quote: np.ndarray) -> np.ndarray:
-    """RFC 4180 fields: those flagged in ``quote`` in double quotes, each quote doubled."""
-    fields = fields.copy()
+def _csv_fields(fields: np.ndarray, quote: np.ndarray) -> list[str]:
+    """RFC 4180 fields: ``fields``, those flagged in ``quote`` quoted in place."""
     fields[quote] = ['"' + field.replace('"', '""') + '"' for field in fields[quote].tolist()]
-    return fields
+    return fields.tolist()
 
 
-class RenderedRules(NamedTuple):
-    """One cluster's rules as the report writers print them, essential rules
-    first, each part in generation order."""
+class ClusterStrings(NamedTuple):
+    """The strings a cluster's rules share, built once per cluster: for each
+    attribute, the distinct codes its rules use, in order, their label strings
+    (an antecedent attribute's as "Os {label}" and, after another attribute,
+    " ∧ Os {label}") and whether rules.csv quotes them; for each (support,
+    antecedent count) pair of ``partition.rules.pairs``, its texts."""
 
-    text: list[str]  # the whole rule in the fixed grammar
-    support: list[int]
-    confidence: list[str]  # repr of the float confidence, as rules.csv prints it
-    witness: list[str]  # the witness's text, "" for an essential rule
-    antecedent_csv: list[str]  # as rules.csv prints it: the antecedent, quoted if need be
-    assignee_csv: list[str]
+    partition: RulePartition
+    antecedent: list[tuple[np.ndarray, ...]]  # by RENDER_ORDER: codes, fragments, quote
+    assignee: tuple[np.ndarray, ...]  # codes, "label", " ⇒ Assignee {label}", quote
+    confidence: np.ndarray  # repr of the float confidence, as rules.csv prints it
+    share: np.ndarray  # " @ (support,percent%)"
 
 
-def render_partition(
+def cluster_strings(
     partition: RulePartition, codebooks: Mapping[Attribute, Sequence[str]]
-) -> RenderedRules:
-    """Every rule of a partition in the fixed grammar (``text`` is injective
-    for distinct rules), with the fields rules.csv prints. The strings of a
-    label or of a (support, antecedent count) pair are built once."""
-    rules = partition.rules
-    antecedent = np.full(len(rules), "", dtype=object)
-    quote = np.zeros(len(rules), dtype=bool)
+) -> ClusterStrings:
+    rules, antecedent = partition.rules, []
     for attribute in RENDER_ORDER:
-        rows = rules.present[:, attribute]
-        template = _AND + _RENDER_PREFIX[attribute] + "{{{}}}"
-        fragment, special = _labels(rules.codes[rows, attribute], codebooks[attribute], template)
-        antecedent[rows] += fragment
-        quote[rows] |= special
-    antecedent = np.array([text[len(_AND) :] for text in antecedent.tolist()], dtype=object)
-    assignee, arrow, assignee_quote = _labels(
-        rules.consequent, codebooks[Attribute.ASSIGNEE], "{}", " ⇒ Assignee {{{}}}"
-    )
+        template = _RENDER_PREFIX[attribute] + "{{{}}}"
+        codes, first, later, quote = _labels(
+            rules.codes[:, attribute], codebooks[attribute], template, _AND + template
+        )
+        antecedent.append((codes, np.stack([first, later]), quote))
+    arrow = " ⇒ Assignee {{{}}}"
+    assignee = _labels(rules.consequent, codebooks[Attribute.ASSIGNEE], "{}", arrow)
+    support, count = rules.pairs[0].T.tolist()
+    percent = confidence_percents(support, count)
+    confidence = np.array([repr(s / a) for s, a in zip(support, count)], dtype=object)
+    share = np.array([f" @ ({s},{p}%)" for s, p in zip(support, percent)], dtype=object)
+    return ClusterStrings(partition, antecedent, assignee, confidence, share)
 
-    pairs, pair = rules.pairs
-    pair_support, pair_count = pairs.T.tolist()
-    percent = confidence_percents(pair_support, pair_count)
-    confidence = np.array([repr(s / a) for s, a in zip(pair_support, pair_count)], dtype=object)
-    share = np.array([f" @ ({s},{p}%)" for s, p in zip(pair_support, percent)], dtype=object)
 
-    text = antecedent + arrow + share[pair]
-    essential, redundant = partition.essential, partition.redundant
-    order = np.concatenate([essential, redundant])
-    fields = (_csv_fields(antecedent, quote), _csv_fields(assignee, assignee_quote))
-    return RenderedRules(
-        *(column[order].tolist() for column in (text, rules.support, confidence[pair])),
-        [""] * len(essential) + text[partition.witness[redundant]].tolist(),
-        *(field[order].tolist() for field in fields),
+def render_rules(strings: ClusterStrings, rows: np.ndarray) -> tuple[list, ...]:
+    """Rules ``rows`` of a cluster as the reports print them: each one's text
+    in the fixed grammar (injective for distinct rules), support, confidence,
+    witness's text ("" for an essential rule), and antecedent and assignee as
+    rules.csv prints them, quoted if need be. Each distinct witness is
+    rendered once, after the rules."""
+    rules, witness = strings.partition.rules, strings.partition.witness[rows]
+    distinct, inverse = np.unique(witness[redundant := witness >= 0], return_inverse=True)
+    every, n = np.concatenate([rows, distinct]), len(rows)
+    antecedent = np.full(len(every), "", dtype=object)
+    quote, started = np.zeros(len(every), dtype=bool), np.zeros(len(every), dtype=np.intp)
+    for attribute, (codes, fragments, special) in zip(RENDER_ORDER, strings.antecedent):
+        at = np.searchsorted(codes, rules.codes[every, attribute])  # 0 where absent
+        antecedent += fragments[started, at]
+        quote |= special[at]
+        started |= at > 0
+    codes, labels, arrows, assignee_quote = strings.assignee
+    assignee, pair = np.searchsorted(codes, rules.consequent[every]), rules.pairs[1][every]
+    text = antecedent + arrows[assignee] + strings.share[pair]
+    witnesses = np.full(n, "", dtype=object)
+    witnesses[redundant] = text[n:][inverse]
+    return (
+        text[:n].tolist(),
+        rules.support[rows].tolist(),
+        strings.confidence[pair[:n]].tolist(),
+        witnesses.tolist(),
+        _csv_fields(antecedent[:n], quote[:n]),
+        _csv_fields(labels[assignee[:n]], assignee_quote[assignee[:n]]),
     )
 
 
@@ -204,42 +220,6 @@ def write_clusters_json(path: Path, model: ClusterModel, bug_ids: BugIds) -> Non
         fh.write(tail + "\n")
 
 
-def _write_in_batches(fh: TextIO, lines: Iterator[tuple[str, ...]]) -> None:
-    """Write ``lines``, each given as the string pieces it joins, WRITE_BATCH
-    lines at a time, so no file's text is held whole."""
-    while batch := list(islice(lines, WRITE_BATCH)):
-        fh.write("".join(chain.from_iterable(batch)))
-
-
-def write_cluster_text(path: Path, cluster: Mapping, rendered: RenderedRules, escape: bool) -> None:
-    """A cluster's text report: the header from its ``build_summary`` entry,
-    then its rules; with ``escape``, labels show CR, LF and backslash as escapes."""
-    index, essential = cluster["cluster"], cluster["essential"]
-    top = ", ".join(cluster["top_assignees"]) if cluster["top_assignees"] else "(none)"
-    text, witness = rendered.text, rendered.witness[essential:]
-    if escape:  # each rule on one line
-        top = top.translate(_SHOWN)
-        text, witness = ([t.translate(_SHOWN) for t in texts] for texts in (text, witness))
-    numbers = [f"  {i}. " for i in range(1, max(essential, len(text) - essential) + 1)]
-    lines = [
-        f"Cluster {index}",
-        "=" * len(f"Cluster {index}"),
-        f"Records: {cluster['size']}",
-        f"Top assignees: {top}",
-        f"Rules: {cluster['rules']} (essential {essential}, redundant {cluster['redundant']})",
-        "Antecedent length histogram: "
-        + " ".join(f"{k}={v}" for k, v in cluster["length_histogram"].items()),
-        "",
-        "Essential rules",
-    ]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n" + ("" if essential else "  (none)\n"))
-        _write_in_batches(fh, zip(numbers, text[:essential], repeat("\n")))
-        fh.write("\nRedundant rules\n" + ("" if len(text) > essential else "  (none)\n"))
-        subsumed = repeat("\n     subsumed by: ")
-        _write_in_batches(fh, zip(numbers, text[essential:], subsumed, witness, repeat("\n")))
-
-
 def write_figure_csvs(figures_dir: Path, summary: Mapping) -> None:
     """The figure tables, from ``build_summary``'s clusters; every field is an
     integer, so none is quoted."""
@@ -260,38 +240,58 @@ def write_figure_csvs(figures_dir: Path, summary: Mapping) -> None:
         (figures_dir / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _rule_lines(
+    index: int, strings: ClusterStrings, rows: np.ndarray, first: int, escape: bool
+) -> tuple[str, str]:
+    """Rules ``rows`` of cluster ``index``, at least one and all of one status,
+    as cluster_<index>.txt lines numbered from ``first`` (escaped with
+    ``escape``) and as rules.csv rows."""
+    text, support, confidence, witness, antecedent, assignee = render_rules(strings, rows)
+    shown = [t.translate(_SHOWN) for t in text] if escape else text
+    subsumed = [w.translate(_SHOWN) for w in witness] if escape else witness
+    numbers = [f"  {i}. " for i in range(first, first + len(text))]
+    subsumed_by = "\n     subsumed by: " if witness[0] else ""  # only a redundant rule has one
+    lines = zip(numbers, shown, repeat(subsumed_by), subsumed, repeat("\n"))
+    quoted = (',redundant,"' + w.replace('"', '""') + '"' for w in witness)
+    status = quoted if subsumed_by else repeat(",essential,")
+    cells = (repeat(f"{index},"), antecedent, repeat(","), assignee, repeat(","), map(str, support))
+    fields = zip(*cells, repeat(","), confidence, status, repeat("\n"))
+    return "".join(chain.from_iterable(lines)), "".join(chain.from_iterable(fields))
+
+
 def write_rule_reports(
     report_dir: Path, summary: Mapping, outcomes: Sequence[ClusterOutcome], codebooks: Mapping
 ) -> None:
     """cluster_<i>.txt for each of ``build_summary``'s clusters, and rules.csv,
     one row per rule, essential rows first per cluster. Each cluster's rules
-    are rendered once, for both, so one cluster's strings are held at a time,
-    and its lines are joined and written WRITE_BATCH rules at a time. The
-    text reports escape CR and LF when some label holds one. A witness holds
-    the comma of "(n,p%)", so rules.csv always quotes it."""
-    labels = (label for codebook in codebooks.values() for label in codebook)
-    escape = any("\r" in label or "\n" in label for label in labels)
-    with open(report_dir / "rules.csv", "w", newline="", encoding="utf-8") as fh:
-        fh.write("cluster,antecedent,consequent,support_count,confidence,status,witness\n")
+    are rendered WRITE_BATCH at a time, and each batch's lines are written to
+    both files before the next is rendered. The text reports escape CR, LF and
+    backslash when some label holds CR or LF. A witness holds the comma of
+    "(n,p%)", so rules.csv always quotes it."""
+    escape = any("\r" in label or "\n" in label for book in codebooks.values() for label in book)
+    with open(report_dir / "rules.csv", "w", newline="", encoding="utf-8") as csv_fh:
+        csv_fh.write("cluster,antecedent,consequent,support_count,confidence,status,witness\n")
         for cluster, outcome in zip(summary["clusters"], outcomes):
-            index, essential = cluster["cluster"], cluster["essential"]
-            rendered = render_partition(outcome.partition, codebooks)
-            write_cluster_text(report_dir / f"cluster_{index}.txt", cluster, rendered, escape)
-            status = chain(
-                repeat(",essential,", essential),
-                (',redundant,"' + w.replace('"', '""') + '"' for w in rendered.witness[essential:]),
-            )
-            rows = zip(
-                repeat(f"{index},"),
-                rendered.antecedent_csv,
-                repeat(","),
-                rendered.assignee_csv,
-                repeat(","),
-                map(str, rendered.support),
-                repeat(","),
-                rendered.confidence,
-                status,
-                repeat("\n"),
-            )
-            _write_in_batches(fh, rows)
-            del rendered, status, rows  # before the next cluster's are rendered
+            index, partition = cluster["cluster"], outcome.partition
+            strings = cluster_strings(partition, codebooks)
+            top = ", ".join(cluster["top_assignees"]) if cluster["top_assignees"] else "(none)"
+            header = [
+                f"Cluster {index}",
+                "=" * len(f"Cluster {index}"),
+                f"Records: {cluster['size']}",
+                f"Top assignees: {top.translate(_SHOWN) if escape else top}",
+                f"Rules: {cluster['rules']} (essential {cluster['essential']}, redundant "
+                f"{cluster['redundant']})",
+                "Antecedent length histogram: "
+                + " ".join(f"{k}={v}" for k, v in cluster["length_histogram"].items()),
+            ]
+            sections = {"\nEssential": partition.essential, "\nRedundant": partition.redundant}
+            with open(report_dir / f"cluster_{index}.txt", "w", encoding="utf-8") as fh:
+                fh.write("\n".join(header) + "\n")
+                for title, rows in sections.items():
+                    fh.write(f"{title} rules\n" + ("" if len(rows) else "  (none)\n"))
+                    for start in range(0, len(rows), WRITE_BATCH):
+                        batch = rows[start : start + WRITE_BATCH]
+                        text, csv = _rule_lines(index, strings, batch, start + 1, escape)
+                        fh.write(text)
+                        csv_fh.write(csv)

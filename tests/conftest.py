@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import hypothesis.strategies as st
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 
 from triage_miner.ingest import PRIORITY_LABELS, SEVERITY_LABELS, Attribute, decode
 from triage_miner.oracle import Item, Rule, rule_objects
-from triage_miner.report import ClusterOutcome, render_partition
+from triage_miner.report import ClusterOutcome, cluster_strings, render_rules
 from triage_miner.rules import RulePartition, RuleTable, eliminate_redundant
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -167,9 +168,27 @@ def split_rules(rules) -> RuleSplit:
     return rule_split(eliminate_redundant(rule_table(rules)))
 
 
+class Rendered(NamedTuple):
+    """A partition's rules as render_rules gives them, essential rules first,
+    each part in row order."""
+
+    text: list[str]
+    support: list[int]
+    confidence: list[str]
+    witness: list[str]
+    antecedent_csv: list[str]
+    assignee_csv: list[str]
+
+
+def render_all(partition: RulePartition, codebooks) -> Rendered:
+    """Every rule of ``partition`` rendered by one render_rules call."""
+    rows = np.concatenate([partition.essential, partition.redundant])
+    return Rendered(*render_rules(cluster_strings(partition, codebooks), rows))
+
+
 def render_text(rule: Rule, codebooks) -> str:
     """The text of one rule, rendered as a one-row table."""
-    [text] = render_partition(eliminate_redundant(rule_table([rule])), codebooks).text
+    [text] = render_all(eliminate_redundant(rule_table([rule])), codebooks).text
     return text
 
 

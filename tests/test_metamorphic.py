@@ -11,11 +11,11 @@ import hypothesis.strategies as st
 import numpy as np
 from hypothesis import given, settings
 
-from conftest import rule_split
+from conftest import render_all, rule_split
 from triage_miner.config import PipelineConfig
 from triage_miner.ingest import Attribute
 from triage_miner.pipeline import PipelineResult, execute
-from triage_miner.report import ClusterOutcome, build_summary, render_partition
+from triage_miner.report import ClusterOutcome, build_summary
 from triage_miner.synth import synthesize_rows, write_csv
 
 SHAPES = dict(
@@ -169,7 +169,7 @@ def test_relabelling_categories_changes_only_rendered_labels(
         build_summary(len(data), {}, [outcome])["clusters"] for outcome in (after, before)
     )
     assert summary == {**expected, "top_assignees": after.top_assignees}
-    before_rendered = render_partition(before.partition, original.codebooks)
-    after_rendered = render_partition(after.partition, relabelled.codebooks)
+    before_rendered = render_all(before.partition, original.codebooks)
+    after_rendered = render_all(after.partition, relabelled.codebooks)
     assert after_rendered.text == [relabel(text) for text in before_rendered.text]
     assert after_rendered.witness == [relabel(text) for text in before_rendered.witness]

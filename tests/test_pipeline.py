@@ -1,6 +1,6 @@
 """The pipeline's self-checks on the bundled sample: the audit's witness
-check, `run_verify` diffing the run's own tables, rendering each rule once,
-and rule objects built only for verification."""
+check, `run_verify` diffing the run's own tables, rendering a batch of rules
+at a time, and rule objects built only for verification."""
 
 import csv
 import dataclasses
@@ -11,7 +11,7 @@ import re
 import numpy as np
 import pytest
 
-from conftest import rule_table
+from conftest import render_all, rule_table
 
 from triage_miner import cluster, mine, pipeline, report, rules
 from triage_miner.config import PipelineConfig
@@ -27,7 +27,6 @@ from triage_miner.pipeline import (
     run_verify,
     write_outputs,
 )
-from triage_miner.report import RenderedRules, render_partition
 from triage_miner.rules import RulePartition
 from triage_miner.synth import synthesize_rows, write_csv
 
@@ -288,25 +287,34 @@ class TestRunVerify:
         assert any(line.startswith("cluster 2: REDUNDANCY MISMATCH") for line in lines)
 
 
-def test_each_rule_is_rendered_once(sample_csv, tmp_path, monkeypatch):
+def test_rules_are_rendered_a_batch_at_a_time(sample_csv, tmp_path, monkeypatch):
     """execute and run_verify render nothing; write_outputs renders each
-    cluster's partition once, in cluster order, and the run keeps none of it."""
+    cluster's rules at most WRITE_BATCH rows per call, each rule's own line
+    once, essential rows first and in cluster order, and the run keeps none
+    of it."""
     calls = []
-    render_partition = report.render_partition
+    render_rules = report.render_rules
 
-    def counting(partition, codebooks):
-        calls.append(partition)
-        return render_partition(partition, codebooks)
+    def recording(strings, rows):
+        calls.append([(id(strings.partition), row) for row in rows.tolist()])
+        return render_rules(strings, rows)
 
-    monkeypatch.setattr(report, "render_partition", counting)
-    assert not hasattr(pipeline, "render_partition")  # only the report writer renders
+    monkeypatch.setattr(report, "WRITE_BATCH", 3)
+    monkeypatch.setattr(report, "render_rules", recording)
+    assert not hasattr(pipeline, "render_rules")  # only the report writer renders
     config = PipelineConfig(input_path=str(sample_csv), output_dir=str(tmp_path / "out"))
     result = execute(config)
     assert run_verify(result)[0]
     assert calls == []
     write_outputs(result)
-    assert [id(call) for call in calls] == [id(outcome.partition) for outcome in result.outcomes]
-    assert _reachable(result, RenderedRules) == []
+    assert {len(call) for call in calls} == {1, 2, 3}
+    assert [rendered for call in calls for rendered in call] == [
+        (id(outcome.partition), row)
+        for outcome in result.outcomes
+        for row in [*outcome.partition.essential.tolist(), *outcome.partition.redundant.tolist()]
+    ]
+    assert _reachable(result, report.ClusterStrings) == []
+    assert not [text for text in _reachable(result, str) if "⇒" in text]
 
 
 def test_run_builds_no_rule_objects(sample_csv, tmp_path, monkeypatch):
@@ -360,7 +368,7 @@ def test_cluster_text_shows_a_line_break_in_a_label_and_keeps_each_rule_on_one_l
         assert not any("\r" in line for line in lines)
         rules = [line.split(". ", 1)[1] for line in lines if re.match(r"  \d+\. ", line)]
         witnesses = [line[len(prefix) :] for line in lines if line.startswith(prefix)]
-        rendered = render_partition(outcome.partition, result.codebooks)
+        rendered = render_all(outcome.partition, result.codebooks)
         assert rules == [rule.replace(label, shown) for rule in rendered.text]
         assert witnesses == [w.replace(label, shown) for w in rendered.witness if w]
         labelled += sum(f"Component{{{shown}}}" in rule for rule in rules)

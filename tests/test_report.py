@@ -13,6 +13,7 @@ from hypothesis import given, settings
 
 from conftest import (
     cluster_outcome,
+    render_all,
     render_text,
     rule_lists,
     rule_split,
@@ -33,7 +34,6 @@ from triage_miner.report import (
     build_summary,
     confidence_percents,
     length_histogram,
-    render_partition,
     write_clusters_json,
     write_rule_reports,
 )
@@ -171,13 +171,13 @@ class TestRenderRule:
         rule = _rule([Item(Attribute.OPERATING_SYSTEM, 1), Item(Attribute.PRIORITY, 1)], 1, 1, 2)
         partition = eliminate_redundant(rule_table([rule]))
         # no label needs quoting, so rules.csv's field is the fragment itself
-        assert render_partition(partition, books).antecedent_csv == ["Priority {P1} ∧ Os {All}"]
+        assert render_all(partition, books).antecedent_csv == ["Priority {P1} ∧ Os {All}"]
 
     @given(rule_lists(max_rules=25))
     @settings(max_examples=40, deadline=None)
     def test_injective_on_distinct_rules(self, rules):
         books = simple_codebooks()
-        rendered = render_partition(eliminate_redundant(rule_table(rules)), books).text
+        rendered = render_all(eliminate_redundant(rule_table(rules)), books).text
         assert len(set(rendered)) == len(rules)
 
 
@@ -193,7 +193,7 @@ class TestPairStrings:
             _rule([Item(Attribute.COMPONENT, code)], 1, support, antecedent)
             for code, (support, antecedent) in enumerate(pairs, start=1)
         ]
-        rendered = render_partition(eliminate_redundant(rule_table(rules)), simple_codebooks())
+        rendered = render_all(eliminate_redundant(rule_table(rules)), simple_codebooks())
         assert rendered.support == [support for support, _ in pairs]
         assert rendered.confidence == [repr(s / a) for s, a in pairs]
         assert [text.split(" @ ")[1] for text in rendered.text] == [
@@ -246,7 +246,7 @@ class TestClusterOutcome:
             "redundant": 0,
             "length_histogram": {"1": 0, "2": 0, "3": 0, "4": 0},
         }
-        rendered = render_partition(outcomes[2].partition, books)
+        rendered = render_all(outcomes[2].partition, books)
         assert rendered.text == rendered.witness == []
         write_rule_reports(tmp_path, summary, outcomes, books)
         assert (tmp_path / "cluster_2.txt").read_text(encoding="utf-8").split("\n")[:6] == [
@@ -272,7 +272,7 @@ class TestClusterOutcome:
         assert cluster["essential"] + cluster["redundant"] == cluster["rules"] == 5
         assert sum(cluster["length_histogram"].values()) == 5
         assert cluster["top_assignees"] == ["Dev 1", "Dev 2"]
-        rendered = render_partition(outcome.partition, books)
+        rendered = render_all(outcome.partition, books)
         assert len(rendered.text) == len(rendered.witness) == 5
         assert rendered.text[: cluster["essential"]] == [
             render_text(r, books) for r in split_rules(rules).essential
@@ -306,10 +306,10 @@ def _outcomes(clusters, books):
 
 def _rule_rows(outcomes, books) -> list[list]:
     """Every rule's rules.csv row, unquoted: the antecedent and assignee from
-    the reference renderer, the other fields from render_partition."""
+    the reference renderer, the other fields from render_rules."""
     rows = []
     for index, outcome in enumerate(outcomes):
-        rendered, split = render_partition(outcome.partition, books), rule_split(outcome.partition)
+        rendered, split = render_all(outcome.partition, books), rule_split(outcome.partition)
         rules = [*split.essential, *(rule for rule, _ in split.redundant)]
         statuses = ["essential"] * len(split.essential) + ["redundant"] * len(split.redundant)
         columns = (rendered.support, rendered.confidence, statuses, rendered.witness)

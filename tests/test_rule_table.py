@@ -9,11 +9,19 @@ import hypothesis.strategies as st
 import numpy as np
 from hypothesis import given, settings
 
-from conftest import row_lists, row_table, rule_lists, rule_split, rule_table, simple_codebooks
+from conftest import (
+    render_all,
+    row_lists,
+    row_table,
+    rule_lists,
+    rule_split,
+    rule_table,
+    simple_codebooks,
+)
 from triage_miner.ingest import Attribute, decode
 from triage_miner.mine import Projection, Subset, mine_frequent_itemsets
 from triage_miner.oracle import Item, Rule, rule_objects
-from triage_miner.report import RENDER_ORDER, render_partition
+from triage_miner.report import RENDER_ORDER
 from triage_miner.rules import eliminate_redundant, generate_class_rules
 
 _PREFIX = {
@@ -107,7 +115,7 @@ def assert_matches_reference(rules: list[Rule], partition, codebooks, ordered=Tr
     reference lists rules stably sorted by size, the table in row order)."""
     essential, redundant = reference_eliminate(rules)
     split = rule_split(partition)
-    rendered = render_partition(partition, codebooks)
+    rendered = render_all(partition, codebooks)
     # no label of ``codebooks`` needs quoting, so rules.csv's fields are the
     # reference's antecedent and assignee themselves
     columns = list(zip(*rendered))
