@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Regenerate the golden report tree used by the byte-for-byte tests.
 
-Runs the pipeline on the bundled sample once, checks that run's own tables
-against the brute-force oracles (as ``triage-miner verify`` does), and only
-then writes that same result, so the golden files are exactly the tables
-that were verified. Usage: python scripts/refresh_golden.py
+Runs the pipeline on the bundled sample once, checks that run against the
+brute-force oracles (as ``triage-miner verify`` does), and only then writes
+that same result. The run keeps no itemset table: verify mines each cluster
+again, checks that table against the itemset oracle and checks that the
+run's kept rule table is exactly what it yields, so the golden rules are the
+ones whose itemsets were verified. Usage: python scripts/refresh_golden.py
 """
 
 import sys

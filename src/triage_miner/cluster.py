@@ -36,7 +36,8 @@ _MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's 128-bit LCG multiplier
 class ClusterModel:
     """Fitted partition: centroids, per-record assignments and diagnostics.
 
-    ``assignments[i]`` is the cluster of the i-th record (an int array);
+    ``assignments[i]`` is the cluster of the i-th record, in the narrowest
+    unsigned dtype that holds ``k - 1`` (one byte per record for k <= 256);
     ``inertia_history`` holds the objective after each Lloyd iteration
     (entry 0 is the post-initialization value).
     """
@@ -201,9 +202,10 @@ def kmeans_fit(
 
     centroids, labels, dists = assign(_kmeanspp_init(vectors, rank, k, seed))
     history = [float(dists.sum())]
+    weighted = [counts * column for column in vectors.T]  # a feature times its record count
     for iterations_run in range(1, max_iterations + 1):
         previous = labels
-        sums = [np.bincount(labels, weights=counts * column, minlength=k) for column in vectors.T]
+        sums = [np.bincount(labels, weights=column, minlength=k) for column in weighted]
         centroids = np.column_stack(sums) / np.bincount(labels, counts, minlength=k)[:, None]
         centroids, labels, dists = assign(centroids)
         history.append(float(dists.sum()))
@@ -213,7 +215,7 @@ def kmeans_fit(
     return ClusterModel(
         k=k,
         centroids=tuple(map(tuple, centroids.tolist())),
-        assignments=labels[rank],
+        assignments=labels.astype(np.min_scalar_type(k - 1))[rank],
         inertia=history[-1],
         seed=seed,
         iterations_run=iterations_run,

@@ -1,7 +1,9 @@
 """Read bug-report CSV exports and encode the five categorical attributes,
 in one pass from the CSV bytes to bug ids, codebooks and the records as a
 table of distinct code rows plus one table index per record. The ids are
-held as BugIds, and a repeated id is found after the pass from sorted hashes.
+held as BugIds. A repeated id is found after the pass from one buffer of the
+ids' hashes, sorted in place; only if some hash repeats are the ids decoded,
+a chunk at a time, and hashed again to find those that share it.
 
 A line is read in full only the first time its text, less its id cell,
 appears: a cache of up to LINE_CACHE such texts gives each one's table row,
@@ -85,10 +87,6 @@ class BugIds:
 
     def __len__(self) -> int:
         return self.count
-
-    def __getitem__(self, row: int) -> str:
-        chunk, at = divmod(row, ID_CHUNK)
-        return json.loads(self.encoded[chunk].split("\n")[at])
 
     def chunks(self) -> Iterator[tuple[int, list[str]]]:
         """Each chunk's first record number and its ids' JSON encodings."""
@@ -201,28 +199,37 @@ def read_bug_csv(
             cell_codes[attribute][cell] = code
             return code
 
-        bug_ids, pending, hashes = BugIds(), [], [np.empty(0, np.int64)]  # pending: not in a chunk
+        # pending: ids not yet in a chunk; hashes: the int64 hash of each id in a chunk
+        bug_ids, pending, hashes = BugIds(), [], bytearray()
 
         def add_chunks(whole_only: bool) -> None:  # pending ids to BugIds, ID_CHUNK a chunk
+            nonlocal hashes
             while len(pending) >= ID_CHUNK or (pending and not whole_only):
-                hashes.append(bug_ids.add_chunk(pending[:ID_CHUNK]))
+                hashes += memoryview(bug_ids.add_chunk(pending[:ID_CHUNK]))
                 del pending[:ID_CHUNK]
 
         def check_ids() -> None:  # only ids that share a hash are compared, as strings
             add_chunks(whole_only=False)
-            ordered = np.sort(joined := np.concatenate(hashes))
-            first_row: dict[str, int] = {}  # each compared id's first row
-            for row in np.flatnonzero(np.isin(joined, ordered[1:][ordered[1:] == ordered[:-1]])):
-                if first_row.setdefault(bug_ids[row], row) != row:  # the first repeat in file order
-                    raise DuplicateIdError(f"duplicate bug_id: {bug_ids[row]!r}")
+            ordered = np.frombuffer(hashes, np.int64)
+            ordered.sort()  # in place, so the ids are hashed again for their file order
+            shared = set(ordered[1:][ordered[1:] == ordered[:-1]].tolist())
+            if not shared:
+                return
+            seen: set[str] = set()  # each compared id, in file order
+            for bug_id in bug_ids:
+                if hash(bug_id) in shared:
+                    if bug_id in seen:  # the first repeat in file order
+                        raise DuplicateIdError(f"duplicate bug_id: {bug_id!r}")
+                    seen.add(bug_id)
 
         row_of: dict[tuple[int, ...], int] = {}  # code row -> its row in ``rows``
         cache: dict[str, int] = {}  # a split line, its id cell cut out -> its row in ``rows``
-        index: list[int] = []
+        # each record's row in ``rows``, as int32; a batch's rows are moved there as a batch ends
+        index, batch_index = bytearray(), []
         skipped = header_reader.line_num  # lines that are no record: header, blanks, continuations
 
         def line_now() -> int:  # the line of the record being read (its last, if quoted)
-            return skipped + len(index) + 1
+            return skipped + len(index) // 4 + len(batch_index) + 1
 
         def read_row(line: str, key: str, batch_lines: Iterator[str]) -> int | None:
             """Read ``line`` in full: its row in ``rows``, or None if it is
@@ -307,7 +314,9 @@ def read_bug_csv(
                         if not bug_id:
                             raise RowError(f"row at line {line_now()} has an empty bug_id")
                         pending.append(bug_id)
-                    index.append(row)
+                    batch_index.append(row)
+                index += memoryview(np.fromiter(batch_index, np.int32, len(batch_index)))
+                batch_index.clear()
                 add_chunks(whole_only=True)
         except (RowError, UnknownCategoryError):
             check_ids()  # a repeated id on an earlier row is the first fault
@@ -318,8 +327,7 @@ def read_bug_csv(
 
     codebooks = {attribute: tuple(labels[attribute]) for attribute in Attribute}
     rows = np.fromiter(itertools.chain.from_iterable(row_of), np.int64, len(row_of) * len(Attribute))
-    index_array = np.fromiter(index, np.int32, len(index))
-    return bug_ids, codebooks, rows.reshape(-1, len(Attribute)), index_array
+    return bug_ids, codebooks, rows.reshape(-1, len(Attribute)), np.frombuffer(index, np.int32)
 
 
 def codebooks_to_json(codebooks: Mapping[Attribute, Sequence[str]]) -> dict[str, dict[str, int]]:

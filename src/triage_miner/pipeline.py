@@ -17,6 +17,9 @@ apart from them.
 The records are held as a table of distinct code rows and one row index per
 record. Every stage runs on the table and its rows' record counts, a cluster on
 a mask over it; only ``verify``'s oracle gathers records, a chunk at a time.
+A run keeps each cluster's rule partition, not its frequent-itemset table:
+``verify`` mines each cluster again from the table, diffs that against the
+oracle, and checks that it yields exactly the rule table the run kept.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import os
 import re
 import shutil
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterator, Mapping
 
@@ -96,10 +99,25 @@ def _load_and_encode(config: PipelineConfig):
     return source.sha256.hexdigest(), codebooks, bug_ids, rows, index
 
 
+def _cluster_tables(
+    rows: np.ndarray, index: np.ndarray, model: ClusterModel
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Each cluster's distinct code rows and their record counts, in cluster
+    order: a mask over the table, as equal rows have equal features and so
+    share a cluster."""
+    counts = np.bincount(index, minlength=len(rows))
+    row_cluster = np.empty_like(model.assignments, shape=len(rows))
+    row_cluster[index] = model.assignments
+    for cluster in range(model.k):
+        mask = row_cluster == cluster
+        yield rows[mask], counts[mask]
+
+
 def _mine_cluster(
     cluster: int, rows: np.ndarray, counts: np.ndarray, config: PipelineConfig, codebooks: Mapping
 ) -> ClusterOutcome:
-    """Mine a cluster given as its distinct code rows and their record counts."""
+    """Mine a cluster given as its distinct code rows and their record counts;
+    its itemset table is dropped once its rules are made."""
     table = mine_frequent_itemsets(rows, counts, config.min_support_count)
     top_codes = top_assignees(rows[:, Attribute.ASSIGNEE], counts, config.top_n)
     rules = generate_class_rules(table, config.min_confidence, top_codes)
@@ -115,7 +133,7 @@ def _mine_cluster(
         len(partition.redundant),
     )
     top_labels = decode(codebooks[Attribute.ASSIGNEE], top_codes)
-    return ClusterOutcome(size, table, top_labels, partition)
+    return ClusterOutcome(size, top_labels, partition)
 
 
 def execute(config: PipelineConfig) -> PipelineResult:
@@ -127,12 +145,9 @@ def execute(config: PipelineConfig) -> PipelineResult:
     logger.info(
         "k-means: k=%d, %d iterations, inertia %.4f", model.k, model.iterations_run, model.inertia
     )
-    counts = np.bincount(index, minlength=len(rows))
-    row_cluster = np.empty_like(model.assignments, shape=len(rows))
-    row_cluster[index] = model.assignments  # equal rows have equal features, so one cluster
     outcomes = [
-        _mine_cluster(cluster, rows[mask], counts[mask], config, codebooks)
-        for cluster, mask in enumerate(row_cluster == j for j in range(model.k))
+        _mine_cluster(cluster, *table, config, codebooks)
+        for cluster, table in enumerate(_cluster_tables(rows, index, model))
     ]
     result = PipelineResult(config, input_sha256, codebooks, bug_ids, rows, index, model, outcomes)
     violations = audit_result(result)
@@ -286,13 +301,15 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
 def run_verify(
     result: PipelineResult, max_transactions: int | None = None, max_rules: int | None = None
 ) -> tuple[bool, list[str]]:
-    """Diff a run's own frequent-itemset tables and rule partitions against
-    the brute-force oracles, cluster by cluster. Every cluster is checked,
-    except those above an optional size cap (reported as skipped)."""
+    """Check a run against the brute-force oracles, cluster by cluster: each
+    cluster is mined again from the run's table and diffed against the
+    itemset oracle, the rule table the run kept must be the one that table
+    yields, and the kept partition is diffed against the redundancy oracle.
+    Clusters above an optional size cap are skipped (and reported so)."""
     checks = [
         check
-        for cluster in range(len(result.outcomes))
-        for check in _verify_cluster(result, cluster, max_transactions, max_rules)
+        for cluster, table in enumerate(_cluster_tables(result.rows, result.index, result.model))
+        for check in _verify_cluster(result, cluster, *table, max_transactions, max_rules)
     ]
     return all(passed for passed, _ in checks), [line for _, line in checks]
 
@@ -306,7 +323,12 @@ def _cluster_records(result: PipelineResult, cluster: int) -> Iterator[list[int]
 
 
 def _verify_cluster(
-    result: PipelineResult, cluster: int, max_transactions: int | None, max_rules: int | None
+    result: PipelineResult,
+    cluster: int,
+    rows: np.ndarray,
+    counts: np.ndarray,
+    max_transactions: int | None,
+    max_rules: int | None,
 ) -> Iterator[tuple[bool, str]]:
     """run_verify's lines for one cluster, each with whether it passed; what
     the oracles build is freed once the last line is read. The oracles are
@@ -325,16 +347,26 @@ def _verify_cluster(
         cap = f"{outcome.size} transactions > cap {max_transactions}"
         yield True, f"{name}: skipped itemset check ({cap})"
         return
+    config = result.config
     records = _cluster_records(result, cluster)
-    reference = enumerate_frequent_itemsets(records, result.config.min_support_count)
-    supports = itemset_supports(outcome.table)
+    reference = enumerate_frequent_itemsets(records, config.min_support_count)
+    table = mine_frequent_itemsets(rows, counts, config.min_support_count)
+    supports = itemset_supports(table)
     if supports != reference:
         missing, extra = len(reference.keys() - supports), len(supports.keys() - reference)
         wrong = sum(reference[s] != supports[s] for s in reference.keys() & supports)
-        counts = f"missing {missing}, extra {extra}, miscounted {wrong}"
-        yield False, f"{name}: FREQUENT-ITEMSET MISMATCH ({counts})"
+        tally = f"missing {missing}, extra {extra}, miscounted {wrong}"
+        yield False, f"{name}: FREQUENT-ITEMSET MISMATCH ({tally})"
         return
     yield True, f"{name}: itemsets OK ({len(supports)} frequent itemsets)"
+    top_codes = top_assignees(rows[:, Attribute.ASSIGNEE], counts, config.top_n)
+    rules = generate_class_rules(table, config.min_confidence, top_codes)
+    del table, supports, reference  # before the redundancy oracle builds its own
+    kept = partition.rules
+    if not all(np.array_equal(getattr(rules, f.name), getattr(kept, f.name)) for f in fields(kept)):
+        table_yields = f"{len(kept)} rules kept, the verified itemsets give {len(rules)}"
+        yield False, f"{name}: RULE TABLE MISMATCH ({table_yields})"
+        return
     if max_rules is not None and len(partition.rules) > max_rules:
         cap = f"{len(partition.rules)} rules > cap {max_rules}"
         yield True, f"{name}: skipped redundancy check ({cap})"

@@ -35,7 +35,6 @@ import numpy as np
 from .cluster import ClusterModel
 from .errors import ConsistencyError
 from .ingest import Attribute, BugIds, decode
-from .mine import Projection, Subset
 from .rules import RulePartition, RuleTable
 
 _RENDER_PREFIX = {  # in print order
@@ -150,13 +149,14 @@ def length_histogram(rules: RuleTable) -> dict[int, int]:
 
 @dataclass
 class ClusterOutcome:
-    """Everything mined from one cluster; ``size`` is its number of records,
-    whose rows are not kept. A cluster's index is its position in the run's
-    list, and every count a report prints is derived from ``size`` and
-    ``partition``. Its rules are rendered only when its reports are written."""
+    """What a run keeps of one cluster; ``size`` is its number of records,
+    whose rows are not kept, and its frequent-itemset table is dropped once
+    its rules are made (``verify`` mines it again). A cluster's index is its
+    position in the run's list, and every count a report prints is derived
+    from ``size`` and ``partition``. Its rules are rendered only when its
+    reports are written."""
 
     size: int
-    table: Mapping[Subset, Projection]  # the frequent itemsets, by attribute subset
     top_assignees: list[str]
     partition: RulePartition
 

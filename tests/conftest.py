@@ -194,10 +194,9 @@ def render_text(rule: Rule, codebooks) -> str:
 
 def cluster_outcome(rules, codebooks, size: int = 10, top_codes=(1,)) -> ClusterOutcome:
     """The record of a cluster of ``size`` rows whose rules are ``rules``, as
-    the report writers read it; its itemset table is a placeholder."""
+    the report writers read it."""
     return ClusterOutcome(
         size=size,
-        table={},
         top_assignees=decode(codebooks[Attribute.ASSIGNEE], top_codes),
         partition=eliminate_redundant(rule_table(rules)),
     )

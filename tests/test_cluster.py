@@ -135,6 +135,13 @@ class TestKmeansFit:
         recomputed = dists[np.arange(len(points)), model.assignments].sum()
         assert abs(model.inertia - recomputed) <= 1e-9 * max(1.0, recomputed)
 
+    @pytest.mark.parametrize("k, dtype", [(1, np.uint8), (256, np.uint8), (257, np.uint16)])
+    def test_assignments_take_the_narrowest_unsigned_dtype(self, k, dtype):
+        points = [(a, b, 1, 1) for a in range(20) for b in range(15)]
+        model = kmeans_fit(*point_table(points), k=k, seed=0, max_iterations=2)
+        assert model.assignments.dtype == dtype
+        assert set(model.assignments.tolist()) == set(range(k))
+
     @given(st.integers(0, 2**63 - 1))
     @settings(max_examples=25, deadline=None)
     def test_any_seed_is_accepted(self, seed):

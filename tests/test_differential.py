@@ -18,7 +18,8 @@ from triage_miner.oracle import (
     essential_rules_naive,
     itemset_supports,
 )
-from triage_miner.pipeline import execute
+from triage_miner.mine import mine_frequent_itemsets
+from triage_miner.pipeline import _cluster_tables, execute
 from triage_miner.synth import synthesize_rows, write_csv
 
 
@@ -82,11 +83,14 @@ def test_execute_matches_the_oracles_on_synthetic_data(
     assert sum(outcome.size for outcome in result.outcomes) == rows
     assert len(result.outcomes) == result.model.k
     records = result.rows[result.index]
-    for cluster, outcome in enumerate(result.outcomes):
+    # the run keeps no itemset table: each cluster is mined again from the
+    # run's table rows and record counts, as verify does
+    tables = _cluster_tables(result.rows, result.index, result.model)
+    for cluster, (outcome, table) in enumerate(zip(result.outcomes, tables, strict=True)):
         code_rows = records[result.model.assignments == cluster].tolist()
         assert len(code_rows) == outcome.size
         reference = enumerate_frequent_itemsets(code_rows, min_support_count)
-        assert itemset_supports(outcome.table) == reference
+        assert itemset_supports(mine_frequent_itemsets(*table, min_support_count)) == reference
 
         tally = Counter(row[Attribute.ASSIGNEE] for row in code_rows)
         ranked = sorted(tally, key=lambda code: (-tally[code], code))[:top_n]

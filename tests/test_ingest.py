@@ -2,6 +2,7 @@ import csv
 import io
 import itertools
 import json
+import tracemalloc
 from unittest import mock
 
 import hypothesis.strategies as st
@@ -620,15 +621,14 @@ class TestBugIds:
 
     @pytest.mark.parametrize("chunk", [1, 2, 3])
     def test_every_view_gives_each_id_back(self, tmp_path, monkeypatch, chunk):
-        """Iteration, indexing and clusters.json give back each id, whatever
-        JSON escapes in it, across chunk boundaries."""
+        """Iteration and clusters.json give back each id, whatever JSON
+        escapes in it, across chunk boundaries."""
         monkeypatch.setattr(ingest, "ID_CHUNK", chunk)
         held = BugIds()
         for start in range(0, len(self._IDS), chunk):
             held.add_chunk(self._IDS[start : start + chunk])
         assert len(held) == len(self._IDS)
         assert list(held) == self._IDS
-        assert [held[row] for row in range(len(held))] == self._IDS
         assert [ids for _, ids in held.chunks()] == [
             [json.dumps(i, ensure_ascii=False) for i in self._IDS[start : start + chunk]]
             for start in range(0, len(self._IDS), chunk)
@@ -639,6 +639,28 @@ class TestBugIds:
         write_clusters_json(tmp_path / "clusters.json", model, held)
         with open(tmp_path / "clusters.json", encoding="utf-8") as fh:
             assert list(json.load(fh)["assignments"]) == self._IDS
+
+    def test_ingest_holds_about_22_bytes_per_record(self, monkeypatch):
+        """Ingest's traced peak grows per record by the id's JSON text (10
+        bytes here), one int32 row number and one int64 hash: a list entry
+        per record, or a second copy of the hashes, adds 8 bytes. Encoding a
+        chunk of ids holds about 120 bytes per id at once, so chunks are made
+        small enough that a copy made after the pass shows too."""
+        monkeypatch.setattr(ingest, "ID_CHUNK", 1024)
+
+        def peak(rows: int) -> int:
+            lines = (f"{1_000_000 + i},Normal,P3,General,Linux,a\n" for i in range(rows))
+            source = io.BytesIO(("id,sev,pri,comp,os,who\n" + "".join(lines)).encode())
+            tracemalloc.start()
+            try:
+                bug_ids = read_bug_csv(source, COLUMN_MAP)[0]
+                assert len(bug_ids) == rows
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        per_record = (peak(150_000) - peak(50_000)) / 100_000
+        assert per_record < 27, per_record
 
     @pytest.mark.parametrize("chunk", [1, 2, 3])
     def test_ids_read_from_a_csv_come_back_whole(self, monkeypatch, chunk):

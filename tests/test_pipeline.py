@@ -27,7 +27,7 @@ from triage_miner.pipeline import (
     run_verify,
     write_outputs,
 )
-from triage_miner.rules import RulePartition
+from triage_miner.rules import RulePartition, RuleTable
 from triage_miner.synth import synthesize_rows, write_csv
 
 
@@ -187,8 +187,8 @@ def _reachable(root, kind=np.ndarray) -> list:
 def test_the_run_holds_one_copy_of_the_records(tmp_path):
     """After ingest the records are the row table and the index: the only
     reachable arrays with one entry per record are the index and the
-    assignments (the bug ids are JSON text), and no (n, 5) array is
-    reachable."""
+    assignments, one byte each for k <= 256 (the bug ids are JSON text), no
+    (n, 5) array is reachable, and no cluster's itemset table is."""
     source = tmp_path / "bugs.csv"
     write_csv(source, synthesize_rows(3000, seed=5))
     result = execute(PipelineConfig(input_path=str(source)))
@@ -197,6 +197,8 @@ def test_the_run_holds_one_copy_of_the_records(tmp_path):
     kept = (result.index, result.model.assignments)
     copies = [(a.dtype, a.shape) for a in per_record if not any(a is k for k in kept)]
     assert len(per_record) == len(kept) and not copies, copies
+    assert result.model.k <= 256 and result.model.assignments.dtype == np.uint8
+    assert not _reachable(result, Projection), "no itemset table outlives its cluster's rules"
     assert not [a.shape for a in arrays if a.shape == (3000, 5)]
     assert result.rows.shape == (len(np.unique(result.rows, axis=0)), 5)
     assert len(result.rows) < 3000
@@ -270,14 +272,28 @@ class TestRunVerify:
         clusters = [re.match(mismatch + r" miscounted [1-9]", line) for line in lines]
         assert [int(match[1]) for match in clusters if match] == list(range(result.model.k))
 
-    def test_checks_the_runs_own_itemset_table(self, sample_result):
-        table = dict(sample_result.outcomes[1].table)
-        subset, projection = next(iter(table.items()))
-        table[subset] = Projection(*(column[1:] for column in projection))
-        doctored = _with_outcome(sample_result, 1, table=table)
-        ok, lines = run_verify(doctored)
-        assert not ok
-        assert "cluster 1: FREQUENT-ITEMSET MISMATCH (missing 1, extra 0, miscounted 0)" in lines
+    def test_checks_the_runs_kept_rule_table(self, sample_result):
+        """The run keeps no itemset table, so verify mines each cluster again
+        and checks that the kept rule table is exactly what that table
+        yields: one rule doctored in any column, or one rule dropped, fails."""
+        partition = sample_result.outcomes[1].partition
+        kept = partition.rules
+        columns = {field.name: getattr(kept, field.name) for field in dataclasses.fields(kept)}
+        doctored_tables = [RuleTable(**{name: values[:-1] for name, values in columns.items()})]
+        for name, values in columns.items():
+            values = values.copy()
+            values[3] += 1
+            doctored_tables.append(RuleTable(**{**columns, name: values}))
+        for rules in doctored_tables:
+            partition = dataclasses.replace(partition, rules=rules)
+            ok, lines = run_verify(_with_outcome(sample_result, 1, partition=partition))
+            assert not ok
+            given = f"{len(rules)} rules kept, the verified itemsets give {len(kept)}"
+            assert [line for line in lines if line.startswith("cluster 1:")] == [
+                "cluster 1: itemsets OK (159 frequent itemsets)",
+                f"cluster 1: RULE TABLE MISMATCH ({given})",
+            ]
+            assert sum("redundancy OK" in line for line in lines) == 4
 
     def test_checks_the_runs_own_partition(self, sample_result):
         partition = sample_result.outcomes[2].partition
