@@ -163,6 +163,25 @@ class TestAuditTable:
         doctored = dataclasses.replace(sample_result, index=index)
         assert "some record is not assigned to its nearest centroid" in audit_result(doctored)
 
+    @pytest.mark.parametrize("record", [0, 6, 7, -1])
+    def test_a_misassigned_record_in_any_chunk_is_reported(self, sample_result, monkeypatch, record):
+        # the assignments are compared with the nearest centroids a chunk of
+        # records at a time: records 0 and 6 sit in the first chunk of 7, 7
+        # starts the second and the last record ends a short final one
+        monkeypatch.setattr(pipeline, "VERIFY_CHUNK", 7)
+        assignments = sample_result.model.assignments.copy()
+        assignments[record] = (assignments[record] + 1) % sample_result.model.k
+        model = dataclasses.replace(sample_result.model, assignments=assignments)
+        problems = audit_result(dataclasses.replace(sample_result, model=model))
+        assert "some record is not assigned to its nearest centroid" in problems
+
+    def test_a_doctored_inertia_is_reported(self, sample_result):
+        inertia = sample_result.model.inertia
+        for doctored in (inertia * (1 + 1e-6), inertia - 1e-3, 0.0):
+            model = dataclasses.replace(sample_result.model, inertia=doctored)
+            problems = audit_result(dataclasses.replace(sample_result, model=model))
+            assert len(problems) == 1 and problems[0].startswith(f"inertia {doctored} != recomputed ")
+
 
 def _reachable(root, kind=np.ndarray) -> list:
     """Every ``kind`` reachable from ``root`` through the fields of the
