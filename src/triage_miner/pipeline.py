@@ -53,19 +53,16 @@ from .rules import RulePartition, eliminate_redundant, generate_class_rules, top
 
 logger = logging.getLogger("triage_miner")
 VERIFY_CHUNK = 1 << 13  # records gathered per step of verify's itemset tally
-# Inputs smaller than this are hashed by CPython's own SHA-256, so OpenSSL's
-# libcrypto (3.6 MiB resident, 2.5-4.5 ms to load) is never mapped. OpenSSL
-# hashes 3.5 ms per MiB faster, so the two break even near 1 MiB (measured on
-# a 2-vCPU x86-64 host, Python 3.11).
-BUILTIN_SHA256_BELOW = 1 << 20
 
+# CPython's own SHA-256, so no run maps OpenSSL's libcrypto (about 3.6 MiB
+# resident, 2.5-4.5 ms to load); hashlib's OpenSSL one only on a build without it
 try:
-    from _sha2 import sha256 as _builtin_sha256  # CPython 3.12+
+    from _sha2 import sha256  # CPython 3.12+
 except ImportError:
     try:
-        from _sha256 import sha256 as _builtin_sha256  # CPython 3.10 and 3.11
+        from _sha256 import sha256  # CPython 3.10 and 3.11
     except ImportError:
-        _builtin_sha256 = None
+        from hashlib import sha256
 
 
 @dataclass
@@ -81,10 +78,10 @@ class PipelineResult:
 
 
 class _HashingReader(io.RawIOBase):
-    """A raw byte stream that feeds each byte read from ``raw`` to ``sha256``."""
+    """A raw byte stream that feeds each byte read from ``raw`` to a sha256."""
 
-    def __init__(self, raw: io.RawIOBase, sha256):
-        self.raw, self.sha256 = raw, sha256
+    def __init__(self, raw: io.RawIOBase):
+        self.raw, self.sha256 = raw, sha256()
 
     def readable(self) -> bool:
         return True
@@ -95,21 +92,11 @@ class _HashingReader(io.RawIOBase):
         return count
 
 
-def _new_sha256(size: int):
-    """A SHA-256 for an input of ``size`` bytes: CPython's own below
-    ``BUILTIN_SHA256_BELOW``, OpenSSL's, imported only now, otherwise."""
-    if size < BUILTIN_SHA256_BELOW and _builtin_sha256 is not None:
-        return _builtin_sha256()
-    import hashlib
-
-    return hashlib.sha256()
-
-
 def _load_and_encode(config: PipelineConfig):
     """Parse the input and hash the bytes parsed, in one pass over the file."""
     try:
         with open(config.input_path, "rb", buffering=0) as raw:
-            source = _HashingReader(raw, _new_sha256(os.stat(config.input_path).st_size))
+            source = _HashingReader(raw)
             bug_ids, codebooks, rows, index = read_bug_csv(
                 io.BufferedReader(source), config.column_map
             )

@@ -2,6 +2,7 @@ import argparse
 import errno
 import gc
 import hashlib
+import importlib.util
 import inspect
 import io
 import json
@@ -10,7 +11,6 @@ import re
 import subprocess
 import sys
 from dataclasses import fields
-from typing import Iterator
 
 import pytest
 
@@ -33,25 +33,6 @@ def _report_manifest(tmp_path, rows, *flags) -> dict[str, str]:
         for file in sorted(out.rglob("*"))
         if file.is_file()
     }
-
-
-def each_sha256_path(monkeypatch) -> Iterator[str]:
-    """Yields "openssl" with the cut at 0, so OpenSSL hashes every input, then
-    "builtin" with the cut above any input here, so CPython's own SHA-256 does;
-    after each, checks that the run made one hash object of that kind."""
-    made, new_sha256 = [], pipeline._new_sha256
-
-    def spy(size):
-        sha256 = new_sha256(size)
-        made.append(type(sha256).__module__)
-        return sha256
-
-    monkeypatch.setattr(pipeline, "_new_sha256", spy)
-    for label, cut, modules in (("openssl", 0, {"_hashlib"}), ("builtin", 1 << 40, {"_sha2", "_sha256"})):
-        monkeypatch.setattr(pipeline, "BUILTIN_SHA256_BELOW", cut)
-        made.clear()
-        yield label
-        assert len(made) == 1 and made[0] in modules, (label, made)
 
 
 class TestValidateConfig:
@@ -348,16 +329,12 @@ class TestRunCommand:
         ],
         ids=["plain", "bom", "crlf", "no-final-newline", "quoted-newline"],
     )
-    def test_input_sha256_is_the_digest_of_the_input_bytes(
-        self, sample_csv, tmp_path, monkeypatch, variant
-    ):
-        path = tmp_path / "input.csv"
+    def test_input_sha256_is_the_digest_of_the_input_bytes(self, sample_csv, tmp_path, variant):
+        path, out = tmp_path / "input.csv", tmp_path / "out"
         path.write_bytes(variant(sample_csv.read_bytes()))
-        for label in each_sha256_path(monkeypatch):
-            out = tmp_path / label
-            assert cli.main(["run", "--input", str(path), "--output", str(out)]) == 0
-            used = json.loads((out / "config_used.json").read_text())
-            assert used["input_sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
+        assert cli.main(["run", "--input", str(path), "--output", str(out)]) == 0
+        used = json.loads((out / "config_used.json").read_text())
+        assert used["input_sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
 
     def test_a_read_error_halfway_exits_2_and_names_the_input(
         self, sample_csv, tmp_path, monkeypatch, capsys
@@ -389,39 +366,39 @@ class TestRunCommand:
             raising=False,
         )
         out = tmp_path / "x"
-        for _ in each_sha256_path(monkeypatch):
-            assert cli.main(["run", "--input", str(sample_csv), "--output", str(out)]) == 2
-            err = capsys.readouterr().err
-            assert err.startswith(f"error: cannot read input {str(sample_csv)!r}")
-            assert os.strerror(errno.EIO) in err and "Traceback" not in err
-            assert not out.exists()
+        assert cli.main(["run", "--input", str(sample_csv), "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read input {str(sample_csv)!r}")
+        assert os.strerror(errno.EIO) in err and "Traceback" not in err
+        assert not out.exists()
 
-    @pytest.mark.parametrize("cut", ["default", "sample-size"])
-    def test_inputs_below_the_cut_never_load_openssl(self, sample_csv, tmp_path, cut):
-        # CPython's own SHA-256 hashes an input smaller than
-        # BUILTIN_SHA256_BELOW, so neither the import, run nor verify maps
-        # OpenSSL's libcrypto (about 3.6 MiB resident), and a module-level
-        # ``import hashlib`` anywhere in the package fails here; an input at
-        # the cut is hashed by OpenSSL
-        at_cut = f"pipeline.BUILTIN_SHA256_BELOW = {sample_csv.stat().st_size}\n"
+    @pytest.mark.skipif(
+        not any(map(importlib.util.find_spec, ("_sha2", "_sha256"))),
+        reason="this CPython has no SHA-256 of its own",
+    )
+    def test_no_command_loads_openssl(self, sample_csv, tmp_path):
+        # the input is hashed by CPython's own SHA-256, so neither the import
+        # nor run nor verify, called as the installed script calls them, maps
+        # OpenSSL's libcrypto (about 3.6 MiB resident); a module-level
+        # ``import hashlib`` anywhere in the package fails here
         script = (
             "import sys\n"
-            "from triage_miner import cli, pipeline\n"
+            "from triage_miner import cli\n"
             "loaded = ['_hashlib' in sys.modules]\n"
-            + (at_cut if cut == "sample-size" else "")
-            + f"assert cli.main(['run', '--input', {str(sample_csv)!r},"
-            f" '--output', {str(tmp_path / 'out')!r}]) == 0\n"
-            "loaded.append('_hashlib' in sys.modules)\n"
-            f"assert cli.main(['verify', '--input', {str(sample_csv)!r}]) == 0\n"
-            "loaded.append('_hashlib' in sys.modules)\n"
+            f"for argv in (['run', '--output', {str(tmp_path / 'out')!r}], ['verify']):\n"
+            f"    sys.argv = ['triage-miner', *argv, '--input', {str(sample_csv)!r}]\n"
+            "    try:\n"
+            "        cli.entry_point()\n"
+            "    except SystemExit as done:\n"
+            "        assert done.code == 0, done.code\n"
+            "    loaded.append('_hashlib' in sys.modules)\n"
             "print(*loaded)\n"
         )
         env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
         done = subprocess.run(
             [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
         )
-        expected = "False False False" if cut == "default" else "False True True"
-        assert done.stdout.splitlines()[-1] == expected
+        assert done.stdout.splitlines()[-1] == "False False False"
 
     def test_run_imports_neither_numpy_ma_nor_numpy_random(self, sample_csv, tmp_path):
         # numpy.ma costs milliseconds to import and the pipeline needs none of
