@@ -56,7 +56,10 @@ class ClusterModel:
 
 def _nearest(points: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Assign each point to its nearest centroid; ties go to the lowest index."""
-    distances = sum(np.subtract.outer(p, c) ** 2 for p, c in zip(points.T, centroids.T))
+    distances = np.zeros((len(points), len(centroids)))  # a feature at a time
+    difference = np.empty_like(distances)  # so at most two tables are held
+    for p, c in zip(points.T, centroids.T):
+        distances += np.square(np.subtract.outer(p, c, out=difference), out=difference)
     assignments = distances.argmin(axis=1)
     return assignments, distances[np.arange(len(points)), assignments]
 

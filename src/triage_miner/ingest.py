@@ -318,6 +318,7 @@ def read_bug_csv(
                 index += memoryview(np.fromiter(batch_index, np.int32, len(batch_index)))
                 batch_index.clear()
                 add_chunks(whole_only=True)
+            cache.clear()  # dead once the lines are read, so not held while ids and rows are
         except (RowError, UnknownCategoryError):
             check_ids()  # a repeated id on an earlier row is the first fault
             raise

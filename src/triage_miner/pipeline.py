@@ -181,8 +181,11 @@ def audit_result(result: PipelineResult) -> list[str]:
     if not in_range or not counts.all():
         problems.append("the record index does not map the records onto every table row")
     if in_range:
-        features = zip(rows[:, : Attribute.ASSIGNEE].T, np.array(model.centroids).T)
-        distances = sum(np.subtract.outer(p, c) ** 2 for p, c in features)  # a feature at a time
+        distances = np.zeros((len(rows), len(model.centroids)))  # a feature at a time
+        difference = np.empty_like(distances)  # so at most two tables are held
+        for p, c in zip(rows[:, : Attribute.ASSIGNEE].T, np.array(model.centroids).T):
+            distances += np.square(np.subtract.outer(p, c, out=difference), out=difference)
+        del difference
         assignments = model.assignments
         nearest = distances.argmin(axis=1).astype(assignments.dtype)  # per table row
         chunks = (slice(start, start + VERIFY_CHUNK) for start in range(0, len(index), VERIFY_CHUNK))

@@ -14,8 +14,12 @@ Only this module knows the rendered form. A cluster's rules are rendered
 as its reports are written, WRITE_BATCH rules at a time, each batch written
 to cluster_<i>.txt and rules.csv before the next is rendered. What is held
 at once is one batch's strings and the cluster's strings of each label its
-rules use and of each (support, antecedent count) pair. A witness is
-rendered again, from those strings, in each batch of rules it subsumes.
+rules use and of each (support, antecedent count) pair. At its peak a batch
+holds its rules' and witnesses' texts and rules.csv fields and both files'
+text for the batch, joined: about 1.5 KB a redundant rule and half that an
+essential one. WRITE_BATCH trades that against a fixed cost of about 55 us
+a batch (2-vCPU host). A witness is rendered again, from those strings, in
+each batch of rules it subsumes.
 rules.csv quotes a field holding a comma, a double quote, CR or LF,
 doubling its quotes (RFC 4180). When some label holds CR or LF,
 cluster_<i>.txt shows them as ``\\r`` and ``\\n`` and a backslash as
@@ -46,7 +50,7 @@ _RENDER_PREFIX = {  # in print order
 RENDER_ORDER = tuple(_RENDER_PREFIX)
 
 _AND = " ∧ "
-WRITE_BATCH = 1024  # rules per write of cluster_<i>.txt and rules.csv
+WRITE_BATCH = 256  # rules per write of cluster_<i>.txt and rules.csv
 
 
 def confidence_percents(support: Sequence[int], antecedent_count: Sequence[int]) -> list[str]:

@@ -19,6 +19,11 @@ largest antecedent count. Distinct ratios with denominators up to M differ
 by at least 1/M**2, so their keys differ and order as the ratios do, and
 equal ratios get equal keys. Rules sort and are compared on the dense rank
 of their pair's key, for counts of any size.
+
+A rule table is stored in int32 when all its codes and counts are below
+2**31, in int64 otherwise; witnesses, pair indices and confidence ranks are
+int32 and antecedent sizes int8. Packed keys, their digits and weights and
+products of counts are computed in int64 or Python ints, never in int32.
 """
 
 from __future__ import annotations
@@ -52,7 +57,8 @@ class RuleTable:
     code of Attribute ``a`` in rule i's antecedent, or -1 where it lacks
     ``a``. ``support`` counts the records holding antecedent and consequent,
     ``antecedent_count`` those holding the antecedent, so confidence is the
-    exact ratio of the two."""
+    exact ratio of the two. The four columns share one dtype, int32 or int64
+    (see the module docstring)."""
 
     codes: np.ndarray  # (m, 4), one column per antecedent attribute
     consequent: np.ndarray  # assignee codes
@@ -68,7 +74,7 @@ class RuleTable:
 
     @cached_property
     def size(self) -> np.ndarray:
-        return self.present.sum(axis=1)
+        return self.present.sum(axis=1, dtype=np.int8)
 
     @cached_property
     def pairs(self) -> tuple[np.ndarray, np.ndarray]:
@@ -77,9 +83,12 @@ class RuleTable:
         packed key per rule unless its key space passes ``KEY_BOUND``."""
         radix = int(max(self.support.max(initial=0), self.antecedent_count.max(initial=0))) + 1
         if radix * radix > KEY_BOUND:
-            return distinct_rows(np.column_stack([self.support, self.antecedent_count]))[:2]
-        keys, _, pair = group_keys(self.support * radix + self.antecedent_count, radix * radix)
-        return np.column_stack(np.divmod(keys, radix)), pair
+            pairs, pair = distinct_rows(np.column_stack([self.support, self.antecedent_count]))[:2]
+        else:
+            keys = self.support.astype(np.int64) * radix + self.antecedent_count
+            keys, _, pair = group_keys(keys, radix * radix)
+            pairs = np.column_stack(np.divmod(keys, radix))
+        return pairs, pair.astype(np.int32)
 
     @cached_property
     def confidence_rank(self) -> np.ndarray:
@@ -90,7 +99,7 @@ class RuleTable:
         shift = 2 * max(antecedent_count, default=0).bit_length()
         keys = [(s << shift) // a for s, a in zip(support, antecedent_count)]
         rank_of = {key: rank for rank, key in enumerate(sorted(set(keys)))}
-        return np.array([rank_of[key] for key in keys], dtype=np.int64)[pair]
+        return np.array([rank_of[key] for key in keys], dtype=np.int32)[pair]
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,11 +159,13 @@ def generate_class_rules(
         codes = np.full((np.count_nonzero(passing), len(ANTECEDENT_ATTRIBUTES)), -1)
         codes[:, list(subset[:-1])] = values[passing, :-1]
         parts.append((codes, values[passing, -1], support[passing], antecedent_count[passing]))
-    columns = [np.concatenate(column) for column in zip(*parts)]
+    largest = max(int(column.max(initial=0)) for part in parts for column in part)
+    width = np.int32 if largest < 2**31 else np.int64  # codes and counts are >= -1
+    columns = [np.concatenate(column, dtype=width) for column in zip(*parts)]
     rules = RuleTable(*columns)
     # within one size, an absent attribute sorts after every code of it, as
     # the canonical item sequences compare
-    items = np.where(rules.present, rules.codes, np.iinfo(np.int64).max)
+    items = np.where(rules.present, rules.codes, np.iinfo(width).max)
     order = np.lexsort(
         (rules.consequent, *items.T[::-1], -rules.support, -rules.confidence_rank, rules.size)
     )
@@ -172,7 +183,7 @@ def _row_keys(
     """Int64 keys of the rules' rows and of the probes, probe j being rule
     ``rule[j]``'s row without the attributes outside ``SUBSETS[position[j]]``;
     keys are equal exactly where the rows are."""
-    top = rules.codes.max(axis=0, initial=-1) + 1  # each attribute's absent digit
+    top = rules.codes.max(axis=0, initial=-1).astype(np.int64) + 1  # each attribute's absent digit
     radices = [*(top + 1).tolist(), int(rules.consequent.max(initial=0)) + 1]
     if math.prod(radices) > KEY_BOUND:
         table = np.column_stack([rules.codes, rules.consequent])
@@ -221,7 +232,7 @@ def eliminate_redundant(rules: RuleTable) -> RulePartition:
     rule, match, position = rule[kept], match[kept], position[kept]
     order = np.lexsort((position, -confidence[match], rules.size[match], rule))
     rule, match = rule[order], match[order]
-    witness = np.full(n, -1)
+    witness = np.full(n, -1, dtype=np.int32)
     for size in range(2, width + 1):
         probing = (rules.size[rule] == size) & (witness[match] < 0)
         _, first = np.unique(rule[probing], return_index=True)

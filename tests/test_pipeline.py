@@ -207,7 +207,9 @@ def test_the_run_holds_one_copy_of_the_records(tmp_path):
     """After ingest the records are the row table and the index: the only
     reachable arrays with one entry per record are the index and the
     assignments, one byte each for k <= 256 (the bug ids are JSON text), no
-    (n, 5) array is reachable, and no cluster's itemset table is."""
+    (n, 5) array is reachable, and no cluster's itemset table is. Each kept
+    rule table's columns, witnesses, pair index and confidence ranks are
+    int32, as its counts fit, and its antecedent sizes int8."""
     source = tmp_path / "bugs.csv"
     write_csv(source, synthesize_rows(3000, seed=5))
     result = execute(PipelineConfig(input_path=str(source)))
@@ -225,6 +227,11 @@ def test_the_run_holds_one_copy_of_the_records(tmp_path):
         arrays = _reachable(outcome)
         assert arrays, "the walk reaches the rule tables"
         assert not [a.shape for a in arrays if a.ndim and len(a) == outcome.size], index
+        rules, witness = outcome.partition.rules, outcome.partition.witness
+        kept = (rules.codes, rules.consequent, rules.support, rules.antecedent_count, witness)
+        ranks = (rules.pairs[1], rules.confidence_rank)
+        assert {a.dtype for a in kept + ranks} == {np.dtype(np.int32)}, index
+        assert rules.size.dtype == np.int8
 
 
 def test_no_string_per_record_survives_ingest(tmp_path):

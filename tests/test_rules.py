@@ -237,14 +237,15 @@ class TestExactOrderingAtLargeCounts:
 
 class TestCountsOfAnySize:
     """M, the largest antecedent count, on each side of 2**21 and 2**31, where
-    a shifted key and products of counts leave int64, and near 2**62: the
-    order and the witnesses must be the Fraction ones."""
+    a shifted key and products of counts leave int64 and the table's stored
+    width leaves int32, and near 2**62: the order and the witnesses must be
+    the Fraction ones."""
 
     SEV1, PRI1 = Item(Attribute.SEVERITY, 1), Item(Attribute.PRIORITY, 1)
     COMP1, OS1 = Item(Attribute.COMPONENT, 1), Item(Attribute.OPERATING_SYSTEM, 1)
     SIZES = [2**21 - 1, 2**21, 2**31 - 1, 2**31, 2**62]
 
-    def _rules(self, m: int) -> list[Rule]:
+    def _projections(self, m: int) -> dict[Subset, Projection]:
         # one-item confidences (M-1)/M > (M-2)/(M-1) > (M-3)/(M-2) > 1/3, the
         # first three about 1/M**2 apart; the two-item rules are witnessed
         counts = {
@@ -260,7 +261,17 @@ class TestCountsOfAnySize:
         for antecedent, (count, antecedent_count) in counts.items():
             support[antecedent] = antecedent_count
             support[antecedent + (WHO,)] = count
-        return _generate(_table(support), 0.10, {9})
+        return _table(support)
+
+    def _rules(self, m: int) -> list[Rule]:
+        return _generate(self._projections(m), 0.10, {9})
+
+    @pytest.mark.parametrize("m", SIZES)
+    def test_the_table_is_int32_while_its_counts_fit(self, m):
+        rules = generate_class_rules(self._projections(m), 0.10, {9})
+        columns = (rules.codes, rules.consequent, rules.support, rules.antecedent_count)
+        width = np.int32 if m < 2**31 else np.int64
+        assert {column.dtype for column in columns} == {np.dtype(width)}
 
     @pytest.mark.parametrize("m", SIZES)
     def test_order_matches_fractions(self, m):
@@ -576,3 +587,24 @@ def test_codes_past_the_key_bound_decide_as_small_codes(rules):
     )
     witness = eliminate_redundant(small).witness
     assert np.array_equal(eliminate_redundant(large).witness, witness)
+
+
+@given(rule_lists(), st.sampled_from(range(4)))
+@settings(max_examples=50, deadline=None)
+def test_int32_codes_up_to_2_31_minus_1_decide_as_small_codes(rules, attribute):
+    """An int32 table whose codes of one attribute end at 2**31 - 1, so that
+    attribute's absent digit is 2**31 and its radix 2**31 + 1, still packed
+    in one int64 key: the witnesses are the small codes' and the essential
+    rules the naive fixpoint's."""
+    small = rule_table(rules)
+    codes = small.codes.copy()
+    shifted = codes[:, attribute]  # a view: its present codes end at 2**31 - 1
+    shifted[shifted >= 0] += 2**31 - 1 - shifted.max()
+    columns = (codes, small.consequent, small.support, small.antecedent_count)
+    large = RuleTable(*(column.astype(np.int32) for column in columns))
+    with mock.patch.object(rules_module, "distinct_rows", side_effect=AssertionError("ranked")):
+        witness = eliminate_redundant(large).witness
+    assert np.array_equal(witness, eliminate_redundant(small).witness)
+    objects = rule_objects(large)
+    essential = {objects[row].key for row in np.flatnonzero(witness < 0)}
+    assert essential == essential_rules_naive(objects)
