@@ -3,17 +3,19 @@
 Lloyd iterations with k-means++ initialization, seeded by numpy's
 ``default_rng(seed)`` draws re-derived from PCG64's raw stream, which numpy
 keeps fixed, without ``numpy.random`` and its ``Generator``, which does not.
-So identical inputs and seed give bit-identical assignments.
+So identical inputs and seed give bit-identical labels.
 Distances are squared Euclidean on the raw integer codes; the assignee code
 is excluded from the features because it is the prediction target.
 
-The records are a table of points and each record's row in it. Lloyd steps
-and the k-means++ distances run on the distinct feature vectors, gathered back
-to the records; k-means++ draws over all records and the inertia sums over
-them. This is exact: equal points get equal labels, and count-weighted sums of
-integer coordinates are exact below 2**53, so centroids equal per-record means.
-Only the distinct vectors are converted to floats, exact for integer codes
-below 2**53, so an integer view of the codes fits as its float copy.
+The records are a table of points and each record's row in it. Equal rows
+have equal features and so share a cluster, so a record's cluster is its
+row's: the model keeps one label per table row and each cluster's record
+count. Lloyd steps and the k-means++ distances run on the distinct feature
+vectors, gathered through the table to the records only where a draw or the
+inertia needs them. This is exact: count-weighted sums of integer coordinates
+are exact below 2**53, so centroids equal per-record means. Only the distinct
+vectors are converted to floats, exact for integer codes below 2**53, so an
+integer view of the codes fits as its float copy.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .config import PipelineConfig
 from .errors import ConsistencyError, InfeasibleKError, ParameterError
 from .mine import distinct_rows
 
@@ -34,24 +35,25 @@ _MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's 128-bit LCG multiplier
 
 @dataclass(frozen=True, eq=False)
 class ClusterModel:
-    """Fitted partition: centroids, per-record assignments and diagnostics.
+    """Fitted partition: centroids, labels and diagnostics.
 
-    ``assignments[i]`` is the cluster of the i-th record, in the narrowest
-    unsigned dtype that holds ``k - 1`` (one byte per record for k <= 256);
-    ``inertia_history`` holds the objective after each Lloyd iteration
-    (entry 0 is the post-initialization value).
+    ``labels[r]`` is the cluster of table row r, and so of every record on
+    it; ``sizes[j]`` counts cluster j's records. ``inertia_history`` holds
+    the objective after each Lloyd iteration (entry 0 is the
+    post-initialization value).
     """
 
     k: int
     centroids: tuple[tuple[float, ...], ...]
-    assignments: np.ndarray
+    labels: np.ndarray
+    sizes: tuple[int, ...]
     inertia: float
     seed: int
     iterations_run: int
     inertia_history: tuple[float, ...]
 
     def cluster_sizes(self) -> list[int]:
-        return np.bincount(self.assignments, minlength=self.k).tolist()
+        return list(self.sizes)
 
 
 def _nearest(points: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -136,16 +138,18 @@ def _integers(halves: Iterator[int], n: int) -> int:
     return m >> 32
 
 
-def _kmeanspp_init(vectors: np.ndarray, rank: np.ndarray, k: int, seed: int) -> np.ndarray:
+def _kmeanspp_init(
+    vectors: np.ndarray, table_rank: np.ndarray, index: np.ndarray, k: int, seed: int
+) -> np.ndarray:
     """k-means++ seeds, each drawn over all records from the distances of the
-    distinct vectors gathered to the records by ``rank``."""
-    n, raw = len(rank), _pcg64(seed)
+    distinct vectors gathered to the records through ``table_rank[index]``."""
+    n, raw = len(index), _pcg64(seed)
     halves = (half for value in raw for half in (value & _M32, value >> 32))
     centroids = np.empty((k, vectors.shape[1]), dtype=float)
-    centroids[0] = vectors[rank[_integers(halves, n)]]
+    centroids[0] = vectors[table_rank[index[_integers(halves, n)]]]
     d2 = ((vectors - centroids[0]) ** 2).sum(axis=1)
     for j in range(1, k):
-        cdf = d2[rank]  # each record's distance, made Generator.choice's cdf in place
+        cdf = d2[table_rank][index]  # each record's distance, made Generator.choice's cdf in place
         total = cdf.sum()
         if total <= 0.0:
             raise ConsistencyError("k-means++ ran out of distinct points")
@@ -154,9 +158,9 @@ def _kmeanspp_init(vectors: np.ndarray, rank: np.ndarray, k: int, seed: int) -> 
         cdf /= cdf[-1]
         idx = int(cdf.searchsorted((next(raw) >> 11) * 2.0**-53, side="right"))
         del cdf  # before the next record-sized array
-        if d2[rank[idx]] == 0.0:  # boundary artifact of the cumulative draw
-            idx = int(d2[rank].argmax())
-        centroids[j] = vectors[rank[idx]]
+        if d2[table_rank[index[idx]]] == 0.0:  # boundary artifact of the cumulative draw
+            idx = int(d2[table_rank][index].argmax())
+        centroids[j] = vectors[table_rank[index[idx]]]
         d2 = np.minimum(d2, ((vectors - centroids[j]) ** 2).sum(axis=1))
     return centroids
 
@@ -166,12 +170,12 @@ def kmeans_fit(
     index: Sequence[int],
     k: int,
     seed: int,
-    max_iterations: int = PipelineConfig.max_iterations,
+    max_iterations: int,
 ) -> ClusterModel:
     """Fit k clusters of the records ``points[index[i]]`` with Lloyd's
     algorithm and k-means++ seeding.
 
-    Stops when assignments are unchanged between iterations or after
+    Stops when the labels are unchanged between iterations or after
     max_iterations. Requires k <= number of distinct points so no cluster
     can stay empty. The k-means++ draws are made over all records.
     """
@@ -185,40 +189,39 @@ def kmeans_fit(
     if data.ndim != 2 or len(data) == 0 or len(index) == 0:
         raise ParameterError("points must be a non-empty list of equal-length vectors")
     vectors, table_rank, _ = distinct_rows(data)
-    rank = table_rank[index]
-    counts = np.bincount(rank, minlength=len(vectors))
+    counts = np.bincount(table_rank, np.bincount(index, minlength=len(data))).astype(np.int64)
     vectors = vectors.astype(float)
     if k > len(vectors):
         raise InfeasibleKError(
             f"k={k} exceeds the {len(vectors)} distinct feature vectors in the input"
         )
 
-    def assign(centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(centroids, labels of the distinct vectors, per-point distances),
-        through the per-point repair when a cluster would be empty."""
+    def assign(centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+        """(centroids, labels of the distinct vectors, inertia), through the
+        per-record repair when a cluster would be empty."""
         labels, dists = _nearest(vectors, centroids)
-        if np.bincount(labels, minlength=k).all():
-            return centroids, labels, dists[rank]
-        centroids, assignments, dists = _assign_with_repair(vectors[rank], centroids, k)
-        labels[rank] = assignments  # equal points get equal labels
-        return centroids, labels, dists
+        if not np.bincount(labels, minlength=k).all():
+            centroids = _assign_with_repair(vectors[table_rank][index], centroids, k)[0]
+            labels, dists = _nearest(vectors, centroids)  # as the repair left each record
+        return centroids, labels, float(dists[table_rank][index].sum())
 
-    centroids, labels, dists = assign(_kmeanspp_init(vectors, rank, k, seed))
-    history = [float(dists.sum())]
+    centroids, labels, inertia = assign(_kmeanspp_init(vectors, table_rank, index, k, seed))
+    history = [inertia]
     weighted = [counts * column for column in vectors.T]  # a feature times its record count
     for iterations_run in range(1, max_iterations + 1):
         previous = labels
         sums = [np.bincount(labels, weights=column, minlength=k) for column in weighted]
         centroids = np.column_stack(sums) / np.bincount(labels, counts, minlength=k)[:, None]
-        centroids, labels, dists = assign(centroids)
-        history.append(float(dists.sum()))
+        centroids, labels, inertia = assign(centroids)
+        history.append(inertia)
         if np.array_equal(labels, previous):
             break
 
     return ClusterModel(
         k=k,
         centroids=tuple(map(tuple, centroids.tolist())),
-        assignments=labels.astype(np.min_scalar_type(k - 1))[rank],
+        labels=labels[table_rank],
+        sizes=tuple(np.bincount(labels, counts, minlength=k).astype(np.int64).tolist()),
         inertia=history[-1],
         seed=seed,
         iterations_run=iterations_run,

@@ -5,18 +5,18 @@ Outputs are staged in a temporary directory and renamed into place, so a
 failed run never leaves partial results, and only a previous report that
 holds nothing else is ever replaced. Every run re-checks its own output
 before anything is written, and a violation aborts with an audit error. The
-cluster model: sizes cover the records with no empty cluster, each record
-sits at its nearest centroid, the inertia recomputes and never rose between
-iterations. Each of the k clusters: its size is the number of records
-assigned to it, every rule meets the thresholds with a non-empty antecedent,
-and every redundant rule's witness is an essential rule with the same
-assignee, a strictly smaller antecedent and a confidence no lower. The
-reports' counts are derived from the sizes and rule partitions, not stored
-apart from them.
+cluster model: sizes cover the records with no empty cluster, each table row
+is labelled with its nearest centroid, the inertia recomputes and never rose
+between iterations. Each of the k clusters: its size is the model's count of
+its records, every rule meets the thresholds with a non-empty antecedent, and
+every redundant rule's witness is an essential rule with the same assignee, a
+strictly smaller antecedent and a confidence no lower. The reports' counts
+are derived from the sizes and rule partitions, not stored apart from them.
 
 The records are held as a table of distinct code rows and one row index per
-record. Every stage runs on the table and its rows' record counts, a cluster on
-a mask over it; only ``verify``'s oracle gathers records, a chunk at a time.
+record, and a record's cluster is its row's label. Every stage runs on the
+table and its rows' record counts, a cluster on a mask over its labels; only
+``verify``'s oracle gathers records, a chunk at a time.
 A run keeps each cluster's rule partition, not its frequent-itemset table:
 ``verify`` mines each cluster again from the table, diffs that against the
 oracle, and checks that it yields exactly the rule table the run kept.
@@ -112,13 +112,10 @@ def _cluster_tables(
     rows: np.ndarray, index: np.ndarray, model: ClusterModel
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Each cluster's distinct code rows and their record counts, in cluster
-    order: a mask over the table, as equal rows have equal features and so
-    share a cluster."""
+    order: a mask over the table's labels."""
     counts = np.bincount(index, minlength=len(rows))
-    row_cluster = np.empty_like(model.assignments, shape=len(rows))
-    row_cluster[index] = model.assignments
     for cluster in range(model.k):
-        mask = row_cluster == cluster
+        mask = model.labels == cluster
         yield rows[mask], counts[mask]
 
 
@@ -186,11 +183,8 @@ def audit_result(result: PipelineResult) -> list[str]:
         for p, c in zip(rows[:, : Attribute.ASSIGNEE].T, np.array(model.centroids).T):
             distances += np.square(np.subtract.outer(p, c, out=difference), out=difference)
         del difference
-        assignments = model.assignments
-        nearest = distances.argmin(axis=1).astype(assignments.dtype)  # per table row
-        chunks = (slice(start, start + VERIFY_CHUNK) for start in range(0, len(index), VERIFY_CHUNK))
-        if not all(np.array_equal(nearest[index[c]], assignments[c]) for c in chunks):
-            problems.append("some record is not assigned to its nearest centroid")
+        if not np.array_equal(distances.argmin(axis=1), model.labels):
+            problems.append("some table row is not labelled with its nearest centroid")
         recomputed = float(counts @ distances.min(axis=1))
         if abs(model.inertia - recomputed) > 1e-9 * max(1.0, abs(recomputed)):
             problems.append(f"inertia {model.inertia} != recomputed {recomputed}")
@@ -282,7 +276,7 @@ def write_outputs(result: PipelineResult) -> Path:
         config_used = {**parameters, "input_sha256": result.input_sha256}
         write_json(staging / "config_used.json", config_used)
         write_json(staging / "codebooks.json", codebooks_to_json(result.codebooks))
-        write_clusters_json(staging / "clusters.json", result.model, result.bug_ids)
+        write_clusters_json(staging / "clusters.json", result.model, result.bug_ids, result.index)
 
         report_dir = staging / "report"
         report_dir.mkdir()
@@ -331,10 +325,10 @@ def run_verify(
 
 def _cluster_records(result: PipelineResult, cluster: int) -> Iterator[list[int]]:
     """A cluster's code rows, gathered through the index a chunk at a time."""
-    index, assignments = result.index, result.model.assignments
-    for start in range(0, len(index), VERIFY_CHUNK):
-        chunk = slice(start, start + VERIFY_CHUNK)
-        yield from result.rows[index[chunk][assignments[chunk] == cluster]].tolist()
+    labels = result.model.labels
+    for start in range(0, len(result.index), VERIFY_CHUNK):
+        chunk = result.index[start : start + VERIFY_CHUNK]
+        yield from result.rows[chunk[labels[chunk] == cluster]].tolist()
 
 
 def _verify_cluster(

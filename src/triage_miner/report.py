@@ -194,13 +194,15 @@ def write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, ensure_ascii=False) + "\n", encoding="utf-8")
 
 
-def write_clusters_json(path: Path, model: ClusterModel, bug_ids: BugIds) -> None:
-    """The model's diagnostics and each bug_id's cluster, as ``write_json``
-    prints them; the assignments are written a chunk of ids at a time, each
-    id's JSON encoding as BugIds holds it and a ": <cluster>" suffix, as
-    ``indent`` makes ``json`` encode in Python, so no id is encoded here."""
-    if len(model.assignments) != len(bug_ids):
-        raise ConsistencyError("model and records disagree on record count")
+def write_clusters_json(
+    path: Path, model: ClusterModel, bug_ids: BugIds, index: np.ndarray
+) -> None:
+    """The model's diagnostics and each bug_id's cluster, its row's label
+    through ``index``, as ``write_json`` prints them; the assignments are
+    written a chunk of ids at a time, each id's JSON text as BugIds holds it
+    and a ": <cluster>" suffix, as ``indent`` makes ``json`` encode in Python."""
+    if len(index) != len(bug_ids):
+        raise ConsistencyError("the index and the bug ids disagree on record count")
     payload = {
         "k": model.k,
         "seed": model.seed,
@@ -217,9 +219,9 @@ def write_clusters_json(path: Path, model: ClusterModel, bug_ids: BugIds) -> Non
         for start, ids in bug_ids.chunks():
             entries = [""] * (2 * len(ids))
             entries[::2] = ids
-            entries[1::2] = suffixes[model.assignments[start : start + len(ids)]].tolist()
+            entries[1::2] = suffixes[model.labels[index[start : start + len(ids)]]].tolist()
             if start + len(ids) == len(bug_ids):
-                entries[-1] = f": {model.assignments[-1]}\n  }}"
+                entries[-1] = f": {model.labels[index[-1]]}\n  }}"
             fh.write("".join(entries))
         fh.write(tail + "\n")
 

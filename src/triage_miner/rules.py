@@ -48,6 +48,8 @@ ANTECEDENT_ATTRIBUTES = tuple(Attribute)[:-1]  # the assignee is the consequent
 SUBSETS = np.array([1, 2, 4, 8, 3, 5, 9, 6, 10, 12, 7, 11, 13, 14, 15])
 # each subset's complement: OUTSIDE[s, a] is 1 where SUBSETS[s] lacks attribute a
 OUTSIDE = 1 - (SUBSETS[:, None] >> np.arange(len(ANTECEDENT_ATTRIBUTES)) & 1)
+# PROPER[mask, s] is True where SUBSETS[s] is a proper subset of the antecedent ``mask``
+PROPER = (np.arange(16)[:, None] & SUBSETS == SUBSETS) & (np.arange(16)[:, None] != SUBSETS)
 KEY_BOUND = 2**62  # packed row keys must stay below this; past it rows are ranked
 
 
@@ -216,8 +218,7 @@ def eliminate_redundant(rules: RuleTable) -> RulePartition:
     """
     n, width = len(rules), len(ANTECEDENT_ATTRIBUTES)
     antecedent = rules.present @ (1 << np.arange(width))
-    proper = (antecedent[:, None] & SUBSETS == SUBSETS) & (antecedent[:, None] != SUBSETS)
-    rule, position = np.nonzero(proper)
+    rule, position = np.nonzero(PROPER[antecedent])
     keys, probes = _row_keys(rules, rule, position)
     by_key = np.argsort(keys, kind="stable")  # equal keys in row order
     ranked = keys[by_key]

@@ -164,20 +164,22 @@ def test_criterion_5_kmeans_invariants():
             for _ in range(rnd.randint(10, 150))
         ]
         k = rnd.randint(1, 5)
-        first = kmeans_fit(*point_table(points), k=k, seed=trial)
-        second = kmeans_fit(*point_table(points), k=k, seed=trial)
-        assert np.array_equal(first.assignments, second.assignments)
+        first = kmeans_fit(*point_table(points), k=k, seed=trial, max_iterations=100)
+        second = kmeans_fit(*point_table(points), k=k, seed=trial, max_iterations=100)
+        assert np.array_equal(first.labels, second.labels) and first.sizes == second.sizes
         assert first.centroids == second.centroids
         history = first.inertia_history
         assert all(b <= a + 1e-9 for a, b in zip(history, history[1:]))
         assert all(size > 0 for size in first.cluster_sizes())
 
     points = [(1, 1, 1, 1)] * 5 + [(9, 9, 9, 9)] * 5
-    model = kmeans_fit(*point_table(points), k=2, seed=0)
+    table, index = point_table(points)
+    model = kmeans_fit(table, index, k=2, seed=0, max_iterations=100)
+    assignments = model.labels[index]
     assert model.inertia == 0.0
-    assert len({model.assignments[i] for i in range(5)}) == 1
-    assert len({model.assignments[i] for i in range(5, 10)}) == 1
-    assert model.assignments[0] != model.assignments[9]
+    assert len({assignments[i] for i in range(5)}) == 1
+    assert len({assignments[i] for i in range(5, 10)}) == 1
+    assert assignments[0] != assignments[9]
     _pass("k-means monotone/non-empty/deterministic; two-clump split exact with inertia 0")
 
 

@@ -1,7 +1,7 @@
 import csv
 import dataclasses
-import operator
 import random
+import tracemalloc
 from collections import Counter
 from itertools import islice, product
 
@@ -51,44 +51,47 @@ def brute_force_best_two_partition(points):
 
 class TestKmeansFit:
     def test_identical_points_k1(self):
-        model = kmeans_fit(*point_table([(2, 2, 2, 2)] * 10), k=1, seed=5)
+        model = kmeans_fit(*point_table([(2, 2, 2, 2)] * 10), k=1, seed=5, max_iterations=100)
         assert model.centroids == ((2.0, 2.0, 2.0, 2.0),)
         assert model.inertia == 0.0
         assert model.iterations_run == 1
-        assert set(model.assignments) == {0}
+        assert model.labels.tolist() == [0] and model.sizes == (10,)
 
     def test_two_clumps_recovered_exactly(self):
         points = [(1, 1, 1, 1)] * 5 + [(9, 9, 9, 9)] * 5
         oracle_inertia, oracle_partition = brute_force_best_two_partition(points)
         assert oracle_inertia == 0.0
-        model = kmeans_fit(*point_table(points), k=2, seed=0)
+        table, index = point_table(points)
+        model = kmeans_fit(table, index, k=2, seed=0, max_iterations=100)
         assert model.inertia == 0.0
+        assignments = model.labels[index]
         got = frozenset(
-            frozenset(i for i, c in enumerate(model.assignments) if c == j) for j in range(2)
+            frozenset(i for i, c in enumerate(assignments) if c == j) for j in range(2)
         )
         assert got == oracle_partition
 
     def test_k_equals_distinct_points_gives_zero_inertia(self):
         points = [(float(i), 1.0, 1.0, 1.0) for i in range(6)]
-        model = kmeans_fit(*point_table(points), k=6, seed=3)
+        model = kmeans_fit(*point_table(points), k=6, seed=3, max_iterations=100)
         assert model.inertia == 0.0
         assert sorted(model.centroids) == sorted(tuple(p) for p in points)
-        assert sorted(model.assignments) == list(range(6))
+        assert sorted(model.labels) == list(range(6))
 
     def test_k_above_distinct_points_is_infeasible(self):
         with pytest.raises(InfeasibleKError):
-            kmeans_fit(*point_table([(1, 1, 1, 1)] * 4), k=2, seed=0)
+            kmeans_fit(*point_table([(1, 1, 1, 1)] * 4), k=2, seed=0, max_iterations=100)
 
     def test_distinct_points_are_counted_across_repeats(self):
         # rows that differ in one column only, repeated out of order
         points = [(1, 2, 3, 4), (1, 2, 3, 5), (0, 2, 3, 4), (1, 2, 3, 4), (1, 2, 3, 5)] * 3
-        assert sum(kmeans_fit(*point_table(points), k=3, seed=0).cluster_sizes()) == 15
+        model = kmeans_fit(*point_table(points), k=3, seed=0, max_iterations=100)
+        assert sum(model.cluster_sizes()) == 15
         with pytest.raises(InfeasibleKError, match="the 3 distinct"):
-            kmeans_fit(*point_table(points), k=4, seed=0)
+            kmeans_fit(*point_table(points), k=4, seed=0, max_iterations=100)
 
     def test_nonpositive_k_rejected(self):
         with pytest.raises(ParameterError):
-            kmeans_fit(*point_table([(1, 1, 1, 1)]), k=0, seed=0)
+            kmeans_fit(*point_table([(1, 1, 1, 1)]), k=0, seed=0, max_iterations=100)
 
     def test_nonpositive_max_iterations_rejected(self):
         with pytest.raises(ParameterError):
@@ -97,19 +100,19 @@ class TestKmeansFit:
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_outside_the_pcg64_range_rejected(self, seed):
         with pytest.raises(ParameterError, match="seed"):
-            kmeans_fit(*point_table([(1, 1, 1, 1)]), k=1, seed=seed)
+            kmeans_fit(*point_table([(1, 1, 1, 1)]), k=1, seed=seed, max_iterations=100)
 
     def test_empty_points_rejected(self):
         with pytest.raises(ParameterError):
-            kmeans_fit([], [], k=1, seed=0)
+            kmeans_fit([], [], k=1, seed=0, max_iterations=100)
 
     @pytest.mark.parametrize("seed", [0, 1, 12345])
     def test_deterministic_for_same_seed(self, seed):
         rnd = random.Random(99)
         points = _random_points(rnd, 80)
-        a = kmeans_fit(*point_table(points), k=5, seed=seed)
-        b = kmeans_fit(*point_table(points), k=5, seed=seed)
-        assert np.array_equal(a.assignments, b.assignments)
+        a = kmeans_fit(*point_table(points), k=5, seed=seed, max_iterations=100)
+        b = kmeans_fit(*point_table(points), k=5, seed=seed, max_iterations=100)
+        assert np.array_equal(a.labels, b.labels) and a.sizes == b.sizes
         assert a.centroids == b.centroids
         assert a.inertia == b.inertia
 
@@ -118,10 +121,12 @@ class TestKmeansFit:
         rnd = random.Random(1000 + seed)
         points = _random_points(rnd, rnd.randint(20, 120))
         k = rnd.randint(1, 6)
-        model = kmeans_fit(*point_table(points), k=k, seed=seed)
+        table, index = point_table(points)
+        model = kmeans_fit(table, index, k=k, seed=seed, max_iterations=100)
+        assignments = model.labels[index]
         sizes = model.cluster_sizes()
         assert all(size > 0 for size in sizes)
-        assert sum(sizes) == len(points)
+        assert sizes == np.bincount(assignments, minlength=k).tolist() and sum(sizes) == len(points)
         # inertia never increases across Lloyd iterations
         history = model.inertia_history
         assert all(b <= a + 1e-9 for a, b in zip(history, history[1:]))
@@ -130,23 +135,16 @@ class TestKmeansFit:
         arr = np.asarray(points, dtype=float)
         cents = np.asarray(model.centroids)
         dists = ((arr[:, None, :] - cents[None, :, :]) ** 2).sum(axis=2)
-        assert np.array_equal(dists.argmin(axis=1), np.asarray(model.assignments))
+        assert np.array_equal(dists.argmin(axis=1), assignments)
         # inertia matches a recomputation
-        recomputed = dists[np.arange(len(points)), model.assignments].sum()
+        recomputed = dists[np.arange(len(points)), assignments].sum()
         assert abs(model.inertia - recomputed) <= 1e-9 * max(1.0, recomputed)
-
-    @pytest.mark.parametrize("k, dtype", [(1, np.uint8), (256, np.uint8), (257, np.uint16)])
-    def test_assignments_take_the_narrowest_unsigned_dtype(self, k, dtype):
-        points = [(a, b, 1, 1) for a in range(20) for b in range(15)]
-        model = kmeans_fit(*point_table(points), k=k, seed=0, max_iterations=2)
-        assert model.assignments.dtype == dtype
-        assert set(model.assignments.tolist()) == set(range(k))
 
     @given(st.integers(0, 2**63 - 1))
     @settings(max_examples=25, deadline=None)
     def test_any_seed_is_accepted(self, seed):
         points = [(1, 1, 1, 1), (5, 5, 5, 5), (9, 9, 9, 9), (1, 9, 1, 9)]
-        model = kmeans_fit(*point_table(points), k=2, seed=seed)
+        model = kmeans_fit(*point_table(points), k=2, seed=seed, max_iterations=100)
         assert sum(model.cluster_sizes()) == 4
 
 
@@ -178,7 +176,8 @@ class TestClusterMaskSplit:
         assert [cluster for cluster, _, _ in calls] == list(range(5))
         for cluster, rows, counts in calls:
             given = Counter(dict(zip(map(tuple, rows.tolist()), counts.tolist())))
-            assigned = Counter(map(tuple, records[result.model.assignments == cluster].tolist()))
+            labels = result.model.labels[result.index]
+            assigned = Counter(map(tuple, records[labels == cluster].tolist()))
             assert len(given) == len(rows) and given == assigned
             size = result.model.cluster_sizes()[cluster]
             assert counts.sum() == result.outcomes[cluster].size == size
@@ -209,14 +208,16 @@ def test_relabelling_every_assignee_leaves_the_model_unchanged(sample_csv, tmp_p
     before = execute(PipelineConfig(input_path=str(sample_csv)))
     after = execute(PipelineConfig(input_path=str(relabelled)))
     assert not np.array_equal(after.rows[after.index, 4], before.rows[before.index, 4])
-    assert_same_model(after.model, before.model)
+    # each record's cluster is unchanged, though the tables' rows differ
+    per_record = dataclasses.replace(before.model, labels=before.model.labels[before.index])
+    assert_same_model(after.model, per_record, after.index)
 
 
 def test_empty_cluster_repair_on_adversarial_data():
     # one far outlier plus two tight clumps forces centroid relocation paths
     points = [(1, 1, 1, 1)] * 30 + [(2, 1, 1, 1)] * 30 + [(50, 50, 50, 50)]
     for seed in range(10):
-        model = kmeans_fit(*point_table(points), k=3, seed=seed)
+        model = kmeans_fit(*point_table(points), k=3, seed=seed, max_iterations=100)
         assert all(size > 0 for size in model.cluster_sizes())
         assert sum(model.cluster_sizes()) == len(points)
 
@@ -240,9 +241,10 @@ def per_point_kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator
     return centroids
 
 
-def per_point_kmeans_fit(points, k: int, seed: int, max_iterations: int = 100) -> ClusterModel:
+def per_point_kmeans_fit(points, k: int, seed: int, max_iterations: int) -> ClusterModel:
     """Lloyd's algorithm over every point, as kmeans_fit ran before it moved
-    its steps to the distinct feature vectors: the reference it must equal."""
+    its steps to the distinct feature vectors: the reference it must equal.
+    Its model labels each point, as if every point had a table row of its own."""
     data = np.asarray(points, dtype=float)
     distinct = len(np.unique(data, axis=0))
     if k > distinct:
@@ -264,7 +266,8 @@ def per_point_kmeans_fit(points, k: int, seed: int, max_iterations: int = 100) -
     return ClusterModel(
         k=k,
         centroids=tuple(tuple(float(x) for x in c) for c in centroids),
-        assignments=assignments,
+        labels=assignments,
+        sizes=tuple(np.bincount(assignments, minlength=k).tolist()),
         inertia=history[-1],
         seed=seed,
         iterations_run=iterations_run,
@@ -272,12 +275,15 @@ def per_point_kmeans_fit(points, k: int, seed: int, max_iterations: int = 100) -
     )
 
 
-def assert_same_model(model: ClusterModel, expected: ClusterModel) -> None:
-    """Every field equal, the assignments element by element."""
+def assert_same_model(model: ClusterModel, expected: ClusterModel, index=None) -> None:
+    """Every field equal, the labels element by element; with ``index``,
+    ``model``'s labels gathered through it equal ``expected``'s per-point ones."""
     for field in dataclasses.fields(ClusterModel):
         value, reference = getattr(model, field.name), getattr(expected, field.name)
-        same = np.array_equal if field.name == "assignments" else operator.eq
-        assert same(value, reference), field.name
+        if field.name == "labels":
+            assert np.array_equal(value if index is None else value[index], reference)
+        else:
+            assert value == reference, field.name
 
 
 @st.composite
@@ -295,13 +301,14 @@ def duplicated_points(draw):
 @settings(max_examples=200, deadline=None)
 def test_distinct_vector_steps_equal_the_per_point_fit(case, seed, max_iterations):
     points, k = case
+    table, index = point_table(points)
     try:
         expected = per_point_kmeans_fit(points, k, seed, max_iterations)
     except ConsistencyError:
         with pytest.raises(ConsistencyError):
-            kmeans_fit(*point_table(points), k, seed, max_iterations)
+            kmeans_fit(table, index, k, seed, max_iterations)
         return
-    assert_same_model(kmeans_fit(*point_table(points), k, seed, max_iterations), expected)
+    assert_same_model(kmeans_fit(table, index, k, seed, max_iterations), expected, index)
 
 
 @given(duplicated_points(), st.integers(0, 2**32))
@@ -314,9 +321,9 @@ def test_distinct_vector_init_equals_the_per_point_init(case, seed):
         expected = per_point_kmeanspp_init(data, k, np.random.default_rng(seed))
     except ConsistencyError:
         with pytest.raises(ConsistencyError):
-            _kmeanspp_init(vectors, rank, k, seed)
+            _kmeanspp_init(vectors, rank, np.arange(len(rank)), k, seed)
         return
-    assert np.array_equal(_kmeanspp_init(vectors, rank, k, seed), expected)
+    assert np.array_equal(_kmeanspp_init(vectors, rank, np.arange(len(rank)), k, seed), expected)
 
 
 # found by search: with k=3 and seed 11 the first Lloyd update leaves a cluster empty
@@ -353,16 +360,38 @@ def test_a_step_that_empties_a_cluster_runs_the_repair(monkeypatch):
         return _assign_with_repair(points, centroids, k)
 
     monkeypatch.setattr(cluster, "_assign_with_repair", spy)
-    model = kmeans_fit(*point_table(points), k=3, seed=11)
+    table, index = point_table(points)
+    model = kmeans_fit(table, index, k=3, seed=11, max_iterations=100)
     assert len(repairs) == 1
-    assert_same_model(model, per_point_kmeans_fit(points, k=3, seed=11))
+    assert_same_model(model, per_point_kmeans_fit(points, k=3, seed=11, max_iterations=100), index)
     assert all(size > 0 for size in model.cluster_sizes())
 
 
 def test_cluster_sizes_are_python_ints():
-    model = kmeans_fit(*point_table([(1, 1, 1, 1)] * 3 + [(9, 9, 9, 9)]), k=2, seed=0)
+    points = [(1, 1, 1, 1)] * 3 + [(9, 9, 9, 9)]
+    model = kmeans_fit(*point_table(points), k=2, seed=0, max_iterations=100)
     assert sorted(model.cluster_sizes()) == [1, 3]
     assert all(type(size) is int for size in model.cluster_sizes())
+
+
+def test_the_fit_holds_no_per_record_array_between_steps():
+    """The model labels the table's rows, and no step keeps the previous
+    one's per-record distances: the traced peak is one float64 a record
+    above the inputs, and what the returned model holds is table-sized."""
+    rows = np.array([(a, b, c, 1) for a in range(10) for b in range(6) for c in range(5)])
+    n = 400_000
+    index = (np.arange(n) * 7919 % len(rows)).astype(np.int32)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        model = kmeans_fit(rows, index, k=5, seed=0, max_iterations=100)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert model.labels.shape == (300,) and sum(model.sizes) == n
+    assert (peak - before) / n < 12, (peak - before) / n
+    assert (held - before) / n < 0.5, (held - before) / n
 
 
 def _halves(raw):
@@ -410,9 +439,10 @@ def test_kmeanspp_draws_are_default_rngs():
             expected = per_point_kmeanspp_init(data, k, np.random.default_rng(seed))
         except ConsistencyError:
             with pytest.raises(ConsistencyError):
-                _kmeanspp_init(vectors, rank, k, seed)
+                _kmeanspp_init(vectors, rank, np.arange(len(rank)), k, seed)
             continue
-        assert np.array_equal(_kmeanspp_init(vectors, rank, k, seed), expected)
+        centroids = _kmeanspp_init(vectors, rank, np.arange(len(rank)), k, seed)
+        assert np.array_equal(centroids, expected)
 
 
 @pytest.mark.parametrize(
@@ -457,5 +487,5 @@ def test_pinned_raw_outputs():
 def test_pinned_kmeanspp_seeds(seed, chosen):
     # the records k-means++ picks, in order, among 40 distinct points x**1.5
     vectors = np.arange(40, dtype=float).reshape(-1, 1) ** 1.5
-    centroids = _kmeanspp_init(vectors, np.arange(40), 4, seed)
+    centroids = _kmeanspp_init(vectors, np.arange(40), np.arange(40), 4, seed)
     assert centroids.tolist() == vectors[chosen].tolist()

@@ -87,7 +87,7 @@ def test_execute_matches_the_oracles_on_synthetic_data(
     # run's table rows and record counts, as verify does
     tables = _cluster_tables(result.rows, result.index, result.model)
     for cluster, (outcome, table) in enumerate(zip(result.outcomes, tables, strict=True)):
-        code_rows = records[result.model.assignments == cluster].tolist()
+        code_rows = records[result.model.labels[result.index] == cluster].tolist()
         assert len(code_rows) == outcome.size
         reference = enumerate_frequent_itemsets(code_rows, min_support_count)
         assert itemset_supports(mine_frequent_itemsets(*table, min_support_count)) == reference

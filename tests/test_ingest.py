@@ -633,10 +633,9 @@ class TestBugIds:
             [json.dumps(i, ensure_ascii=False) for i in self._IDS[start : start + chunk]]
             for start in range(0, len(self._IDS), chunk)
         ]
-        model = ClusterModel(
-            1, ((0.0,) * 4,), np.zeros(len(held), dtype=np.int64), 0.0, 0, 1, (0.0,)
-        )
-        write_clusters_json(tmp_path / "clusters.json", model, held)
+        model = ClusterModel(1, ((0.0,) * 4,), np.zeros(1, dtype=int), (len(held),), 0.0, 0, 1, (0.0,))
+        index = np.zeros(len(held), dtype=np.int32)
+        write_clusters_json(tmp_path / "clusters.json", model, held, index)
         with open(tmp_path / "clusters.json", encoding="utf-8") as fh:
             assert list(json.load(fh)["assignments"]) == self._IDS
 

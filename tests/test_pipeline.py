@@ -153,27 +153,30 @@ class TestAuditTable:
         assert audit_result(doctored) == [self.UNMAPPED]
 
     def test_a_row_no_record_uses_is_reported(self, sample_result):
+        # the model has no label for the added row either
         rows = np.vstack([sample_result.rows, sample_result.rows[:1]])
-        assert audit_result(dataclasses.replace(sample_result, rows=rows)) == [self.UNMAPPED]
+        assert audit_result(dataclasses.replace(sample_result, rows=rows)) == [
+            self.UNMAPPED, "some table row is not labelled with its nearest centroid"
+        ]
 
-    def test_a_record_sent_to_a_row_of_another_cluster_is_reported(self, sample_result):
-        index, assignments = sample_result.index.copy(), sample_result.model.assignments
-        other = index[np.flatnonzero(assignments != assignments[0])[0]]
-        index[0] = other
-        doctored = dataclasses.replace(sample_result, index=index)
-        assert "some record is not assigned to its nearest centroid" in audit_result(doctored)
-
-    @pytest.mark.parametrize("record", [0, 6, 7, -1])
-    def test_a_misassigned_record_in_any_chunk_is_reported(self, sample_result, monkeypatch, record):
-        # the assignments are compared with the nearest centroids a chunk of
-        # records at a time: records 0 and 6 sit in the first chunk of 7, 7
-        # starts the second and the last record ends a short final one
-        monkeypatch.setattr(pipeline, "VERIFY_CHUNK", 7)
-        assignments = sample_result.model.assignments.copy()
-        assignments[record] = (assignments[record] + 1) % sample_result.model.k
-        model = dataclasses.replace(sample_result.model, assignments=assignments)
+    @pytest.mark.parametrize("row", [0, 6, 7, -1])
+    def test_a_misassigned_row_is_reported(self, sample_result, row):
+        labels = sample_result.model.labels.copy()
+        labels[row] = (labels[row] + 1) % sample_result.model.k
+        model = dataclasses.replace(sample_result.model, labels=labels)
         problems = audit_result(dataclasses.replace(sample_result, model=model))
-        assert "some record is not assigned to its nearest centroid" in problems
+        assert problems == ["some table row is not labelled with its nearest centroid"]
+
+    def test_a_doctored_cluster_count_is_reported(self, sample_result):
+        # one record moved between the model's counts: they still sum to the
+        # records and leave no cluster empty, but disagree with the outcomes
+        sizes = list(sample_result.model.sizes)
+        sizes[0], sizes[1] = sizes[0] - 1, sizes[1] + 1
+        model = dataclasses.replace(sample_result.model, sizes=tuple(sizes))
+        assert audit_result(dataclasses.replace(sample_result, model=model)) == [
+            f"cluster 0: size {sizes[0] + 1} is not the {sizes[0]} records assigned to it",
+            f"cluster 1: size {sizes[1] - 1} is not the {sizes[1]} records assigned to it",
+        ]
 
     def test_a_doctored_inertia_is_reported(self, sample_result):
         inertia = sample_result.model.inertia
@@ -205,9 +208,9 @@ def _reachable(root, kind=np.ndarray) -> list:
 
 def test_the_run_holds_one_copy_of_the_records(tmp_path):
     """After ingest the records are the row table and the index: the only
-    reachable arrays with one entry per record are the index and the
-    assignments, one byte each for k <= 256 (the bug ids are JSON text), no
-    (n, 5) array is reachable, and no cluster's itemset table is. Each kept
+    reachable array with one entry per record is the index (the bug ids are
+    JSON text, and the model labels each table row), no (n, 5) array is
+    reachable, and no cluster's itemset table is. Each kept
     rule table's columns, witnesses, pair index and confidence ranks are
     int32, as its counts fit, and its antecedent sizes int8."""
     source = tmp_path / "bugs.csv"
@@ -215,10 +218,8 @@ def test_the_run_holds_one_copy_of_the_records(tmp_path):
     result = execute(PipelineConfig(input_path=str(source)))
     arrays = _reachable(result)
     per_record = [a for a in arrays if a.ndim and len(a) == 3000]
-    kept = (result.index, result.model.assignments)
-    copies = [(a.dtype, a.shape) for a in per_record if not any(a is k for k in kept)]
-    assert len(per_record) == len(kept) and not copies, copies
-    assert result.model.k <= 256 and result.model.assignments.dtype == np.uint8
+    assert len(per_record) == 1 and per_record[0] is result.index, per_record
+    assert result.model.labels.shape == (len(result.rows),)
     assert not _reachable(result, Projection), "no itemset table outlives its cluster's rules"
     assert not [a.shape for a in arrays if a.shape == (3000, 5)]
     assert result.rows.shape == (len(np.unique(result.rows, axis=0)), 5)

@@ -456,7 +456,7 @@ class TestWriteBatch:
         assert {"Build\rConfig", 'User, "Interface"'} <= set(labels)
 
 
-def _model_to_json(model: ClusterModel, bug_ids) -> dict:
+def _model_to_json(model: ClusterModel, bug_ids, index) -> dict:
     """clusters.json's payload as a dict, keyed by bug_id."""
     return {
         "k": model.k,
@@ -464,7 +464,7 @@ def _model_to_json(model: ClusterModel, bug_ids) -> dict:
         "iterations_run": model.iterations_run,
         "inertia": model.inertia,
         "centroids": [list(c) for c in model.centroids],
-        "assignments": dict(zip(bug_ids, model.assignments.tolist())),
+        "assignments": dict(zip(bug_ids, model.labels[index].tolist())),
         "cluster_sizes": model.cluster_sizes(),
     }
 
@@ -495,20 +495,24 @@ class TestClustersJson:
     @given(st.data(), st.integers(1, 4), st.lists(_bug_ids, min_size=1, max_size=20, unique=True))
     @settings(max_examples=80, deadline=None)
     def test_bytes_match_the_indented_encoder(self, data, k, bug_ids):
-        n = len(bug_ids)
+        n, m = len(bug_ids), data.draw(st.integers(1, 6))
+        labels = np.array(data.draw(st.lists(st.integers(0, k - 1), min_size=m, max_size=m)))
+        index = np.array(data.draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n)))
         model = ClusterModel(
             k=k,
             centroids=tuple(tuple(data.draw(_centroids)) for _ in range(k)),
-            assignments=np.array(data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))),
+            labels=labels,
+            sizes=tuple(np.bincount(labels[index], minlength=k).tolist()),
             inertia=data.draw(_coordinates),
             seed=data.draw(st.integers(0, 2**32)),
             iterations_run=data.draw(st.integers(0, 300)),
             inertia_history=(0.0,),
         )
-        expected = json.dumps(_model_to_json(model, bug_ids), indent=2, ensure_ascii=False) + "\n"
+        payload = _model_to_json(model, bug_ids, index)
+        expected = json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
         with tempfile.TemporaryDirectory() as scratch:
             path = Path(scratch) / "clusters.json"
-            write_clusters_json(path, model, _held(bug_ids))
+            write_clusters_json(path, model, _held(bug_ids), index)
             assert path.read_bytes() == expected.encode("utf-8")
 
     @pytest.mark.parametrize("chunk", [1, 2, 3])
@@ -516,22 +520,24 @@ class TestClustersJson:
         monkeypatch.setattr(ingest, "ID_CHUNK", chunk)
         ids = ['say "hi"', "back\\slash", "\x00\x1f\t\r\n", "line\u2028sep", "😀", "b5", "b6"]
         for n in range(2 * chunk + 2):  # 0, 1 and 2 chunk boundaries, and no ids at all
-            bug_ids = ids[:n]
+            bug_ids, index, labels = ids[:n], np.arange(n) % 3, np.array([1, 0, 1])
             model = ClusterModel(
                 k=2,
                 centroids=((0.0,) * 4, (1.5,) * 4),
-                assignments=np.arange(n) % 2,
+                labels=labels,
+                sizes=tuple(np.bincount(labels[index], minlength=2).tolist()),
                 inertia=0.25,
                 seed=7,
                 iterations_run=1,
                 inertia_history=(0.25,),
             )
             path = tmp_path / f"clusters-{n}.json"
-            write_clusters_json(path, model, _held(bug_ids))
-            expected = json.dumps(_model_to_json(model, bug_ids), indent=2, ensure_ascii=False)
+            write_clusters_json(path, model, _held(bug_ids), index)
+            payload = _model_to_json(model, bug_ids, index)
+            expected = json.dumps(payload, indent=2, ensure_ascii=False)
             assert path.read_bytes() == (expected + "\n").encode("utf-8")
 
     def test_a_record_count_mismatch_is_a_consistency_error(self, tmp_path):
-        model = ClusterModel(1, ((0.0,) * 4,), np.zeros(2, dtype=np.int64), 0.0, 0, 1, (0.0,))
+        model = ClusterModel(1, ((0.0,) * 4,), np.zeros(1, dtype=np.int64), (2,), 0.0, 0, 1, (0.0,))
         with pytest.raises(ConsistencyError):
-            write_clusters_json(tmp_path / "clusters.json", model, _held(["b0"]))
+            write_clusters_json(tmp_path / "clusters.json", model, _held(["b0"]), np.zeros(2))
