@@ -7,15 +7,15 @@ So identical inputs and seed give bit-identical labels.
 Distances are squared Euclidean on the raw integer codes; the assignee code
 is excluded from the features because it is the prediction target.
 
-The records are a table of points and each record's row in it. Equal rows
-have equal features and so share a cluster, so a record's cluster is its
-row's: the model keeps one label per table row and each cluster's record
-count. Lloyd steps and the k-means++ distances run on the distinct feature
-vectors, gathered through the table to the records only where a draw or the
-inertia needs them. This is exact: count-weighted sums of integer coordinates
-are exact below 2**53, so centroids equal per-record means. Only the distinct
-vectors are converted to floats, exact for integer codes below 2**53, so an
-integer view of the codes fits as its float copy.
+The records are a table of points, each record's row in it and each row's
+record count. Equal rows have equal features and so share a cluster, so a
+record's cluster is its row's: the model keeps one label per table row and
+each cluster's record count. Lloyd steps and the k-means++ distances run on
+the distinct feature vectors, gathered through the table to the records only
+where a draw or the inertia needs them. This is exact: count-weighted sums of
+integer coordinates are exact below 2**53, so centroids equal per-record
+means. Only the distinct vectors are converted to floats, exact for integer
+codes below 2**53, so an integer view of the codes fits as its float copy.
 """
 
 from __future__ import annotations
@@ -56,12 +56,13 @@ class ClusterModel:
         return list(self.sizes)
 
 
-def _nearest(points: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Assign each point to its nearest centroid; ties go to the lowest index."""
+def nearest(points: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each point's nearest centroid, ties to the lowest index, and its squared distance."""
     distances = np.zeros((len(points), len(centroids)))  # a feature at a time
     difference = np.empty_like(distances)  # so at most two tables are held
     for p, c in zip(points.T, centroids.T):
         distances += np.square(np.subtract.outer(p, c, out=difference), out=difference)
+    del difference  # before the per-point arrays
     assignments = distances.argmin(axis=1)
     return assignments, distances[np.arange(len(points)), assignments]
 
@@ -79,7 +80,7 @@ def _assign_with_repair(
     """
     centroids = centroids.copy()
     for _ in range(2 * k + 2):
-        assignments, dists = _nearest(points, centroids)
+        assignments, dists = nearest(points, centroids)
         sizes = np.bincount(assignments, minlength=k)
         empties = np.flatnonzero(sizes == 0)
         if len(empties) == 0:
@@ -168,12 +169,13 @@ def _kmeanspp_init(
 def kmeans_fit(
     points: Sequence[Sequence[float]],
     index: Sequence[int],
+    counts: Sequence[int],
     k: int,
     seed: int,
     max_iterations: int,
 ) -> ClusterModel:
-    """Fit k clusters of the records ``points[index[i]]`` with Lloyd's
-    algorithm and k-means++ seeding.
+    """Fit k clusters of the records ``points[index[i]]``, ``counts[r]`` of
+    them on row r, with Lloyd's algorithm and k-means++ seeding.
 
     Stops when the labels are unchanged between iterations or after
     max_iterations. Requires k <= number of distinct points so no cluster
@@ -185,11 +187,11 @@ def kmeans_fit(
         raise ParameterError(f"max_iterations must be >= 1, got {max_iterations}")
     if not 0 <= seed < 2**64:  # as the config allows; _pcg64 would take any seed's low bits
         raise ParameterError(f"seed must be in [0, 2^64), got {seed}")
-    data, index = np.asarray(points), np.asarray(index)
-    if data.ndim != 2 or len(data) == 0 or len(index) == 0:
-        raise ParameterError("points must be a non-empty list of equal-length vectors")
-    vectors, table_rank, _ = distinct_rows(data)
-    counts = np.bincount(table_rank, np.bincount(index, minlength=len(data))).astype(np.int64)
+    data, index, counts = np.asarray(points), np.asarray(index), np.asarray(counts)
+    if data.ndim != 2 or len(data) == 0 or len(index) == 0 or len(counts) != len(data):
+        raise ParameterError("points must be non-empty equal-length vectors, one count each")
+    vectors, table_rank = distinct_rows(data)[:2]  # its row counts would be held to the end
+    counts = np.bincount(table_rank, counts).astype(np.int64)  # each distinct vector's records
     vectors = vectors.astype(float)
     if k > len(vectors):
         raise InfeasibleKError(
@@ -199,10 +201,10 @@ def kmeans_fit(
     def assign(centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
         """(centroids, labels of the distinct vectors, inertia), through the
         per-record repair when a cluster would be empty."""
-        labels, dists = _nearest(vectors, centroids)
+        labels, dists = nearest(vectors, centroids)
         if not np.bincount(labels, minlength=k).all():
             centroids = _assign_with_repair(vectors[table_rank][index], centroids, k)[0]
-            labels, dists = _nearest(vectors, centroids)  # as the repair left each record
+            labels, dists = nearest(vectors, centroids)  # as the repair left each record
         return centroids, labels, float(dists[table_rank][index].sum())
 
     centroids, labels, inertia = assign(_kmeanspp_init(vectors, table_rank, index, k, seed))

@@ -5,18 +5,19 @@ Outputs are staged in a temporary directory and renamed into place, so a
 failed run never leaves partial results, and only a previous report that
 holds nothing else is ever replaced. Every run re-checks its own output
 before anything is written, and a violation aborts with an audit error. The
-cluster model: sizes cover the records with no empty cluster, each table row
-is labelled with its nearest centroid, the inertia recomputes and never rose
-between iterations. Each of the k clusters: its size is the model's count of
-its records, every rule meets the thresholds with a non-empty antecedent, and
-every redundant rule's witness is an essential rule with the same assignee, a
-strictly smaller antecedent and a confidence no lower. The reports' counts
-are derived from the sizes and rule partitions, not stored apart from them.
+cluster model: sizes cover the records with no empty cluster, the rows'
+record counts are the index's, ``cluster.nearest`` labels each row as k-means
+did and the inertia recomputes and never rose between iterations. Each of the
+k clusters: its size is the model's count of its records, every rule meets
+the thresholds with a non-empty antecedent, and every redundant rule's
+witness is an essential rule with the same assignee, a strictly smaller
+antecedent and a confidence no lower. The reports' counts are derived from
+the sizes and rule partitions, not stored apart from them.
 
 The records are held as a table of distinct code rows and one row index per
 record, and a record's cluster is its row's label. Every stage runs on the
-table and its rows' record counts, a cluster on a mask over its labels; only
-``verify``'s oracle gathers records, a chunk at a time.
+table and its rows' record counts, made once, and a cluster on a mask over
+its labels; only ``verify``'s oracle gathers records, a chunk at a time.
 A run keeps each cluster's rule partition, not its frequent-itemset table:
 ``verify`` mines each cluster again from the table, diffs that against the
 oracle, and checks that it yields exactly the rule table the run kept.
@@ -36,7 +37,7 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-from .cluster import ClusterModel, kmeans_fit
+from .cluster import ClusterModel, kmeans_fit, nearest
 from .config import PipelineConfig
 from .errors import AuditError, InputError, ParameterError
 from .ingest import Attribute, BugIds, codebooks_to_json, decode, read_bug_csv
@@ -73,6 +74,7 @@ class PipelineResult:
     bug_ids: BugIds
     rows: np.ndarray  # (m, 5) distinct code rows, one column per Attribute
     index: np.ndarray  # record i is rows[index[i]]
+    counts: np.ndarray  # the records on each row, counted from the index once
     model: ClusterModel
     outcomes: list[ClusterOutcome]  # cluster i's at position i
 
@@ -109,11 +111,10 @@ def _load_and_encode(config: PipelineConfig):
 
 
 def _cluster_tables(
-    rows: np.ndarray, index: np.ndarray, model: ClusterModel
+    rows: np.ndarray, counts: np.ndarray, model: ClusterModel
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Each cluster's distinct code rows and their record counts, in cluster
     order: a mask over the table's labels."""
-    counts = np.bincount(index, minlength=len(rows))
     for cluster in range(model.k):
         mask = model.labels == cluster
         yield rows[mask], counts[mask]
@@ -146,16 +147,19 @@ def execute(config: PipelineConfig) -> PipelineResult:
     """Run every stage in memory; no files are touched."""
     input_sha256, codebooks, bug_ids, rows, index = _load_and_encode(config)
     logger.info("encoded %d records from %s", len(index), config.input_path)
+    counts = np.bincount(index, minlength=len(rows))
     features = rows[:, : Attribute.ASSIGNEE]  # a view: every attribute but the assignee
-    model = kmeans_fit(features, index, config.k, config.seed, config.max_iterations)
+    model = kmeans_fit(features, index, counts, config.k, config.seed, config.max_iterations)
     logger.info(
         "k-means: k=%d, %d iterations, inertia %.4f", model.k, model.iterations_run, model.inertia
     )
     outcomes = [
         _mine_cluster(cluster, *table, config, codebooks)
-        for cluster, table in enumerate(_cluster_tables(rows, index, model))
+        for cluster, table in enumerate(_cluster_tables(rows, counts, model))
     ]
-    result = PipelineResult(config, input_sha256, codebooks, bug_ids, rows, index, model, outcomes)
+    result = PipelineResult(
+        config, input_sha256, codebooks, bug_ids, rows, index, counts, model, outcomes
+    )
     violations = audit_result(result)
     if violations:
         raise AuditError(violations)
@@ -178,14 +182,12 @@ def audit_result(result: PipelineResult) -> list[str]:
     if not in_range or not counts.all():
         problems.append("the record index does not map the records onto every table row")
     if in_range:
-        distances = np.zeros((len(rows), len(model.centroids)))  # a feature at a time
-        difference = np.empty_like(distances)  # so at most two tables are held
-        for p, c in zip(rows[:, : Attribute.ASSIGNEE].T, np.array(model.centroids).T):
-            distances += np.square(np.subtract.outer(p, c, out=difference), out=difference)
-        del difference
-        if not np.array_equal(distances.argmin(axis=1), model.labels):
+        if not np.array_equal(counts, result.counts):
+            problems.append("the table's record counts are not the index's")
+        labels, distances = nearest(rows[:, : Attribute.ASSIGNEE], np.array(model.centroids))
+        if not np.array_equal(labels, model.labels):
             problems.append("some table row is not labelled with its nearest centroid")
-        recomputed = float(counts @ distances.min(axis=1))
+        recomputed = float(counts @ distances)
         if abs(model.inertia - recomputed) > 1e-9 * max(1.0, abs(recomputed)):
             problems.append(f"inertia {model.inertia} != recomputed {recomputed}")
     if any(later > earlier + 1e-9 for earlier, later in zip(model.inertia_history, model.inertia_history[1:])):
@@ -317,7 +319,7 @@ def run_verify(
     Clusters above an optional size cap are skipped (and reported so)."""
     checks = [
         check
-        for cluster, table in enumerate(_cluster_tables(result.rows, result.index, result.model))
+        for cluster, table in enumerate(_cluster_tables(result.rows, result.counts, result.model))
         for check in _verify_cluster(result, cluster, *table, max_transactions, max_rules)
     ]
     return all(passed for passed, _ in checks), [line for _, line in checks]

@@ -11,14 +11,14 @@ attribute's largest code among the table's rules, and the consequent. A
 probe's key is its rule's key plus what setting the dropped digits to absent
 adds, so probes are matched by a search among the sorted rule keys. Where
 the product of the radices, taken in Python ints, would pass ``KEY_BOUND``,
-the rows and probes are ranked by ``distinct_rows`` instead. Confidences
-are compared exactly and in one place: each rule table keys its distinct
-(support, antecedent count) pairs by ``(support << shift) //
-antecedent_count`` in Python ints, with ``2**shift >= M**2`` for M the
-largest antecedent count. Distinct ratios with denominators up to M differ
-by at least 1/M**2, so their keys differ and order as the ratios do, and
-equal ratios get equal keys. Rules sort and are compared on the dense rank
-of their pair's key, for counts of any size.
+the rows and probes are ranked by ``distinct_rows`` instead. Confidences are
+compared exactly and in one place: each rule table ranks its distinct
+(support, antecedent count) pairs with ``distinct_rows`` and keys them by
+``(support << shift) // antecedent_count`` in Python ints, with
+``2**shift >= M**2`` for M the largest antecedent count. Distinct ratios with
+denominators up to M differ by at least 1/M**2, so their keys differ and
+order as the ratios do, and equal ratios get equal keys. Rules sort and are
+compared on the dense rank of their pair's key, for counts of any size.
 
 A rule table is stored in int32 when all its codes and counts are below
 2**31, in int64 otherwise; witnesses, pair indices and confidence ranks are
@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import DuplicateRuleError, ParameterError
 from .ingest import Attribute
-from .mine import Projection, Subset, distinct_rows, group_keys
+from .mine import Projection, Subset, distinct_rows
 
 ANTECEDENT_ATTRIBUTES = tuple(Attribute)[:-1]  # the assignee is the consequent
 
@@ -81,15 +81,9 @@ class RuleTable:
     @cached_property
     def pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """The distinct (support, antecedent count) pairs in lexicographic
-        order, one row each, and each rule's row among them, found from one
-        packed key per rule unless its key space passes ``KEY_BOUND``."""
-        radix = int(max(self.support.max(initial=0), self.antecedent_count.max(initial=0))) + 1
-        if radix * radix > KEY_BOUND:
-            pairs, pair = distinct_rows(np.column_stack([self.support, self.antecedent_count]))[:2]
-        else:
-            keys = self.support.astype(np.int64) * radix + self.antecedent_count
-            keys, _, pair = group_keys(keys, radix * radix)
-            pairs = np.column_stack(np.divmod(keys, radix))
+        order, one row each, and each rule's row among them, ranked by
+        ``distinct_rows`` for counts of any size."""
+        pairs, pair = distinct_rows(np.column_stack([self.support, self.antecedent_count]))[:2]
         return pairs, pair.astype(np.int32)
 
     @cached_property

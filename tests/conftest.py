@@ -57,13 +57,13 @@ def random_rows(
     ]
 
 
-def point_table(points) -> tuple[list[tuple], list[int]]:
+def point_table(points) -> tuple[list[tuple], list[int], list[int]]:
     """``points`` as kmeans_fit takes them: the distinct points in
-    first-appearance order, as ingest numbers its table rows, and the row of
-    each point."""
+    first-appearance order, as ingest numbers its table rows, the row of each
+    point and the number of points on each row."""
     rows: dict[tuple, int] = {}
     index = [rows.setdefault(tuple(point), len(rows)) for point in points]
-    return list(rows), index
+    return list(rows), index, [index.count(row) for row in range(len(rows))]
 
 
 def row_table(rows) -> tuple[np.ndarray, np.ndarray]:

@@ -173,8 +173,8 @@ def test_criterion_5_kmeans_invariants():
         assert all(size > 0 for size in first.cluster_sizes())
 
     points = [(1, 1, 1, 1)] * 5 + [(9, 9, 9, 9)] * 5
-    table, index = point_table(points)
-    model = kmeans_fit(table, index, k=2, seed=0, max_iterations=100)
+    table, index, counts = point_table(points)
+    model = kmeans_fit(table, index, counts, k=2, seed=0, max_iterations=100)
     assignments = model.labels[index]
     assert model.inertia == 0.0
     assert len({assignments[i] for i in range(5)}) == 1

@@ -21,6 +21,7 @@ from triage_miner.cluster import (
     _kmeanspp_init,
     _pcg64,
     kmeans_fit,
+    nearest,
 )
 from triage_miner.config import PipelineConfig
 from triage_miner.errors import ConsistencyError, InfeasibleKError, ParameterError
@@ -61,8 +62,8 @@ class TestKmeansFit:
         points = [(1, 1, 1, 1)] * 5 + [(9, 9, 9, 9)] * 5
         oracle_inertia, oracle_partition = brute_force_best_two_partition(points)
         assert oracle_inertia == 0.0
-        table, index = point_table(points)
-        model = kmeans_fit(table, index, k=2, seed=0, max_iterations=100)
+        table, index, counts = point_table(points)
+        model = kmeans_fit(table, index, counts, k=2, seed=0, max_iterations=100)
         assert model.inertia == 0.0
         assignments = model.labels[index]
         got = frozenset(
@@ -104,7 +105,7 @@ class TestKmeansFit:
 
     def test_empty_points_rejected(self):
         with pytest.raises(ParameterError):
-            kmeans_fit([], [], k=1, seed=0, max_iterations=100)
+            kmeans_fit([], [], [], k=1, seed=0, max_iterations=100)
 
     @pytest.mark.parametrize("seed", [0, 1, 12345])
     def test_deterministic_for_same_seed(self, seed):
@@ -121,8 +122,8 @@ class TestKmeansFit:
         rnd = random.Random(1000 + seed)
         points = _random_points(rnd, rnd.randint(20, 120))
         k = rnd.randint(1, 6)
-        table, index = point_table(points)
-        model = kmeans_fit(table, index, k=k, seed=seed, max_iterations=100)
+        table, index, counts = point_table(points)
+        model = kmeans_fit(table, index, counts, k=k, seed=seed, max_iterations=100)
         assignments = model.labels[index]
         sizes = model.cluster_sizes()
         assert all(size > 0 for size in sizes)
@@ -301,14 +302,14 @@ def duplicated_points(draw):
 @settings(max_examples=200, deadline=None)
 def test_distinct_vector_steps_equal_the_per_point_fit(case, seed, max_iterations):
     points, k = case
-    table, index = point_table(points)
+    table, index, counts = point_table(points)
     try:
         expected = per_point_kmeans_fit(points, k, seed, max_iterations)
     except ConsistencyError:
         with pytest.raises(ConsistencyError):
-            kmeans_fit(table, index, k, seed, max_iterations)
+            kmeans_fit(table, index, counts, k, seed, max_iterations)
         return
-    assert_same_model(kmeans_fit(table, index, k, seed, max_iterations), expected, index)
+    assert_same_model(kmeans_fit(table, index, counts, k, seed, max_iterations), expected, index)
 
 
 @given(duplicated_points(), st.integers(0, 2**32))
@@ -326,6 +327,54 @@ def test_distinct_vector_init_equals_the_per_point_init(case, seed):
     assert np.array_equal(_kmeanspp_init(vectors, rank, np.arange(len(rank)), k, seed), expected)
 
 
+@st.composite
+def points_and_centroids(draw):
+    """Integer points of 1-4 features with repeats, and float centroids that
+    are points, halves or any floats, some repeated, so that distances tie."""
+    dim = draw(st.integers(1, 4))
+    pool = draw(st.lists(st.tuples(*[st.integers(-20, 20)] * dim), min_size=1, max_size=6))
+    points = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=30))
+    centroid = st.one_of(
+        st.sampled_from(pool).map(lambda point: tuple(map(float, point))),
+        st.tuples(*[st.integers(-40, 40).map(lambda twice: twice / 2)] * dim),
+        st.tuples(*[st.floats(-25, 25)] * dim),
+    )
+    centroids = draw(st.lists(centroid, min_size=1, max_size=5))
+    centroids += draw(st.lists(st.sampled_from(centroids), max_size=2))
+    return points, draw(st.permutations(centroids))
+
+
+def nearest_by_loops(points, centroids) -> tuple[list[int], list[float]]:
+    """Each point's nearest centroid and distance, one pair at a time: the sum
+    from 0.0 in feature order, and a strictly nearer centroid takes the point,
+    so ties go to the lowest index."""
+    labels, distances = [], []
+    for point in points:
+        label, distance = -1, 0.0
+        for j, centroid in enumerate(centroids):
+            d = 0.0
+            for p, c in zip(point, centroid):
+                d = d + (p - c) * (p - c)
+            if label < 0 or d < distance:
+                label, distance = j, d
+        labels.append(label)
+        distances.append(distance)
+    return labels, distances
+
+
+@given(points_and_centroids())
+@settings(max_examples=300, deadline=None)
+def test_nearest_equals_a_loop_over_each_point_and_centroid(case):
+    """k-means labels float vectors and the audit integer rows, both with
+    ``nearest``: each gives the loop's labels and bit-equal distances."""
+    points, centroids = case
+    labels, distances = nearest_by_loops(points, centroids)
+    for dtype in (np.int64, float):
+        got_labels, got_distances = nearest(np.array(points, dtype), np.array(centroids))
+        assert got_labels.tolist() == labels
+        assert got_distances.view(np.int64).tolist() == np.array(distances).view(np.int64).tolist()
+
+
 # found by search: with k=3 and seed 11 the first Lloyd update leaves a cluster empty
 REPAIRED_POINTS = [
     (11, 12), (0, 8), (0, 8), (7, 3), (7, 11), (0, 7),
@@ -339,16 +388,16 @@ REPAIRED_POINTS = [
 def test_an_integer_code_view_fits_as_its_float_copy(case, seed, max_iterations):
     points, k = case
     # a trailing column, so the fit reads a strided view as it reads rows[:, :4]
-    table, index = point_table(points)
+    table, index, counts = point_table(points)
     codes = np.column_stack([np.array(table, dtype=np.int64), np.arange(len(table))])
     view = codes[:, :-1]
     try:
-        expected = kmeans_fit(view.astype(float), index, k, seed, max_iterations)
+        expected = kmeans_fit(view.astype(float), index, counts, k, seed, max_iterations)
     except ConsistencyError:
         with pytest.raises(ConsistencyError):
-            kmeans_fit(view, index, k, seed, max_iterations)
+            kmeans_fit(view, index, counts, k, seed, max_iterations)
         return
-    assert_same_model(kmeans_fit(view, index, k, seed, max_iterations), expected)
+    assert_same_model(kmeans_fit(view, index, counts, k, seed, max_iterations), expected)
 
 
 def test_a_step_that_empties_a_cluster_runs_the_repair(monkeypatch):
@@ -360,8 +409,8 @@ def test_a_step_that_empties_a_cluster_runs_the_repair(monkeypatch):
         return _assign_with_repair(points, centroids, k)
 
     monkeypatch.setattr(cluster, "_assign_with_repair", spy)
-    table, index = point_table(points)
-    model = kmeans_fit(table, index, k=3, seed=11, max_iterations=100)
+    table, index, counts = point_table(points)
+    model = kmeans_fit(table, index, counts, k=3, seed=11, max_iterations=100)
     assert len(repairs) == 1
     assert_same_model(model, per_point_kmeans_fit(points, k=3, seed=11, max_iterations=100), index)
     assert all(size > 0 for size in model.cluster_sizes())
@@ -381,11 +430,12 @@ def test_the_fit_holds_no_per_record_array_between_steps():
     rows = np.array([(a, b, c, 1) for a in range(10) for b in range(6) for c in range(5)])
     n = 400_000
     index = (np.arange(n) * 7919 % len(rows)).astype(np.int32)
+    counts = np.bincount(index, minlength=len(rows))
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        model = kmeans_fit(rows, index, k=5, seed=0, max_iterations=100)
+        model = kmeans_fit(rows, index, counts, k=5, seed=0, max_iterations=100)
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -85,7 +85,7 @@ def test_execute_matches_the_oracles_on_synthetic_data(
     records = result.rows[result.index]
     # the run keeps no itemset table: each cluster is mined again from the
     # run's table rows and record counts, as verify does
-    tables = _cluster_tables(result.rows, result.index, result.model)
+    tables = _cluster_tables(result.rows, result.counts, result.model)
     for cluster, (outcome, table) in enumerate(zip(result.outcomes, tables, strict=True)):
         code_rows = records[result.model.labels[result.index] == cluster].tolist()
         assert len(code_rows) == outcome.size

@@ -153,11 +153,21 @@ class TestAuditTable:
         assert audit_result(doctored) == [self.UNMAPPED]
 
     def test_a_row_no_record_uses_is_reported(self, sample_result):
-        # the model has no label for the added row either
+        # counted as no record's, as the index counts it; the model has no
+        # label for the added row either
         rows = np.vstack([sample_result.rows, sample_result.rows[:1]])
-        assert audit_result(dataclasses.replace(sample_result, rows=rows)) == [
+        counts = np.append(sample_result.counts, 0)
+        assert audit_result(dataclasses.replace(sample_result, rows=rows, counts=counts)) == [
             self.UNMAPPED, "some table row is not labelled with its nearest centroid"
         ]
+
+    def test_doctored_record_counts_are_reported(self, sample_result):
+        # one record's count moved between two rows: the counts still sum to
+        # the records, but are not the index's
+        counts = sample_result.counts.copy()
+        counts[0], counts[1] = counts[0] - 1, counts[1] + 1
+        doctored = dataclasses.replace(sample_result, counts=counts)
+        assert audit_result(doctored) == ["the table's record counts are not the index's"]
 
     @pytest.mark.parametrize("row", [0, 6, 7, -1])
     def test_a_misassigned_row_is_reported(self, sample_result, row):

@@ -563,11 +563,12 @@ def test_ranked_rows_decide_as_the_packed_keys(rules, data):
     repeats = [row for row, key in enumerate(keys) if key in keys[:row]]
     decided = {}
     for bound in (rules_module.KEY_BOUND, 0):
-        spy = mock.Mock(wraps=distinct_rows)
+        table, spy = rule_table(rows), mock.Mock(wraps=distinct_rows)
+        table.pairs  # ranked before the patch, so that the spy sees only the row keys
         with mock.patch.object(rules_module, "KEY_BOUND", bound), mock.patch.object(
             rules_module, "distinct_rows", spy
         ):
-            decided[bound] = _partition_or_error(rule_table(rows))
+            decided[bound] = _partition_or_error(table)
         assert spy.called == (bound == 0)
     assert decided[0] == decided[rules_module.KEY_BOUND]
     if repeats:
@@ -602,6 +603,7 @@ def test_int32_codes_up_to_2_31_minus_1_decide_as_small_codes(rules, attribute):
     shifted[shifted >= 0] += 2**31 - 1 - shifted.max()
     columns = (codes, small.consequent, small.support, small.antecedent_count)
     large = RuleTable(*(column.astype(np.int32) for column in columns))
+    large.pairs  # ranked before the patch, so that it sees only the row keys
     with mock.patch.object(rules_module, "distinct_rows", side_effect=AssertionError("ranked")):
         witness = eliminate_redundant(large).witness
     assert np.array_equal(witness, eliminate_redundant(small).witness)
