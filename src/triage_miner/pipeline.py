@@ -126,15 +126,17 @@ def _mine_cluster(
     """Mine a cluster given as its distinct code rows and their record counts;
     its itemset table is dropped once its rules are made."""
     table = mine_frequent_itemsets(rows, counts, config.min_support_count)
+    itemsets = sum(len(projection.counts) for projection in table.values())
     top_codes = top_assignees(rows[:, Attribute.ASSIGNEE], counts, config.top_n)
     rules = generate_class_rules(table, config.min_confidence, top_codes)
+    del table
     partition = eliminate_redundant(rules)
     size = int(counts.sum())
     logger.info(
         "cluster %d: %d records, %d frequent itemsets, %d rules (%d essential, %d redundant)",
         cluster,
         size,
-        sum(len(projection.counts) for projection in table.values()),
+        itemsets,
         len(partition.rules),
         len(partition.essential),
         len(partition.redundant),

@@ -5,13 +5,14 @@ rules, with no per-rule objects.
 A rule is redundant when some essential rule with the same consequent, a
 strictly smaller antecedent and confidence at least as high already carries
 its meaning. Its candidates are its probes, its row cut down to each smaller
-antecedent subset. Each rule's row is one int64 key in mixed radix: a digit
-per antecedent attribute, an absent attribute's digit one past that
-attribute's largest code among the table's rules, and the consequent. A
-probe's key is its rule's key plus what setting the dropped digits to absent
-adds, so probes are matched by a search among the sorted rule keys. Where
-the product of the radices, taken in Python ints, would pass ``KEY_BOUND``,
-the rows and probes are ranked by ``distinct_rows`` instead. Confidences are
+antecedent subset, made one subset at a time. Each rule's row is one int64
+key in mixed radix: a digit per antecedent attribute, an absent attribute's
+digit one past that attribute's largest code among the table's rules, and
+the consequent. A probe's key is its rule's key plus what setting the
+dropped digits to absent adds, so probes are matched by a search among the
+sorted rule keys. Where the product of the radices, taken in Python ints,
+would pass ``KEY_BOUND``, the rows are ranked by ``distinct_rows`` instead,
+and each subset's probes with the rows they can match. Confidences are
 compared exactly and in one place: each rule table ranks its distinct
 (support, antecedent count) pairs with ``distinct_rows`` and keys them by
 ``(support << shift) // antecedent_count`` in Python ints, with
@@ -173,63 +174,59 @@ def generate_class_rules(
     return ordered
 
 
-def _row_keys(
-    rules: RuleTable, rule: np.ndarray, position: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Int64 keys of the rules' rows and of the probes, probe j being rule
-    ``rule[j]``'s row without the attributes outside ``SUBSETS[position[j]]``;
-    keys are equal exactly where the rows are."""
-    top = rules.codes.max(axis=0, initial=-1).astype(np.int64) + 1  # each attribute's absent digit
-    radices = [*(top + 1).tolist(), int(rules.consequent.max(initial=0)) + 1]
-    if math.prod(radices) > KEY_BOUND:
-        table = np.column_stack([rules.codes, rules.consequent])
-        table = table[np.concatenate([np.arange(len(rules)), rule])]
-        table[len(rules) :, :-1][OUTSIDE[position] == 1] = -1
-        rank = distinct_rows(table)[1]
-        return rank[: len(rules)], rank[len(rules) :]
-    weights = np.cumprod(radices[-1:] + radices[:-2])  # the consequent is the lowest digit
-    digits = np.where(rules.present, rules.codes, top)
-    keys = digits @ weights + rules.consequent
-    dropped = ((top - digits) * weights) @ OUTSIDE.T  # what each subset's probe adds
-    return keys, keys[rule] + dropped[rule, position]
-
-
 def eliminate_redundant(rules: RuleTable) -> RulePartition:
     """Split a rule table into essential and redundant rules, keeping its row
     order in both.
 
-    Each rule is probed by every proper non-empty subset T of its antecedent:
-    its row again without the codes outside T. Rows and probes are keyed as
-    the module docstring says, by one packed int64 each while the product of
-    the radices stays within ``KEY_BOUND`` and by their ``distinct_rows``
-    ranks past it. One stable argsort of the rules' keys finds duplicate
-    rules, and a search among them matches each probe to the rule with
-    exactly that antecedent and consequent, if there is one. A match no less
-    confident than the rule subsumes it if the match is essential, so rules
-    are decided by antecedent size, smallest first. A rule's witness is its
-    essential match of the smallest size, then the highest confidence, then
-    the first subset in ``SUBSETS`` order.
+    A rule's witness is the essential rule, no less confident, whose row is
+    the rule's own cut to a proper subset T of its antecedent: of the
+    smallest size, then the highest confidence, then the first T in
+    ``SUBSETS`` order. Witnesses of size t are decided at the sizes below t,
+    so sizes go smallest first, and each T, in ``SUBSETS`` order, probes only
+    the still essential rules that contain it strictly. Rows and probes are
+    keyed as the module docstring says; one stable argsort of the rules'
+    keys finds duplicate rules, and one search among them matches a
+    subset's sorted probes.
     """
     n, width = len(rules), len(ANTECEDENT_ATTRIBUTES)
     antecedent = rules.present @ (1 << np.arange(width))
-    rule, position = np.nonzero(PROPER[antecedent])
-    keys, probes = _row_keys(rules, rule, position)
+    top = rules.codes.max(axis=0, initial=-1).astype(np.int64) + 1  # each attribute's absent digit
+    radices = [*(top + 1).tolist(), int(rules.consequent.max(initial=0)) + 1]
+    packed = math.prod(radices) <= KEY_BOUND
+    if packed:
+        weights = np.cumprod(radices[-1:] + radices[:-2])  # the consequent is the lowest digit
+        digits = np.where(rules.present, rules.codes, top)
+        keys = digits @ weights + rules.consequent
+    else:
+        table = np.column_stack([rules.codes, rules.consequent])
+        keys = distinct_rows(table)[1]
     by_key = np.argsort(keys, kind="stable")  # equal keys in row order
     ranked = keys[by_key]
     repeated = ranked[1:] == ranked[:-1]
     if repeated.any():
         raise DuplicateRuleError(f"duplicate rule at row {by_key[1:][repeated].min()}")
-    at = np.minimum(np.searchsorted(ranked, probes), max(n - 1, 0))
-    match = np.where(ranked[at] == probes, by_key[at], -1)
 
     confidence = rules.confidence_rank
-    kept = (match >= 0) & (confidence[match] >= confidence[rule])
-    rule, match, position = rule[kept], match[kept], position[kept]
-    order = np.lexsort((position, -confidence[match], rules.size[match], rule))
-    rule, match = rule[order], match[order]
     witness = np.full(n, -1, dtype=np.int32)
-    for size in range(2, width + 1):
-        probing = (rules.size[rule] == size) & (witness[match] < 0)
-        _, first = np.unique(rule[probing], return_index=True)
-        witness[rule[probing][first]] = match[probing][first]
+    for size in range(1, width):
+        best = np.full(n, -1, dtype=np.int32)  # each rule's witness of this size, if any
+        for position in np.flatnonzero(OUTSIDE.sum(axis=1) == width - size):
+            rule = np.flatnonzero(PROPER[antecedent, position] & (witness < 0))
+            if packed:  # the rule's key plus what turning the digits outside T absent adds
+                probes = keys[rule] + (top - digits[rule]) @ (weights * OUTSIDE[position])
+                order = np.argsort(probes)
+                rule, probes = rule[order], probes[order]
+                at = np.minimum(np.searchsorted(ranked, probes), n - 1)
+                match = np.where(ranked[at] == probes, by_key[at], -1)
+            else:  # ranked with the rows of antecedent T, on T's columns and the consequent
+                target = np.flatnonzero(antecedent == SUBSETS[position])
+                columns = [*np.flatnonzero(OUTSIDE[position] == 0), width]
+                rank = distinct_rows(table[np.concatenate([target, rule])][:, columns])[1]
+                row_of = np.full(len(rank), -1)
+                row_of[rank[: len(target)]] = target
+                match = row_of[rank[len(target) :]]
+            hit = (match >= 0) & (witness[match] < 0) & (confidence[match] >= confidence[rule])
+            hit &= (best[rule] < 0) | (confidence[match] > confidence[best[rule]])
+            best[rule[hit]] = match[hit]
+        witness = np.where(best >= 0, best, witness)
     return RulePartition(rules=rules, witness=witness)

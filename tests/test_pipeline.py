@@ -6,7 +6,9 @@ import csv
 import dataclasses
 import enum
 import json
+import logging
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -384,6 +386,31 @@ def test_run_builds_no_rule_objects(sample_csv, tmp_path, monkeypatch):
     # the oracles work on objects, so verify builds them
     with pytest.raises(AssertionError, match="object built"):
         run_verify(result)
+
+
+def test_cluster_log_counts_the_itemsets_though_the_table_is_dropped(
+    sample_csv, caplog, monkeypatch
+):
+    """Each cluster's INFO line counts the frequent itemsets the oracle
+    finds, and the itemset table is no longer held while redundant rules are
+    eliminated."""
+    held = []
+
+    def eliminating(table):
+        held.append("table" in sys._getframe(1).f_locals)
+        return rules.eliminate_redundant(table)
+
+    monkeypatch.setattr(pipeline, "eliminate_redundant", eliminating)
+    with caplog.at_level(logging.INFO, logger="triage_miner"):
+        result = execute(PipelineConfig(input_path=str(sample_csv)))
+    messages = [record.getMessage() for record in caplog.records]
+    logged = [re.search(r"(\d+) frequent itemsets,", message) for message in messages]
+    ok, lines = run_verify(result)
+    verified = [re.search(r"itemsets OK \((\d+) frequent itemsets\)", line) for line in lines]
+    assert ok and held == [False] * result.model.k
+    counts = [int(match[1]) for match in logged if match]
+    assert counts == [int(match[1]) for match in verified if match]
+    assert len(counts) == result.model.k and counts[1] == 159
 
 
 def test_rules_csv_reads_back_with_a_carriage_return_in_a_label(sample_csv, tmp_path):

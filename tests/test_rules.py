@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from unittest import mock
@@ -541,6 +542,27 @@ def test_adding_a_rule_never_demotes_smaller_essentials(rules):
     for rule in base:
         if len(rule.antecedent) <= len(added.antecedent):
             assert (rule.key in before) == (rule.key in after)
+
+
+def test_elimination_holds_one_subsets_probes_at_a_time():
+    """eliminate_redundant's traced peak stays under 250 B a rule on 5,263
+    rules of every size, about 8 probes a rule: about 180 B when the
+    probes of one subset are held at a time, about 450 B when every probe
+    of the table is made at once."""
+    rnd = random.Random(3)
+    rows = [tuple(rnd.randint(1, 5) for _ in Attribute) for _ in range(3000)]
+    table = generate_class_rules(mine_frequent_itemsets(*row_table(rows), 1), 0.0, range(1, 6))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        partition = eliminate_redundant(table)
+        per_rule = (tracemalloc.get_traced_memory()[1] - before) / len(table)
+    finally:
+        tracemalloc.stop()
+    assert len(table) == 5263 and set(table.size.tolist()) == {1, 2, 3, 4}
+    assert len(partition.redundant) == 3199
+    assert per_rule < 250, per_rule
 
 
 def _partition_or_error(rules: RuleTable) -> list[int] | str:
