@@ -65,7 +65,7 @@ def _labels(codes: np.ndarray, book: Sequence[str], *templates: str) -> tuple[np
     """The distinct codes among ``codes`` in order, after -1 (absent), each
     template filled with each one's label ("" for -1) and whether rules.csv
     must quote that label; each code is decoded once."""
-    distinct = sorted(set(codes.tolist()) - {-1})  # np.unique alone would load numpy.ma
+    distinct = sorted(set(codes.tolist()) - {-1})  # np.unique without an inverse imports numpy.ma
     labels = decode(book, distinct)
     texts = [np.array(["", *map(t.format, labels)], dtype=object) for t in templates]
     quote = np.array([False, *(any(c in label for c in ',"\r\n') for label in labels)])

@@ -5,17 +5,19 @@ rules, with no per-rule objects.
 A rule is redundant when some essential rule with the same consequent, a
 strictly smaller antecedent and confidence at least as high already carries
 its meaning. Its candidates are its probes, its row cut down to each smaller
-antecedent subset, made one subset at a time. Each rule's row is one int64
-key in mixed radix: a digit per antecedent attribute, an absent attribute's
+antecedent subset, made one subset at a time. Each rule's row is one key
+in mixed radix: a digit per antecedent attribute, an absent attribute's
 digit one past that attribute's largest code among the table's rules, and
 the consequent. A probe's key is its rule's key plus what setting the
 dropped digits to absent adds, so probes are matched by a search among the
-sorted rule keys. Where the product of the radices, taken in Python ints,
-would pass ``KEY_BOUND``, the rows are ranked by ``distinct_rows`` instead,
-and each subset's probes with the rows they can match. Confidences are
-compared exactly and in one place: each rule table ranks its distinct
-(support, antecedent count) pairs with ``distinct_rows`` and keys them by
-``(support << shift) // antecedent_count`` in Python ints, with
+sorted rule keys. Keys are int64 while the radices' product, in Python ints,
+stays within ``KEY_BOUND``; past it the same keys are Python ints in object
+arrays, 5-8 times slower (80 against 13 ms on rule-dense-5k's 22k rules, 2
+vCPUs), a path no realistic export takes: the product is at most 1.6e6 on
+the benchmark inputs and 1.1e12 with 20,000 components and 20,000 assignees.
+Confidences are compared exactly and in one place: each rule table ranks its
+distinct (support, antecedent count) pairs with ``distinct_rows`` and keys
+them by ``(support << shift) // antecedent_count`` in Python ints, with
 ``2**shift >= M**2`` for M the largest antecedent count. Distinct ratios with
 denominators up to M differ by at least 1/M**2, so their keys differ and
 order as the ratios do, and equal ratios get equal keys. Rules sort and are
@@ -51,7 +53,7 @@ SUBSETS = np.array([1, 2, 4, 8, 3, 5, 9, 6, 10, 12, 7, 11, 13, 14, 15])
 OUTSIDE = 1 - (SUBSETS[:, None] >> np.arange(len(ANTECEDENT_ATTRIBUTES)) & 1)
 # PROPER[mask, s] is True where SUBSETS[s] is a proper subset of the antecedent ``mask``
 PROPER = (np.arange(16)[:, None] & SUBSETS == SUBSETS) & (np.arange(16)[:, None] != SUBSETS)
-KEY_BOUND = 2**62  # packed row keys must stay below this; past it rows are ranked
+KEY_BOUND = 2**62  # int64 row keys stay within this; past it they are Python ints
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,22 +186,19 @@ def eliminate_redundant(rules: RuleTable) -> RulePartition:
     ``SUBSETS`` order. Witnesses of size t are decided at the sizes below t,
     so sizes go smallest first, and each T, in ``SUBSETS`` order, probes only
     the still essential rules that contain it strictly. Rows and probes are
-    keyed as the module docstring says; one stable argsort of the rules'
-    keys finds duplicate rules, and one search among them matches a
-    subset's sorted probes.
+    keyed as the module docstring says, in int64 or, past ``KEY_BOUND``, in
+    Python ints; one stable argsort of the rules' keys finds duplicate
+    rules, and one search among them matches a subset's sorted probes.
     """
     n, width = len(rules), len(ANTECEDENT_ATTRIBUTES)
     antecedent = rules.present @ (1 << np.arange(width))
     top = rules.codes.max(axis=0, initial=-1).astype(np.int64) + 1  # each attribute's absent digit
     radices = [*(top + 1).tolist(), int(rules.consequent.max(initial=0)) + 1]
-    packed = math.prod(radices) <= KEY_BOUND
-    if packed:
-        weights = np.cumprod(radices[-1:] + radices[:-2])  # the consequent is the lowest digit
-        digits = np.where(rules.present, rules.codes, top)
-        keys = digits @ weights + rules.consequent
-    else:
-        table = np.column_stack([rules.codes, rules.consequent])
-        keys = distinct_rows(table)[1]
+    dtype = np.int64 if math.prod(radices) <= KEY_BOUND else object  # object holds Python ints
+    top = top.astype(dtype)
+    weights = np.cumprod(np.array(radices[-1:] + radices[:-2], dtype=dtype))  # consequent lowest
+    digits = np.where(rules.present, rules.codes, top)
+    keys = digits @ weights + rules.consequent
     by_key = np.argsort(keys, kind="stable")  # equal keys in row order
     ranked = keys[by_key]
     repeated = ranked[1:] == ranked[:-1]
@@ -212,19 +211,12 @@ def eliminate_redundant(rules: RuleTable) -> RulePartition:
         best = np.full(n, -1, dtype=np.int32)  # each rule's witness of this size, if any
         for position in np.flatnonzero(OUTSIDE.sum(axis=1) == width - size):
             rule = np.flatnonzero(PROPER[antecedent, position] & (witness < 0))
-            if packed:  # the rule's key plus what turning the digits outside T absent adds
-                probes = keys[rule] + (top - digits[rule]) @ (weights * OUTSIDE[position])
-                order = np.argsort(probes)
-                rule, probes = rule[order], probes[order]
-                at = np.minimum(np.searchsorted(ranked, probes), n - 1)
-                match = np.where(ranked[at] == probes, by_key[at], -1)
-            else:  # ranked with the rows of antecedent T, on T's columns and the consequent
-                target = np.flatnonzero(antecedent == SUBSETS[position])
-                columns = [*np.flatnonzero(OUTSIDE[position] == 0), width]
-                rank = distinct_rows(table[np.concatenate([target, rule])][:, columns])[1]
-                row_of = np.full(len(rank), -1)
-                row_of[rank[: len(target)]] = target
-                match = row_of[rank[len(target) :]]
+            # the rule's key plus what turning the digits outside T absent adds
+            probes = keys[rule] + (top - digits[rule]) @ (weights * OUTSIDE[position])
+            order = np.argsort(probes)
+            rule, probes = rule[order], probes[order]
+            at = np.minimum(np.searchsorted(ranked, probes), n - 1)
+            match = np.where(ranked[at] == probes, by_key[at], -1)
             hit = (match >= 0) & (witness[match] < 0) & (confidence[match] >= confidence[rule])
             hit &= (best[rule] < 0) | (confidence[match] > confidence[best[rule]])
             best[rule[hit]] = match[hit]

@@ -1,3 +1,4 @@
+import math
 import random
 import tracemalloc
 from collections import Counter
@@ -21,7 +22,7 @@ from conftest import (
 from triage_miner import rules as rules_module
 from triage_miner.errors import DuplicateRuleError, ParameterError
 from triage_miner.ingest import Attribute
-from triage_miner.mine import Projection, Subset, distinct_rows, mine_frequent_itemsets
+from triage_miner.mine import Projection, Subset, mine_frequent_itemsets
 from triage_miner.oracle import (
     Item,
     Rule,
@@ -572,29 +573,61 @@ def _partition_or_error(rules: RuleTable) -> list[int] | str:
         return str(error)
 
 
+def _decided_and_key_dtype(rules: RuleTable) -> tuple[list[int] | str, np.dtype]:
+    """``_partition_or_error`` of the table and the dtype of the row keys
+    that eliminate_redundant sorts first; distinct_rows must rank no rows."""
+    rules.pairs  # ranked before the patch, so that only the row keys are checked
+    argsort = mock.Mock(wraps=np.argsort)
+    with mock.patch.object(
+        rules_module, "distinct_rows", side_effect=AssertionError("ranked")
+    ), mock.patch.object(np, "argsort", argsort):
+        decided = _partition_or_error(rules)
+    return decided, argsort.call_args_list[0].args[0].dtype
+
+
 @given(rule_lists(), st.data())
 @settings(max_examples=100, deadline=None)
-def test_ranked_rows_decide_as_the_packed_keys(rules, data):
-    """With the key bound patched down, every table is ranked by
-    distinct_rows; witnesses and the duplicate-rule message are the packed
-    keys', with or without a rule given twice, and the message names the
-    first row that repeats an earlier rule."""
+def test_python_int_keys_decide_as_the_int64_keys(rules, data):
+    """With the key bound patched down to 0, every table's row keys are
+    Python ints in an object array; witnesses and the duplicate-rule message
+    are the int64 keys', with or without a rule given twice, and the message
+    names the first row that repeats an earlier rule."""
     clones = data.draw(st.lists(st.sampled_from(rules), max_size=2))
     rows = data.draw(st.permutations(rules + clones))
     keys = [rule.key for rule in rows]
     repeats = [row for row, key in enumerate(keys) if key in keys[:row]]
     decided = {}
-    for bound in (rules_module.KEY_BOUND, 0):
-        table, spy = rule_table(rows), mock.Mock(wraps=distinct_rows)
-        table.pairs  # ranked before the patch, so that the spy sees only the row keys
-        with mock.patch.object(rules_module, "KEY_BOUND", bound), mock.patch.object(
-            rules_module, "distinct_rows", spy
-        ):
-            decided[bound] = _partition_or_error(table)
-        assert spy.called == (bound == 0)
+    for bound, dtype in ((rules_module.KEY_BOUND, np.int64), (0, object)):
+        with mock.patch.object(rules_module, "KEY_BOUND", bound):
+            decided[bound], key_dtype = _decided_and_key_dtype(rule_table(rows))
+        assert key_dtype == dtype
     assert decided[0] == decided[rules_module.KEY_BOUND]
     if repeats:
         assert decided[0] == f"duplicate rule at row {repeats[0]}"
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_keys_stay_int64_up_to_the_key_bound(seed):
+    """Codes of every antecedent attribute ending at 2**12 - 2 (radix 2**12)
+    and consequents at 2**14 - 1 (radix 2**14) make a radix product of
+    exactly KEY_BOUND, keyed in int64; one more code of Severity makes it a
+    step past, keyed in Python ints. Both give the small codes' witnesses
+    and the naive fixpoint's essential rules."""
+    small = rule_table(random_rules(random.Random(seed)))
+    assert small.present.any(axis=0).all()
+    witness = eliminate_redundant(small).witness
+    for past, dtype in ((0, np.int64), (1, object)):
+        codes = np.where(small.present, small.codes + 2**12 - 2 - small.codes.max(axis=0), -1)
+        codes[codes[:, Attribute.SEVERITY] >= 0, Attribute.SEVERITY] += past
+        consequent = small.consequent + 2**14 - 1 - small.consequent.max()
+        large = RuleTable(codes, consequent, small.support, small.antecedent_count)
+        radices = [*(codes.max(axis=0) + 2).tolist(), int(consequent.max()) + 1]
+        assert math.prod(radices) - rules_module.KEY_BOUND == past * 2**50
+        decided, key_dtype = _decided_and_key_dtype(large)
+        assert key_dtype == dtype and decided == witness.tolist()
+        objects = rule_objects(large)
+        essential = {objects[row].key for row in np.flatnonzero(witness < 0)}
+        assert essential == essential_rules_naive(objects)
 
 
 @given(rule_lists())
